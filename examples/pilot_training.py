@@ -4,8 +4,8 @@ The other examples drive the *distributed simulator*; this one runs
 the actual numerical substrate end to end:
 
 1. trains a small GPT with Adam on synthetic Zipfian token streams;
-2. applies distributed global magnitude pruning (Algorithm 1 over
-   SimComm ranks) to the real weights mid-training;
+2. applies global magnitude pruning (Algorithm 1 over per-rank weight
+   shards) to the real weights mid-training;
 3. freezes layers whose parameter-update norms plateau
    (:class:`PlateauFreezer`, Egeria's criterion);
 4. shows the loss keeps improving through both events.
@@ -15,7 +15,6 @@ Run:  python examples/pilot_training.py
 
 import numpy as np
 
-from repro.cluster.simcomm import SimWorld
 from repro.dynamics import GlobalMagnitudePruner, PlateauFreezer
 from repro.nn import GPT, Adam, softmax_cross_entropy
 from repro.utils.rng import new_rng

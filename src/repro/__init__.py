@@ -6,7 +6,7 @@ Top-level convenience re-exports; see subpackages for the full API:
 - ``repro.core``      — DynMo balancers, re-packing, controller
 - ``repro.dynamics``  — the six dynamic-model schemes
 - ``repro.pipeline``  — pipeline plans, schedules, event simulator
-- ``repro.cluster``   — topology, collectives, SimComm, job manager
+- ``repro.cluster``   — topology, collectives, placement, job manager
 - ``repro.model``     — GPT configs + per-layer cost model
 - ``repro.nn``        — numpy transformer substrate
 - ``repro.sparse``    — CSR/SpMM substrate

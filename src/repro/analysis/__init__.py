@@ -1,20 +1,17 @@
 """Static analysis for the repo's own invariants: ``repro lint``.
 
 The simulator's core guarantees — bit-identical results across
-engines, sound content-hash caching, race-free SimWorld threading, a
-resolving public facade — are enforced here at the *source* level,
-before code runs, instead of only by differential golden tests after a
-bug ships.
+engines, sound content-hash caching, a resolving public facade — are
+enforced here at the *source* level, before code runs, instead of only
+by differential golden tests after a bug ships.
 
-Four checker families (codes in ``docs/lint-codes.md``):
+Three checker families (codes in ``docs/lint-codes.md``):
 
 - ``determinism`` (RPR1xx) — unseeded randomness, wall-clock reads,
   set-order iteration, salted ``hash()`` in result paths;
 - ``spec-hash`` (RPR2xx) — dataclass fields vs. content-hash /
   ``to_dict`` payload completeness ("added a field, forgot to hash
   it" becomes a lint error);
-- ``concurrency`` (RPR3xx) — unguarded shared-state mutation in
-  thread-spawning classes, ``acquire()`` without guaranteed release;
 - ``facade`` (RPR4xx) — ``__all__`` entries and deep imports that
   resolve, deprecation shims that actually warn.
 

@@ -8,8 +8,9 @@ two digits) documented in ``docs/lint-codes.md``:
 - ``RPR0xx`` — framework (syntax errors, unknown suppressions)
 - ``RPR1xx`` — determinism
 - ``RPR2xx`` — spec-hash / serialization completeness
-- ``RPR3xx`` — concurrency
 - ``RPR4xx`` — API facade / deprecation shims
+
+``RPR3xx`` (concurrency) is retired and its codes are never reused.
 """
 
 from __future__ import annotations

@@ -736,7 +736,7 @@ def cmd_shard(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """Static analysis: determinism / cache-soundness / concurrency / facade."""
+    """Static analysis: determinism / cache-soundness / facade."""
     from repro.analysis import all_codes, lint_paths
 
     if args.list_codes:
@@ -1071,7 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser(
         "lint",
         help="static analysis: determinism, spec-hash completeness, "
-             "SimWorld concurrency, API facade (exit 1 on findings)",
+             "API facade (exit 1 on findings)",
     )
     pl.add_argument(
         "paths", nargs="*", default=["src"],

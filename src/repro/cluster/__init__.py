@@ -8,8 +8,6 @@ Replaces the paper's 720×H100 testbed with analytic models:
   all-reduce, all-to-all;
 - :mod:`memory` — per-GPU memory budget tracking (drives OOM cells in
   Fig. 4 and re-packing feasibility);
-- :mod:`simcomm` — an in-process MPI-like rank simulator used to run
-  Algorithm 1 (distributed global pruning) with real dataflow;
 - :mod:`job_manager` — ECK-style elastic GPU request/release ledger;
 - :mod:`events` — trace-driven cluster dynamism (failures, stragglers,
   preemptions, recoveries) with a JSON format and seedable generators.
@@ -29,7 +27,6 @@ from repro.cluster.collectives import CommCostModel
 from repro.cluster.events import EVENT_KINDS, ClusterEvent, ClusterEventTrace
 from repro.cluster.memory import MemoryTracker, OutOfMemoryError
 from repro.cluster.placement import PLACEMENT_STRATEGIES, Placement, make_placement
-from repro.cluster.simcomm import SimComm, SimWorld
 from repro.cluster.job_manager import ElasticJobManager
 
 __all__ = [
@@ -50,7 +47,5 @@ __all__ = [
     "PLACEMENT_STRATEGIES",
     "Placement",
     "make_placement",
-    "SimComm",
-    "SimWorld",
     "ElasticJobManager",
 ]

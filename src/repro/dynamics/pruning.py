@@ -4,10 +4,10 @@ Three pieces:
 
 - :class:`GradualPruningSchedule` — the Zhu–Gupta cubic schedule
   (Eq. 3): rapid pruning early, slowing as the network shrinks.
-- :class:`GlobalMagnitudePruner` — Algorithm 1 verbatim over
-  :class:`repro.cluster.SimComm` ranks: each rank takes local top-k of
-  |w|, rank 0 gathers and computes the *global* top-k, then scatters
-  per-rank keep-indices.  Works on real numpy weight shards.
+- :class:`GlobalMagnitudePruner` — Algorithm 1 over a list of per-rank
+  weight shards: each rank takes its local top-k of |w|, the gathered
+  candidates' k-th largest is the *global* threshold, and each rank
+  keeps the weights at or above it.  Works on real numpy weight shards.
 - :class:`PruningDynamism` — drives the schedule during training and
   maps the resulting *non-uniform per-layer retention* onto LayerStates.
   Per-layer weight-magnitude scales differ (depth-dependent), so a
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.simcomm import SimComm, SimWorld
 from repro.dynamics.base import DynamismScheme
 from repro.model.cost import LayerSpec, LayerState
 from repro.utils.rng import new_rng
@@ -63,57 +62,40 @@ class GradualPruningSchedule:
 
 
 class GlobalMagnitudePruner:
-    """Algorithm 1: distributed global magnitude pruning over ranks."""
+    """Algorithm 1: global magnitude pruning over per-rank weight shards."""
 
     def __init__(self, num_ranks: int) -> None:
         if num_ranks <= 0:
             raise ValueError("num_ranks must be positive")
         self.num_ranks = num_ranks
-        self.world = SimWorld(num_ranks)
-
-    @staticmethod
-    def _rank_fn(comm: SimComm, shard: np.ndarray, sparsity: float, total: int):
-        """One rank of Algorithm 1. ``shard`` is this rank's parameters."""
-        k_global = int(round(total * (1.0 - sparsity)))
-        k_local = min(shard.size, k_global)
-        mags = np.abs(shard)
-        # line 3: local top-k values (magnitudes) of this rank
-        if k_local > 0 and shard.size > k_local:
-            part = np.argpartition(-mags, k_local - 1)[:k_local]
-        else:
-            part = np.arange(shard.size)
-        local_top_vals = mags[part]
-        # line 4: gather candidates at rank 0
-        gathered = comm.gather((comm.rank, local_top_vals), root=0)
-        if comm.rank == 0:
-            # line 6: global top-k threshold over gathered candidates
-            all_vals = np.concatenate([v for _, v in gathered])
-            if k_global >= all_vals.size:
-                thresh = -np.inf
-            else:
-                thresh = np.partition(all_vals, all_vals.size - k_global)[
-                    all_vals.size - k_global
-                ]
-            payload = [thresh] * comm.size
-        else:
-            payload = None
-        # line 8: scatter the keep-threshold (indices derivable locally)
-        thresh = comm.scatter(payload, root=0)
-        keep = mags >= thresh
-        return keep
 
     def prune(self, shards: list[np.ndarray], sparsity: float) -> list[np.ndarray]:
-        """Run Algorithm 1; returns per-rank boolean keep-masks."""
+        """Run Algorithm 1; returns per-rank boolean keep-masks.
+
+        Keeps the ``round(total * (1 - sparsity))`` largest magnitudes
+        (every weight tied with the k-th largest is kept too).
+        """
         check_prob("sparsity", sparsity)
         if len(shards) != self.num_ranks:
             raise ValueError("one shard per rank required")
-        total = sum(s.size for s in shards)
-        results = self.world.run(
-            lambda comm: self._rank_fn(
-                comm, shards[comm.rank], sparsity, total
-            )
-        )
-        return results
+        k = int(round(sum(s.size for s in shards) * (1.0 - sparsity)))
+        mags = [np.abs(s) for s in shards]
+        if k == 0:
+            return [np.zeros(m.shape, dtype=bool) for m in mags]
+        # line 3: each rank's local top-k magnitudes (all of a small shard)
+        local_top = [
+            np.partition(m, m.size - k, axis=None)[m.size - k :]
+            if m.size > k
+            else m.ravel()
+            for m in mags
+        ]
+        # lines 4-6: gather the candidates; their k-th largest is the
+        # global threshold, since every global top-k weight is in its
+        # own rank's local top-k
+        cand = np.concatenate(local_top)
+        thresh = np.partition(cand, cand.size - k)[cand.size - k]
+        # line 8: scatter the threshold; each rank keeps |w| >= it
+        return [m >= thresh for m in mags]
 
 
 class PruningDynamism(DynamismScheme):

@@ -695,7 +695,7 @@ class Trainer:
         try:
             scheme = copy.deepcopy(self.scheme)
             states = copy.deepcopy(self.states)
-        except Exception:
+        except (TypeError, copy.Error):
             return 0
         advance = getattr(scheme, "advance", scheme.step)
         buf = np.empty((len(states), 6))
@@ -744,18 +744,20 @@ class Trainer:
         the batched path is bit-identical to the scalar one.
         """
         try:
-            shadow = Trainer(
-                self.cfg,
-                self.cost,
-                copy.deepcopy(self.scheme),
-                comm=self.comm,
-                initial_plan=self.plan,
-                placement=self.placement,
-                cluster_events=self.cluster_events,
-            )
-            shadow.states = copy.deepcopy(self.states)
-        except Exception:
+            scheme = copy.deepcopy(self.scheme)
+            states = copy.deepcopy(self.states)
+        except (TypeError, copy.Error):
             return 0
+        shadow = Trainer(
+            self.cfg,
+            self.cost,
+            scheme,
+            comm=self.comm,
+            initial_plan=self.plan,
+            placement=self.placement,
+            cluster_events=self.cluster_events,
+        )
+        shadow.states = states
         st = shadow._begin_run(iters)
         seen: set[tuple] = set()
         todo: list[tuple[tuple, PipelineEngine, PipelinePlan, list[LayerState]]] = []

@@ -4,7 +4,6 @@ One violation per checker family; if any checker regresses to silence,
 the CI lint self-test step fails the build.
 """
 
-import threading
 import time
 from dataclasses import dataclass
 
@@ -31,12 +30,4 @@ class Spec:
         return {"a": self.a}  # RPR201: b missing
 
 
-class Racy:
-    def run(self):
-        threading.Thread(target=self.step).start()
-
-    def step(self):
-        self.counter = 1  # RPR301
-
-
-__all__ = ["unseeded", "stamped", "Spec", "Racy", "does_not_exist"]  # RPR401
+__all__ = ["unseeded", "stamped", "Spec", "does_not_exist"]  # RPR401

@@ -55,9 +55,10 @@ class TestFramework:
         codes = all_codes()
         for code in ("RPR001", "RPR002", "RPR101", "RPR102", "RPR103",
                      "RPR104", "RPR201", "RPR202", "RPR203", "RPR204",
-                     "RPR301", "RPR302", "RPR401", "RPR402", "RPR403",
-                     "RPR404"):
+                     "RPR401", "RPR402", "RPR403", "RPR404"):
             assert code in codes, code
+        # the RPR3xx (concurrency) family is retired, never reused
+        assert not [c for c in codes if c.startswith("RPR3")]
 
     def test_same_line_suppression(self):
         report = lint_text("import time\nt = time.time()  # repro: ignore[RPR102]\n")
@@ -285,46 +286,6 @@ class TestSpecHashChecker:
 
 
 # ---------------------------------------------------------------------------
-# concurrency checker (RPR3xx)
-# ---------------------------------------------------------------------------
-
-
-class TestConcurrencyChecker:
-    def test_fixture_positives(self):
-        report = lint_paths([FIXTURES / "concurrency_bad.py"])
-        counts = report.counts
-        assert counts["RPR301"] == 4
-        assert counts["RPR302"] == 1
-
-    def test_fixture_negatives(self):
-        report = lint_paths([FIXTURES / "concurrency_ok.py"])
-        assert report.ok, report.format_text()
-
-    def test_init_exempt_but_run_is_not(self):
-        snippet = (
-            "import threading\n"
-            "class W:\n"
-            "    def __init__(self):\n"
-            "        self.x = 0\n"
-            "    def go(self):\n"
-            "        threading.Thread(target=self.run).start()\n"
-            "    def run(self):\n"
-            "        self.x = 1\n"
-        )
-        report = lint_text(snippet)
-        assert codes_of(report) == ["RPR301"]
-        assert report.diagnostics[0].line == 8
-
-    def test_unthreaded_class_never_rpr301(self):
-        snippet = "class C:\n    def bump(self):\n        self.n = 1\n"
-        assert lint_text(snippet).ok
-
-    def test_real_simcomm_passes(self):
-        report = lint_paths([REPO / "src/repro/cluster/simcomm.py"])
-        assert report.ok, report.format_text()
-
-
-# ---------------------------------------------------------------------------
 # facade checker (RPR4xx)
 # ---------------------------------------------------------------------------
 
@@ -379,7 +340,8 @@ class TestLintGate:
         report = lint_paths([FIXTURES / "seeded_violation.py"])
         assert not report.ok
         families = {c[:4] for c in report.counts}
-        assert {"RPR1", "RPR2", "RPR3", "RPR4"} <= families
+        assert families == {"RPR1", "RPR2", "RPR4"}
+        assert len(report.diagnostics) == 6
 
     def test_suppressed_fixture_is_clean_with_two_suppressions(self):
         report = lint_paths([FIXTURES / "suppressed_ok.py"])

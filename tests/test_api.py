@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import threading
 import warnings
 
 import pytest
 
 import repro
+from repro.dynamics.pruning import GlobalMagnitudePruner
 from repro.orchestrator.runner import ExecutionPolicy, SweepRunner
 
 
@@ -78,6 +80,32 @@ class TestFacade:
         from repro.orchestrator import RunSpec, SweepRunner  # noqa: F401
         from repro.orchestrator.runner import execute_spec  # noqa: F401
         from repro.pipeline.batched import simulate_many  # noqa: F401
+
+    def test_simulation_starts_no_threads(self, monkeypatch):
+        """In-process simulation is single-threaded, global pruning
+        included: perfbench converts each process's CPU time into
+        reference seconds on that assumption."""
+        started, prunes = [], []
+        thread_start = threading.Thread.start
+        prune = GlobalMagnitudePruner.prune
+
+        def counting_start(thread):
+            started.append(thread.name)
+            thread_start(thread)
+
+        def counting_prune(pruner, shards, sparsity):
+            prunes.append(sparsity)
+            return prune(pruner, shards, sparsity)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        monkeypatch.setattr(GlobalMagnitudePruner, "prune", counting_prune)
+        assert repro.simulate(tiny()).ok
+        records = repro.sweep(
+            [tiny(), tiny(mode="dynmo-partition")], repro.ExecutionPolicy("batched")
+        )
+        assert all(r.ok for r in records)
+        assert prunes  # the pruning schedule really ran Algorithm 1
+        assert started == []
 
 
 class TestExecutionPolicy:

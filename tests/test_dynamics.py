@@ -17,6 +17,7 @@ from repro.dynamics import (
     confidence_survival,
     lsh_block_mask,
 )
+from repro.experiments.common import build_scenario, make_trainer
 from repro.model.config import GPTConfig
 from repro.model.cost import build_layer_specs
 
@@ -184,6 +185,19 @@ class TestPruningDynamism:
             scheme.step(k, states)
         assert states[0].sparsity == 0.0
         assert states[-1].sparsity == 0.0
+
+    @pytest.mark.parametrize("mode", ["megatron", "dynmo-partition"])
+    def test_full_sparsity_run_completes(self, mode):
+        """final_sparsity=1.0 is a valid schedule: the last pruning step
+        keeps no weight at all instead of crashing the run."""
+        setup = build_scenario("pruning", iterations=60)
+        sched = GradualPruningSchedule(
+            final_sparsity=1.0, start_iter=10, end_iter=50, prune_every=10
+        )
+        scheme = PruningDynamism(setup.specs, schedule=sched, seed=0)
+        trainer = make_trainer(setup, mode, scheme=scheme)
+        assert trainer.run().iterations == 60
+        assert all(trainer.states[i].sparsity == 1.0 for i in scheme.block_indices)
 
 
 class TestPlateauFreezer:

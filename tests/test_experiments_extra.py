@@ -2,7 +2,6 @@
 stage-rank striding, throughput accounting edge paths."""
 
 import numpy as np
-import pytest
 
 from repro.cluster.memory import OutOfMemoryError
 from repro.experiments.common import build_scenario, run_training
@@ -104,18 +103,3 @@ class TestGanttStr:
         text = str(render_gantt(res, width=20))
         assert "w0" in text and "w1" in text
         assert "ms" in text
-
-
-class TestSimCommTimeout:
-    def test_recv_timeout(self):
-        from repro.cluster.simcomm import SimWorld
-
-        world = SimWorld(2)
-
-        def fn(comm):
-            if comm.rank == 1:
-                with pytest.raises(TimeoutError):
-                    comm.recv(source=0, timeout=0.1)
-            return comm.rank
-
-        assert world.run(fn) == [0, 1]

@@ -1,11 +1,15 @@
 """Tests for TrainingConfig, Trainer, throughput, checkpointing."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.cluster.events import ClusterEvent, ClusterEventTrace
 from repro.cluster.job_manager import ElasticJobManager
 from repro.core import DynMoConfig, DynMoController
 from repro.dynamics import FreezingDynamism, StaticScheme
+from repro.experiments.common import SCENARIOS, build_scenario, make_trainer
 from repro.model.cost import LayerState, fresh_states
 from repro.pipeline import PipelinePlan
 from repro.training import (
@@ -379,3 +383,56 @@ class TestPrewarmAndLockstep:
         out_a, out_b = run_trainers_lockstep([(a, None), (b, None)])
         assert out_a.iterations == 7
         assert out_b.iterations == 23
+
+
+#: every built-in scheme a RunSpec can select: each scenario's own
+#: scheme, plus the baseline wrappers
+BUILTIN_SCHEMES = [
+    (scenario, mode)
+    for scenario in SCENARIOS
+    for mode in ("megatron", "dynmo-partition")
+] + [
+    ("moe", "tutel"),
+    ("freezing", "egeria"),
+    ("sparse_attention", "dense-baseline"),
+    ("early_exit", "dense-baseline"),
+]
+
+
+class TestSchemeDeepcopy:
+    """Prewarm scouts a deep copy of the dynamism scheme."""
+
+    @pytest.mark.parametrize("scenario,mode", BUILTIN_SCHEMES)
+    def test_copy_replays_same_fingerprints(self, scenario, mode):
+        iters = 150
+        trainer = make_trainer(build_scenario(scenario, iterations=iters), mode)
+        schemes = [trainer.scheme, copy.deepcopy(trainer.scheme)]
+        states = [copy.deepcopy(trainer.states) for _ in schemes]
+        advances = [getattr(s, "advance", s.step) for s in schemes]
+        for k in range(iters):
+            # interleaved, so any state the copy shares with the
+            # original (an RNG, a buffer) makes the two diverge
+            for advance, sts in zip(advances, states):
+                advance(k, sts)
+            assert states_fingerprint(states[0]) == states_fingerprint(states[1]), k
+
+    def test_deepcopy_errors_are_not_swallowed(self):
+        """Only the errors deepcopy raises for uncopyable state skip
+        prewarm; anything else surfaces from both prewarm paths."""
+
+        def trainer(error, cluster_events):
+            class Uncopyable(FreezingDynamism):
+                def __deepcopy__(self, memo):
+                    raise error("deepcopy exploded")
+
+            setup = build_scenario("freezing", iterations=30)
+            scheme = Uncopyable(setup.specs, freeze_every=5, tau0=5, seed=0)
+            return make_trainer(
+                setup, "megatron", scheme=scheme, cluster_events=cluster_events
+            )
+
+        events = ClusterEventTrace((ClusterEvent(6, "failure", (2,)),))
+        for cluster_events in (None, events):  # plain and segmented prewarm
+            with pytest.raises(RuntimeError, match="deepcopy exploded"):
+                trainer(RuntimeError, cluster_events).prewarm(30)
+            assert trainer(TypeError, cluster_events).prewarm(30) == 0
