@@ -1,6 +1,6 @@
 """Batched-backend microbenchmark: vectorized multi-run replay vs scalar.
 
-Times ``PipelineEngine.simulate`` over N scenarios
+Times one ``simulate_many`` call over N scenarios
 against N calls of the compiled scalar ``run_iteration`` (and the
 reference ready-loop) at sweep-realistic shapes, and writes a
 ``BENCH_batched.json`` artifact tracked commit-over-commit (the CI
@@ -30,6 +30,7 @@ import time
 from repro.dynamics.pruning import GradualPruningSchedule, PruningDynamism
 from repro.model.config import gpt_24
 from repro.model.cost import ModelCost, build_layer_specs
+from repro.pipeline.batched import simulate_many
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.plan import PipelinePlan
 
@@ -90,8 +91,9 @@ def run_grid(
             )
             for n in batch_sizes:
                 scenarios = [(plan, states) for states in all_states[:n]]
-                engine.simulate(scenarios)  # warm compile caches
-                t_batched = _best_of(lambda: engine.simulate(scenarios), repeats)
+                requests = [(engine, plan, states) for states in all_states[:n]]
+                simulate_many(requests)  # warm compile caches
+                t_batched = _best_of(lambda: simulate_many(requests), repeats)
 
                 def scalar():
                     for p, states in scenarios:

@@ -1,8 +1,8 @@
 """Cluster-event microbenchmark: trace-driven runs must stay cache-friendly.
 
-An event-carrying run cannot take the batched prewarm path (its plan,
-placement and per-rank speeds change mid-flight), so its hot path is
-the Trainer's iteration cache keyed on
+An event-carrying run's plan, placement and per-rank speeds change
+mid-flight, so its hot path is the Trainer's iteration cache (seeded
+by the prewarm scout) keyed on
 ``(plan, placement grid, straggler state, dynamism fingerprint)``.
 This benchmark drives one failure + straggler + recovery trace through
 a full Trainer twice — once with the iteration cache (the shipped

@@ -81,11 +81,11 @@ def _as_cache(
 def simulate(spec: RunSpec, *, policy: ExecutionPolicy | None = None) -> RunRecord:
     """Run one spec to a :class:`RunRecord` (failures captured, not raised).
 
-    A single run always executes in this process; the engine still
-    batches internally where it can (segmented prewarm decomposes
-    trace-driven runs into piecewise-static segments and simulates each
-    segment's states as one vectorized batch).  ``policy`` only
-    contributes its ``timeout_s`` here.
+    A single run always executes in this process; the Trainer's
+    prewarm scout still batches where it can (it replays the run,
+    trace-driven segments included, and simulates every distinct state
+    in one vectorized call).  ``policy`` only contributes its
+    ``timeout_s`` here.
     """
     return execute_spec(spec, policy.timeout_s if policy is not None else None)
 
@@ -101,7 +101,7 @@ def sweep(
 ) -> list[RunRecord]:
     """Run many specs through a :class:`SweepRunner`.
 
-    ``policy`` picks the backend (default: batched lockstep bins in
+    ``policy`` picks the backend (default: one batched lockstep call in
     this process); ``cache`` (a :class:`ResultCache` or a directory
     path) serves repeat specs from their content hash.  ``journal``
     (a :class:`SweepJournal` or a path) makes the sweep durable and

@@ -64,9 +64,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_runner_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="execution backend: 0 = batched in-process executor (bins "
-             "compatible runs by compiled key and simulates whole bins "
-             "vectorized, no worker processes), 1 = serial in-process, "
+        help="execution backend: 0 = batched in-process executor (steps "
+             "all runs together and simulates each iteration's cache "
+             "misses vectorized, no worker processes), 1 = serial in-process, "
              "N>1 = process pool with N workers "
              "(default: 1 for figure commands, all cores for sweep)",
     )
@@ -77,7 +77,7 @@ def _add_runner_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-run time budget (sweep records over-budget runs as "
                         "failed rows; figure commands abort on them; with "
-                        "--jobs 0 a bin of N runs shares an N x budget "
+                        "--jobs 0 the N runs share an N x budget "
                         "wall-clock deadline)")
     p.add_argument(
         "--balance-cost", default="modeled", choices=["modeled", "measured"],

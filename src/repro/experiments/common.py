@@ -253,8 +253,8 @@ def make_trainer(
 ) -> Trainer:
     """Build the Trainer for one configuration without running it.
 
-    The batched sweep executor uses this to collect whole bins of
-    compatible runs and drive them in lockstep;
+    The batched sweep executor uses this to build every pending run
+    and drive them all in one lockstep call;
     :func:`run_training` is the build-then-run composition.
 
     ``memory_limit`` (see :func:`parse_memory_limit`) turns on the

@@ -15,10 +15,10 @@ distributions:
   stage count at each recorded iteration.
 
 Execution defaults to the batched backend: every draw is an
-independent Trainer, and the lockstep driver simulates each
-iteration's cache misses across all draws as one vectorized batch —
-trace-driven runs are piecewise static, so they batch segment by
-segment (see :mod:`repro.training.lockstep`).  Percentiles use the
+independent Trainer, and one lockstep call hands each iteration's
+cache misses across all draws to one vectorized batch — trace-driven
+runs are piecewise static, so they batch segment by segment (see
+:mod:`repro.training.lockstep`).  Percentiles use the
 deterministic nearest-rank definition, so summaries are bit-identical
 across inline/pool/batched backends and across cached re-runs.
 """
@@ -262,7 +262,7 @@ def run_ensemble(
 
     Draws are deduplicated by spec content hash before execution (empty
     traces collapse into one event-free run), executed through a
-    :class:`SweepRunner` — batched lockstep bins by default — and
+    :class:`SweepRunner` — one batched lockstep call by default — and
     fanned back out so duplicate draws weight the statistics exactly
     once per draw.  ``journal`` makes the underlying sweep durable and
     resumable, exactly as in :meth:`SweepRunner.run`.

@@ -8,14 +8,12 @@ pickle it to workers.  All exceptions are captured into the record
 
 Execution backends (:class:`ExecutionPolicy`):
 
-- ``backend="batched"`` — bins compatible specs by compiled key
-  ``(schedule, stages, micro)`` and drives each bin's Trainers in
-  lockstep in this process, simulating every iteration's cache misses
-  as one vectorized batch (no pickling, no worker import cost).  Specs
-  whose pipelines can diverge mid-run (re-packing, elasticity) fall
-  back to the per-spec path.  Timeouts are enforced with a
-  monotonic-clock check between iterations and bins — they work off
-  the main thread, unlike ``SIGALRM``.
+- ``backend="batched"`` — drives every pending spec's Trainer in one
+  lockstep call in this process, handing each iteration's cache misses
+  to one vectorized :func:`~repro.pipeline.batched.simulate_many` call
+  (no pickling, no worker import cost).  Timeouts are enforced with a
+  monotonic-clock check between iterations — they work off the main
+  thread, unlike ``SIGALRM``.
 - ``backend="inline"`` — serial, in the calling process.
 - ``backend="pool"`` — a process pool, submitted in chunks (one future
   per chunk of specs, not per spec) over a module-wide warm pool that
@@ -48,8 +46,9 @@ contract):
 
 Per-run timeouts use ``SIGALRM`` inside the executing process where
 available; when the alarm cannot be armed (no SIGALRM, or off the main
-thread) the budget is still enforced post-hoc — an over-budget run is
-recorded as ``status="timeout"`` instead of silently passing.
+thread) the trainer checks a monotonic-clock deadline every iteration,
+so an over-budget run is still stopped mid-flight and recorded as
+``status="timeout"``.
 
 The experiments package imports this module (the figure drivers build
 their sweeps on top of it), so the heavy experiment imports happen
@@ -92,19 +91,19 @@ class ExecutionPolicy:
     Replaces the ``jobs`` integer protocol (``0`` → batched, ``1`` →
     inline, ``N>1`` → pool of N, ``None`` → pool of cpu_count):
 
-    - ``backend="batched"`` — bin compatible specs by compiled key and
-      drive whole bins in lockstep in this process, simulating each
-      iteration's cache misses as one vectorized batch;
+    - ``backend="batched"`` — drive all pending specs in one lockstep
+      call in this process, simulating each iteration's cache misses
+      as one vectorized batch;
     - ``backend="inline"`` — serial, in the calling process;
     - ``backend="pool"`` — chunked submission over a warm process pool
       of ``workers`` (``None`` → all cores).
 
     ``timeout_s`` is the per-run wall-clock budget (the batched backend
-    scales it to a whole-bin deadline).  ``retry`` governs how
-    transient worker faults re-run; ``max_pool_restarts`` bounds how
-    many times a run may replace a broken pool before degrading to
-    inline execution; ``chunk_size`` (pool only) overrides the
-    automatic chunking, mostly for tests that need a specific chunk
+    scales it to a deadline for the whole lockstep call).  ``retry``
+    governs how transient worker faults re-run; ``max_pool_restarts``
+    bounds how many times a run may replace a broken pool before
+    degrading to inline execution; ``chunk_size`` (pool only) overrides
+    the automatic chunking, mostly for tests that need a specific chunk
     shape.
     """
 
@@ -225,7 +224,7 @@ def _deadline(seconds: float | None) -> Iterator[bool]:
 
     The alarm only works on the main thread of a platform with
     ``SIGALRM``; callers use the yielded flag to know whether the
-    budget must be enforced post-hoc instead of silently dropped.
+    budget must be enforced by a monotonic-clock deadline instead.
     """
     usable = bool(
         seconds
@@ -495,10 +494,11 @@ class SweepRunner:
     execution backend.
 
     The backend is named by an :class:`ExecutionPolicy`:
-    ``backend="batched"`` runs the in-process lockstep executor over
-    the vectorized engine, ``"inline"`` runs serially, ``"pool"`` fans
-    chunks of specs out over a warm process pool.  Results come back in
-    spec order regardless of completion order.
+    ``backend="batched"`` runs all pending specs in one in-process
+    lockstep call over the vectorized engine, ``"inline"`` runs
+    serially, ``"pool"`` fans chunks of specs out over a warm process
+    pool.  Results come back in spec order regardless of completion
+    order.
 
     With a :class:`~repro.orchestrator.journal.SweepJournal` attached,
     every landed record is durably appended, SIGINT/SIGTERM drain
@@ -548,18 +548,6 @@ class SweepRunner:
         self.refresh = refresh
         self._pool: ProcessPoolExecutor | None = None
         self._progress_broken = False
-        if (
-            self.timeout_s
-            and policy.backend != "batched"
-            and not hasattr(signal, "SIGALRM")
-        ):
-            warnings.warn(
-                "per-run timeouts need SIGALRM, which this platform lacks; "
-                "timeout_s is only enforced post-hoc (jobs=0 enforces it "
-                "with a monotonic clock)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
     @property
     def jobs(self) -> int:
@@ -944,80 +932,65 @@ class SweepRunner:
         pending: list[tuple[int, RunSpec]],
         state: _RunState,
     ) -> None:
-        """Evaluate specs binned by compiled key, whole bins in lockstep.
+        """Evaluate every pending spec in one lockstep call.
 
-        Specs whose pipeline shape can diverge *unpredictably* mid-run
-        (controller re-packing, elasticity) are executed on the per-spec
-        path instead — their stage count, and so their compiled key, is
-        result-dependent.  Cluster-event specs stay in the bins: a trace
-        changes the key only at event boundaries (piecewise-static
-        segments), and the lockstep driver re-bins every iteration's
-        misses by *current* key, so event runs batch segment by segment.
-        Timeouts are wall-clock checks between iterations (inside
-        lockstep) and around the per-spec fallback, recorded as
-        ``status="timeout"`` like the signal-based path.  Interrupts
-        are honoured between bins and between fallback specs.
+        Each spec becomes a Trainer and all of them advance together;
+        :func:`~repro.pipeline.batched.simulate_many` re-bins each
+        iteration's cache misses by *current* compiled key, so runs whose
+        stage count changes mid-flight (cluster events, re-packing,
+        elasticity) batch segment by segment.  Timeouts are wall-clock
+        checks between iterations, recorded as ``status="timeout"`` like
+        the signal-based path.  An interrupt stops the call at the next
+        iteration boundary: finished runs land, unfinished ones stay
+        unrecorded (a resume re-runs exactly those), and
+        :class:`SweepInterrupted` is raised.
         """
         from repro.training.lockstep import LockstepTimeout, run_trainers_lockstep
 
         land = state.land
-        bins: dict[tuple[Any, ...], list[tuple[int, RunSpec, Any, Any]]] = {}
+        entries: list[tuple[int, RunSpec, Any, Any]] = []
         for i, spec in pending:
-            if spec.repack or spec.elastic_total_gpus is not None:
-                # execute_spec arms SIGALRM when possible and otherwise
-                # enforces the budget post-hoc, so the fallback path
-                # reports timeouts exactly like the pooled path
-                self._maybe_interrupt(state)
-                land(i, execute_spec(spec, self.timeout_s))
-                continue
             start = time.perf_counter()
             try:
                 setup, trainer = _spec_scenario_and_trainer(spec)
             except Exception as exc:
                 land(i, _error_record(spec, exc, time.perf_counter() - start))
                 continue
-            key = (
-                spec.schedule,
-                trainer.plan.num_stages,
-                trainer.cfg.micro_batches,
-            )
-            bins.setdefault(key, []).append((i, spec, setup, trainer))
+            entries.append((i, spec, setup, trainer))
 
-        for entries in bins.values():
-            self._maybe_interrupt(state)
-            t0 = time.perf_counter()
-            # the bin advances all runs together, so the per-run budget
-            # scales to a whole-bin deadline: a bin of N runs may take
-            # N x timeout_s before its still-active runs time out —
-            # runs that fit the budget solo are not penalised for
-            # sharing a bin
-            deadline = (
-                self.timeout_s * len(entries) if self.timeout_s else self.timeout_s
-            )
-            outcomes = run_trainers_lockstep(
-                [(trainer, None) for _, _, _, trainer in entries],
-                deadline_s=deadline,
-            )
-            wall = time.perf_counter() - t0
-            share = wall / len(entries)
-            for (i, spec, setup, _), outcome in zip(entries, outcomes):
-                if isinstance(outcome, LockstepTimeout):
-                    land(i, _timeout_record(spec, str(outcome), share))
-                elif isinstance(outcome, PlacementOOMError):
-                    land(i, _oom_record(spec, outcome, share))
-                elif isinstance(outcome, BaseException):
-                    land(i, _error_record(spec, outcome, share))
-                else:
-                    land(
-                        i,
-                        RunRecord(
-                            spec=spec,
-                            spec_hash=spec.spec_hash,
-                            status="ok",
-                            duration_s=share,
-                            metrics=_spec_metrics(setup, outcome),
-                        ),
-                    )
+        t0 = time.perf_counter()
+        # all runs advance together, so the per-run budget scales to a
+        # whole-call deadline: N runs may take N x timeout_s before the
+        # still-active ones time out — runs that fit the budget solo are
+        # not penalised for sharing the call
+        deadline = self.timeout_s * len(entries) if self.timeout_s else self.timeout_s
+        outcomes = run_trainers_lockstep(
+            [(trainer, None) for _, _, _, trainer in entries],
+            deadline_s=deadline,
+            stop=state.stop,
+        )
+        share = (time.perf_counter() - t0) / max(1, len(entries))
+        for (i, spec, setup, _), outcome in zip(entries, outcomes):
+            if outcome is None:
+                continue  # stopped before it finished: left for a resume
+            if isinstance(outcome, LockstepTimeout):
+                land(i, _timeout_record(spec, str(outcome), share))
+            elif isinstance(outcome, PlacementOOMError):
+                land(i, _oom_record(spec, outcome, share))
+            elif isinstance(outcome, BaseException):
+                land(i, _error_record(spec, outcome, share))
+            else:
+                land(
+                    i,
+                    RunRecord(
+                        spec=spec,
+                        spec_hash=spec.spec_hash,
+                        status="ok",
+                        duration_s=share,
+                        metrics=_spec_metrics(setup, outcome),
+                    ),
+                )
+        self._maybe_interrupt(state)
 
 
 def run_specs(

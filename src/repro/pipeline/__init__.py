@@ -10,9 +10,10 @@
   topological executor behind ``PipelineEngine.run_iteration``
   (bit-identical to the reference ready-loop);
 - :mod:`batched` — vectorized multi-run replay of the compiled op
-  tables: N scenarios execute as one level-by-level NumPy cascade
-  (behind ``PipelineEngine.run_iterations_batched``), each scenario
-  bit-identical to the scalar paths;
+  tables: :func:`~repro.pipeline.batched.simulate_many`, the one
+  batched entry point, runs N scenarios as one level-by-level NumPy
+  cascade per compiled key, each scenario bit-identical to the scalar
+  paths;
 - :mod:`migration` — layer-movement plans between two pipeline plans
   plus their communication cost (DynMo's "move layers while gradients
   are computed" step).

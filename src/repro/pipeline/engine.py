@@ -26,7 +26,6 @@ Megatron's default non-overlapped reduce).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -301,66 +300,6 @@ class PipelineEngine:
         if self.record_timeline or not self.use_compiled:
             return self.run_iteration_reference(plan, states)
         return self._run_iteration_compiled(plan, states)
-
-    def simulate(
-        self,
-        scenarios: Sequence[tuple[PipelinePlan, list[LayerState]]],
-        *,
-        batched: str = "auto",
-    ) -> list[IterationResult]:
-        """Simulate many (plan, states) scenarios — the one entry point.
-
-        This owns the batch-or-fallback decision so callers (Trainer
-        prewarm, the lockstep driver, the ensemble runner) never
-        re-implement it:
-
-        - ``batched="auto"`` routes every scenario through
-          :func:`repro.pipeline.batched.simulate_many`, which bins by
-          compiled key ``(schedule, S, M)``, replays each bin as one
-          vectorized cascade, and falls back to the scalar engine per
-          scenario where batching is impossible (timeline recording,
-          ``use_compiled=False``, a bin of one) — results are
-          bit-identical either way;
-        - ``batched="never"`` forces the scalar :meth:`run_iteration`
-          loop (the differential oracle path);
-        - ``batched="require"`` raises :class:`ValueError` when this
-          engine cannot take the batched path at all, for callers that
-          must not silently degrade (benchmarks, CI assertions).
-
-        Results come back in request order.
-        """
-        if batched not in ("auto", "never", "require"):
-            raise ValueError(
-                f"batched must be 'auto', 'never' or 'require', got {batched!r}"
-            )
-        if batched == "never":
-            return [self.run_iteration(plan, states) for plan, states in scenarios]
-        if batched == "require" and not self.can_batch:
-            raise ValueError(
-                "engine cannot batch: "
-                + (
-                    "timeline recording is on"
-                    if self.record_timeline
-                    else "use_compiled=False forces the reference path"
-                )
-            )
-        from repro.pipeline.batched import simulate_many
-
-        return simulate_many([(self, plan, states) for plan, states in scenarios])
-
-    def run_iterations_batched(
-        self, scenarios: Sequence[tuple[PipelinePlan, list[LayerState]]]
-    ) -> list[IterationResult]:
-        """Deprecated alias for :meth:`simulate` with ``batched="auto"``."""
-        import warnings
-
-        warnings.warn(
-            "PipelineEngine.run_iterations_batched is deprecated; use "
-            "PipelineEngine.simulate(scenarios, batched='auto')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.simulate(scenarios, batched="auto")
 
     def batched_stage_times(
         self, plan: PipelinePlan, states_list: list[list[LayerState]]

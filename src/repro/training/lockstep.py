@@ -1,34 +1,35 @@
 """Lockstep execution of many Trainers with batched iteration simulation.
 
 The batched sweep executor (``ExecutionPolicy(backend="batched")``,
-a.k.a. ``repro sweep --jobs 0``) and the ensemble runner run compatible
-RunSpecs in one process.  Each run is an independent Trainer, but all
-runs in a bin share a compiled key ``(schedule, S, M)`` — so instead of
-running them one after another, this driver advances every run one
-iteration at a time and simulates all of that iteration's cache misses
-in a single vectorized batch (:mod:`repro.pipeline.batched`).
+a.k.a. ``repro sweep --jobs 0``) and the ensemble runner run all of a
+sweep's pending RunSpecs in one process.  Each run is an independent
+Trainer; instead of running them one after another, this driver
+advances every run one iteration at a time and hands all of that
+iteration's cache misses to one :func:`simulate_many` call
+(:mod:`repro.pipeline.batched`), which bins them by the *current*
+compiled key ``(schedule, S, M)`` and replays each bin vectorized.
 
-Trace-driven runs (cluster-event traces) are *piecewise static*: the
-compiled key only changes at event boundaries.  Because the driver
-re-derives every run's current ``(engine, plan, states)`` each
-iteration and :func:`simulate_many` re-bins by current key, runs whose
-stage counts diverge and re-converge mid-flight (failure, regrow)
-simply migrate between vectorized bins segment by segment — the
-boundary stitching (migration pricing, regrow re-admission, straggler
-windows) happens in each Trainer's own ``_pre_iteration`` hook exactly
-as in a solo run.
+Runs whose stage count changes mid-flight — cluster-event traces,
+controller re-packs, elastic shrinks — simply move between bins from
+one iteration to the next.  The boundary stitching (migration pricing,
+regrow re-admission, straggler windows) happens in each Trainer's own
+``_pre_iteration`` hook exactly as in a solo run.
 
 Per-run semantics are untouched: each Trainer executes the exact same
 begin / pre-iteration / post-iteration / finish hooks as
 :meth:`Trainer.run`, against its own scheme, controller, cache and
 accounting, so every ``TrainingResult`` is bit-identical to a solo run.
-A run that raises keeps its exception as its outcome without touching
-its bin-mates; an expired deadline converts all still-running runs to
-:class:`LockstepTimeout`.
+A run whose own hooks raise keeps that exception as its outcome
+without touching the other runs; an exception from the shared
+:func:`simulate_many` call becomes the outcome of every run that
+missed in that call — there is no scalar re-run.  An expired deadline
+converts all still-running runs to :class:`LockstepTimeout`; a set
+``stop`` event leaves them without an outcome.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Sequence
 
@@ -37,19 +38,21 @@ from repro.training.trainer import Trainer, TrainingResult
 
 
 class LockstepTimeout(Exception):
-    """A lockstep bin exceeded its wall-clock budget mid-run."""
+    """A lockstep call exceeded its wall-clock budget mid-run."""
 
 
 def run_trainers_lockstep(
     entries: Sequence[tuple[Trainer, int | None]],
     deadline_s: float | None = None,
-) -> list[TrainingResult | BaseException]:
+    stop: threading.Event | None = None,
+) -> list[TrainingResult | BaseException | None]:
     """Run ``(trainer, iterations)`` pairs in lockstep.
 
     Returns one outcome per entry, in order: a :class:`TrainingResult`,
     or the exception that run raised, or :class:`LockstepTimeout` for
     runs still unfinished when ``deadline_s`` (seconds from call start)
-    expires.
+    expires.  Once ``stop`` is set, the driver halts at the next
+    iteration boundary and runs still unfinished get ``None``.
     """
     n = len(entries)
     outcomes: list[TrainingResult | BaseException | None] = [None] * n
@@ -65,22 +68,23 @@ def run_trainers_lockstep(
     t0 = time.monotonic()
     k = 0
     while active:
-        if deadline_s is not None and time.monotonic() - t0 > deadline_s:
+        expired = deadline_s is not None and time.monotonic() - t0 > deadline_s
+        if expired or (stop is not None and stop.is_set()):
             for i in active:
                 trainer, _ = entries[i]
                 st = states[i]
                 if k >= st.iters:
-                    # this run completed every iteration before the
-                    # deadline expired and is only awaiting bookkeeping;
-                    # finishing it is O(1) and its outcome must never be
-                    # overwritten by the bin's timeout
+                    # this run completed every iteration and is only
+                    # awaiting bookkeeping; finishing it is O(1) and its
+                    # outcome must never be overwritten by the others'
+                    # timeout or interruption
                     try:
                         outcomes[i] = trainer._finish_run(st)
                     except Exception as exc:
                         outcomes[i] = exc
-                else:
+                elif expired:
                     outcomes[i] = LockstepTimeout(
-                        f"lockstep bin exceeded {deadline_s:.0f}s budget "
+                        f"lockstep call exceeded {deadline_s:.0f}s budget "
                         f"at iteration {k}"
                     )
             break
@@ -109,7 +113,6 @@ def run_trainers_lockstep(
             else:
                 results[i] = res
         if misses:
-            sims = None
             try:
                 sims = simulate_many(
                     [
@@ -117,20 +120,13 @@ def run_trainers_lockstep(
                         for i, _ in misses
                     ]
                 )
-            except Exception:
-                pass  # isolate per run via the scalar engine below
-            for j, (i, key) in enumerate(misses):
-                trainer, _ = entries[i]
-                try:
-                    res = (
-                        sims[j]
-                        if sims is not None
-                        else trainer.engine.run_iteration(trainer.plan, trainer.states)
-                    )
-                    trainer._cache_store(key, res)
-                    results[i] = res
-                except Exception as exc:
+            except Exception as exc:
+                for i, _ in misses:
                     outcomes[i] = exc
+            else:
+                for (i, key), res in zip(misses, sims):
+                    entries[i][0]._cache_store(key, res)
+                    results[i] = res
         still: list[int] = []
         for i in stepping:
             if outcomes[i] is not None:
@@ -143,5 +139,4 @@ def run_trainers_lockstep(
                 outcomes[i] = exc
         active = still
         k += 1
-    assert all(o is not None for o in outcomes)
-    return outcomes  # type: ignore[return-value]
+    return outcomes

@@ -669,80 +669,34 @@ class Trainer:
 
     # -- batched fast path ---------------------------------------------------
     def prewarm(self, iterations: int | None = None) -> int:
-        """Pre-simulate the distinct states the scheme will visit.
+        """Pre-simulate every distinct iteration the run will visit.
 
-        Dry-runs a deep copy of the dynamism scheme (no engine calls) to
-        collect the distinct ``(plan, fingerprint)`` keys of the next
-        ``iterations`` steps, then simulates all of them in one
-        vectorized batch and seeds the iteration cache — so the run
-        loop's engine work collapses into one batched call.  Only valid
-        for controller-less runs (a controller may change the plan based
-        on results).  Returns the number of scenarios batch-simulated;
-        schemes that cannot be deep-copied are skipped (returns 0).
+        A *scout* — a shadow Trainer over deep copies of the scheme and
+        states — replays the next ``iterations`` steps (dynamism, cluster
+        events, memory re-splits) without any engine call and collects
+        one scenario per distinct iteration-cache key.  One
+        :func:`~repro.pipeline.batched.simulate_many` call then seeds
+        this run's cache, so the real run hits it on every iteration.
+
+        A trace-driven run is *piecewise static*: between cluster events
+        and straggler expiries the placement, plan and slowdown map are
+        fixed.  Lanes are priced on this Trainer's own engine until the
+        scout's placement or slowdown key first changes, then on a
+        frozen engine snapshot per segment — the same inputs the live
+        engine prices that segment with, so results are bit-identical.
+
+        Only valid for controller-less runs (a controller may change the
+        plan based on results).  Returns the number of scenarios
+        batch-simulated; schemes that cannot be deep-copied are skipped
+        (returns 0).  The replay is deterministic, so an error it raises
+        is the one the run would raise at the same iteration.
         """
         if self.controller is not None or not self.engine.can_batch:
             return 0
-        iters = iterations if iterations is not None else self.cfg.iterations
-        if self.cluster_events:
-            # event-trace runs change plan/placement/speeds mid-flight;
-            # a shadow replay decomposes them into piecewise-static
-            # segments and pre-simulates each segment's states instead
-            return self._prewarm_events(iters)
-        if isinstance(self.scheme, StaticScheme):
+        if not self.cluster_events and isinstance(self.scheme, StaticScheme):
             # static control runs never leave their initial state; skip
-            # the dry scan instead of discovering one lone fingerprint
+            # the scout instead of discovering one lone fingerprint
             return 0
-        try:
-            scheme = copy.deepcopy(self.scheme)
-            states = copy.deepcopy(self.states)
-        except (TypeError, copy.Error):
-            return 0
-        advance = getattr(scheme, "advance", scheme.step)
-        buf = np.empty((len(states), 6))
-        grid = self.placement.grid if self.placement is not None else None
-        seen: set[bytes] = set()
-        todo: list[tuple[tuple, list[LayerState]]] = []
-        fp: bytes | None = None
-        version: int | None = None
-        for k in range(iters):
-            advance(k, states)
-            v = getattr(scheme, "version", None)
-            if fp is None or v is None or v != version:
-                fp = states_fingerprint(states, out=buf)
-                version = v
-            if fp in seen:
-                continue
-            seen.add(fp)
-            key = (self.plan.boundaries, grid, self._slowdown_key, fp)
-            if self._cache_lookup(key) is None:
-                todo.append((key, [s.copy() for s in states]))
-            if len(todo) >= self._cache_capacity:
-                break
-        if len(todo) < 2:  # nothing to amortise
-            return 0
-        results = self.engine.simulate([(self.plan, sts) for _, sts in todo])
-        for (key, _), res in zip(todo, results):
-            self._cache_store(key, res)
-        return len(todo)
-
-    def _prewarm_events(self, iters: int) -> int:
-        """Segmented prewarm for trace-driven runs.
-
-        A trace-driven run is *piecewise static*: between cluster events
-        (and straggler-window expiries) the placement, plan and slowdown
-        map — and hence the iteration-cache key shape — are fixed.  A
-        shadow Trainer replays the trace and dynamism scheme without any
-        engine calls, collecting one scenario per distinct cache key
-        together with a frozen engine snapshot of its segment (same
-        cost/comm/schedule, that segment's placement and slowdown map).
-        One batched :meth:`PipelineEngine.simulate` call then seeds this
-        run's cache, so the real replay — which stitches the segment
-        boundaries (migration pricing, regrow re-admission, straggler
-        windows) exactly as before — hits the cache on every iteration.
-        Results are bit-identical by construction: the snapshot engines
-        price each segment with the same inputs as the live engine, and
-        the batched path is bit-identical to the scalar one.
-        """
         try:
             scheme = copy.deepcopy(self.scheme)
             states = copy.deepcopy(self.states)
@@ -756,21 +710,29 @@ class Trainer:
             initial_plan=self.plan,
             placement=self.placement,
             cluster_events=self.cluster_events,
+            memory_model=self.memory_model,
+            oom_policy=self.oom_policy,
         )
         shadow.states = states
-        st = shadow._begin_run(iters)
+        st = shadow._begin_run(
+            iterations if iterations is not None else self.cfg.iterations
+        )
+        # cache keys are (plan, placement grid, slowdown key, states):
+        # key[1:3] names the engine a lane must be priced on
+        engine, segment = self.engine, self._cache_key()[1:3]
         seen: set[tuple] = set()
         todo: list[tuple[tuple, PipelineEngine, PipelinePlan, list[LayerState]]] = []
-        try:
-            for k in range(iters):
-                shadow._pre_iteration(st, k)
-                key = shadow._cache_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                if self._cache_lookup(key) is not None:
-                    continue
-                snapshot = PipelineEngine(
+        for k in range(st.iters):
+            shadow._pre_iteration(st, k)
+            key = shadow._cache_key()
+            if key in seen:
+                continue
+            seen.add(key)
+            if self._cache_lookup(key) is not None:
+                continue
+            if key[1:3] != segment:
+                segment = key[1:3]
+                engine = PipelineEngine(
                     self.cost,
                     self.comm,
                     schedule=self.cfg.schedule,
@@ -779,23 +741,17 @@ class Trainer:
                     placement=shadow.placement,
                     rank_slowdowns=dict(shadow.engine.rank_slowdowns),
                 )
-                todo.append(
-                    (key, snapshot, shadow.plan, [s.copy() for s in shadow.states])
-                )
-                if len(todo) >= self._cache_capacity:
-                    break
-        except Exception:
-            # a shadow replay that dies (e.g. a trace killing every
-            # stage) leaves the real run to surface the error itself
-            return 0
+            todo.append((key, engine, shadow.plan, [s.copy() for s in shadow.states]))
+            if len(todo) >= self._cache_capacity:
+                break
         if len(todo) < 2:  # nothing to amortise
             return 0
+        # looked up at call time, so a wrapper installed on the module
+        # attribute (profilers, tests) sees this call
         from repro.pipeline.batched import simulate_many
 
-        results = simulate_many(
-            [(eng, plan, states) for _, eng, plan, states in todo]
-        )
-        for (key, _, _, _), res in zip(todo, results):
+        results = simulate_many([(eng, plan, sts) for _, eng, plan, sts in todo])
+        for (key, *_), res in zip(todo, results):
             self._cache_store(key, res)
         return len(todo)
 
@@ -808,10 +764,9 @@ class Trainer:
     ) -> TrainingResult:
         """Run the training loop.
 
-        ``prewarm=None`` (auto) batch-pre-simulates the scheme's distinct
-        states when no controller is attached — bit-identical results,
-        one vectorized engine call instead of one scalar call per
-        distinct state.
+        ``prewarm=None`` (auto) runs the :meth:`prewarm` scout when no
+        controller is attached — bit-identical results, one vectorized
+        engine call instead of one scalar call per distinct state.
 
         ``deadline_s`` bounds the run's *wall-clock* time with a
         monotonic-clock check between iterations, raising

@@ -16,7 +16,8 @@ from repro.cluster.collectives import CommCostModel
 from repro.cluster.placement import PLACEMENT_STRATEGIES, make_placement
 from repro.cluster.topology import parse_cluster
 from repro.model.cost import fresh_states
-from repro.pipeline.batched import compile_levels
+from repro.pipeline import batched as batched_mod
+from repro.pipeline.batched import compile_levels, simulate_many
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.plan import PipelinePlan
 
@@ -38,7 +39,7 @@ def random_states(rng, n=N_LAYERS, extreme=False):
 
 def assert_all_identical(engine, scenarios):
     """Batched results must equal scalar compiled and reference exactly."""
-    batched = engine.simulate(scenarios)
+    batched = simulate_many([(engine, plan, states) for plan, states in scenarios])
     for (plan, states), fast in zip(scenarios, batched):
         scalar = engine.run_iteration(plan, states)
         ref = engine.run_iteration_reference(plan, states)
@@ -187,7 +188,7 @@ def test_reference_engines_fall_back_per_scenario(gpt24_cost):
         gpt24_cost, None, schedule="zb", num_micro=6, use_compiled=False
     )
     scenarios = [(plan, random_states(rng)) for _ in range(3)]
-    batched = engine.simulate(scenarios)
+    batched = simulate_many([(engine, p, states) for p, states in scenarios])
     for (p, states), res in zip(scenarios, batched):
         ref = engine.run_iteration_reference(p, states)
         assert res.makespan == ref.makespan
@@ -222,55 +223,52 @@ def test_single_scenario_matches_scalar(gpt24_cost):
     plan = PipelinePlan.uniform(N_LAYERS, 4)
     engine = PipelineEngine(gpt24_cost, None, schedule="zb", num_micro=8)
     states = fresh_states(N_LAYERS)
-    (res,) = engine.simulate([(plan, states)])
+    (res,) = simulate_many([(engine, plan, states)])
     scalar = engine.run_iteration(plan, states)
     assert res.makespan == scalar.makespan
     assert np.array_equal(res.busy, scalar.busy)
 
 
-def test_run_iterations_batched_is_deprecated_alias(gpt24_cost):
-    plan = PipelinePlan.uniform(N_LAYERS, 4)
-    engine = PipelineEngine(gpt24_cost, None, schedule="1f1b", num_micro=4)
-    states = fresh_states(N_LAYERS)
-    with pytest.warns(DeprecationWarning, match="simulate"):
-        (res,) = engine.run_iterations_batched([(plan, states)])
-    scalar = engine.run_iteration(plan, states)
-    assert res.makespan == scalar.makespan
-
-
 def test_simulate_modes(gpt24_cost):
-    """'never' forces the scalar loop, 'require' rejects unbatchable
-    engines, and all modes agree bitwise where they are allowed."""
+    """One simulate_many call mixes batched lanes with engines that
+    cannot batch: a reference engine (``use_compiled=False``) and a
+    timeline engine take the scalar path, are counted as unbatchable,
+    and agree bit for bit with the batched lanes."""
     rng = np.random.default_rng(11)
     plan = PipelinePlan.uniform(N_LAYERS, 4)
     engine = PipelineEngine(gpt24_cost, None, schedule="zb", num_micro=6)
-    scenarios = [(plan, random_states(rng)) for _ in range(4)]
-    auto = engine.simulate(scenarios, batched="auto")
-    never = engine.simulate(scenarios, batched="never")
-    req = engine.simulate(scenarios, batched="require")
-    for a, s, r in zip(auto, never, req):
-        assert a.makespan == s.makespan == r.makespan
-        assert np.array_equal(a.busy, s.busy)
-    with pytest.raises(ValueError, match="auto"):
-        engine.simulate(scenarios, batched="sometimes")
     ref_engine = PipelineEngine(
         gpt24_cost, None, schedule="zb", num_micro=6, use_compiled=False
     )
-    assert not ref_engine.can_batch
-    with pytest.raises(ValueError, match="cannot batch"):
-        ref_engine.simulate(scenarios, batched="require")
     timeline_engine = PipelineEngine(
         gpt24_cost, None, schedule="zb", num_micro=6, record_timeline=True
     )
-    with pytest.raises(ValueError, match="timeline"):
-        timeline_engine.simulate(scenarios, batched="require")
+    assert engine.can_batch
+    assert not ref_engine.can_batch and not timeline_engine.can_batch
+    states = [random_states(rng) for _ in range(4)]
+    requests = [
+        (eng, plan, sts)
+        for eng in (engine, ref_engine, timeline_engine)
+        for sts in states
+    ]
+    batched_mod.stats.reset()
+    results = simulate_many(requests)
+    assert batched_mod.stats.batched_lanes == len(states)
+    assert batched_mod.stats.scalar_unbatchable == 2 * len(states)
+    lanes, ref, timeline = (
+        results[at : at + len(states)] for at in range(0, len(results), len(states))
+    )
+    for a, r, t in zip(lanes, ref, timeline):
+        assert a.makespan == r.makespan == t.makespan
+        assert np.array_equal(a.busy, r.busy)
+        assert np.array_equal(a.busy, t.busy)
+        assert a.comm_extra == r.comm_extra == t.comm_extra
+        assert t.timeline  # the timeline engine still records its ops
 
 
 def test_slowed_engines_batch_identically(gpt24_cost, comm):
     """Engines with active rank slowdowns take the batched path (the
     map is fixed per call) and stay bit-identical to the scalar loop."""
-    from repro.pipeline import batched as batched_mod
-
     rng = np.random.default_rng(12)
     plan = PipelinePlan.uniform(N_LAYERS, 4)
     for sched in SCHEDULES:

@@ -387,6 +387,48 @@ class TestInterruptAndResume:
                 da.pop(f), db.pop(f)
             assert da == db
 
+    def test_batched_interrupt_stops_at_iteration_boundary(
+        self, tmp_path, monkeypatch
+    ):
+        """A SIGINT mid-lockstep stops the batched backend at the next
+        iteration boundary: unfinished runs land nothing, and a resume
+        re-runs exactly those to the rows an inline sweep produces."""
+        import os
+        import signal
+
+        from repro.training.trainer import Trainer
+
+        specs = [tiny(seed=s, iterations=12) for s in range(2)]
+        baseline = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+
+        real = Trainer._post_iteration
+
+        def interrupting(self, st, k, res):
+            if k == 5:
+                os.kill(os.getpid(), signal.SIGINT)
+            real(self, st, k, res)
+
+        path = tmp_path / "j.jsonl"
+        with monkeypatch.context() as m:
+            m.setattr(Trainer, "_post_iteration", interrupting)
+            with SweepJournal(path) as journal:
+                with pytest.raises(SweepInterrupted) as info:
+                    SweepRunner(
+                        policy=ExecutionPolicy("batched"), journal=journal
+                    ).run(specs)
+        assert info.value.records == []
+        with SweepJournal(path) as journal:
+            assert not journal.prior
+            resumed = SweepRunner(
+                policy=ExecutionPolicy("batched"), journal=journal
+            ).run(specs)
+
+        for a, b in zip(baseline, resumed):
+            da, db = a.to_dict(), b.to_dict()
+            for f in ("duration_s", "cached"):  # legitimately differ
+                da.pop(f), db.pop(f)
+            assert da == db
+
     def test_pool_interrupt_drains_inflight_chunks(self, tmp_path):
         path = tmp_path / "j.jsonl"
         specs = [tiny(seed=s) for s in range(6)]

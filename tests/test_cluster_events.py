@@ -350,7 +350,7 @@ class TestEngineSlowdowns:
         eng.set_rank_slowdowns({1: 2.0})
         scenarios = [(plan, [s.copy() for s in states]) for _ in range(4)]
         batched_mod.stats.reset()
-        batched = eng.simulate(scenarios)
+        batched = batched_mod.simulate_many([(eng, p, s) for p, s in scenarios])
         assert batched_mod.stats.batched_lanes == len(scenarios)
         solo = [eng.run_iteration(p, s) for p, s in scenarios]
         for a, b in zip(batched, solo):
@@ -545,6 +545,41 @@ class TestTrainerEvents:
         )
         with pytest.raises(RuntimeError, match="every pipeline stage"):
             _event_trainer(5, trace).run()
+        # the prewarm scout replays the trace, so it raises the run's error
+        with pytest.raises(RuntimeError, match="every pipeline stage"):
+            _event_trainer(5, trace).prewarm()
+        # inline (scout first) and batched (lockstep) sweeps record the
+        # same failure — also when a memory-limited run overflows at an
+        # earlier shrink (8 -> 6 stages), which the scout must hit first
+        from repro.orchestrator import ExecutionPolicy, RunSpec, SweepRunner
+
+        shrink_then_kill = ClusterEventTrace(
+            (
+                ClusterEvent(5, "failure", (2, 3)),
+                ClusterEvent(10, "failure", (0, 1, 4, 5, 6, 7)),
+            )
+        )
+        cases = [
+            (trace, "", "error", "RuntimeError"),
+            (shrink_then_kill, "1.3e9", "oom", "PlacementOOMError"),
+        ]
+        for events, limit, status, error_type in cases:
+            spec = RunSpec(
+                scenario="pruning",
+                mode="megatron",
+                num_layers=24,
+                pp_stages=8,
+                iterations=20,
+                cluster_events=events.to_json(),
+                memory_limit=limit,
+            )
+            inline, batched = (
+                SweepRunner(policy=ExecutionPolicy(backend)).run([spec])[0]
+                for backend in ("inline", "batched")
+            )
+            assert inline.status == batched.status == status
+            assert inline.error_type == batched.error_type == error_type
+            assert inline.error.splitlines()[0] == batched.error.splitlines()[0]
 
     def test_out_of_range_rank_rejected_at_construction(self):
         trace = ClusterEventTrace((ClusterEvent(2, "failure", (100,)),))
@@ -583,8 +618,8 @@ class TestTrainerEvents:
 
     def test_lockstep_drives_event_trainer_identically(self):
         """The lockstep driver re-bins by compiled key every iteration,
-        so an event run whose stage count changes mid-flight (scalar
-        fallback via its slowdowns/plan) must match its solo run."""
+        so an event run whose stage count changes mid-flight must match
+        its solo run."""
         from repro.training import run_trainers_lockstep
 
         trace = ClusterEventTrace(
@@ -654,9 +689,9 @@ class TestEventSweep:
         assert record.metrics["final_num_stages"] == 8
 
     def test_batched_executor_matches_serial_on_event_specs(self, tmp_path):
-        """The batched backend keeps event specs in its lockstep bins
-        (piecewise-static segments re-bin by current compiled key) and
-        still produces the same metrics as serial execution.
+        """The batched backend drives event specs through its lockstep
+        call (piecewise-static segments re-bin by current compiled key)
+        and still produces the same metrics as serial execution.
         Controller-driven modes (dynmo-*) ride along: the lockstep
         driver runs their hooks per iteration exactly like a solo run."""
         from repro.orchestrator import ExecutionPolicy, RunSpec, SweepRunner

@@ -150,6 +150,43 @@ class TestSegmentedPrewarmBitIdentity:
         assert batched_mod.stats.batched_lanes >= warmed
         assert batched_mod.stats.scalar_unbatchable == 0
 
+    def test_prewarm_prices_each_segment_on_one_engine(self, monkeypatch):
+        """The scout prices lanes on the Trainer's own engine until the
+        first placement/slowdown change, then on one snapshot per
+        segment — never one engine per lane."""
+        trace = ClusterEventTrace(
+            (
+                ClusterEvent(6, "failure", (2,)),
+                ClusterEvent(22, "recovery", (2,)),
+            )
+        )
+        calls = []
+        real = batched_mod.simulate_many
+
+        def spy(requests):
+            calls.append([eng for eng, _, _ in requests])
+            return real(requests)
+
+        monkeypatch.setattr(batched_mod, "simulate_many", spy)
+        for events in (trace, None):
+            setup = build_scenario(
+                "pruning", num_layers=24, pp_stages=8, dp_ways=1, iterations=40
+            )
+            trainer = make_trainer(
+                setup, "megatron", iterations=40, balance_cost="modeled",
+                cluster_events=events,
+            )
+            calls.clear()
+            warmed = trainer.prewarm(40)
+            (engines,) = calls  # one batched call per scout
+            assert len(engines) == warmed >= 2
+            assert engines[0] is trainer.engine
+            distinct = {id(eng) for eng in engines}
+            if events is None:
+                assert distinct == {id(trainer.engine)}
+            else:
+                assert len(distinct) <= len(trace.segment_boundaries()) + 1
+
 
 # ---------------------------------------------------------------------------
 # percentile + sampling plumbing

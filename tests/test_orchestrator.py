@@ -190,8 +190,16 @@ class TestBatchedExecutor:
         assert [r.status for r in records] == ["ok", "error", "ok"]
         assert records[1].error_type == "ValueError"
 
-    def test_batched_repack_specs_fall_back_and_match(self):
-        spec = tiny(
+    def test_batched_repack_elastic_and_event_specs_run_in_lockstep(
+        self, monkeypatch
+    ):
+        """Re-packing, elastic and event+repack runs change stage count
+        mid-flight; the batched backend drives them through its single
+        lockstep call (never the per-spec path) and matches serial."""
+        import repro.orchestrator.runner as runner_mod
+        from repro.cluster.events import ClusterEvent, ClusterEventTrace
+
+        repack = tiny(
             scenario="pruning",
             mode="dynmo-diffusion",
             pp_stages=8,
@@ -201,11 +209,37 @@ class TestBatchedExecutor:
             repack_target=4,
             repack_force=True,
         )
-        serial = SweepRunner().run([spec])[0]
-        batched = SweepRunner(policy=ExecutionPolicy("batched")).run([spec])[0]
-        assert serial.ok and batched.ok
-        assert serial.metrics == batched.metrics
-        assert batched.metrics["final_num_stages"] == 4
+        # the forced repack at iteration 0 keeps ranks 4-7; the trace
+        # then shrinks that pipeline to 3 stages and regrows it to 4
+        trace = ClusterEventTrace(
+            (
+                ClusterEvent(5, "failure", (5,)),
+                ClusterEvent(25, "recovery", (5,)),
+            )
+        )
+        specs = [
+            repack,
+            repack.with_(elastic_total_gpus=8, placement="scattered"),
+            repack.with_(cluster="", cluster_events=trace.to_json()),
+        ]
+        serial = SweepRunner().run(specs)
+        calls = []
+        real = runner_mod.execute_spec
+
+        def counting(spec, timeout_s=None):
+            calls.append(spec.spec_hash)
+            return real(spec, timeout_s)
+
+        monkeypatch.setattr(runner_mod, "execute_spec", counting)
+        batched = SweepRunner(policy=ExecutionPolicy("batched")).run(specs)
+        assert calls == []
+        for a, b in zip(serial, batched):
+            assert a.ok and b.ok, (a.error, b.error)
+            assert a.metrics == b.metrics
+        assert batched[0].metrics["final_num_stages"] == 4
+        assert batched[1].metrics["average_gpus"] < 8.0
+        stages = dict(batched[2].metrics["stage_count_history"])
+        assert (stages[4], stages[5], stages[25]) == (4, 3, 4)
 
     def test_batched_timeout_records_status(self):
         specs = [tiny(iterations=5000), tiny(iterations=5000, seed=1)]

@@ -342,6 +342,57 @@ class TestPrewarmAndLockstep:
         assert isinstance(outcomes[0], RuntimeError)
         assert outcomes[1].iterations == 30
 
+    def test_lockstep_batched_errors_are_run_outcomes(
+        self, gpt24_cost, gpt24_specs, monkeypatch
+    ):
+        """An exception from the shared simulate_many call becomes the
+        outcome of every run that missed in it; nothing is re-simulated
+        on the scalar engine."""
+        import repro.training.lockstep as lockstep_mod
+        from repro.pipeline.engine import PipelineEngine
+
+        boom = RuntimeError("batched engine bug")
+
+        def broken(requests):
+            raise boom
+
+        scalar_calls = []
+        real = PipelineEngine.run_iteration
+
+        def counting(self, plan, states):
+            scalar_calls.append(plan)
+            return real(self, plan, states)
+
+        monkeypatch.setattr(lockstep_mod, "simulate_many", broken)
+        monkeypatch.setattr(PipelineEngine, "run_iteration", counting)
+        trainers = [self._trainer(gpt24_cost, gpt24_specs) for _ in range(2)]
+        outcomes = lockstep_mod.run_trainers_lockstep([(t, None) for t in trainers])
+        assert all(outcome is boom for outcome in outcomes)
+        assert scalar_calls == []
+
+    def test_lockstep_stop_leaves_unfinished_runs_without_outcome(
+        self, gpt24_cost, gpt24_specs
+    ):
+        import threading
+
+        from repro.training import run_trainers_lockstep
+
+        stop = threading.Event()
+
+        class Stopping(StaticScheme):
+            def step(self, k, states):
+                if k == 3:
+                    stop.set()
+                return False
+
+        done = self._trainer(gpt24_cost, gpt24_specs, iters=2)
+        cut = self._trainer(gpt24_cost, gpt24_specs, scheme=Stopping(gpt24_specs))
+        out_done, out_cut = run_trainers_lockstep(
+            [(done, None), (cut, None)], stop=stop
+        )
+        assert out_done.iterations == 2
+        assert out_cut is None
+
     def test_lockstep_deadline_times_out_runs(self, gpt24_cost, gpt24_specs):
         from repro.training import LockstepTimeout, run_trainers_lockstep
 
@@ -354,7 +405,7 @@ class TestPrewarmAndLockstep:
     ):
         """Regression: a fast run that completed all its iterations
         before the deadline expired must get its TrainingResult, not be
-        swept into the slow bin-mate's LockstepTimeout."""
+        swept into the slow lockstep partner's LockstepTimeout."""
         import time as _time
 
         from repro.training import LockstepTimeout, run_trainers_lockstep
@@ -418,7 +469,8 @@ class TestSchemeDeepcopy:
 
     def test_deepcopy_errors_are_not_swallowed(self):
         """Only the errors deepcopy raises for uncopyable state skip
-        prewarm; anything else surfaces from both prewarm paths."""
+        prewarm; anything else surfaces from the scout, with or without
+        cluster events."""
 
         def trainer(error, cluster_events):
             class Uncopyable(FreezingDynamism):
@@ -432,7 +484,7 @@ class TestSchemeDeepcopy:
             )
 
         events = ClusterEventTrace((ClusterEvent(6, "failure", (2,)),))
-        for cluster_events in (None, events):  # plain and segmented prewarm
+        for cluster_events in (None, events):
             with pytest.raises(RuntimeError, match="deepcopy exploded"):
                 trainer(RuntimeError, cluster_events).prewarm(30)
             assert trainer(TypeError, cluster_events).prewarm(30) == 0
