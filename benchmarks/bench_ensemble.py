@@ -10,9 +10,11 @@ committed baseline).
 Every trainer carries a distinct seeded :class:`ClusterEventTrace`, so
 the lockstep replay exercises the piecewise-static segmentation: each
 iteration's (placement, slowdown-map) key bins across trainers into
-batched-engine lanes, with base-table / speed / edge-time memo sharing
-across lanes that differ only in their trace.  Bit-identity between the
-two paths is asserted inside the bench itself.
+batched-engine lanes.  One layer-times call prices the stage tables of
+every lane whose cost model has the same content, and each lane divides
+by its own engine's speeds; edge-time vectors are memoised per
+comm-model object, which these trainers share.  Bit-identity between
+the two paths is asserted inside the bench itself.
 
 Runs standalone::
 

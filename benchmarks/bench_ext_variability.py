@@ -9,13 +9,11 @@ recovers most of it.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cluster.variability import GPUVariability
 from repro.core.balancers.hetero import HeteroPartitionBalancer
 from repro.experiments import ascii_table
 from repro.model.config import gpt_24
-from repro.model.cost import ModelCost, build_layer_specs, fresh_states
+from repro.model.cost import ModelCost, build_layer_specs, fresh_states, state_matrix
 from repro.pipeline import PipelineEngine, PipelinePlan
 
 
@@ -23,12 +21,8 @@ def _run():
     specs = build_layer_specs(gpt_24())
     cost = ModelCost(specs)
     states = fresh_states(len(specs))
-    w = np.array(
-        [
-            cost.forward_time(sp, st) + cost.backward_time(sp, st)
-            for sp, st in zip(specs, states)
-        ]
-    )
+    fwd, bwd, _ = cost.layer_times(state_matrix([states]))
+    w = fwd[0] + bwd[0]
     rows = []
     for sigma in (0.02, 0.05, 0.10):
         var = GPUVariability(8, binning_sigma=sigma, thermal_sigma=0.0, seed=1)

@@ -14,7 +14,7 @@ import numpy as np
 from repro.cluster.variability import GPUVariability
 from repro.core.balancers.hetero import HeteroPartitionBalancer
 from repro.model import ModelCost, build_layer_specs, gpt_24
-from repro.model.cost import fresh_states
+from repro.model.cost import fresh_states, state_matrix
 from repro.pipeline import PipelineEngine, PipelinePlan
 from repro.pipeline.visualize import render_gantt
 from repro.training.trace import TraceRecorder
@@ -36,10 +36,8 @@ def main() -> None:
     uniform = PipelinePlan.uniform(len(specs), 4)
     res_uni = eng.run_iteration(uniform, states)
 
-    w = np.array(
-        [cost.forward_time(sp, st) + cost.backward_time(sp, st)
-         for sp, st in zip(specs, states)]
-    )
+    fwd, bwd, _ = cost.layer_times(state_matrix([states]))
+    w = fwd[0] + bwd[0]
     balanced = HeteroPartitionBalancer(speeds).rebalance(uniform, w).plan
     res_bal = eng.run_iteration(balanced, states)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.model.cost import LayerState, ModelCost
+from repro.model.cost import LayerState, ModelCost, state_matrix
 from repro.pipeline.plan import PipelinePlan
 from repro.utils.rng import new_rng
 
@@ -64,8 +64,8 @@ class PipelineProfiler:
         if len(states) != len(specs):
             raise ValueError("state/spec length mismatch")
         n = len(specs)
-        fwd = np.array([self.cost.forward_time(specs[i], states[i]) for i in range(n)])
-        bwd = np.array([self.cost.backward_time(specs[i], states[i]) for i in range(n)])
+        fwd, bwd, _ = self.cost.layer_times(state_matrix([states]))
+        fwd, bwd = fwd[0], bwd[0]
         if self.noise > 0:
             fwd = fwd * np.exp(self.rng.normal(0.0, self.noise, size=n))
             bwd = bwd * np.exp(self.rng.normal(0.0, self.noise, size=n))

@@ -25,6 +25,7 @@ from repro.model.cost import (
     LayerState,
     ModelCost,
     build_layer_specs,
+    state_matrix,
 )
 
 __all__ = [
@@ -40,4 +41,5 @@ __all__ = [
     "LayerState",
     "ModelCost",
     "build_layer_specs",
+    "state_matrix",
 ]

@@ -6,6 +6,18 @@ At training step *k* each layer also carries a :class:`LayerState`
 into forward/backward seconds and resident bytes — the exact inputs
 DynMo's profiler hands to the balancers in the paper.
 
+Time is array-valued and has one path.  :func:`state_matrix` packs N
+state vectors into an ``(N, L, 6)`` float64 matrix (columns in
+:data:`STATE_FIELDS` order), :meth:`ModelCost.layer_times` prices it
+per layer, and :meth:`ModelCost.stage_times` sums layers into per-stage
+tables for N (plan, states) lanes at once.  The pipeline engine (one
+lane), the batched executor (many lanes, across engines whose cost
+models share a :attr:`ModelCost.content_key`) and the profiler all go
+through it.  Every element undergoes the same float64 operations, in
+the same order, as a per-layer scalar evaluation of the formulas below,
+and a stage sum adds its layers one by one in layer order, so results
+do not depend on how many lanes share a call.
+
 FLOP accounting for one transformer block on a micro-batch of ``b``
 sequences of ``s`` tokens with hidden ``h`` and expansion ``x``
 (multiply-accumulate counted as 2 FLOPs):
@@ -24,13 +36,15 @@ backward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from repro.model.config import GPTConfig
 from repro.sparse.kernels import (
-    best_kernel_time,
     cusparse_cost_model,
     dense_cost_model,
     sputnik_cost_model,
@@ -94,11 +108,69 @@ class LayerState:
         check_prob("sparsity", self.sparsity)
         check_prob("attn_density", self.attn_density)
         check_prob("token_fraction", self.token_fraction)
-        if self.moe_multiplier < 0:
-            raise ValueError("moe_multiplier must be >= 0")
+        if not self.moe_multiplier >= 0:  # NaN fails too
+            raise ValueError(f"moe_multiplier must be >= 0, got {self.moe_multiplier}")
 
     def copy(self) -> "LayerState":
         return replace(self)
+
+
+#: LayerState fields in state-matrix column order
+STATE_FIELDS = (
+    "sparsity",
+    "frozen",
+    "droppable_bwd",
+    "attn_density",
+    "token_fraction",
+    "moe_multiplier",
+)
+#: per-column bounds of a valid state matrix (bool columns are 0/1)
+_STATE_MIN = np.array([0.0, -np.inf, -np.inf, 0.0, 0.0, 0.0])
+_STATE_MAX = np.array([1.0, np.inf, np.inf, 1.0, 1.0, np.inf])
+
+
+def state_matrix(states_list: Sequence[Sequence[LayerState]]) -> np.ndarray:
+    """N state vectors of L layers as one ``(N, L, 6)`` float64 matrix.
+
+    Columns follow :data:`STATE_FIELDS`; bools become exactly 0.0/1.0.
+    The matrix is C-contiguous, so one vector's ``tobytes()`` is the
+    layout :func:`repro.training.trainer.states_fingerprint` hashes.
+    Columns are filled one comprehension each, which is faster than
+    building per-layer rows.
+    """
+    n = len(states_list)
+    L = len(states_list[0]) if n else 0
+    if n == 1:
+        flat = states_list[0]
+    else:
+        if any(len(states) != L for states in states_list):
+            raise ValueError("state vectors differ in length")
+        flat = [st for states in states_list for st in states]
+    out = np.empty((n * L, 6))
+    out[:, 0] = [st.sparsity for st in flat]
+    out[:, 1] = [st.frozen for st in flat]
+    out[:, 2] = [st.droppable_bwd for st in flat]
+    out[:, 3] = [st.attn_density for st in flat]
+    out[:, 4] = [st.token_fraction for st in flat]
+    out[:, 5] = [st.moe_multiplier for st in flat]
+    return out.reshape(n, L, 6)
+
+
+@lru_cache(maxsize=1024)
+def _stage_layout(
+    boundaries: tuple[int, ...], pad: int, width: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(width, S)`` layer ids whose column ``s`` lists stage ``s``'s
+    layers in order, then ``pad`` (``width`` defaults to the widest
+    stage); and each stage's last layer.  Every caller shares the
+    cached arrays, so they are read-only."""
+    b = np.asarray(boundaries)
+    if width is None:
+        width = int((b[1:] - b[:-1]).max())
+    rows = b[:-1] + np.arange(width)[:, None]
+    idx, last = np.where(rows < b[1:], rows, pad), b[1:] - 1
+    idx.flags.writeable = last.flags.writeable = False
+    return idx, last
 
 
 def build_layer_specs(
@@ -217,6 +289,30 @@ class ModelCost:
         self.master_bytes = master_weight_bytes
         self.activation_checkpointing = activation_checkpointing
         self.precision = precision
+        # the per-layer spec columns the time path reads
+        ffn = np.array([sp.ffn_flops for sp in specs], dtype=np.float64)
+        matmul = np.array([sp.matmul_flops for sp in specs], dtype=np.float64)
+        self._dense_flops = matmul - ffn  # weight matmuls outside the FFN
+        self._ffn_flops = ffn
+        self._quad_flops = np.array([sp.attn_quad_flops for sp in specs], dtype=np.float64)
+        self._act_bytes = np.array([sp.activation_bytes for sp in specs], dtype=np.float64)
+        self._pk = peak_flops * efficiency
+        # the kernel candidates of sparse.kernels.best_kernel_time at
+        # this device's sparse-kernel peak
+        spk = self._pk / 0.62
+        self._spk = spk
+        self._kernels = (dense_cost_model(spk), sputnik_cost_model(spk), cusparse_cost_model(spk))
+        self._dense_matmul_times = self._matmul_times(self._dense_flops, None)
+        #: Everything per-layer time depends on besides the state: the
+        #: spec columns above, the device constants and recompute.  Two
+        #: models with equal keys price every state identically, so the
+        #: batched executor shares one layer-times call between them.
+        #: Bytes cache their hash, so keying a dict per lane is cheap.
+        #: Nothing reassigns these fields after construction.
+        self.content_key: bytes = (
+            np.concatenate([self._dense_flops, ffn, self._quad_flops, self._act_bytes]).tobytes()
+            + np.array([peak_flops, efficiency, activation_checkpointing], dtype=np.float64).tobytes()
+        )
 
     @property
     def activation_recompute(self) -> bool:
@@ -224,144 +320,130 @@ class ModelCost:
         return self.activation_checkpointing
 
     # -- time ------------------------------------------------------------
-    def _matmul_time(self, flops: float, sparsity: float) -> float:
-        """Weight-matmul time with the sparse-kernel crossover applied."""
-        if flops <= 0:
-            return 0.0
-        if sparsity <= 0.0:
-            return flops / (self.peak_flops * self.efficiency)
-        return best_kernel_time(flops, sparsity, self.peak_flops * self.efficiency / 0.62)
+    def _matmul_times(self, flops: np.ndarray, sparsity: np.ndarray | None) -> np.ndarray:
+        """Weight-matmul seconds with the sparse-kernel crossover applied:
+        dense peak time where ``sparsity <= 0``, else the best of
+        :func:`repro.sparse.kernels.best_kernel_time`'s three kernels
+        (same formulas, elementwise).  ``sparsity=None`` means no
+        element is pruned, so the kernel candidates are skipped."""
+        t = flops / self._pk
+        if sparsity is not None:
+            dm, sm, cm = self._kernels
+            spk = self._spk
+            # dense kernel at sparsity 0: flops * (1 - 0) / (spk * eff) with
+            # eff = base / (1 + irregularity * 0); x * 1.0 == x exactly
+            best = dm.overhead_s + flops / (
+                spk * (dm.base_efficiency / (1.0 + dm.irregularity * 0.0))
+            )
+            for m in (sm, cm):
+                eff = m.base_efficiency / (1.0 + m.irregularity * sparsity)
+                best = np.minimum(best, m.overhead_s + flops * (1.0 - sparsity) / (spk * eff))
+            t = np.where(sparsity <= 0.0, t, best)
+        return np.where(flops <= 0, 0.0, t)
 
-    def forward_time(self, spec: LayerSpec, state: LayerState) -> float:
-        state.validate()
-        ffn = spec.ffn_flops * state.moe_multiplier
-        dense_part = spec.matmul_flops - spec.ffn_flops
-        t = self._matmul_time(dense_part, state.sparsity)
-        t += self._matmul_time(ffn, state.sparsity)
-        t += (spec.attn_quad_flops * state.attn_density) / (
-            self.peak_flops * self.efficiency
-        )
-        return t * state.token_fraction
+    def _check_states(self, states: np.ndarray) -> None:
+        """Shape and range checks on a :func:`state_matrix`; NaN fails."""
+        if states.ndim != 3 or states.shape[1:] != (len(self.specs), 6):
+            raise ValueError(
+                f"got states of shape {states.shape} for {len(self.specs)} layer specs"
+            )
+        if not ((states >= _STATE_MIN) & (states <= _STATE_MAX)).all():
+            for col, name in enumerate(STATE_FIELDS):
+                v = states[..., col]
+                bad = v[~((v >= _STATE_MIN[col]) & (v <= _STATE_MAX[col]))]
+                if bad.size:
+                    bound = "in [0, 1]" if _STATE_MAX[col] == 1.0 else ">= 0"
+                    raise ValueError(f"{name} must be {bound}, got {bad[0]}")
 
-    def backward_time(self, spec: LayerSpec, state: LayerState) -> float:
-        """dX + dW (unless frozen) + 2x attention quadratic."""
-        state.validate()
-        if state.droppable_bwd:
-            return 0.0
-        fwd_matmul = self._matmul_time(
-            spec.matmul_flops - spec.ffn_flops, state.sparsity
-        ) + self._matmul_time(spec.ffn_flops * state.moe_multiplier, state.sparsity)
-        dx = fwd_matmul
-        dw = 0.0 if state.frozen else fwd_matmul
-        quad = (
-            2.0
-            * (spec.attn_quad_flops * state.attn_density)
-            / (self.peak_flops * self.efficiency)
-        )
-        total = (dx + dw + quad) * state.token_fraction
-        if self.activation_checkpointing:
-            total += self.forward_time(spec, state)  # recompute pass
-        return total
+    def layer_times(
+        self, states: np.ndarray, split: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-layer ``(fwd, bwd, wgt)`` seconds for a :func:`state_matrix`.
 
-    def backward_input_time(self, spec: LayerSpec, state: LayerState) -> float:
-        """Only the activation-gradient half of backward (zero-bubble 'B' op)."""
-        full = self.backward_time(spec, state)
-        if full == 0.0:
-            return 0.0
-        dw = self.weight_grad_time(spec, state)
-        return full - dw
-
-    def weight_grad_time(self, spec: LayerSpec, state: LayerState) -> float:
-        """The dW half of backward (zero-bubble 'W' op)."""
-        if state.droppable_bwd or state.frozen:
-            return 0.0
-        fwd_matmul = self._matmul_time(
-            spec.matmul_flops - spec.ffn_flops, state.sparsity
-        ) + self._matmul_time(spec.ffn_flops * state.moe_multiplier, state.sparsity)
-        return fwd_matmul * state.token_fraction
-
-    # -- batched time tables ------------------------------------------------
-    def _spec_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(matmul-FFN dense part, FFN, attention-quad) FLOPs per layer."""
-        cols = getattr(self, "_spec_cols", None)
-        if cols is None:
-            matmul = np.array([sp.matmul_flops for sp in self.specs])
-            ffn = np.array([sp.ffn_flops for sp in self.specs])
-            quad = np.array([sp.attn_quad_flops for sp in self.specs])
-            cols = (matmul - ffn, ffn, quad)
-            self._spec_cols = cols
-        return cols
-
-    def _matmul_time_vec(self, flops: np.ndarray, sparsity: np.ndarray) -> np.ndarray:
-        """Elementwise :meth:`_matmul_time`: same formulas, same branch
-        outcomes, same float64 operations per element."""
-        pk = self.peak_flops * self.efficiency
-        dense = flops / pk
-        # best_kernel_time(flops, sparsity, pk / 0.62) candidates, with
-        # each model's constants read off the scalar cost models so the
-        # two paths can never drift apart
-        spk = pk / 0.62
-        dm, sm, cm = dense_cost_model(spk), sputnik_cost_model(spk), cusparse_cost_model(spk)
-        best = dm.overhead_s + flops * (1.0 - 0.0) / (spk * (dm.base_efficiency / (1.0 + dm.irregularity * 0.0)))
-        for m in (sm, cm):
-            eff = m.base_efficiency / (1.0 + m.irregularity * sparsity)
-            cand = m.overhead_s + flops * (1.0 - sparsity) / (spk * eff)
-            best = np.minimum(best, cand)
-        return np.where(flops <= 0, 0.0, np.where(sparsity <= 0.0, dense, best))
-
-    def batched_layer_times(
-        self, states_list: list[list[LayerState]], split: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-layer (fwd, bwd, wgt, token_fraction) for N state vectors.
-
-        Returns ``(N, L)`` float64 matrices whose rows are bit-identical
-        to calling :meth:`forward_time` / :meth:`backward_time` (or the
-        B/W split pair when ``split``) layer by layer: the vectorized
-        expressions perform the same float64 operations in the same
-        order per element.  ``wgt`` is zeros when not ``split`` (the
-        scalar path never computes it there).
+        Each is an ``(N, L)`` float64 matrix.  ``fwd`` is the forward
+        pass.  Without ``split``, ``bwd`` is the whole backward (dX, dW
+        unless frozen, 2x the attention quadratic term, plus a forward
+        recompute under activation checkpointing) and ``wgt`` is zeros.
+        With ``split`` (zero-bubble schedules), ``wgt`` is the dW half
+        (the 'W' op) and ``bwd`` the rest (the 'B' op).  Droppable
+        layers cost no backward at all.
         """
-        L = len(self.specs)
-        for states in states_list:
-            self._check_states(states)
-        sp = np.array([[st.sparsity for st in states] for states in states_list])
-        fz = np.array([[st.frozen for st in states] for states in states_list])
-        dr = np.array([[st.droppable_bwd for st in states] for states in states_list])
-        ad = np.array([[st.attn_density for st in states] for states in states_list])
-        tf = np.array([[st.token_fraction for st in states] for states in states_list])
-        mm = np.array([[st.moe_multiplier for st in states] for states in states_list])
-        for name, mat in (("sparsity", sp), ("attn_density", ad), ("token_fraction", tf)):
-            if ((mat < 0) | (mat > 1)).any():
-                raise ValueError(f"{name} must be a probability in [0, 1]")
-        if (mm < 0).any():
-            raise ValueError("moe_multiplier must be >= 0")
-
-        dense_part, ffn_spec, quad_spec = self._spec_columns()
-        pk = self.peak_flops * self.efficiency
-        ffn = ffn_spec * mm
-        mt_dense = self._matmul_time_vec(np.broadcast_to(dense_part, sp.shape), sp)
-        mt_ffn = self._matmul_time_vec(ffn, sp)
-        quad_scaled = quad_spec * ad
-
-        fwd = mt_dense + mt_ffn
-        fwd = fwd + quad_scaled / pk
-        fwd = fwd * tf
+        self._check_states(states)
+        sp = states[..., 0]
+        fz = states[..., 1]  # 0.0/1.0 flags: np.where selects on nonzero
+        dr = states[..., 2]
+        ad = states[..., 3]
+        tf = states[..., 4]
+        mm = states[..., 5]
+        pk = self._pk
+        if np.count_nonzero(sp):  # some layer is pruned (sparsity is checked >= 0)
+            mt_dense = self._matmul_times(self._dense_flops, sp)
+            mt_ffn = self._matmul_times(self._ffn_flops * mm, sp)
+        else:
+            mt_dense = self._dense_matmul_times
+            mt_ffn = self._matmul_times(self._ffn_flops * mm, None)
+        quad_scaled = self._quad_flops * ad
 
         fwd_matmul = mt_dense + mt_ffn
+        fwd = fwd_matmul + quad_scaled / pk
+        fwd = fwd * tf
+
         dw = np.where(fz, 0.0, fwd_matmul)
         bwd_full = (fwd_matmul + dw) + (2.0 * quad_scaled) / pk
         bwd_full = bwd_full * tf
         if self.activation_checkpointing:
-            bwd_full = bwd_full + fwd
+            bwd_full = bwd_full + fwd  # recompute pass
         bwd_full = np.where(dr, 0.0, bwd_full)
 
         if split:
-            wgt = np.where(dr | fz, 0.0, fwd_matmul * tf)
+            wgt = np.where(np.logical_or(dr, fz), 0.0, fwd_matmul * tf)
             bwd = np.where(bwd_full == 0.0, 0.0, bwd_full - wgt)
         else:
-            wgt = np.zeros((len(states_list), L))
+            wgt = np.zeros(fwd.shape)
             bwd = bwd_full
-        return fwd, bwd, wgt, tf
+        return fwd, bwd, wgt
+
+    def stage_times(
+        self,
+        states: np.ndarray,
+        boundaries: Sequence[tuple[int, ...]],
+        split: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-stage ``(fwd, bwd, wgt, activation bytes)`` for N lanes.
+
+        Lane ``i`` runs ``states[i]`` under a plan with stage
+        ``boundaries[i]``; plans may differ between lanes but must have
+        the same stage count S.  Returns ``(N, S)`` float64 matrices,
+        unscaled by device speed.  A stage's time is its layers'
+        :meth:`layer_times` added one by one in layer order onto 0.0,
+        for all lanes and stages at once: step ``j`` adds every stage's
+        ``j``-th layer, and stages narrower than the widest add a 0.0
+        pad instead (``x + 0.0 == x``).  The activation bytes are those
+        of each stage's last layer, scaled by its token fraction.
+        """
+        n = states.shape[0]
+        L = len(self.specs)
+        table = np.zeros((3, n, L + 1))  # column L is the 0.0 pad
+        times = self.layer_times(states, split)
+        for k in range(3 if split else 2):  # wgt stays 0.0 without split
+            table[k, :, :L] = times[k]
+        plans = dict.fromkeys(boundaries)
+        if len(plans) == 1:
+            idx, last = _stage_layout(boundaries[0], L)
+            steps = table[:, :, idx]  # (3, n, width, S)
+            tf_last = states[:, last, 4]
+        else:
+            width = max(max(map(operator.sub, b[1:], b[:-1])) for b in plans)
+            lane = np.arange(n)
+            layouts = [_stage_layout(b, L, width) for b in boundaries]
+            steps = table[:, lane[:, None, None], np.stack([i for i, _ in layouts])]
+            last = np.stack([j for _, j in layouts])
+            tf_last = states[lane[:, None], last, 4]
+        acc = np.zeros((3, n, steps.shape[3]))
+        for j in range(steps.shape[2]):
+            acc += steps[:, :, j]
+        act = self._act_bytes[last] * tf_last
+        return acc[0], acc[1], acc[2], act
 
     # -- memory -----------------------------------------------------------
     def param_bytes(self, spec: LayerSpec, state: LayerState) -> int:
@@ -399,21 +481,6 @@ class ModelCost:
             + self.optimizer_bytes(spec, state)
             + self.activation_bytes(spec, state, in_flight)
         )
-
-    # -- aggregates ---------------------------------------------------------
-    def total_forward_time(self, states: list[LayerState]) -> float:
-        self._check_states(states)
-        return sum(self.forward_time(sp, st) for sp, st in zip(self.specs, states))
-
-    def total_backward_time(self, states: list[LayerState]) -> float:
-        self._check_states(states)
-        return sum(self.backward_time(sp, st) for sp, st in zip(self.specs, states))
-
-    def _check_states(self, states: list[LayerState]) -> None:
-        if len(states) != len(self.specs):
-            raise ValueError(
-                f"got {len(states)} states for {len(self.specs)} layer specs"
-            )
 
 
 def fresh_states(n: int) -> list[LayerState]:

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.model.cost import state_matrix
 from repro.pipeline.compiled import CompiledSchedule, compile_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -461,6 +462,7 @@ def simulate_many(
                 results[i] = eng.run_iteration(plan, states)
             continue
         stats.batched_lanes += len(idxs)
+        split = lv.cs.zb  # the compiled key fixes the schedule, so zb is per bin
         for chunk_at in range(0, len(idxs), MAX_LANES):
             chunk = idxs[chunk_at : chunk_at + MAX_LANES]
             n = len(chunk)
@@ -468,44 +470,32 @@ def simulate_many(
             bwd = np.empty((n, S))
             wgt = np.empty((n, S))
             act = np.empty((n, S))
-            # lanes sharing an engine and plan build their stage-time
-            # tables vectorized across the lane axis; lanes from
-            # distinct engines (cross-run lockstep, ensemble draws)
-            # share one unscaled base table per (cost model, plan,
-            # states fingerprint) and apply their own engine's speed
-            # scaling — the same float64 sums and divisions the scalar
-            # stage_times performs, so both routes stay bit-identical
-            from repro.training.trainer import states_fingerprint
-
-            sub: dict[tuple[int, tuple], list[int]] = {}
+            speeds = np.ones((n, S))
+            # unscaled stage tables depend only on the cost model's
+            # content, the plan and the states: one layer-times call
+            # prices every lane of one content, across engines and
+            # plans.  Each lane then divides by its own engine's speeds
+            # (x / 1.0 == x for unscaled lanes), as the scalar
+            # stage_times does.
+            by_content: dict[bytes, list[int]] = {}
             for lane, i in enumerate(chunk):
                 eng, plan, _ = requests[i]
-                sub.setdefault((id(eng), plan.boundaries), []).append(lane)
-            base_memo: dict[tuple, tuple] = {}
-            for lanes in sub.values():
-                eng, plan, _ = requests[chunk[lanes[0]]]
-                if len(lanes) > 1:
-                    for lane in lanes:
-                        eng._check_placement(requests[chunk[lane]][1])
-                    f, b, w, a = eng.batched_stage_times(
-                        plan, [requests[chunk[lane]][2] for lane in lanes]
-                    )
-                    fwd[lanes], bwd[lanes], wgt[lanes], act[lanes] = f, b, w, a
-                else:
-                    lane = lanes[0]
-                    states = requests[chunk[lane]][2]
-                    eng._check_placement(plan)
-                    bk = (
-                        id(eng.cost),
-                        plan.boundaries,
-                        states_fingerprint(states),
-                    )
-                    base = base_memo.get(bk)
-                    if base is None:
-                        base = eng.base_stage_times(plan, states)
-                        base_memo[bk] = base
-                    f, b, w, a = eng.scale_stage_times(base)
-                    fwd[lane], bwd[lane], wgt[lane], act[lane] = f, b, w, a
+                eng._check_placement(plan)
+                by_content.setdefault(eng.cost.content_key, []).append(lane)
+                lane_speeds = eng._effective_speeds(S)
+                if lane_speeds is not None:
+                    speeds[lane] = lane_speeds
+            for lanes in by_content.values():
+                reqs = [requests[chunk[lane]] for lane in lanes]
+                f, b, w, a = reqs[0][0].cost.stage_times(
+                    state_matrix([states for _, _, states in reqs]),
+                    [plan.boundaries for _, plan, _ in reqs],
+                    split,
+                )
+                fwd[lanes], bwd[lanes], wgt[lanes], act[lanes] = f, b, w, a
+            fwd /= speeds
+            bwd /= speeds
+            wgt /= speeds
             # edge costs depend only on (comm, placement grid, slowdown
             # map, boundary activation bytes); ensemble lanes mostly
             # share all four, so memo the (S-1)-vectors per content key

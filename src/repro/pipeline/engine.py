@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.cluster.collectives import CommCostModel
 from repro.cluster.placement import Placement
-from repro.model.cost import LayerSpec, LayerState, ModelCost
+from repro.model.cost import LayerState, ModelCost, state_matrix
 from repro.pipeline.compiled import compile_schedule, execute_compiled
 from repro.pipeline.plan import PipelinePlan
 from repro.pipeline.schedules import Op, OpKind, Schedule
@@ -119,55 +119,22 @@ class PipelineEngine:
             self.set_rank_slowdowns(rank_slowdowns)
 
     # -- per-stage aggregate times ------------------------------------------
-    def base_stage_times(
-        self, plan: PipelinePlan, states: list[LayerState]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-stage times before any speed scaling.
-
-        Depends only on the cost model, the plan and the states — not on
-        this engine's placement, worker speeds or straggler windows — so
-        the batched executor shares one computation across lanes whose
-        engines differ only in those (e.g. ensemble draws of the same
-        run under different cluster traces).
-        """
-        specs = self.cost.specs
-        if len(states) != len(specs):
-            raise ValueError("state/spec length mismatch")
-        S = plan.num_stages
-        fwd = np.zeros(S)
-        bwd = np.zeros(S)
-        wgt = np.zeros(S)
-        act_bytes = np.zeros(S)
-        split = self.schedule.name == "zb"
-        for s in range(S):
-            for li in plan.stage_layers(s):
-                sp, st = specs[li], states[li]
-                fwd[s] += self.cost.forward_time(sp, st)
-                if split:
-                    bwd[s] += self.cost.backward_input_time(sp, st)
-                    wgt[s] += self.cost.weight_grad_time(sp, st)
-                else:
-                    bwd[s] += self.cost.backward_time(sp, st)
-            last = plan.boundaries[s + 1] - 1
-            act_bytes[s] = specs[last].activation_bytes * states[last].token_fraction
-        return fwd, bwd, wgt, act_bytes
-
-    def scale_stage_times(
-        self,
-        base: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Apply this engine's effective speeds to unscaled stage times."""
-        fwd, bwd, wgt, act_bytes = base
-        speeds = self._effective_speeds(fwd.shape[0])
-        if speeds is not None:
-            fwd, bwd, wgt = fwd / speeds, bwd / speeds, wgt / speeds
-        return fwd, bwd, wgt, act_bytes
-
     def stage_times(
         self, plan: PipelinePlan, states: list[LayerState]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(fwd, bwd_or_B, W, boundary activation bytes) per stage."""
-        return self.scale_stage_times(self.base_stage_times(plan, states))
+        """(fwd, bwd_or_B, W, boundary activation bytes) per stage.
+
+        The one-lane case of :meth:`ModelCost.stage_times`, divided by
+        this engine's effective speeds.
+        """
+        fwd, bwd, wgt, act_bytes = self.cost.stage_times(
+            state_matrix([states]), [plan.boundaries], self.schedule.name == "zb"
+        )
+        fwd, bwd, wgt, act_bytes = fwd[0], bwd[0], wgt[0], act_bytes[0]
+        speeds = self._effective_speeds(plan.num_stages)
+        if speeds is not None:
+            fwd, bwd, wgt = fwd / speeds, bwd / speeds, wgt / speeds
+        return fwd, bwd, wgt, act_bytes
 
     def set_rank_slowdowns(self, slowdowns: dict[int, float] | None) -> None:
         """Install straggler slowdown factors keyed by global rank.
@@ -300,37 +267,6 @@ class PipelineEngine:
         if self.record_timeline or not self.use_compiled:
             return self.run_iteration_reference(plan, states)
         return self._run_iteration_compiled(plan, states)
-
-    def batched_stage_times(
-        self, plan: PipelinePlan, states_list: list[list[LayerState]]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`stage_times` for N state vectors as ``(N, S)`` matrices.
-
-        Rows are bit-identical to the scalar method: per-layer times
-        come from :meth:`ModelCost.batched_layer_times` (same float64
-        ops elementwise) and each stage's layer sum uses ``cumsum`` —
-        the same sequential adds as the scalar accumulation loop.
-        """
-        split = self.schedule.name == "zb"
-        ft, bt, wt, tf = self.cost.batched_layer_times(states_list, split)
-        n, S = len(states_list), plan.num_stages
-        fwd = np.empty((n, S))
-        bwd = np.empty((n, S))
-        wgt = np.zeros((n, S))
-        act_bytes = np.empty((n, S))
-        bounds = plan.boundaries
-        specs = self.cost.specs
-        for s in range(S):
-            lo, hi = bounds[s], bounds[s + 1]
-            fwd[:, s] = np.cumsum(ft[:, lo:hi], axis=1)[:, -1]
-            bwd[:, s] = np.cumsum(bt[:, lo:hi], axis=1)[:, -1]
-            if split:
-                wgt[:, s] = np.cumsum(wt[:, lo:hi], axis=1)[:, -1]
-            act_bytes[:, s] = specs[hi - 1].activation_bytes * tf[:, hi - 1]
-        speeds = self._effective_speeds(S)
-        if speeds is not None:
-            fwd, bwd, wgt = fwd / speeds, bwd / speeds, wgt / speeds
-        return fwd, bwd, wgt, act_bytes
 
     def _finalize_batched_lane(
         self,

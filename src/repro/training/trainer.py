@@ -33,7 +33,7 @@ from repro.cluster.placement import Placement, make_placement, validate_memory
 from repro.core.balancers.partition import partition_balanced
 from repro.core.controller import DynMoController
 from repro.dynamics.base import DynamismScheme, StaticScheme
-from repro.model.cost import LayerState, ModelCost
+from repro.model.cost import LayerState, ModelCost, state_matrix
 from repro.model.memory import StageMemoryModel
 from repro.pipeline.engine import IterationResult, PipelineEngine
 from repro.pipeline.migration import diff_plans
@@ -50,27 +50,11 @@ class RunDeadlineExceeded(RuntimeError):
     """
 
 
-def states_fingerprint(states: list[LayerState], out: np.ndarray | None = None) -> bytes:
-    """Stable hash of the dynamism state vector (for memoisation).
-
-    ``out`` is an optional preallocated ``(len(states), 6)`` float64
-    scratch buffer, refilled in place; callers hashing every iteration
-    (the Trainer) reuse one buffer instead of re-allocating.  Columns
-    are filled struct-of-arrays style (one comprehension + vector
-    assign per field) instead of a per-layer Python loop; the buffer
-    layout and float64 values — bools coerce to exactly 0.0/1.0 — are
-    unchanged, so digests are byte-identical to the row-fill loop.
-    """
-    n = len(states)
-    if out is None or out.shape != (n, 6):
-        out = np.empty((n, 6))
-    out[:, 0] = [s.sparsity for s in states]
-    out[:, 1] = [s.frozen for s in states]
-    out[:, 2] = [s.droppable_bwd for s in states]
-    out[:, 3] = [s.attn_density for s in states]
-    out[:, 4] = [s.token_fraction for s in states]
-    out[:, 5] = [s.moe_multiplier for s in states]
-    return hashlib.blake2b(out.tobytes(), digest_size=16).digest()
+def states_fingerprint(states: list[LayerState]) -> bytes:
+    """Stable hash of the dynamism state vector (for memoisation): the
+    bytes of its :func:`~repro.model.cost.state_matrix`, the layout the
+    cost model prices."""
+    return hashlib.blake2b(state_matrix([states]).tobytes(), digest_size=16).digest()
 
 
 @dataclass
@@ -253,13 +237,12 @@ class Trainer:
         # (pruning, freezing, early exit) skip the per-iteration hash.
         self._fp: bytes | None = None
         self._fp_version: int | None = None
-        self._fp_buf = np.empty((len(self.states), 6))
 
     # -- internals ---------------------------------------------------------
     def _states_key(self) -> bytes:
         version = getattr(self.scheme, "version", None)
         if version is None or version != self._fp_version or self._fp is None:
-            self._fp = states_fingerprint(self.states, out=self._fp_buf)
+            self._fp = states_fingerprint(self.states)
             self._fp_version = version
         return self._fp
 

@@ -1,0 +1,147 @@
+"""Scalar per-layer cost formulas: the bit-identity oracle.
+
+``ModelCost`` prices time only through its array path
+(:meth:`~repro.model.cost.ModelCost.layer_times` and
+:meth:`~repro.model.cost.ModelCost.stage_times`).  This module keeps the
+scalar formulas that path replaced — one layer and one state at a time,
+in plain Python floats — and the per-stage accumulation loop the engine
+used to run, so tests can require the array path to equal them bit for
+bit.  Tests of cost *semantics* call the production array path instead.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+
+from repro.model.cost import LayerSpec, LayerState, ModelCost
+from repro.pipeline.engine import IterationResult, PipelineEngine
+from repro.pipeline.plan import PipelinePlan
+from repro.sparse.kernels import best_kernel_time
+
+
+def matmul_time(cost: ModelCost, flops: float, sparsity: float) -> float:
+    """Weight-matmul time with the sparse-kernel crossover applied."""
+    if flops <= 0:
+        return 0.0
+    if sparsity <= 0.0:
+        return flops / (cost.peak_flops * cost.efficiency)
+    return best_kernel_time(flops, sparsity, cost.peak_flops * cost.efficiency / 0.62)
+
+
+def forward_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
+    state.validate()
+    ffn = spec.ffn_flops * state.moe_multiplier
+    dense_part = spec.matmul_flops - spec.ffn_flops
+    t = matmul_time(cost, dense_part, state.sparsity)
+    t += matmul_time(cost, ffn, state.sparsity)
+    t += (spec.attn_quad_flops * state.attn_density) / (cost.peak_flops * cost.efficiency)
+    return t * state.token_fraction
+
+
+def backward_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
+    """dX + dW (unless frozen) + 2x attention quadratic."""
+    state.validate()
+    if state.droppable_bwd:
+        return 0.0
+    fwd_matmul = matmul_time(
+        cost, spec.matmul_flops - spec.ffn_flops, state.sparsity
+    ) + matmul_time(cost, spec.ffn_flops * state.moe_multiplier, state.sparsity)
+    dx = fwd_matmul
+    dw = 0.0 if state.frozen else fwd_matmul
+    quad = 2.0 * (spec.attn_quad_flops * state.attn_density) / (cost.peak_flops * cost.efficiency)
+    total = (dx + dw + quad) * state.token_fraction
+    if cost.activation_checkpointing:
+        total += forward_time(cost, spec, state)  # recompute pass
+    return total
+
+
+def backward_input_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
+    """Only the activation-gradient half of backward (zero-bubble 'B' op)."""
+    full = backward_time(cost, spec, state)
+    if full == 0.0:
+        return 0.0
+    dw = weight_grad_time(cost, spec, state)
+    return full - dw
+
+
+def weight_grad_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
+    """The dW half of backward (zero-bubble 'W' op)."""
+    if state.droppable_bwd or state.frozen:
+        return 0.0
+    fwd_matmul = matmul_time(
+        cost, spec.matmul_flops - spec.ffn_flops, state.sparsity
+    ) + matmul_time(cost, spec.ffn_flops * state.moe_multiplier, state.sparsity)
+    return fwd_matmul * state.token_fraction
+
+
+def total_forward_time(cost: ModelCost, states: list[LayerState]) -> float:
+    return sum(forward_time(cost, sp, st) for sp, st in zip(cost.specs, states))
+
+
+def total_backward_time(cost: ModelCost, states: list[LayerState]) -> float:
+    return sum(backward_time(cost, sp, st) for sp, st in zip(cost.specs, states))
+
+
+def layer_times(
+    cost: ModelCost, states: list[LayerState], split: bool
+) -> tuple[list[float], list[float], list[float]]:
+    """Per-layer (fwd, bwd_or_B, W) lists; W is zeros unless ``split``."""
+    fwd = [forward_time(cost, sp, st) for sp, st in zip(cost.specs, states)]
+    if split:
+        bwd = [backward_input_time(cost, sp, st) for sp, st in zip(cost.specs, states)]
+        wgt = [weight_grad_time(cost, sp, st) for sp, st in zip(cost.specs, states)]
+    else:
+        bwd = [backward_time(cost, sp, st) for sp, st in zip(cost.specs, states)]
+        wgt = [0.0] * len(states)
+    return fwd, bwd, wgt
+
+
+def base_stage_times(
+    cost: ModelCost, plan: PipelinePlan, states: list[LayerState], split: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-stage times before any speed scaling (the per-layer loop)."""
+    specs = cost.specs
+    if len(states) != len(specs):
+        raise ValueError("state/spec length mismatch")
+    S = plan.num_stages
+    fwd = np.zeros(S)
+    bwd = np.zeros(S)
+    wgt = np.zeros(S)
+    act_bytes = np.zeros(S)
+    for s in range(S):
+        for li in plan.stage_layers(s):
+            sp, st = specs[li], states[li]
+            fwd[s] += forward_time(cost, sp, st)
+            if split:
+                bwd[s] += backward_input_time(cost, sp, st)
+                wgt[s] += weight_grad_time(cost, sp, st)
+            else:
+                bwd[s] += backward_time(cost, sp, st)
+        last = plan.boundaries[s + 1] - 1
+        act_bytes[s] = specs[last].activation_bytes * states[last].token_fraction
+    return fwd, bwd, wgt, act_bytes
+
+
+def stage_times(
+    engine: PipelineEngine, plan: PipelinePlan, states: list[LayerState]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The loop's tables divided by the engine's effective speeds."""
+    fwd, bwd, wgt, act_bytes = base_stage_times(
+        engine.cost, plan, states, engine.schedule.name == "zb"
+    )
+    speeds = engine._effective_speeds(fwd.shape[0])
+    if speeds is not None:
+        fwd, bwd, wgt = fwd / speeds, bwd / speeds, wgt / speeds
+    return fwd, bwd, wgt, act_bytes
+
+
+def run_iteration(
+    engine: PipelineEngine, plan: PipelinePlan, states: list[LayerState]
+) -> IterationResult:
+    """The reference ready-loop fed by the oracle's stage tables."""
+    with mock.patch.object(
+        PipelineEngine, "stage_times", lambda eng, p, sts: stage_times(eng, p, sts)
+    ):
+        return engine.run_iteration_reference(plan, states)

@@ -15,11 +15,13 @@ import pytest
 from repro.cluster.collectives import CommCostModel
 from repro.cluster.placement import PLACEMENT_STRATEGIES, make_placement
 from repro.cluster.topology import parse_cluster
-from repro.model.cost import fresh_states
+from repro.model.cost import ModelCost, fresh_states, state_matrix
 from repro.pipeline import batched as batched_mod
 from repro.pipeline.batched import compile_levels, simulate_many
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.plan import PipelinePlan
+
+import cost_oracle
 
 N_LAYERS = 26
 SCHEDULES = ("gpipe", "1f1b", "zb")
@@ -38,15 +40,18 @@ def random_states(rng, n=N_LAYERS, extreme=False):
 
 
 def assert_all_identical(engine, scenarios):
-    """Batched results must equal scalar compiled and reference exactly."""
+    """Batched results must equal scalar compiled, reference, and the
+    reference loop priced by the scalar cost oracle, exactly."""
     batched = simulate_many([(engine, plan, states) for plan, states in scenarios])
     for (plan, states), fast in zip(scenarios, batched):
         scalar = engine.run_iteration(plan, states)
         ref = engine.run_iteration_reference(plan, states)
-        assert fast.makespan == scalar.makespan == ref.makespan
+        oracle = cost_oracle.run_iteration(engine, plan, states)
+        assert fast.makespan == scalar.makespan == ref.makespan == oracle.makespan
         assert np.array_equal(fast.busy, scalar.busy)
         assert np.array_equal(fast.busy, ref.busy)
-        assert fast.comm_extra == scalar.comm_extra == ref.comm_extra
+        assert np.array_equal(fast.busy, oracle.busy)
+        assert fast.comm_extra == scalar.comm_extra == ref.comm_extra == oracle.comm_extra
 
 
 # -- level compilation ------------------------------------------------------
@@ -196,26 +201,42 @@ def test_reference_engines_fall_back_per_scenario(gpt24_cost):
 
 
 def test_batched_stage_times_match_scalar(gpt24_cost, comm):
-    """The vectorized stage-time tables equal the scalar loop bitwise."""
+    """Many-lane stage-time tables, and the engine's one-lane tables,
+    equal the scalar cost oracle's per-layer loop bitwise."""
     rng = np.random.default_rng(7)
     plan = PipelinePlan.uniform(N_LAYERS, 5)
     for sched in ("1f1b", "zb"):
-        engine = PipelineEngine(gpt24_cost, comm, schedule=sched, num_micro=4)
+        engine = PipelineEngine(
+            gpt24_cost, comm, schedule=sched, num_micro=4, rank_slowdowns={1: 2.5}
+        )
         states_list = [random_states(rng, extreme=True) for _ in range(9)]
-        fwd, bwd, wgt, act = engine.batched_stage_times(plan, states_list)
+        fwd, bwd, wgt, act = gpt24_cost.stage_times(
+            state_matrix(states_list), [plan.boundaries] * 9, sched == "zb"
+        )
         for lane, states in enumerate(states_list):
-            f, b, w, a = engine.stage_times(plan, states)
-            assert np.array_equal(fwd[lane], f)
-            assert np.array_equal(bwd[lane], b)
-            assert np.array_equal(wgt[lane], w)
-            assert np.array_equal(act[lane], a)
+            f, b, w, a = cost_oracle.base_stage_times(gpt24_cost, plan, states, sched == "zb")
+            assert fwd[lane].tobytes() == f.tobytes()
+            assert bwd[lane].tobytes() == b.tobytes()
+            assert wgt[lane].tobytes() == w.tobytes()
+            assert act[lane].tobytes() == a.tobytes()
+            for got, want in zip(
+                engine.stage_times(plan, states), cost_oracle.stage_times(engine, plan, states)
+            ):
+                assert got.tobytes() == want.tobytes()
 
 
-def test_batched_layer_times_validate_states(gpt24_cost):
+@pytest.mark.parametrize("value", [float("nan"), 1.5], ids=["nan", "out_of_range"])
+@pytest.mark.parametrize(
+    "field", ["sparsity", "attn_density", "token_fraction", "moe_multiplier"]
+)
+def test_layer_times_validate_states(gpt24_cost, field, value):
+    """NaN fails like an out-of-range value, as LayerState.validate does."""
     bad = fresh_states(N_LAYERS)
-    bad[3].sparsity = 1.5
-    with pytest.raises(ValueError, match="sparsity"):
-        gpt24_cost.batched_layer_times([bad], split=True)
+    setattr(bad[3], field, -value if field == "moe_multiplier" else value)
+    with pytest.raises(ValueError, match=field):
+        gpt24_cost.layer_times(state_matrix([bad]), split=True)
+    with pytest.raises(ValueError, match=field):
+        bad[3].validate()
 
 
 def test_single_scenario_matches_scalar(gpt24_cost):
@@ -266,11 +287,25 @@ def test_simulate_modes(gpt24_cost):
         assert t.timeline  # the timeline engine still records its ops
 
 
-def test_slowed_engines_batch_identically(gpt24_cost, comm):
+def test_slowed_engines_batch_identically(gpt24_cost, gpt24_specs, comm, monkeypatch):
     """Engines with active rank slowdowns take the batched path (the
-    map is fixed per call) and stay bit-identical to the scalar loop."""
+    map is fixed per call) and stay bit-identical to the scalar loop.
+
+    One call may also mix engines.  Lanes whose cost models are distinct
+    objects of equal content share one layer-times call across plans,
+    worker speeds and straggler slowdowns; a lane whose model differs
+    only in activation recompute gets its own.  Every lane matches the
+    reference loop priced by the scalar cost oracle."""
     rng = np.random.default_rng(12)
     plan = PipelinePlan.uniform(N_LAYERS, 4)
+    skewed = PipelinePlan((0, 3, 10, 20, N_LAYERS), N_LAYERS)
+    priced_by: list[ModelCost] = []
+    real_layer_times = ModelCost.layer_times
+    monkeypatch.setattr(
+        ModelCost,
+        "layer_times",
+        lambda self, *a, **kw: priced_by.append(self) or real_layer_times(self, *a, **kw),
+    )
     for sched in SCHEDULES:
         engine = PipelineEngine(
             gpt24_cost,
@@ -284,3 +319,41 @@ def test_slowed_engines_batch_identically(gpt24_cost, comm):
         assert_all_identical(engine, scenarios)
         assert batched_mod.stats.batched_lanes >= len(scenarios)
         assert batched_mod.stats.scalar_unbatchable == 0
+
+        twins = [
+            PipelineEngine(ModelCost(gpt24_specs), comm, schedule=sched, num_micro=6),
+            PipelineEngine(
+                ModelCost(gpt24_specs),
+                comm,
+                schedule=sched,
+                num_micro=6,
+                worker_speeds=np.array([1.0, 0.5, 2.0, 0.8]),
+            ),
+            PipelineEngine(
+                ModelCost(gpt24_specs),
+                comm,
+                schedule=sched,
+                num_micro=6,
+                rank_slowdowns={1: 2.0, 3: 1.25},
+            ),
+        ]
+        recompute = PipelineEngine(
+            ModelCost(gpt24_specs, activation_recompute=True),
+            comm,
+            schedule=sched,
+            num_micro=6,
+        )
+        requests = [(eng, p, random_states(rng)) for eng in twins for p in (plan, skewed)]
+        requests.append((recompute, skewed, random_states(rng)))
+        priced_by.clear()
+        batched_mod.stats.reset()
+        results = simulate_many(requests)
+        assert batched_mod.stats.batched_lanes == len(requests)
+        twin_costs = [eng.cost for eng in twins]
+        assert sum(any(c is t for t in twin_costs) for c in priced_by) == 1
+        assert len(priced_by) == 2
+        for (eng, p, states), res in zip(requests, results):
+            want = cost_oracle.run_iteration(eng, p, states)
+            assert res.makespan == want.makespan
+            assert np.array_equal(res.busy, want.busy)
+            assert res.comm_extra == want.comm_extra

@@ -15,7 +15,7 @@ from repro.dynamics import (
 )
 from repro.dynamics.composite import CompositeDynamism
 from repro.dynamics.pruning import GradualPruningSchedule
-from repro.model.cost import fresh_states
+from repro.model.cost import fresh_states, state_matrix
 from repro.nn import GPT
 from repro.nn.generate import clip_grad_norm, generate, generate_early_exit, sample_logits
 from repro.pipeline import PipelineEngine, PipelinePlan
@@ -99,12 +99,8 @@ class TestHeteroBalancer:
         speeds = np.array([1.0, 1.0, 1.0, 0.6])
         eng = PipelineEngine(gpt24_cost, None, num_micro=16, worker_speeds=speeds)
         uniform = PipelinePlan.uniform(26, 4)
-        w = np.array(
-            [
-                gpt24_cost.forward_time(sp, st) + gpt24_cost.backward_time(sp, st)
-                for sp, st in zip(gpt24_cost.specs, gpt24_states)
-            ]
-        )
+        fwd, bwd, _ = gpt24_cost.layer_times(state_matrix([gpt24_states]))
+        w = fwd[0] + bwd[0]
         balanced = HeteroPartitionBalancer(speeds).rebalance(uniform, w).plan
         t_uni = eng.run_iteration(uniform, gpt24_states).makespan
         t_bal = eng.run_iteration(balanced, gpt24_states).makespan

@@ -13,7 +13,7 @@ from repro.model import (
     gpt_48,
     mixtral_8x7b_like,
 )
-from repro.model.cost import fresh_states
+from repro.model.cost import fresh_states, state_matrix
 
 
 class TestConfig:
@@ -86,6 +86,8 @@ class TestLayerState:
             LayerState(attn_density=-0.1).validate()
         with pytest.raises(ValueError):
             LayerState(moe_multiplier=-1).validate()
+        with pytest.raises(ValueError, match="moe_multiplier"):
+            LayerState(moe_multiplier=float("nan")).validate()
 
     def test_copy_independent(self):
         a = LayerState(sparsity=0.5)
@@ -94,71 +96,71 @@ class TestLayerState:
         assert a.sparsity == 0.5
 
 
+def layer_time(cost, state, split=False, layer=1):
+    """(fwd, bwd, wgt) of one layer in ``state`` via the array path."""
+    states = fresh_states(len(cost.specs))
+    states[layer] = state
+    fwd, bwd, wgt = cost.layer_times(state_matrix([states]), split)
+    return fwd[0, layer], bwd[0, layer], wgt[0, layer]
+
+
 class TestModelCost:
     @pytest.fixture
     def cost(self):
         return ModelCost(build_layer_specs(gpt_24()))
 
     def test_forward_time_positive(self, cost):
-        st = LayerState()
-        assert cost.forward_time(cost.specs[1], st) > 0
+        assert layer_time(cost, LayerState())[0] > 0
 
     def test_backward_approx_twice_forward(self, cost):
-        st = LayerState()
-        f = cost.forward_time(cost.specs[1], st)
-        b = cost.backward_time(cost.specs[1], st)
+        f, b, _ = layer_time(cost, LayerState())
         assert 1.5 * f < b < 3.0 * f
 
     def test_frozen_drops_weight_grad(self, cost):
-        sp = cost.specs[1]
-        full = cost.backward_time(sp, LayerState())
-        frozen = cost.backward_time(sp, LayerState(frozen=True))
+        full = layer_time(cost, LayerState())[1]
+        frozen = layer_time(cost, LayerState(frozen=True))[1]
         assert frozen < full
-        assert cost.weight_grad_time(sp, LayerState(frozen=True)) == 0.0
+        assert layer_time(cost, LayerState(frozen=True), split=True)[2] == 0.0
 
     def test_droppable_bwd_zero(self, cost):
         st = LayerState(frozen=True, droppable_bwd=True)
-        assert cost.backward_time(cost.specs[1], st) == 0.0
+        assert layer_time(cost, st)[1] == 0.0
 
     def test_b_w_split_sums_to_backward(self, cost):
-        sp = cost.specs[1]
         st = LayerState()
-        total = cost.backward_time(sp, st)
-        split = cost.backward_input_time(sp, st) + cost.weight_grad_time(sp, st)
-        assert split == pytest.approx(total)
+        total = layer_time(cost, st)[1]
+        _, b, w = layer_time(cost, st, split=True)
+        assert b + w == pytest.approx(total)
 
     def test_token_fraction_scales_time(self, cost):
-        sp = cost.specs[1]
-        full = cost.forward_time(sp, LayerState())
-        half = cost.forward_time(sp, LayerState(token_fraction=0.5))
+        full = layer_time(cost, LayerState())[0]
+        half = layer_time(cost, LayerState(token_fraction=0.5))[0]
         assert half == pytest.approx(0.5 * full)
 
     def test_attn_density_scales_quadratic_only(self, cost):
         sp = cost.specs[1]
-        dense = cost.forward_time(sp, LayerState())
-        sparse = cost.forward_time(sp, LayerState(attn_density=0.0))
+        dense = layer_time(cost, LayerState())[0]
+        sparse = layer_time(cost, LayerState(attn_density=0.0))[0]
         expected_drop = sp.attn_quad_flops / (cost.peak_flops * cost.efficiency)
         assert dense - sparse == pytest.approx(expected_drop)
 
     def test_moe_multiplier_scales_ffn(self, cost):
         sp = cost.specs[1]
-        base = cost.forward_time(sp, LayerState())
-        doubled = cost.forward_time(sp, LayerState(moe_multiplier=2.0))
+        base = layer_time(cost, LayerState())[0]
+        doubled = layer_time(cost, LayerState(moe_multiplier=2.0))[0]
         extra = sp.ffn_flops / (cost.peak_flops * cost.efficiency)
         assert doubled - base == pytest.approx(extra)
 
     def test_high_sparsity_faster(self, cost):
-        sp = cost.specs[1]
-        dense = cost.forward_time(sp, LayerState())
-        pruned = cost.forward_time(sp, LayerState(sparsity=0.95))
+        dense = layer_time(cost, LayerState())[0]
+        pruned = layer_time(cost, LayerState(sparsity=0.95))[0]
         assert pruned < dense
 
     def test_moderate_sparsity_not_faster(self, cost):
         """Below the Sputnik crossover (~75%), sparse kernels don't
         win, so time must not decrease."""
-        sp = cost.specs[1]
-        dense = cost.forward_time(sp, LayerState())
-        half = cost.forward_time(sp, LayerState(sparsity=0.5))
+        dense = layer_time(cost, LayerState())[0]
+        half = layer_time(cost, LayerState(sparsity=0.5))[0]
         assert half >= dense * 0.99
 
     def test_memory_components(self, cost):
@@ -183,7 +185,7 @@ class TestModelCost:
 
     def test_totals_require_matching_lengths(self, cost):
         with pytest.raises(ValueError):
-            cost.total_forward_time([LayerState()])
+            cost.layer_times(state_matrix([[LayerState()]]))
 
     def test_fresh_states(self):
         states = fresh_states(5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.model.cost import LayerState, ModelCost, fresh_states
+from repro.model.cost import LayerState, ModelCost, fresh_states, state_matrix
 from repro.pipeline import PipelineEngine, PipelinePlan
 from repro.pipeline.migration import diff_plans, layer_bytes
 
@@ -40,9 +40,8 @@ class TestEngineBasics:
         eng = self._engine(gpt24_cost, num_micro=4)
         plan = PipelinePlan.uniform(26, 4)
         res = eng.run_iteration(plan, gpt24_states)
-        per_micro = gpt24_cost.total_forward_time(
-            gpt24_states
-        ) + gpt24_cost.total_backward_time(gpt24_states)
+        fwd, bwd, _ = gpt24_cost.layer_times(state_matrix([gpt24_states]))
+        per_micro = fwd.sum() + bwd.sum()
         assert res.busy.sum() == pytest.approx(4 * per_micro, rel=1e-9)
 
     def test_more_micro_batches_reduce_bubble(self, gpt24_cost, gpt24_states):

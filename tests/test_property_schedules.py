@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.model.config import GPTConfig
-from repro.model.cost import LayerState, ModelCost, build_layer_specs
+from repro.model.cost import LayerState, ModelCost, build_layer_specs, state_matrix
 from repro.pipeline.schedules import OpKind, Schedule
 from repro.training.trace import TraceRecord
 from repro.training.trainer import states_fingerprint
@@ -82,33 +82,33 @@ class TestCostModelProperties:
         )
     )
 
+    def times(self, state, split=False):
+        """Per-layer (fwd, bwd, wgt) with every layer in ``state``."""
+        states = state_matrix([[state] * len(self.COST.specs)])
+        return [t[0] for t in self.COST.layer_times(states, split)]
+
     @given(state=layer_states)
     @settings(max_examples=80, deadline=None)
     def test_times_nonnegative_and_finite(self, state):
-        for spec in self.COST.specs:
-            f = self.COST.forward_time(spec, state)
-            b = self.COST.backward_time(spec, state)
-            assert np.isfinite(f) and f >= 0
-            assert np.isfinite(b) and b >= 0
+        f, b, _ = self.times(state)
+        assert np.isfinite(f).all() and (f >= 0).all()
+        assert np.isfinite(b).all() and (b >= 0).all()
 
     @given(state=layer_states)
     @settings(max_examples=60, deadline=None)
     def test_b_w_split_consistent(self, state):
-        for spec in self.COST.specs:
-            total = self.COST.backward_time(spec, state)
-            split = self.COST.backward_input_time(spec, state) + self.COST.weight_grad_time(
-                spec, state
-            )
-            assert split == pytest.approx(total, rel=1e-9, abs=1e-15)
+        _, total, _ = self.times(state)
+        _, b, w = self.times(state, split=True)
+        for split, full in zip(b + w, total):
+            assert split == pytest.approx(full, rel=1e-9, abs=1e-15)
 
     @given(state=layer_states, frac=st.floats(0.01, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_token_fraction_linear(self, state, frac):
-        spec = self.COST.specs[1]
         state.token_fraction = 1.0
-        full = self.COST.forward_time(spec, state)
+        full = self.times(state)[0][1]
         state.token_fraction = frac
-        scaled = self.COST.forward_time(spec, state)
+        scaled = self.times(state)[0][1]
         assert scaled == pytest.approx(full * frac, rel=1e-9)
 
     @given(state=layer_states)

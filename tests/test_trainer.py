@@ -1,6 +1,7 @@
 """Tests for TrainingConfig, Trainer, throughput, checkpointing."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from repro.cluster.job_manager import ElasticJobManager
 from repro.core import DynMoConfig, DynMoController
 from repro.dynamics import FreezingDynamism, StaticScheme
 from repro.experiments.common import SCENARIOS, build_scenario, make_trainer
-from repro.model.cost import LayerState, fresh_states
+from repro.model.cost import LayerState, fresh_states, state_matrix
 from repro.pipeline import PipelinePlan
 from repro.training import (
     Trainer,
@@ -209,7 +210,7 @@ class TestIterationCache:
         monkeypatch.setattr(
             trainer_mod,
             "states_fingerprint",
-            lambda states, out=None: calls.append(1) or real(states, out),
+            lambda states: calls.append(1) or real(states),
         )
         # prewarm=False: the batched prewarm dry-run hashes once itself;
         # this test pins the *run loop's* version-gated memoisation
@@ -234,16 +235,26 @@ class TestIterationCache:
         scheme.advance(30, states)  # freeze step well past tau0 (noisy)
         assert scheme.version > v0
 
-    def test_states_fingerprint_buffer_reuse_matches(self):
+    def test_states_fingerprint_pinned_digest(self):
+        """The fingerprint hashes the cost model's state-matrix layout;
+        the digest of this fixed vector predates that and must not move
+        (iteration-cache keys and traces compare digests)."""
         states = fresh_states(5)
         states[1].attn_density = 0.25
-        buf = np.empty((5, 6))
-        assert states_fingerprint(states, out=buf) == states_fingerprint(states)
+        states[2].sparsity = 0.75
+        states[2].frozen = True
+        states[3].droppable_bwd = True
+        states[3].frozen = True
+        states[4].token_fraction = 0.5
+        states[4].moe_multiplier = 1.5
+        assert states_fingerprint(states).hex() == "91f7cccf5c232bdaea6e90f58206c16f"
+        assert states_fingerprint(states) == hashlib.blake2b(
+            state_matrix([states]).tobytes(), digest_size=16
+        ).digest()
 
     def test_states_fingerprint_matches_row_loop(self):
         """Regression: the struct-of-arrays column fills must produce
         byte-identical digests to the original per-layer row loop."""
-        import hashlib
 
         def loop_fingerprint(states):
             out = np.empty((len(states), 6))
