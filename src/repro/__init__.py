@@ -8,7 +8,6 @@ Top-level convenience re-exports; see subpackages for the full API:
 - ``repro.pipeline``  — pipeline plans, schedules, event simulator
 - ``repro.cluster``   — topology, collectives, placement, job manager
 - ``repro.model``     — GPT configs + per-layer cost model
-- ``repro.nn``        — numpy transformer substrate
 - ``repro.sparse``    — CSR/SpMM substrate
 - ``repro.training``  — end-to-end Trainer
 - ``repro.baselines`` — Megatron/DeepSpeed/Tutel/Egeria/PipeTransformer
@@ -26,11 +25,8 @@ from repro.model import GPTConfig, ModelCost, build_layer_specs
 from repro.pipeline import PipelineEngine, PipelinePlan
 from repro.training import Trainer, TrainingConfig
 
-__version__ = "1.2.0"
-
-# the stable orchestration facade (repro.api) re-exported at top level;
-# imported after __version__ so repro.orchestrator.spec can hash it
-from repro.api import (  # noqa: E402
+# the stable orchestration facade (repro.api) re-exported at top level
+from repro.api import (
     EnsembleResult,
     ExecutionPolicy,
     MergeResult,
@@ -51,6 +47,8 @@ from repro.api import (  # noqa: E402
     simulate,
     sweep,
 )
+
+__version__ = "2.0.0"
 
 __all__ = [
     "DynMoConfig",

@@ -11,9 +11,9 @@ the deep module paths keep working, but new code should start here:
 >>> dist = repro.ensemble(spec, n=64)  # Monte-Carlo fault ensemble
 
 Execution is controlled by an explicit :class:`ExecutionPolicy`
-(``backend="batched" | "inline" | "pool"``) instead of the legacy
-``jobs`` integer protocol; ``jobs=`` is still accepted by
-:class:`~repro.orchestrator.runner.SweepRunner` as a deprecated alias.
+(``backend="batched" | "inline" | "pool"``);
+:meth:`ExecutionPolicy.from_jobs` maps the legacy ``jobs`` integer
+(the CLI's ``--jobs``) onto one.
 """
 
 from __future__ import annotations

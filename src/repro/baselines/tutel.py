@@ -26,6 +26,10 @@ class TutelMoEBaseline:
     name = "tutel"
 
     def __init__(self, scheme: MoEDynamism, damping: float = 0.15, dispatch_overhead: float = 0.03):
+        if not isinstance(scheme, MoEDynamism):
+            raise ValueError(
+                f"mode 'tutel' needs MoE layers; scenario {scheme.name!r} has none"
+            )
         if not 0.0 <= damping <= 1.0:
             raise ValueError("damping must be in [0, 1]")
         self.scheme = scheme

@@ -8,10 +8,10 @@ addressed —
 - each shard's id folds in its position *and* the spec hashes it
   carries, so two plans agree on a shard id iff they agree on its
   work;
-- the plan id folds in every shard id plus the spec schema and code
-  version, so a worker can refuse to join a directory whose plan was
-  built from a different grid (or by different code) instead of
-  silently executing the wrong sweep.
+- the plan id folds in every shard id plus the spec schema and
+  simulator version, so a worker can refuse to join a directory whose
+  plan was built from a different grid (or by a simulator that prices
+  it differently) instead of silently executing the wrong sweep.
 
 Publishing is atomic and idempotent: re-publishing an identical plan
 is a no-op, publishing a *different* plan into an occupied directory
@@ -26,11 +26,10 @@ import os
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import repro
 from repro.distrib.fsio import atomic_write_json, read_json, with_io_retry
 from repro.distrib.layout import ShardDirLayout
 from repro.orchestrator.retry import RetryPolicy
-from repro.orchestrator.spec import SPEC_SCHEMA_VERSION, RunSpec
+from repro.orchestrator.spec import SIM_VERSION, SPEC_SCHEMA_VERSION, RunSpec
 
 PLAN_SCHEMA_VERSION = 1
 
@@ -105,7 +104,7 @@ class ShardPlan:
     @staticmethod
     def _plan_id(shards: Sequence[Shard]) -> str:
         return _digest(
-            [str(SPEC_SCHEMA_VERSION), repro.__version__]
+            [str(SPEC_SCHEMA_VERSION), SIM_VERSION]
             + [shard.shard_id for shard in shards]
         )
 
@@ -130,7 +129,7 @@ class ShardPlan:
             "plan_schema": PLAN_SCHEMA_VERSION,
             "plan_id": self.plan_id,
             "spec_schema": SPEC_SCHEMA_VERSION,
-            "code": repro.__version__,
+            "code": SIM_VERSION,
             "shards": [
                 {
                     "shard_id": shard.shard_id,
@@ -178,7 +177,7 @@ class ShardPlan:
         if plan.plan_id != cls._plan_id(plan.shards):
             raise PlanError(
                 "plan id fails its content check (plan file damaged, "
-                "edited, or written by a different code version)"
+                "edited, or written by a different simulator version)"
             )
         return plan
 

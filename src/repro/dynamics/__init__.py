@@ -7,9 +7,9 @@ changed (the trigger for DynMo's profiling + rebalancing).  Schemes are
 imbalance magnitudes the paper measures in Fig. 1 (MoE ~25%, pruning up
 to ~5x, freezing ~40%, sparse attention ~4x, early exit ~5x, MoD ~18%).
 
-Schemes also expose real-signal hooks (router token counts, global
-magnitude thresholds via Algorithm 1, LSH block masks, confidence
-survival curves) used by the numpy pilot model in tests and examples.
+Three modules also carry real-signal helpers (LSH block masks,
+confidence survival curves, a plateau freezer) that turn measured
+arrays into the same per-layer quantities; no CLI command calls them.
 """
 
 from repro.dynamics.base import DynamismScheme, StaticScheme

@@ -6,7 +6,8 @@ stages starve — the paper measures up to a 5x bubble-ratio increase,
 and early exit benefits the most from re-packing.
 
 - :func:`confidence_survival` — converts real per-token confidences
-  (from pilot-model hidden states) into a per-layer survival curve.
+  (e.g. from a model's per-layer hidden states) into a per-layer
+  survival curve.
 - :class:`EarlyExitDynamism` — calibrated survival process: no exits
   before ``exit_start_frac`` of the depth, then geometric decay whose
   rate strengthens as training progresses (a better model is more

@@ -7,7 +7,7 @@ why it unbalances a pipeline whose early stages suddenly have no
 backward work.
 
 :class:`PlateauFreezer` implements the criterion on real per-layer
-signal streams (e.g. parameter-update norms from the numpy pilot);
+signal streams (e.g. parameter-update norms);
 :class:`FreezingDynamism` drives it from a calibrated convergence-time
 model during simulated training.
 """

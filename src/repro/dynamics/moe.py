@@ -11,9 +11,7 @@ around it:
 - ``router="aux_loss"`` — Mixtral-style auxiliary loss keeps
   popularity loosely tethered to uniform (observed ~25% bubble);
 - ``router="sbase"`` — S-BASE balanced assignment: counts are equal up
-  to the ceil remainder plus a small assignment-latency penalty;
-- ``router="pilot"`` — take real counts from a
-  :class:`repro.nn.MoELayer` attached via :meth:`attach_pilot`.
+  to the ceil remainder plus a small assignment-latency penalty.
 
 The per-layer variation of the slowest-expert multiplier is what the
 balancer redistributes.
@@ -42,7 +40,7 @@ class MoEDynamism(DynamismScheme):
         seed: int | np.random.Generator = 0,
     ) -> None:
         super().__init__(specs)
-        if router not in ("aux_loss", "sbase", "pilot"):
+        if router not in ("aux_loss", "sbase"):
             raise ValueError(f"unknown router {router!r}")
         self.router = router
         self.tokens_per_iter = tokens_per_iter
@@ -64,23 +62,12 @@ class MoEDynamism(DynamismScheme):
             i: self.rng.normal(0.0, 1.0, size=specs[i].num_experts)
             for i in self.moe_layers
         }
-        self._pilot = None
         self.last_counts: dict[int, np.ndarray] = {}
-
-    def attach_pilot(self, moe_layers_by_spec: dict[int, "object"]) -> None:
-        """Map spec index -> repro.nn.MoELayer to use real router counts."""
-        self._pilot = moe_layers_by_spec
 
     # -- internals -------------------------------------------------------
     def _counts_for(self, spec_idx: int) -> np.ndarray:
         e = self.specs[spec_idx].num_experts
         n = self.tokens_per_iter
-        if self.router == "pilot" and self._pilot is not None:
-            layer = self._pilot.get(spec_idx)
-            if layer is not None:
-                c = np.asarray(layer.tokens_per_expert(), dtype=float)
-                if c.sum() > 0:
-                    return c
         if self.router == "sbase":
             base = np.full(e, n // e)
             base[: n % e] += 1

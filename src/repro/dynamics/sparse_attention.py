@@ -9,7 +9,7 @@ a 4x bubble-ratio increase in the paper.
 Two components:
 
 - :func:`lsh_block_mask` — a real LSH block-mask generator over numpy
-  hidden states (used with :class:`repro.nn.MultiHeadAttention`).
+  hidden states.
 - :class:`SparseAttentionDynamism` — calibrated per-layer density
   process for the cost model: each layer holds a beta-distributed base
   density that drifts, with per-iteration hash jitter.

@@ -103,7 +103,7 @@ MODEL_ZOO: dict[str, GPTConfig] = {
 
 
 def tiny_config(num_layers: int = 4, moe: bool = False) -> GPTConfig:
-    """Small config for unit tests and the numpy pilot model."""
+    """Small config for unit tests."""
     return GPTConfig(
         f"tiny-{num_layers}L{'-moe' if moe else ''}",
         num_layers=num_layers,

@@ -167,9 +167,6 @@ class ExecutionPolicy:
         return self.workers if self.workers is not None else (os.cpu_count() or 1)
 
 
-_JOBS_UNSET = object()
-
-
 class SweepTimeout(Exception):
     """Raised inside a worker when a run exceeds its time budget."""
 
@@ -506,37 +503,21 @@ class SweepRunner:
     journal already resolved (``ok`` or quarantined ``crashed``) are
     served without re-running.
 
-    The legacy ``jobs`` integer protocol (``0``/``1``/``N``/``None``)
-    is still accepted as a deprecated alias and mapped through
-    :meth:`ExecutionPolicy.from_jobs`.
+    The legacy ``jobs`` integer (``0``/``1``/``N``/``None``) maps to a
+    policy through :meth:`ExecutionPolicy.from_jobs`.
     """
 
     def __init__(
         self,
-        jobs: int | None = _JOBS_UNSET,  # type: ignore[assignment]
+        *,
         cache: ResultCache | None = None,
         timeout_s: float | None = None,
         progress: ProgressFn | None = None,
         refresh: bool = False,
-        *,
         policy: ExecutionPolicy | None = None,
         journal: SweepJournal | None = None,
     ) -> None:
-        if policy is not None and jobs is not _JOBS_UNSET:
-            raise ValueError(
-                "pass either policy= or the deprecated jobs=, not both"
-            )
-        if jobs is not _JOBS_UNSET:
-            warnings.warn(
-                "SweepRunner(jobs=...) is deprecated; pass "
-                "policy=ExecutionPolicy(backend=..., workers=...) instead "
-                "(jobs=0 -> 'batched', jobs=1 -> 'inline', jobs>1/None -> "
-                "'pool')",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            policy = ExecutionPolicy.from_jobs(jobs, timeout_s)
-        elif policy is None:
+        if policy is None:
             policy = ExecutionPolicy("inline", timeout_s=timeout_s)
         self.policy = policy
         self.cache = cache

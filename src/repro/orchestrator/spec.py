@@ -9,9 +9,10 @@ the sweep machinery work:
 * it has a stable content hash, so a disk cache can recognise a run
   it has already executed.
 
-The hash covers every field plus a schema version; bump
-``SPEC_SCHEMA_VERSION`` whenever the *meaning* of a field changes so
-stale cache entries are never served for new semantics.
+The hash covers every field plus two versions: bump
+``SPEC_SCHEMA_VERSION`` whenever the *meaning* of a field changes, and
+``SIM_VERSION`` whenever a change means to move a simulated number, so
+stale cache entries are never served for new semantics or new numbers.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
-import repro
-
 SPEC_SCHEMA_VERSION = 4  # v4: precision / recompute / memory_limit axes
+
+#: Version of the simulated numbers, hashed in place of the package
+#: version so a release that moves no number keeps caches and shard
+#: plans valid.
+SIM_VERSION = "1.2.0"
 
 #: Every contender `run_training` understands.
 MODES = (
@@ -98,14 +102,15 @@ class RunSpec:
     def spec_hash(self) -> str:
         """Stable 16-hex-char content hash of the spec.
 
-        The payload folds in the schema version *and* the package
-        version, so cached results are never served across simulator
-        code releases — a version bump invalidates the whole cache.
+        The payload folds in the schema version *and*
+        :data:`SIM_VERSION`, so cached results are never served across
+        changes that move simulated numbers — a bump invalidates the
+        whole cache.
         """
         payload = dict(
             self.to_dict(),
             _schema=SPEC_SCHEMA_VERSION,
-            _code=repro.__version__,
+            _code=SIM_VERSION,
         )
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.blake2b(blob.encode(), digest_size=8).hexdigest()

@@ -145,32 +145,13 @@ class TestExecutionPolicy:
             ExecutionPolicy("inline", timeout_s=0.0)
 
 
-class TestJobsDeprecation:
-    def test_jobs_kwarg_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            runner = SweepRunner(jobs=0)
-        assert runner.policy == ExecutionPolicy("batched")
-        with pytest.warns(DeprecationWarning):
-            runner = SweepRunner(jobs=3, timeout_s=5.0)
-        assert runner.policy.backend == "pool"
-        assert runner.policy.workers == 3 and runner.policy.timeout_s == 5.0
-
+class TestRunnerPolicy:
     def test_default_construction_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             runner = SweepRunner()
         assert runner.policy.backend == "inline"
 
-    def test_policy_and_jobs_together_rejected(self):
-        with pytest.raises(ValueError, match="both"):
-            SweepRunner(jobs=2, policy=ExecutionPolicy("inline"))
-
     def test_runner_jobs_property_reflects_policy(self):
         runner = SweepRunner(policy=ExecutionPolicy("pool", workers=5))
         assert runner.jobs == 5
-
-    def test_deprecated_jobs_still_runs(self):
-        with pytest.warns(DeprecationWarning):
-            runner = SweepRunner(jobs=1)
-        records = runner.run([tiny()])
-        assert records[0].ok

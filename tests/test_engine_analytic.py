@@ -6,11 +6,9 @@ handling or schedule generation fails loudly rather than shifting
 benchmark numbers quietly.
 """
 
-import numpy as np
 import pytest
 
 from repro.model.cost import LayerSpec, LayerState, ModelCost
-from repro.nn.moe import MoELayer
 from repro.pipeline import PipelineEngine, PipelinePlan
 
 
@@ -113,44 +111,3 @@ class TestAnalyticMakespans:
         tb = eng_b.run_iteration(plan, states).makespan
         # bottleneck stage: 2 layers -> F=2, B=4 -> 6 per micro
         assert (tb - ta) == pytest.approx(16 * 6.0)
-
-
-class TestMoEBackwardNumerical:
-    def test_moe_input_gradient(self):
-        """Finite-difference check of MoELayer's dx (gates treated as
-        constants w.r.t. x, matching the implementation's semantics)."""
-        rng = np.random.default_rng(0)
-        layer = MoELayer(8, num_experts=2, expansion=2, seed=0)
-        x = rng.normal(size=(1, 3, 8))
-        dy = rng.normal(size=(1, 3, 8))
-        y = layer(x)
-        routing = layer.last_routing
-        dx = layer.backward(dy)
-
-        # numerical gradient with routing frozen to the recorded one
-        eps = 1e-6
-
-        def forward_fixed(x_in):
-            x_flat = x_in.reshape(-1, 8)
-            y_flat = np.zeros_like(x_flat)
-            for expert_id, expert in enumerate(layer.experts):
-                tok, slot = np.nonzero(routing.assign == expert_id)
-                if tok.size == 0:
-                    continue
-                out = expert(x_flat[tok])
-                y_flat[tok] += routing.gates[tok, slot][:, None] * out
-            return y_flat.reshape(x_in.shape)
-
-        num = np.zeros_like(x)
-        it = np.nditer(x, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = x[idx]
-            x[idx] = orig + eps
-            fp = float((forward_fixed(x) * dy).sum())
-            x[idx] = orig - eps
-            fm = float((forward_fixed(x) * dy).sum())
-            x[idx] = orig
-            num[idx] = (fp - fm) / (2 * eps)
-            it.iternext()
-        assert np.allclose(dx, num, atol=1e-5)

@@ -1,5 +1,5 @@
 """Tests for extensions: hardware variability, hetero balancing,
-composite dynamism, traces, generation."""
+composite dynamism, traces."""
 
 import numpy as np
 import pytest
@@ -16,8 +16,6 @@ from repro.dynamics import (
 from repro.dynamics.composite import CompositeDynamism
 from repro.dynamics.pruning import GradualPruningSchedule
 from repro.model.cost import fresh_states, state_matrix
-from repro.nn import GPT
-from repro.nn.generate import clip_grad_norm, generate, generate_early_exit, sample_logits
 from repro.pipeline import PipelineEngine, PipelinePlan
 from repro.training.trace import TraceRecorder, TrainingTrace
 
@@ -228,56 +226,3 @@ class TestTrace:
         assert len(rec.trace) == 5
         assert rec.trace.bubble_series().shape == (5,)
 
-
-class TestGeneration:
-    @pytest.fixture(scope="class")
-    def gpt(self):
-        return GPT(vocab_size=32, hidden=16, num_layers=3, num_heads=2, max_seq=40, seed=0)
-
-    def test_greedy_deterministic(self, gpt):
-        out1 = generate(gpt, np.array([1, 2, 3]), max_new_tokens=5)
-        out2 = generate(gpt, np.array([1, 2, 3]), max_new_tokens=5)
-        assert np.array_equal(out1, out2)
-        assert out1.shape == (8,)
-
-    def test_sampling_seeded(self, gpt):
-        a = generate(gpt, np.array([1]), max_new_tokens=4, temperature=1.0, seed=7)
-        b = generate(gpt, np.array([1]), max_new_tokens=4, temperature=1.0, seed=7)
-        assert np.array_equal(a, b)
-
-    def test_sample_logits_validation(self):
-        with pytest.raises(ValueError):
-            sample_logits(np.zeros(4), temperature=-1)
-        assert sample_logits(np.array([0.0, 10.0]), temperature=0) == 1
-
-    def test_early_exit_decoding(self, gpt):
-        ids, exits = generate_early_exit(
-            gpt, np.array([1, 2]), max_new_tokens=4, confidence_threshold=0.01
-        )
-        assert ids.shape == (6,)
-        assert len(exits) == 4
-        # threshold ~0 means everything exits at the first eligible layer
-        assert all(e == 1 for e in exits)
-
-    def test_early_exit_full_depth_with_high_threshold(self, gpt):
-        _, exits = generate_early_exit(
-            gpt, np.array([1]), max_new_tokens=3, confidence_threshold=1.0
-        )
-        assert all(e == 3 for e in exits)
-
-    def test_early_exit_validation(self, gpt):
-        with pytest.raises(ValueError):
-            generate_early_exit(gpt, np.array([1]), confidence_threshold=0.0)
-        with pytest.raises(ValueError):
-            generate_early_exit(gpt, np.array([1]), min_layers=0)
-
-    def test_clip_grad_norm(self):
-        from repro.nn.parameter import Parameter
-
-        p = Parameter(np.zeros(4))
-        p.grad[...] = np.array([3.0, 4.0, 0.0, 0.0])
-        norm = clip_grad_norm([p], max_norm=1.0)
-        assert norm == pytest.approx(5.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            clip_grad_norm([p], 0)

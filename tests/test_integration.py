@@ -1,6 +1,5 @@
 """Cross-module integration tests: the full DynMo story end to end."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.megatron import megatron_uniform_plan
@@ -13,7 +12,6 @@ from repro.core import (
 from repro.dynamics import (
     EarlyExitDynamism,
     FreezingDynamism,
-    MoEDynamism,
     PruningDynamism,
 )
 from repro.dynamics.pruning import GradualPruningSchedule
@@ -60,46 +58,6 @@ class TestBalancedVsOracle:
             ctl = DynMoController(cost, comm, DynMoConfig(balancer="partition"))
             dyn = Trainer(cfg, cost, factory(), comm=comm, controller=ctl).run()
             assert dyn.tokens_per_s >= static.tokens_per_s * 0.99
-
-
-class TestMoEPilotIntegration:
-    def test_pilot_router_feeds_dynamism(self):
-        """MoEDynamism in 'pilot' mode consumes the numpy MoE layer's
-        real token counts."""
-        from repro.nn import MoELayer
-
-        cfg = GPTConfig("m", num_layers=4, hidden=64, num_heads=4, seq_len=32,
-                        vocab_size=256, moe_every=1, num_experts=4)
-        specs = build_layer_specs(cfg)
-        scheme = MoEDynamism(specs, router="pilot", seed=0)
-        layers = {}
-        rng = np.random.default_rng(0)
-        for i in scheme.moe_layers:
-            layer = MoELayer(64, num_experts=4, seed=i)
-            layer(rng.normal(size=(2, 32, 64)))  # populate routing
-            layers[i] = layer
-        scheme.attach_pilot(layers)
-        states = scheme.initial_states()
-        scheme.step(0, states)
-        mults = [states[i].moe_multiplier for i in scheme.moe_layers]
-        assert all(m >= 1.0 for m in mults)
-        assert max(mults) > 1.0  # real routing is imbalanced
-
-    def test_pilot_counts_match_layer(self):
-        from repro.nn import MoELayer
-
-        cfg = GPTConfig("m", num_layers=2, hidden=32, num_heads=4, seq_len=16,
-                        vocab_size=64, moe_every=1, num_experts=4)
-        specs = build_layer_specs(cfg)
-        scheme = MoEDynamism(specs, router="pilot", seed=0)
-        layer = MoELayer(32, num_experts=4, seed=0)
-        layer(np.random.default_rng(1).normal(size=(1, 16, 32)))
-        scheme.attach_pilot({scheme.moe_layers[0]: layer})
-        states = scheme.initial_states()
-        scheme.step(0, states)
-        counts = layer.tokens_per_expert().astype(float)
-        expected = counts.max() / (counts.sum() / 4)
-        assert states[scheme.moe_layers[0]].moe_multiplier == pytest.approx(expected)
 
 
 class TestCheckpointRepackRestart:

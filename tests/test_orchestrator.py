@@ -46,11 +46,27 @@ class TestRunSpec:
         assert base.spec_hash != tiny(balance_cost="measured").spec_hash
 
     def test_hash_covers_code_version(self, monkeypatch):
-        import repro
+        from repro.orchestrator import spec as spec_mod
 
         before = tiny().spec_hash
-        monkeypatch.setattr(repro, "__version__", "999.0.0")
+        monkeypatch.setattr(spec_mod, "SIM_VERSION", "999.0.0")
         assert tiny().spec_hash != before
+
+    def test_package_version_does_not_move_hashes(self, monkeypatch):
+        """A release that moves no number keeps caches and shard plans."""
+        import repro
+        from repro.distrib.plan import ShardPlan
+
+        specs = [tiny(), tiny(seed=1)]
+        before = [s.spec_hash for s in specs], ShardPlan.build(specs, 2).plan_id
+        monkeypatch.setattr(repro, "__version__", "999.0.0")
+        after = [s.spec_hash for s in specs], ShardPlan.build(specs, 2).plan_id
+        assert after == before
+
+    def test_default_spec_hash_is_pinned(self):
+        # moves only when SIM_VERSION, SPEC_SCHEMA_VERSION or a field
+        # default changes; any of those must say why in its commit
+        assert RunSpec(scenario="pruning").spec_hash == "23d98aeca110d90e"
 
     def test_dict_roundtrip(self):
         spec = tiny(mode="dynmo-diffusion", seed=3, repack=True, repack_target=2)
@@ -92,6 +108,17 @@ class TestExecuteSpec:
         record = execute_spec(tiny(mode="dense-baseline"))
         assert record.status == "error"
         assert record.error_type == "ValueError"
+
+    @pytest.mark.parametrize(
+        "scenario", ["pruning", "freezing", "sparse_attention", "early_exit", "mod"]
+    )
+    def test_tutel_needs_moe_layers(self, scenario):
+        # rejected while building the run, not as an AttributeError at
+        # iteration 0
+        record = execute_spec(tiny(scenario=scenario, mode="tutel"))
+        assert record.status == "error"
+        assert record.error_type == "ValueError"
+        assert "tutel" in record.error and scenario in record.error
 
     def test_unwrap_raises_on_failure(self):
         record = execute_spec(tiny(mode="dense-baseline"))
