@@ -2,7 +2,8 @@
 
 Times one ``simulate_many`` call over N scenarios
 against N calls of the compiled scalar ``run_iteration`` (and the
-reference ready-loop) at sweep-realistic shapes, and writes a
+reference ready-loop of ``tests/engine_oracle.py``) at sweep-realistic
+shapes, and writes a
 ``BENCH_batched.json`` artifact tracked commit-over-commit (the CI
 bench-smoke job runs this script and
 ``scripts/check_bench_regression.py`` gates on the committed baseline).
@@ -26,6 +27,7 @@ import json
 import platform
 import sys
 import time
+from pathlib import Path
 
 from repro.dynamics.pruning import GradualPruningSchedule, PruningDynamism
 from repro.model.config import gpt_24
@@ -33,6 +35,9 @@ from repro.model.cost import ModelCost, build_layer_specs
 from repro.pipeline.batched import simulate_many
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.plan import PipelinePlan
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import engine_oracle  # noqa: E402
 
 #: (label, stages, micro-batches) — ``default`` is the sweep CLI's
 #: 8-stage shape (micro = 4 x stages), ``large`` the MoE/paper-style
@@ -86,9 +91,6 @@ def run_grid(
         plan = PipelinePlan.uniform(NUM_LAYERS, S)
         for sched in SCHEDULES:
             engine = PipelineEngine(cost, None, schedule=sched, num_micro=M)
-            reference = PipelineEngine(
-                cost, None, schedule=sched, num_micro=M, use_compiled=False
-            )
             for n in batch_sizes:
                 scenarios = [(plan, states) for states in all_states[:n]]
                 requests = [(engine, plan, states) for states in all_states[:n]]
@@ -113,7 +115,7 @@ def run_grid(
                 if include_reference:
                     def ref():
                         for p, states in scenarios:
-                            reference.run_iteration(p, states)
+                            engine_oracle.run_iteration(engine, p, states)
 
                     row["reference_ms"] = _best_of(ref, max(1, repeats // 2)) * 1e3
                 rows.append(row)

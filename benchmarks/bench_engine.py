@@ -1,6 +1,7 @@
-"""Engine-core microbenchmark: compiled fast path vs reference loop.
+"""Engine-core microbenchmark: compiled executor vs reference loop.
 
-Times ``PipelineEngine.run_iteration`` over the 1f1b/zb/gpipe x
+Times ``PipelineEngine.run_iteration`` against the reference ready-loop
+(``tests/engine_oracle.py``, the test oracle) over the 1f1b/zb/gpipe x
 small/large S·M grid and writes a ``BENCH_engine.json`` artifact so
 the perf trajectory is tracked commit-over-commit (the CI bench-smoke
 job runs this script and ``scripts/check_bench_regression.py`` gates
@@ -21,11 +22,15 @@ import json
 import platform
 import sys
 import time
+from pathlib import Path
 
 from repro.model.config import gpt_24
 from repro.model.cost import ModelCost, build_layer_specs, fresh_states
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.plan import PipelinePlan
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import engine_oracle  # noqa: E402
 
 #: (label, stages, micro-batches) — small is the CLI default shape,
 #: large is the paper-scale stress point from the issue.
@@ -37,13 +42,13 @@ SCHEDULES = ("1f1b", "zb", "gpipe")
 NUM_LAYERS = 26  # gpt-24: embedding + 24 blocks + head
 
 
-def _time_once(engine: PipelineEngine, plan, states, repeats: int) -> float:
-    """Best-of-``repeats`` seconds for one run_iteration call."""
-    engine.run_iteration(plan, states)  # warm the compile cache
+def _time_once(run, repeats: int) -> float:
+    """Best-of-``repeats`` seconds for one ``run()`` call."""
+    run()  # warm the compile cache
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        engine.run_iteration(plan, states)
+        run()
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -56,12 +61,12 @@ def run_grid(repeats: int = 5) -> list[dict]:
     for label, S, M in GRID:
         plan = PipelinePlan.uniform(NUM_LAYERS, S)
         for sched in SCHEDULES:
-            fast = PipelineEngine(cost, None, schedule=sched, num_micro=M)
-            ref = PipelineEngine(
-                cost, None, schedule=sched, num_micro=M, use_compiled=False
+            engine = PipelineEngine(cost, None, schedule=sched, num_micro=M)
+            t_fast = _time_once(lambda: engine.run_iteration(plan, states), repeats)
+            t_ref = _time_once(
+                lambda: engine_oracle.run_iteration(engine, plan, states),
+                max(2, repeats // 2),
             )
-            t_fast = _time_once(fast, plan, states, repeats)
-            t_ref = _time_once(ref, plan, states, max(2, repeats // 2))
             rows.append(
                 {
                     "case": f"{sched}-{label}",

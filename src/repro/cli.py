@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
+from typing import Any, Callable
 
+from repro.cluster.topology import parse_cluster
 from repro.experiments import (
     SCENARIOS,
     ascii_table,
@@ -36,6 +39,7 @@ from repro.experiments import (
     run_figure4_repacking,
     run_overhead_table,
 )
+from repro.experiments.common import parse_memory_limit
 from repro.orchestrator import (
     MODES,
     ExecutionPolicy,
@@ -54,16 +58,63 @@ from repro.orchestrator import (
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
+# -- argument types: reject bad values while parsing, before any runner,
+# cache or pool exists (argparse names the flag and exits 2) -------------
+
+
+def _number(kind: type, low: float, strict: bool) -> Callable[[str], Any]:
+    """A ``kind`` number above ``low`` (or equal to it unless ``strict``)."""
+    bound = f"{'>' if strict else '>='} {low:g}"
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind.__name__} {bound}, got {text!r}"
+            ) from None
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    return parse
+
+
+_positive_int = _number(int, 0, strict=True)
+_non_negative_int = _number(int, 0, strict=False)
+_positive_float = _number(float, 0.0, strict=True)
+_non_negative_float = _number(float, 0.0, strict=False)
+
+
+def _cluster_spec(text: str) -> str:
+    """A ``parse_cluster`` spec, returned unchanged ("" = auto-sized)."""
+    if text:
+        try:
+            parse_cluster(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _memory_limit(text: str) -> str:
+    """A ``parse_memory_limit`` value, returned unchanged ("" = none)."""
+    try:
+        parse_memory_limit(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--layers", type=int, nargs="+", default=[24])
-    p.add_argument("--stages", type=int, default=8)
-    p.add_argument("--dp", type=int, default=1)
-    p.add_argument("--iterations", type=int, default=150)
+    p.add_argument("--layers", type=_positive_int, nargs="+", default=[24])
+    p.add_argument("--stages", type=_positive_int, default=8)
+    p.add_argument("--dp", type=_positive_int, default=1)
+    p.add_argument("--iterations", type=_positive_int, default=150)
 
 
 def _add_runner_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_non_negative_int, default=1,
         help="execution backend: 0 = batched in-process executor (steps "
              "all runs together and simulates each iteration's cache "
              "misses vectorized, no worker processes), 1 = serial in-process, "
@@ -74,7 +125,7 @@ def _add_runner_flags(p: argparse.ArgumentParser) -> None:
         "--cache-dir", default=None,
         help="serve identical runs from this result cache directory",
     )
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+    p.add_argument("--timeout", type=_positive_float, default=None, metavar="SECONDS",
                    help="per-run time budget (sweep records over-budget runs as "
                         "failed rows; figure commands abort on them; with "
                         "--jobs 0 the N runs share an N x budget "
@@ -85,13 +136,13 @@ def _add_runner_flags(p: argparse.ArgumentParser) -> None:
              "wall-clock cost as overhead",
     )
     p.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_positive_int, default=None, metavar="N",
         help="total attempts for chunks hit by transient worker faults "
              "(BrokenProcessPool/OSError); deterministic sim errors are "
              "never retried (default: 3)",
     )
     p.add_argument(
-        "--retry-backoff", type=float, default=None, metavar="SECONDS",
+        "--retry-backoff", type=_non_negative_float, default=None, metavar="SECONDS",
         help="base backoff before the first retry, doubling per attempt "
              "(deterministic, no jitter; default: 0.05)",
     )
@@ -112,7 +163,7 @@ def _add_topology_flags(p: argparse.ArgumentParser, multi: bool = False) -> None
             help="stage→rank placement strategy",
         )
     p.add_argument(
-        "--cluster", default=None, metavar="SPEC",
+        "--cluster", type=_cluster_spec, default=None, metavar="SPEC",
         help="cluster topology spec, e.g. '4x4' or '2x8+2x4' for mixed "
              "node sizes (default: auto-sized homogeneous 4-GPU nodes)",
     )
@@ -134,7 +185,7 @@ def _add_memory_flags(p: argparse.ArgumentParser) -> None:
              "replays the forward, as ModelCost already charges)",
     )
     p.add_argument(
-        "--memory-limit", default="", metavar="BYTES|auto",
+        "--memory-limit", type=_memory_limit, default="", metavar="BYTES|auto",
         help="enforce the per-stage memory model: 'auto' caps each stage "
              "at its placed ranks' own device capacity, a byte count "
              "like 40e9 caps every stage at that budget; runs that "
@@ -150,7 +201,7 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--mode", nargs="+", default=["megatron", "dynmo-partition"], choices=MODES
     )
-    p.add_argument("--seeds", type=int, nargs="+", default=[0])
+    p.add_argument("--seeds", type=_non_negative_int, nargs="+", default=[0])
     p.add_argument("--schedule", default="zb", choices=["gpipe", "1f1b", "zb"])
     _add_topology_flags(p, multi=True)
     p.add_argument(
@@ -643,8 +694,13 @@ def cmd_cache(args) -> int:
     orphaned ``*.tmp.*`` files from writers that died mid-write;
     ``stats`` is the same audit without touching anything.  Exit
     status is 1 when corrupt or quarantined entries remain — CI runs
-    ``repro cache verify`` to assert a clean cache.
+    ``repro cache verify`` to assert a clean cache — and 2 when there is
+    no cache directory at all (a mistyped path must not pass as a
+    clean, empty cache).
     """
+    if not os.path.isdir(args.cache_dir):
+        print(f"no result cache at {args.cache_dir}", file=sys.stderr)
+        return 2
     cache = ResultCache(args.cache_dir)
     if args.action == "gc":
         audit = cache.gc(corrupt_age_s=args.corrupt_age)
@@ -829,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runner_flags(p4)
     _add_topology_flags(p4)
     p4.add_argument("--scenario", nargs="+", default=["pruning"], choices=SCENARIOS)
-    p4.add_argument("--gpus", type=int, nargs="+", default=[8, 6, 4, 2])
+    p4.add_argument("--gpus", type=_positive_int, nargs="+", default=[8, 6, 4, 2])
     p4.set_defaults(fn=cmd_fig4)
 
     po = sub.add_parser("overhead", help="Figure 4 right: balancing overhead")
@@ -850,15 +906,15 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument(
         "--scenario", nargs="+", default=["pruning"], choices=SCENARIOS
     )
-    pm.add_argument("--depths", type=int, nargs="+", default=[24, 32, 40, 48],
+    pm.add_argument("--depths", type=_positive_int, nargs="+", default=[24, 32, 40, 48],
                     help="model depths (layer counts) to probe")
     pm.add_argument(
-        "--clusters", nargs="+",
+        "--clusters", type=_cluster_spec, nargs="+",
         default=["1x2", "1x4", "1x8", "2x8+2x4:a100"],
         metavar="SPEC",
         help="cluster shapes to probe, e.g. '1x8' or '2x8+2x4:a100'",
     )
-    pm.add_argument("--iterations", type=int, default=60)
+    pm.add_argument("--iterations", type=_positive_int, default=60)
     pm.add_argument("--schedule", default="zb", choices=["gpipe", "1f1b", "zb"])
     pm.add_argument("--no-failure", action="store_true",
                     help="skip the faulty variant of each cell")
@@ -880,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
              "then merge — any number of hosts may run this command "
              "concurrently against the same directory",
     )
-    ps.add_argument("--shards", type=int, default=8, metavar="N",
+    ps.add_argument("--shards", type=_positive_int, default=8, metavar="N",
                     help="shard count when publishing a new plan "
                          "(ignored when joining an existing one)")
     ps.add_argument("--worker-id", default=None, metavar="ID",
@@ -923,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", nargs="+", default=["megatron", "dynmo-partition"], choices=MODES
     )
     pn.add_argument("--schedule", default="zb", choices=["gpipe", "1f1b", "zb"])
-    pn.add_argument("--n", type=int, default=64, metavar="N",
+    pn.add_argument("--n", type=_positive_int, default=64, metavar="N",
                     help="sampled traces per (scenario x mode) group")
     pn.add_argument("--trace-seed", type=int, default=0, metavar="SEED0",
                     help="draw i uses trace seed SEED0+i")
@@ -959,8 +1015,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--out", default=None, metavar="TRACE.json",
                     help="write the trace to this file (else print only)")
     pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--iterations", type=int, default=150)
-    pe.add_argument("--ranks", type=int, default=8,
+    pe.add_argument("--iterations", type=_positive_int, default=150)
+    pe.add_argument("--ranks", type=_positive_int, default=8,
                     help="cluster size the random trace draws ranks from")
     pe.add_argument("--failure-rate", type=float, default=0.0,
                     help="per-iteration probability of one rank failing")
@@ -1018,7 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runner_flags(sp)
     _add_grid_flags(sp)
     sp.add_argument("--shard-dir", required=True, metavar="DIR")
-    sp.add_argument("--shards", type=int, default=8, metavar="N",
+    sp.add_argument("--shards", type=_positive_int, default=8, metavar="N",
                     help="number of contiguous shards to split the grid into")
     sp.set_defaults(fn=cmd_shard, action="plan", jobs=1, cache_dir=None)
 
@@ -1092,14 +1148,23 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--scenario", nargs="+", default=["early_exit"], choices=SCENARIOS)
     pg.add_argument("--balanced", action="store_true", help="apply DynMo first")
     pg.add_argument("--schedule", default="zb", choices=["gpipe", "1f1b", "zb"])
-    pg.add_argument("--micro", type=int, default=8)
-    pg.add_argument("--width", type=int, default=96)
+    pg.add_argument("--micro", type=_positive_int, default=8)
+    pg.add_argument("--width", type=_positive_int, default=96)
     pg.set_defaults(fn=cmd_gantt)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    layers = getattr(args, "layers", None)
+    # megatron_uniform_plan gives every stage at least one block; the
+    # paper-scale grids pick their own stage counts
+    if layers and not getattr(args, "paper_scale", False) and args.stages > min(layers):
+        parser.error(
+            f"--stages {args.stages} exceeds --layers {min(layers)}: "
+            "every pipeline stage needs at least one transformer block"
+        )
     return args.fn(args)
 
 

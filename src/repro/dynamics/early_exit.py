@@ -5,13 +5,10 @@ threshold.  Exits concentrate in *later* layers, so late pipeline
 stages starve — the paper measures up to a 5x bubble-ratio increase,
 and early exit benefits the most from re-packing.
 
-- :func:`confidence_survival` — converts real per-token confidences
-  (e.g. from a model's per-layer hidden states) into a per-layer
-  survival curve.
-- :class:`EarlyExitDynamism` — calibrated survival process: no exits
-  before ``exit_start_frac`` of the depth, then geometric decay whose
-  rate strengthens as training progresses (a better model is more
-  confident earlier).
+:class:`EarlyExitDynamism` is a calibrated survival process: no exits
+before ``exit_start_frac`` of the depth, then geometric decay whose
+rate strengthens as training progresses (a better model is more
+confident earlier).
 """
 
 from __future__ import annotations
@@ -22,26 +19,6 @@ from repro.dynamics.base import DynamismScheme
 from repro.model.cost import LayerSpec, LayerState
 from repro.utils.rng import new_rng
 from repro.utils.validation import check_prob
-
-
-def confidence_survival(confidences: np.ndarray, threshold: float) -> np.ndarray:
-    """Per-layer token survival from per-(layer, token) confidences.
-
-    confidences: (L, N) — confidence of token n after layer l
-    (monotone-increasing along depth for CALM-style measures, but not
-    required).  A token exits at the first layer where confidence >=
-    threshold; survival[l] = fraction of tokens still alive *entering*
-    layer l.
-    """
-    if confidences.ndim != 2:
-        raise ValueError("confidences must be (L, N)")
-    L, N = confidences.shape
-    exited = np.zeros(N, dtype=bool)
-    survival = np.empty(L)
-    for l in range(L):
-        survival[l] = 1.0 - exited.mean()
-        exited |= confidences[l] >= threshold
-    return survival
 
 
 class EarlyExitDynamism(DynamismScheme):

@@ -6,10 +6,8 @@ converge first, so freezing sweeps front-to-back — which is exactly
 why it unbalances a pipeline whose early stages suddenly have no
 backward work.
 
-:class:`PlateauFreezer` implements the criterion on real per-layer
-signal streams (e.g. parameter-update norms);
-:class:`FreezingDynamism` drives it from a calibrated convergence-time
-model during simulated training.
+:class:`FreezingDynamism` drives the criterion from a calibrated
+convergence-time model during simulated training.
 """
 
 from __future__ import annotations
@@ -19,45 +17,6 @@ import numpy as np
 from repro.dynamics.base import DynamismScheme
 from repro.model.cost import LayerSpec, LayerState
 from repro.utils.rng import new_rng
-
-
-class PlateauFreezer:
-    """Freeze when an exponential moving rate-of-change plateaus.
-
-    feed(layer, value) with a convergence metric (loss contribution,
-    update norm); ``should_freeze`` becomes True when the relative EMA
-    change stays below ``threshold`` for ``patience`` consecutive feeds.
-    """
-
-    def __init__(self, num_layers: int, threshold: float = 0.02, patience: int = 3, ema: float = 0.7):
-        if num_layers <= 0:
-            raise ValueError("num_layers must be positive")
-        self.threshold = threshold
-        self.patience = patience
-        self.ema_coeff = ema
-        self._ema = [None] * num_layers
-        self._calm_streak = [0] * num_layers
-        self.frozen = [False] * num_layers
-
-    def feed(self, layer: int, value: float) -> bool:
-        """Returns True if this feed froze the layer."""
-        if self.frozen[layer]:
-            return False
-        prev = self._ema[layer]
-        if prev is None:
-            self._ema[layer] = value
-            return False
-        ema = self.ema_coeff * prev + (1 - self.ema_coeff) * value
-        self._ema[layer] = ema
-        rel = abs(ema - prev) / (abs(prev) + 1e-12)
-        if rel < self.threshold:
-            self._calm_streak[layer] += 1
-        else:
-            self._calm_streak[layer] = 0
-        if self._calm_streak[layer] >= self.patience:
-            self.frozen[layer] = True
-            return True
-        return False
 
 
 class FreezingDynamism(DynamismScheme):

@@ -6,13 +6,9 @@ dependent* block-sparse causal mask.  Different layers hash different
 representations, so per-layer attention density varies per iteration —
 a 4x bubble-ratio increase in the paper.
 
-Two components:
-
-- :func:`lsh_block_mask` — a real LSH block-mask generator over numpy
-  hidden states.
-- :class:`SparseAttentionDynamism` — calibrated per-layer density
-  process for the cost model: each layer holds a beta-distributed base
-  density that drifts, with per-iteration hash jitter.
+:class:`SparseAttentionDynamism` is a calibrated per-layer density
+process for the cost model: each layer holds a beta-distributed base
+density that drifts, with per-iteration hash jitter.
 """
 
 from __future__ import annotations
@@ -22,43 +18,6 @@ import numpy as np
 from repro.dynamics.base import DynamismScheme
 from repro.model.cost import LayerSpec, LayerState
 from repro.utils.rng import new_rng
-
-
-def lsh_block_mask(
-    x: np.ndarray,
-    block_size: int = 16,
-    num_hashes: int = 4,
-    seed: int | np.random.Generator = 0,
-) -> np.ndarray:
-    """Content-based block mask from random-projection LSH.
-
-    x: (T, H) hidden states.  Tokens are bucketed by the sign pattern
-    of ``num_hashes`` random projections; a (query-block, key-block)
-    tile is live iff the two blocks share at least one bucket.
-    Causality is enforced by the attention layer itself.
-    """
-    if x.ndim != 2:
-        raise ValueError("x must be (T, H)")
-    T, H = x.shape
-    rng = new_rng(seed)
-    proj = rng.normal(size=(H, num_hashes))
-    codes = (x @ proj > 0).astype(np.int64)  # (T, num_hashes)
-    buckets = codes @ (1 << np.arange(num_hashes))  # (T,)
-    nb = (T + block_size - 1) // block_size
-    pad = nb * block_size - T
-    if pad:
-        buckets = np.concatenate([buckets, np.full(pad, -1)])
-    blocks = buckets.reshape(nb, block_size)
-    # per-block bucket sets -> pairwise intersection via bitsets
-    nbuckets = 1 << num_hashes
-    present = np.zeros((nb, nbuckets), dtype=bool)
-    for b in range(nb):
-        vals = blocks[b]
-        present[b, vals[vals >= 0]] = True
-    inter = present @ present.T  # (nb, nb) counts of shared buckets
-    mask = inter > 0
-    np.fill_diagonal(mask, True)  # a block always attends to itself
-    return mask
 
 
 class SparseAttentionDynamism(DynamismScheme):

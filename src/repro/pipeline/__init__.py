@@ -6,9 +6,10 @@
 - :mod:`engine` — dependency-exact discrete-event simulation of one
   training iteration, yielding makespan, per-worker busy/idle time and
   the bubble ratio (the paper's Fig. 1 metric);
-- :mod:`compiled` — process-wide cached flat op tables and the fast
+- :mod:`compiled` — process-wide cached flat op tables, the
   topological executor behind ``PipelineEngine.run_iteration``
-  (bit-identical to the reference ready-loop);
+  (timelines included) and ``merge_lane``, the one zero-bubble
+  W-filler both executors call;
 - :mod:`batched` — vectorized multi-run replay of the compiled op
   tables: :func:`~repro.pipeline.batched.simulate_many`, the one
   batched entry point, runs N scenarios as one level-by-level NumPy

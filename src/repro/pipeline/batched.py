@@ -18,16 +18,17 @@ This module stacks the N per-run duration/transfer tables into
 - one level executes as a handful of NumPy column operations —
   ``finish[:, ops] = maximum(finish[:, pred] + xfer, worker_time) + dur``
   — instead of N Python iterations per op;
-- the ZB weight-grad filler replays the exact two-pointer merge per
-  scenario over gap lists extracted vectorized from the cascade (the
-  merge is data-dependent control flow; its inputs and arithmetic are
+- the ZB weight-grad filler runs the scalar executor's
+  :func:`~repro.pipeline.compiled.merge_lane` per scenario, over gap
+  lists extracted vectorized from the cascade (the merge is
+  data-dependent control flow; its inputs and arithmetic are
   identical, so its outputs are too).
 
 Bit-identity: per scenario column, the same IEEE-754 operations run in
 the same order as the scalar compiled executor (elementwise float64
 ``maximum``/``+`` are the same operations CPython performs on floats),
-so every scenario's ``IterationResult`` is bit-identical to both the
-compiled scalar path and the reference ready-loop.
+so every scenario's ``IterationResult`` is bit-identical to the scalar
+path's.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.model.cost import state_matrix
-from repro.pipeline.compiled import CompiledSchedule, compile_schedule
+from repro.pipeline.compiled import CompiledSchedule, compile_schedule, merge_lane
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.model.cost import LayerState
@@ -65,7 +66,7 @@ class BatchStats:
     calls: int = 0
     batched_lanes: int = 0  # scenarios executed in a vectorized bin
     scalar_singleton: int = 0  # bins of one (scalar, but batchable)
-    scalar_unbatchable: int = 0  # timeline / use_compiled=False engines
+    scalar_unbatchable: int = 0  # timeline-recording engines
 
     def reset(self) -> None:
         self.calls = 0
@@ -105,13 +106,6 @@ class CompiledLevels:
     stage_ops: tuple[np.ndarray, ...]
     #: per stage, level-major ids of its B ops in execution order
     b_ids: tuple[np.ndarray, ...]
-    #: True when every stage's B micros ascend in execution order, i.e.
-    #: the scalar filler's ``sorted((finish, micro))`` is provably the
-    #: identity for *any* non-negative durations (finish times per stage
-    #: are non-decreasing in execution order).  Always true for the
-    #: schedules in this repo; a False value routes zb runs through the
-    #: scalar path instead of silently reordering fills.
-    b_sorted: bool
 
     @property
     def num_ops(self) -> int:
@@ -155,14 +149,7 @@ def compile_levels(name: str, num_stages: int, num_micro: int) -> CompiledLevels
     )
 
     stage_ops = tuple(np.nonzero(stage_arr == s)[0] for s in range(S))
-    b_ids = tuple(
-        np.asarray([inv[op_id] for op_id, _ in cs.b_ops[s]], dtype=np.intp)
-        for s in range(S)
-    )
-    b_sorted = all(
-        all(a < b for a, b in zip(micros, micros[1:]))
-        for micros in ([m for _, m in cs.b_ops[s]] for s in range(S))
-    )
+    b_ids = tuple(np.asarray(inv[list(cs.b_ops[s])], dtype=np.intp) for s in range(S))
     return CompiledLevels(
         cs=cs,
         levels=levels,
@@ -170,7 +157,6 @@ def compile_levels(name: str, num_stages: int, num_micro: int) -> CompiledLevels
         edge=edge,
         stage_ops=stage_ops,
         b_ids=b_ids,
-        b_sorted=b_sorted,
     )
 
 
@@ -191,12 +177,6 @@ def execute_compiled_batched(
     same row of inputs.
     """
     cs = lv.cs
-    if cs.zb and not lv.b_sorted:
-        raise ValueError(
-            f"schedule {cs.name!r} emits B ops out of micro order; "
-            "the batched ZB filler requires the compile-time order "
-            "(run these scenarios through the scalar path)"
-        )
     n, S = fwd.shape[0], cs.num_stages
     num_ops = lv.num_ops
     dur = np.concatenate([fwd, bwd], axis=1)
@@ -246,18 +226,14 @@ def _fill_weight_grads_batched(
     worker_time: np.ndarray,
     busy: np.ndarray,
 ) -> None:
-    """Per-scenario exact replay of the two-pointer W filler.
+    """Per-scenario :func:`~repro.pipeline.compiled.merge_lane`.
 
     The merge itself is data-dependent control flow (which W item lands
     in which gap differs per scenario), so it stays scalar per lane —
     but everything feeding it is vectorized: gap intervals come from the
     cascade's ``(start > worker_time)`` columns via one ``nonzero`` per
     stage, and item availabilities are one gather of the B-op finish
-    columns.  The per-lane loop performs the same operations on the same
-    values in the same order as
-    :func:`repro.pipeline.compiled._fill_weight_grads_merged`, minus the
-    per-run ``sorted()`` — the compile-time B order is provably the sort
-    order (finishes are non-decreasing per stage, micros ascend).
+    columns, in the execution order the merge expects.
     """
     n, S = wgt.shape[0], lv.cs.num_stages
     for s in range(S):
@@ -273,12 +249,10 @@ def _fill_weight_grads_batched(
         ops = lv.stage_ops[s]
         g0m = wts[:, ops]
         g1m = starts[:, ops]
-        rows, cols = np.nonzero(g1m > g0m)  # row-major: per-lane chronological
-        g0v = g0m[rows, cols].tolist()
-        g1v = g1m[rows, cols].tolist()
-        offs = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=n), out=offs[1:])
-        offs_l = offs.tolist()
+        is_gap = g1m > g0m
+        g0v = g0m[is_gap].tolist()  # row-major: per-lane chronological
+        g1v = g1m[is_gap].tolist()
+        offs_l = [0, *np.cumsum(is_gap.sum(axis=1)).tolist()]
         avail_rows = finish[:, b].tolist()
         per_w_l = per_w_col.tolist()
         partials = [0.0] * n
@@ -288,17 +262,12 @@ def _fill_weight_grads_batched(
             if per_w <= 0:
                 continue
             lo, hi = offs_l[lane], offs_l[lane + 1]
-            res = _merge_lane_head(
-                g0v, g1v, lo, hi, avail_rows[lane], per_w, n_items
+            partials[lane], tails[lane] = merge_lane(
+                g0v[lo:hi], g1v[lo:hi], avail_rows[lane], per_w
             )
-            if res is None:  # FP sliver corner: general per-item merge
-                res = _merge_lane(
-                    g0v, g1v, lo, hi, avail_rows[lane], per_w, n_items
-                )
-            partials[lane], tails[lane] = res
-        # Finish each lane's leftover sum vectorized: the reference adds
-        # the untouched tail items — ``tails[lane]`` copies of per_w —
-        # one by one onto the touched prefix's partial sum.  A row-wise
+        # Finish each lane's leftover sum vectorized: the scalar path
+        # adds the untouched tail items — ``tails[lane]`` copies of
+        # per_w — one by one onto the partial sum.  A row-wise
         # ``add.accumulate`` performs exactly those sequential float64
         # adds; rows are padded with 0.0 (x + 0.0 == x for the
         # non-negative work amounts here), and lanes with per_w <= 0
@@ -315,117 +284,6 @@ def _fill_weight_grads_batched(
         worker_time[:, s] += leftovers
 
 
-def _merge_lane_head(
-    g0v: list,
-    g1v: list,
-    lo: int,
-    hi: int,
-    avails: list,
-    per_w: float,
-    n_items: int,
-) -> tuple[float, int] | None:
-    """Single-partial-head replay of the two-pointer merge for one lane.
-
-    Invariant of the scalar merge: at most one item is ever partially
-    drained (the head at ``ptr``) — an item is only left partial when
-    its gap is exhausted, and the next gap resumes at that same item —
-    so the whole ``left`` array collapses to one running value.  The
-    float64 operations (max, sub, cmp, add) run on the same values in
-    the same order as ``_fill_weight_grads_merged``.  Returns
-    ``(partial, tail)`` like :func:`_merge_lane`, or None on the one FP
-    corner that breaks the invariant ("sliver": ``start + cap < g1``
-    after a gap-exhausting fill, so the scalar loop pours the *next*
-    item into the remaining sliver of the same gap) — the caller then
-    re-runs the lane with the general per-item merge.
-    """
-    ptr = 0
-    lh = per_w
-    gi = lo
-    while gi < hi and ptr < n_items:
-        g0 = g0v[gi]
-        g1 = g1v[gi]
-        while True:
-            avail = avails[ptr]
-            if avail >= g1:
-                break
-            start = g0 if g0 > avail else avail
-            cap = g1 - start
-            if lh <= cap:
-                g0 = start + lh
-                ptr += 1
-                lh = per_w
-                if ptr >= n_items or g0 >= g1:
-                    break
-            else:
-                lh = lh - cap
-                g0 = start + cap
-                if g0 >= g1:
-                    break
-                return None  # sliver: general merge handles it
-        gi += 1
-    if ptr >= n_items:
-        return 0.0, 0
-    touched = lh < per_w
-    return (lh if touched else 0.0), n_items - ptr - touched
-
-
-def _merge_lane(
-    g0v: list,
-    g1v: list,
-    lo: int,
-    hi: int,
-    avails: list,
-    per_w: float,
-    n_items: int,
-) -> tuple[float, int]:
-    """One lane-stage of the sorted two-pointer merge.
-
-    Verbatim arithmetic of ``_fill_weight_grads_merged`` (same max/min/
-    +/- on the same values in the same order), with gaps taken from
-    ``g0v``/``g1v``[lo:hi] and item availabilities from ``avails``.
-    Returns ``(partial, tail)``: the reference's leftover sum over the
-    *touched* item prefix (zero entries skipped — adding 0.0 is the
-    identity) and the count of untouched trailing items, each still
-    holding exactly ``per_w``, for the caller's vectorized tail adds.
-    """
-    left = [per_w] * n_items
-    ptr = 0
-    touched = 0  # items [0, touched) may have been modified
-    for gi in range(lo, hi):
-        if ptr >= n_items:
-            break
-        g0 = g0v[gi]
-        g1 = g1v[gi]
-        j = ptr
-        while j < n_items:
-            lw = left[j]
-            if lw <= 0.0:
-                j += 1
-                continue
-            avail = avails[j]
-            if avail >= g1:
-                break
-            start = g0 if g0 > avail else avail
-            cap = g1 - start
-            use = lw if lw <= cap else cap
-            left[j] = lw - use
-            if j >= touched:
-                touched = j + 1
-            g0 = start + use
-            if g0 >= g1:
-                break
-            j += 1
-        while ptr < n_items and left[ptr] <= 0.0:
-            ptr += 1
-    partial = 0.0
-    for j in range(ptr, touched):
-        lw = left[j]
-        if lw != 0.0:
-            partial += lw
-    # ptr never passes ``touched``: it only skips drained (modified) items
-    return partial, n_items - touched
-
-
 def simulate_many(
     requests: Sequence[tuple["PipelineEngine", "PipelinePlan", list["LayerState"]]],
 ) -> list["IterationResult"]:
@@ -436,11 +294,9 @@ def simulate_many(
     Engines with active rank slowdowns (straggler windows) batch like
     any other: the map is fixed for the duration of this call, and the
     per-engine duration/transfer tables price it exactly as the scalar
-    path does.  Scenarios that cannot take the batched path — timeline
-    recording, ``use_compiled=False``, a bin of one, or a schedule the
-    batched ZB filler cannot prove order for — fall back to the scalar
-    engine, which is bit-identical anyway.  Results come back in
-    request order.
+    path does.  Timeline-recording engines and bins of one take the
+    scalar engine instead, which is bit-identical anyway.  Results come
+    back in request order.
     """
     stats.calls += 1
     results: list["IterationResult" | None] = [None] * len(requests)
@@ -454,13 +310,12 @@ def simulate_many(
         groups.setdefault(key, []).append(i)
 
     for (name, S, M), idxs in groups.items():
-        lv = compile_levels(name, S, M)
-        if len(idxs) == 1 or (lv.cs.zb and not lv.b_sorted):
-            stats.scalar_singleton += len(idxs)
-            for i in idxs:
-                eng, plan, states = requests[i]
-                results[i] = eng.run_iteration(plan, states)
+        if len(idxs) == 1:
+            stats.scalar_singleton += 1
+            eng, plan, states = requests[idxs[0]]
+            results[idxs[0]] = eng.run_iteration(plan, states)
             continue
+        lv = compile_levels(name, S, M)
         stats.batched_lanes += len(idxs)
         split = lv.cs.zb  # the compiled key fixes the schedule, so zb is per bin
         for chunk_at in range(0, len(idxs), MAX_LANES):
@@ -524,7 +379,7 @@ def simulate_many(
             )
             for lane, i in enumerate(chunk):
                 eng, plan, states = requests[i]
-                results[i] = eng._finalize_batched_lane(
-                    plan, states, worker_time[lane], busy[lane]
+                results[i] = eng._finish(
+                    plan, states, worker_time[lane].tolist(), busy[lane]
                 )
     return results  # type: ignore[return-value]

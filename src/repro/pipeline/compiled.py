@@ -1,15 +1,8 @@
-"""Compiled pipeline-engine core: vectorized event scheduling.
+"""Compiled pipeline-engine core: the one executor of a schedule.
 
-The reference ready-loop in :mod:`repro.pipeline.engine` is exact but
-slow at sweep scale: every op resolves its cross-stage dependency
-through a dict keyed by ``(stage, OpKind, micro)`` tuples (enum
-hashing alone is ~10% of the profile), and the greedy ZB gap-filler is
-O(gaps x micro-batches) per stage.  Sweep grids multiply that cost by
-scenarios x schedules x placements x seeds.
-
-This module compiles ``(schedule, num_stages, num_micro)`` — the only
-inputs that determine the dependency *structure* — into flat integer
-op tables, cached process-wide:
+A schedule's dependency *structure* depends only on
+``(schedule, num_stages, num_micro)``.  This module compiles that key
+into flat integer op tables, cached process-wide:
 
 - ``stage[i]``     worker that runs op ``i``;
 - ``dur_slot[i]``  index into the per-run duration table
@@ -17,18 +10,22 @@ op tables, cached process-wide:
 - ``pred[i]``      dense op id of the cross-stage predecessor (-1 for
   F at stage 0, which is ready at t=0);
 - ``edge[i]``      index into the per-run transfer table
-  ``[fwd_xfer | bwd_xfer | 0.0]`` added to the predecessor's finish.
+  ``[fwd_xfer | bwd_xfer | 0.0]`` added to the predecessor's finish;
+- ``micro[i]``     micro-batch of op ``i`` (timelines only).
 
 Ops are stored in a topological execution order (each stage's ops stay
-in schedule order), so one pass over preallocated flat arrays replays
-the exact event cascade of the reference loop — no dict lookups, tuple
-keys or enum hashing — and produces bit-identical results: the same
-IEEE-754 operations run in the same order.
+in schedule order), so one pass over flat tuples replays the event
+cascade with no dict lookups, tuple keys or enum hashing.  The order is
+the wavefront of a ready-loop that schedules every op as soon as its
+dependency finished; the test suite keeps that loop as the oracle and
+holds this executor to it bit for bit (the same IEEE-754 operations
+in the same order).
 
-The ZB weight-grad filler is replaced by a sorted two-pointer merge
-over idle gaps and pending W work: O(M log M) per stage instead of
-O(gaps x M), again arithmetic-identical to the greedy reference
-(including its resume-at-first-unfinished-item behaviour).
+Under ``zb``, weight-gradient (W) work has no dependents, so it is not
+tabled: :func:`merge_lane` pours each stage's W items into the idle
+gaps the cascade left, greedily, in (availability, micro) order.  Both
+this scalar executor and the batched one in
+:mod:`repro.pipeline.batched` call it.
 """
 
 from __future__ import annotations
@@ -37,6 +34,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.pipeline.schedules import OpKind, Schedule
+
+#: one timeline entry: (stage, "F" | "B" | "W", micro, start, end)
+TimelineOp = tuple[int, str, int, float, float]
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,10 @@ class CompiledSchedule:
     dur_slot: tuple[int, ...]
     pred: tuple[int, ...]
     edge: tuple[int, ...]
-    #: per stage, ``(op id, micro)`` of its B ops in execution order
-    #: (drives ZB gap-filling; empty tuples for non-zb schedules)
-    b_ops: tuple[tuple[tuple[int, int], ...], ...]
+    micro: tuple[int, ...]
+    #: per stage, op ids of its B ops in execution order (drives ZB
+    #: gap-filling; empty tuples for non-zb schedules)
+    b_ops: tuple[tuple[int, ...], ...]
 
     @property
     def num_ops(self) -> int:
@@ -78,12 +79,12 @@ def compile_schedule(name: str, num_stages: int, num_micro: int) -> CompiledSche
     ops = [sched.stage_ops(s, S, M) for s in range(S)]
     if zb:
         # W ops are gap-filled, not event-scheduled (they have no
-        # dependents) — mirror the reference loop's stripping.
+        # dependents)
         ops = [[op for op in stage_ops if op.kind is not OpKind.W] for stage_ops in ops]
 
-    # Wavefront traversal of the dependency DAG (the reference ready
-    # loop with dependency *presence* instead of times) yields a
-    # topological order that keeps each stage's ops in schedule order.
+    # Wavefront traversal of the dependency DAG (a ready loop with
+    # dependency *presence* instead of times) yields a topological
+    # order that keeps each stage's ops in schedule order.
     topo_id: dict[tuple[int, OpKind, int], int] = {}
     order: list[tuple[int, OpKind, int]] = []
     idx = [0] * S
@@ -132,17 +133,20 @@ def compile_schedule(name: str, num_stages: int, num_micro: int) -> CompiledSche
                 pred.append(topo_id[(s + 1, OpKind.B, m)])
                 edge.append(S - 1 + s)
 
+    b_ops: tuple[tuple[int, ...], ...] = tuple(() for _ in range(S))
     if zb:
-        b_ops = tuple(
-            tuple(
-                (topo_id[(s, OpKind.B, op.micro)], op.micro)
-                for op in ops[s]
-                if op.kind is OpKind.B
+        b_micros = [[op.micro for op in ops[s] if op.kind is OpKind.B] for s in range(S)]
+        # Finish times on one stage never decrease in execution order,
+        # so ascending micros make execution order the filler's
+        # (availability, micro) order for any run's durations.
+        if any(ms != sorted(ms) for ms in b_micros):
+            raise RuntimeError(
+                f"schedule {name!r} emits B ops out of micro order; "
+                "the W-filler relies on execution order"
             )
-            for s in range(S)
+        b_ops = tuple(
+            tuple(topo_id[(s, OpKind.B, m)] for m in b_micros[s]) for s in range(S)
         )
-    else:
-        b_ops = tuple(() for _ in range(S))  # only the ZB filler reads these
     return CompiledSchedule(
         name=name,
         num_stages=S,
@@ -152,6 +156,7 @@ def compile_schedule(name: str, num_stages: int, num_micro: int) -> CompiledSche
         dur_slot=tuple(dur_slot),
         pred=tuple(pred),
         edge=tuple(edge),
+        micro=tuple(m for _, _, m in order),
         b_ops=b_ops,
     )
 
@@ -163,14 +168,15 @@ def execute_compiled(
     wgt,
     fwd_xfer: list[float],
     bwd_xfer: list[float],
-    collect_w: bool = False,
-):
+    timeline: bool = False,
+) -> tuple[list[float], list[float], list[TimelineOp] | None]:
     """Replay the compiled event cascade with this run's costs.
 
-    Returns ``(worker_time, busy, w_segments)`` as Python float lists;
-    ``w_segments`` is None unless ``collect_w`` (a debug/test hook
-    listing ``(stage, micro, start, end)`` W placements; the final
-    tail lump uses micro -1, like the reference timeline).
+    Returns ``(worker_time, busy, ops)`` with per-stage Python float
+    lists.  ``ops`` is None unless ``timeline``: then it lists every op
+    as ``(stage, kind, micro, start, end)``, F and B ops in execution
+    order followed by each stage's W placements, whose final tail lump
+    (W work no gap could hold) uses micro -1.
     """
     S = cs.num_stages
     dur_table = fwd.tolist() + bwd.tolist()
@@ -179,85 +185,156 @@ def execute_compiled(
     busy = [0.0] * S
     finish: list[float] = []
     append_finish = finish.append
-    gaps: list[list[tuple[float, float]]] | None = (
-        [[] for _ in range(S)] if cs.zb else None
-    )
+    # idle [worker_time, start) intervals per stage, for the W-filler
+    zb = cs.zb
+    gap0: list[list[float]] = [[] for _ in range(S)]
+    gap1: list[list[float]] = [[] for _ in range(S)]
 
     for s, slot, p, e in zip(cs.stage, cs.dur_slot, cs.pred, cs.edge):
         ready = 0.0 if p < 0 else finish[p] + xfer[e]
         wt = worker_time[s]
         start = ready if ready > wt else wt
-        if gaps is not None and start > wt:
-            gaps[s].append((wt, start))
+        if zb and start > wt:
+            gap0[s].append(wt)
+            gap1[s].append(start)
         dur = dur_table[slot]
         end = start + dur
         append_finish(end)
         worker_time[s] = end
         busy[s] += dur
 
-    w_segments: list[tuple[int, int, float, float]] | None = [] if collect_w else None
-    if cs.zb:
-        _fill_weight_grads_merged(cs, wgt, finish, gaps, worker_time, busy, w_segments)
-    return worker_time, busy, w_segments
+    ops: list[TimelineOp] | None = None
+    if timeline:
+        # start times, recomputed with the cascade's own operations
+        ops = []
+        prev = [0.0] * S
+        for s, slot, p, e, m, end in zip(
+            cs.stage, cs.dur_slot, cs.pred, cs.edge, cs.micro, finish
+        ):
+            ready = 0.0 if p < 0 else finish[p] + xfer[e]
+            wt = prev[s]
+            ops.append((s, "F" if slot < S else "B", m, ready if ready > wt else wt, end))
+            prev[s] = end
+
+    if zb:
+        for s, (per_w, b_ids) in enumerate(zip(wgt.tolist(), cs.b_ops)):
+            busy[s] += per_w * len(b_ids)
+            if per_w <= 0:
+                continue
+            fills: list[tuple[int, float, float]] | None = [] if timeline else None
+            partial, tail = merge_lane(
+                gap0[s], gap1[s], [finish[i] for i in b_ids], per_w, fills
+            )
+            leftover = partial
+            for _ in range(tail):
+                leftover += per_w
+            if ops is not None and fills is not None:
+                ops.extend((s, "W", cs.micro[b_ids[j]], t0, t1) for j, t0, t1 in fills)
+            if leftover > 0:
+                if ops is not None:
+                    ops.append((s, "W", -1, worker_time[s], worker_time[s] + leftover))
+                worker_time[s] += leftover
+    return worker_time, busy, ops
 
 
-def _fill_weight_grads_merged(
-    cs: CompiledSchedule,
-    wgt,
-    finish: list[float],
-    gaps,
-    worker_time: list[float],
-    busy: list[float],
-    w_segments: list | None,
-) -> None:
-    """Sorted two-pointer merge of idle gaps and pending W work.
+def merge_lane(
+    g0s: list[float],
+    g1s: list[float],
+    avails: list[float],
+    per_w: float,
+    fills: list[tuple[int, float, float]] | None = None,
+) -> tuple[float, int]:
+    """The ZB W-filler for one stage of one run.
 
-    Arithmetic-identical to the reference greedy filler: W items are
-    visited in (availability, micro) order, gaps chronologically, and
-    each fill computes ``start = max(g0, avail)``,
-    ``use = min(left, g1 - start)``, ``g0 = start + use`` with the
-    same operations.  The pointer skips the drained prefix — the only
-    items the reference re-scans and skips — so the pass is
-    O(M log M) per stage instead of O(gaps x M).
+    Pours W items — ``per_w`` seconds each, item ``j`` available from
+    ``avails[j]`` (its B op's finish) — into the chronological idle
+    gaps ``[g0s[i], g1s[i])``, greedily: each gap takes the earliest
+    items with work left, each fill computing ``start = max(g0, avail)``,
+    ``use = min(left, g1 - start)``, ``g0 = start + use``.  ``avails``
+    is in execution order, which :func:`compile_schedule` guarantees is
+    the (availability, micro) order.
+
+    Returns ``(partial, tail)``: the sum of the work left on the
+    partially drained items, and the count of untouched trailing items,
+    each still holding exactly ``per_w``.  The caller adds ``tail``
+    copies of ``per_w`` onto ``partial`` one by one, which is the
+    sequential leftover sum over all items (drained items hold exactly
+    0.0, and adding 0.0 is the identity).  ``fills``, when given,
+    receives every placement as ``(item, start, end)``.
     """
-    for s in range(cs.num_stages):
-        blist = cs.b_ops[s]
-        per_w = wgt[s]
-        busy[s] += per_w * len(blist)
-        if per_w <= 0:
-            continue
-        items = sorted((finish[op_id], m) for op_id, m in blist)
-        n = len(items)
-        left = [per_w] * n
-        ptr = 0  # first item with work left; everything before is drained
-        for g0, g1 in gaps[s]:
-            if ptr >= n:
-                break
-            j = ptr
-            while j < n:
-                lw = left[j]
-                if lw <= 0.0:
-                    j += 1
-                    continue
-                avail = items[j][0]
-                if avail >= g1:
-                    break  # sorted: no later item fits this gap either
+    n = len(avails)
+    if fills is None:
+        # Fast replay: at most one item is ever partially drained (the
+        # head at ``ptr``) — an item is left partial only when its gap
+        # is exhausted, and the next gap resumes at that same item — so
+        # the per-item ``left`` list collapses to one running value.
+        # The one exception is the floating-point "sliver": a fill that
+        # takes a gap's whole capacity may end short of ``g1``
+        # (``start + (g1 - start) < g1``), and the next item then pours
+        # into the rest of the same gap.  That case takes the per-item
+        # merge below.
+        ptr = 0
+        lh = per_w
+        avail = avails[0]
+        sliver = False
+        for g0, g1 in zip(g0s, g1s):
+            if avail >= g1:
+                continue  # no later item fits this gap either
+            while True:
                 start = g0 if g0 > avail else avail
                 cap = g1 - start
-                use = lw if lw <= cap else cap
-                left[j] = lw - use
-                if w_segments is not None:
-                    w_segments.append((s, items[j][1], start, start + use))
-                g0 = start + use
-                if g0 >= g1:
+                if lh <= cap:
+                    ptr += 1
+                    if ptr == n:
+                        return 0.0, 0  # every item drained
+                    g0 = start + lh
+                    lh = per_w
+                    avail = avails[ptr]
+                    if g0 >= g1 or avail >= g1:
+                        break
+                else:
+                    lh = lh - cap
+                    sliver = start + cap < g1
                     break
+            if sliver:
+                break
+        if not sliver:
+            touched = lh < per_w
+            return (lh if touched else 0.0), n - ptr - touched
+
+    left = [per_w] * n
+    ptr = 0  # first item with work left; everything before is drained
+    touched = 0  # items [0, touched) may have been modified
+    for g0, g1 in zip(g0s, g1s):
+        if ptr >= n:
+            break
+        j = ptr
+        while j < n:
+            lw = left[j]
+            if lw <= 0.0:
                 j += 1
-            while ptr < n and left[ptr] <= 0.0:
-                ptr += 1
-        leftover = 0.0
-        for lw in left:
-            leftover += lw
-        if leftover > 0:
-            if w_segments is not None:
-                w_segments.append((s, -1, worker_time[s], worker_time[s] + leftover))
-            worker_time[s] += leftover
+                continue
+            avail = avails[j]
+            if avail >= g1:
+                break
+            start = g0 if g0 > avail else avail
+            cap = g1 - start
+            use = lw if lw <= cap else cap
+            left[j] = lw - use
+            if j >= touched:
+                touched = j + 1
+            if fills is not None:
+                fills.append((j, start, start + use))
+            g0 = start + use
+            if g0 >= g1:
+                break
+            j += 1
+        while ptr < n and left[ptr] <= 0.0:
+            ptr += 1
+    partial = 0.0
+    for j in range(ptr, touched):
+        lw = left[j]
+        if lw != 0.0:
+            partial += lw
+    # ptr never passes ``touched``: it only skips drained (modified) items
+    return partial, n - touched

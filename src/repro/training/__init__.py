@@ -3,8 +3,6 @@
 from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer, TrainingResult
 from repro.training.lockstep import LockstepTimeout, run_trainers_lockstep
-from repro.training.throughput import ThroughputMeter
-from repro.training.checkpoint import save_checkpoint, load_checkpoint
 
 __all__ = [
     "TrainingConfig",
@@ -12,7 +10,4 @@ __all__ = [
     "TrainingResult",
     "LockstepTimeout",
     "run_trainers_lockstep",
-    "ThroughputMeter",
-    "save_checkpoint",
-    "load_checkpoint",
 ]

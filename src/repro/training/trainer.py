@@ -154,7 +154,6 @@ class Trainer:
         initial_plan: PipelinePlan | None = None,
         job_manager: ElasticJobManager | None = None,
         job_name: str = "train",
-        trace_recorder=None,
         placement: Placement | None = None,
         cluster_events: ClusterEventTrace | None = None,
         memory_model: StageMemoryModel | None = None,
@@ -205,7 +204,6 @@ class Trainer:
         self.states = scheme.initial_states()
         self.job_manager = job_manager
         self.job_name = job_name
-        self.trace_recorder = trace_recorder
         self.cluster_events = cluster_events
         if cluster_events:
             limit = (
@@ -609,10 +607,6 @@ class Trainer:
     def _post_iteration(self, st: _RunState, k: int, res: IterationResult) -> None:
         st.last_iter_time = res.makespan
         st.total_time += res.makespan
-        if self.trace_recorder is not None:
-            self.trace_recorder.record(
-                k, self.plan, self.states, res.makespan, res.bubble_ratio()
-            )
         if k % self.cfg.record_every == 0 or k == st.iters - 1:
             st.bubbles.append((k, res.bubble_ratio()))
             st.makespans.append((k, res.makespan))

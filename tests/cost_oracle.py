@@ -11,14 +11,14 @@ bit.  Tests of cost *semantics* call the production array path instead.
 
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 
 from repro.model.cost import LayerSpec, LayerState, ModelCost
 from repro.pipeline.engine import IterationResult, PipelineEngine
 from repro.pipeline.plan import PipelinePlan
 from repro.sparse.kernels import best_kernel_time
+
+import engine_oracle
 
 
 def matmul_time(cost: ModelCost, flops: float, sparsity: float) -> float:
@@ -141,7 +141,6 @@ def run_iteration(
     engine: PipelineEngine, plan: PipelinePlan, states: list[LayerState]
 ) -> IterationResult:
     """The reference ready-loop fed by the oracle's stage tables."""
-    with mock.patch.object(
-        PipelineEngine, "stage_times", lambda eng, p, sts: stage_times(eng, p, sts)
-    ):
-        return engine.run_iteration_reference(plan, states)
+    return engine_oracle.run_iteration(
+        engine, plan, states, stage_times(engine, plan, states)
+    )

@@ -1,7 +1,8 @@
 """Differential golden tests: batched backend vs compiled vs reference.
 
 The batched multi-run replay must be *bit-identical*, per scenario, to
-both the compiled scalar engine and the reference ready-loop — the same
+both the compiled scalar engine and the reference ready-loop in
+``engine_oracle`` — the same
 IEEE-754 operations in the same order per lane — across every axis the
 sweeps exercise: schedules x placements x heterogeneous clusters x
 dp_ways, plus post-repack surviving placements, random dynamism states
@@ -22,6 +23,7 @@ from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.plan import PipelinePlan
 
 import cost_oracle
+import engine_oracle
 
 N_LAYERS = 26
 SCHEDULES = ("gpipe", "1f1b", "zb")
@@ -45,7 +47,7 @@ def assert_all_identical(engine, scenarios):
     batched = simulate_many([(engine, plan, states) for plan, states in scenarios])
     for (plan, states), fast in zip(scenarios, batched):
         scalar = engine.run_iteration(plan, states)
-        ref = engine.run_iteration_reference(plan, states)
+        ref = engine_oracle.run_iteration(engine, plan, states)
         oracle = cost_oracle.run_iteration(engine, plan, states)
         assert fast.makespan == scalar.makespan == ref.makespan == oracle.makespan
         assert np.array_equal(fast.busy, scalar.busy)
@@ -78,7 +80,6 @@ def test_levels_partition_ops_topologically(sched):
     for s in range(S):
         assert len(lv.stage_ops[s]) == 2 * M
     if sched == "zb":
-        assert lv.b_sorted
         assert all(len(b) == M for b in lv.b_ids)
 
 
@@ -166,7 +167,11 @@ def test_identical_random_stress(trial, gpt24_cost):
     plan = PipelinePlan((0, *map(int, cuts), N_LAYERS), N_LAYERS)
     speeds = rng.uniform(0.5, 2.0, size=S)
     engine = PipelineEngine(
-        gpt24_cost, None, schedule=sched, num_micro=M, worker_speeds=speeds
+        gpt24_cost,
+        None,
+        schedule=sched,
+        num_micro=M,
+        rank_slowdowns={s: 1.0 / v for s, v in enumerate(speeds)},
     )
     scenarios = [
         (plan, random_states(rng, extreme=True)) for _ in range(6)
@@ -183,21 +188,6 @@ def test_heterogeneous_bin_splits_and_falls_back(gpt24_cost):
     engine = PipelineEngine(gpt24_cost, None, schedule="zb", num_micro=8)
     scenarios = [(p, random_states(rng)) for p in plans]
     assert_all_identical(engine, scenarios)
-
-
-def test_reference_engines_fall_back_per_scenario(gpt24_cost):
-    """use_compiled=False engines route through the reference loop."""
-    rng = np.random.default_rng(6)
-    plan = PipelinePlan.uniform(N_LAYERS, 4)
-    engine = PipelineEngine(
-        gpt24_cost, None, schedule="zb", num_micro=6, use_compiled=False
-    )
-    scenarios = [(plan, random_states(rng)) for _ in range(3)]
-    batched = simulate_many([(engine, p, states) for p, states in scenarios])
-    for (p, states), res in zip(scenarios, batched):
-        ref = engine.run_iteration_reference(p, states)
-        assert res.makespan == ref.makespan
-        assert np.array_equal(res.busy, ref.busy)
 
 
 def test_batched_stage_times_match_scalar(gpt24_cost, comm):
@@ -251,40 +241,34 @@ def test_single_scenario_matches_scalar(gpt24_cost):
 
 
 def test_simulate_modes(gpt24_cost):
-    """One simulate_many call mixes batched lanes with engines that
-    cannot batch: a reference engine (``use_compiled=False``) and a
-    timeline engine take the scalar path, are counted as unbatchable,
-    and agree bit for bit with the batched lanes."""
+    """One simulate_many call mixes batched lanes with an engine that
+    cannot batch: the timeline engine takes the scalar path, is counted
+    as unbatchable, and agrees bit for bit with the batched lanes and
+    the reference loop."""
     rng = np.random.default_rng(11)
     plan = PipelinePlan.uniform(N_LAYERS, 4)
     engine = PipelineEngine(gpt24_cost, None, schedule="zb", num_micro=6)
-    ref_engine = PipelineEngine(
-        gpt24_cost, None, schedule="zb", num_micro=6, use_compiled=False
-    )
     timeline_engine = PipelineEngine(
         gpt24_cost, None, schedule="zb", num_micro=6, record_timeline=True
     )
     assert engine.can_batch
-    assert not ref_engine.can_batch and not timeline_engine.can_batch
+    assert not timeline_engine.can_batch
     states = [random_states(rng) for _ in range(4)]
     requests = [
-        (eng, plan, sts)
-        for eng in (engine, ref_engine, timeline_engine)
-        for sts in states
+        (eng, plan, sts) for eng in (engine, timeline_engine) for sts in states
     ]
     batched_mod.stats.reset()
     results = simulate_many(requests)
     assert batched_mod.stats.batched_lanes == len(states)
-    assert batched_mod.stats.scalar_unbatchable == 2 * len(states)
-    lanes, ref, timeline = (
-        results[at : at + len(states)] for at in range(0, len(results), len(states))
-    )
-    for a, r, t in zip(lanes, ref, timeline):
+    assert batched_mod.stats.scalar_unbatchable == len(states)
+    lanes, timeline = results[: len(states)], results[len(states) :]
+    for sts, a, t in zip(states, lanes, timeline):
+        r = engine_oracle.run_iteration(engine, plan, sts, timeline=True)
         assert a.makespan == r.makespan == t.makespan
         assert np.array_equal(a.busy, r.busy)
         assert np.array_equal(a.busy, t.busy)
         assert a.comm_extra == r.comm_extra == t.comm_extra
-        assert t.timeline  # the timeline engine still records its ops
+        assert t.timeline == r.timeline  # the timeline engine still records its ops
 
 
 def test_slowed_engines_batch_identically(gpt24_cost, gpt24_specs, comm, monkeypatch):
@@ -292,8 +276,8 @@ def test_slowed_engines_batch_identically(gpt24_cost, gpt24_specs, comm, monkeyp
     map is fixed per call) and stay bit-identical to the scalar loop.
 
     One call may also mix engines.  Lanes whose cost models are distinct
-    objects of equal content share one layer-times call across plans,
-    worker speeds and straggler slowdowns; a lane whose model differs
+    objects of equal content share one layer-times call across plans
+    and straggler slowdowns; a lane whose model differs
     only in activation recompute gets its own.  Every lane matches the
     reference loop priced by the scalar cost oracle."""
     rng = np.random.default_rng(12)
@@ -327,7 +311,9 @@ def test_slowed_engines_batch_identically(gpt24_cost, gpt24_specs, comm, monkeyp
                 comm,
                 schedule=sched,
                 num_micro=6,
-                worker_speeds=np.array([1.0, 0.5, 2.0, 0.8]),
+                rank_slowdowns={
+                    s: 1.0 / v for s, v in enumerate([1.0, 0.5, 2.0, 0.8])
+                },
             ),
             PipelineEngine(
                 ModelCost(gpt24_specs),

@@ -25,6 +25,51 @@ class TestParser:
         )
         assert args.balanced and args.schedule == "1f1b" and args.micro == 4
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "--cluster", "2x0"], "--cluster"),
+            (["sweep", "--iterations", "0"], "--iterations"),
+            (["sweep", "--dp", "0"], "--dp"),
+            (["sweep", "--stages", "64", "--layers", "24"], "--stages"),
+            (["sweep", "--memory-limit", "abc"], "--memory-limit"),
+            (["sweep", "--jobs", "-1"], "--jobs"),
+            (["sweep", "--timeout", "0"], "--timeout"),
+            (["sweep", "--retries", "0"], "--retries"),
+            (["ensemble", "--n", "0"], "--n"),
+            (["gantt", "--micro", "0"], "--micro"),
+            (["events", "--ranks", "0"], "--ranks"),
+            (["fig4", "--gpus", "0"], "--gpus"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_invalid_values_exit_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
+        """Bad values fail while parsing: exit 2, the flag named on
+        stderr, and no run, cache entry or pool."""
+        cache_dir = tmp_path / "cache"
+        runner_flags = {
+            "sweep": ["--scenario", "pruning", "--mode", "megatron", "--jobs", "1"],
+            "ensemble": ["--scenario", "pruning", "--mode", "megatron", "--jobs", "1"],
+            "fig4": ["--iterations", "5"],
+        }.get(argv[0], [])
+        if argv[0] in ("sweep", "ensemble", "fig4"):
+            runner_flags += ["--cache-dir", str(cache_dir)]
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], *runner_flags, *argv[1:]])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not cache_dir.exists()
+
+    def test_valid_values_still_parse(self):
+        args = build_parser().parse_args(
+            ["sweep", "--cluster", "2x8+2x4:a100", "--memory-limit", "4e9",
+             "--jobs", "0", "--timeout", "1.5", "--stages", "24", "--layers", "24"]
+        )
+        assert args.cluster == "2x8+2x4:a100"  # unchanged, so no spec hash moves
+        assert args.memory_limit == "4e9"
+        assert args.jobs == 0 and args.timeout == 1.5
+        assert build_parser().parse_args(["sweep"]).memory_limit == ""
+
 
 class TestCommands:
     def test_fig3_runs(self, capsys):
@@ -279,6 +324,14 @@ class TestCacheCommand:
         assert main(["cache", "gc", "--cache-dir", str(cache_dir)]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+
+    @pytest.mark.parametrize("action", ["verify", "stats", "gc"])
+    def test_missing_cache_dir_exits_2(self, action, tmp_path, capsys):
+        """A mistyped --cache-dir must not pass as a clean, empty cache."""
+        missing = tmp_path / "no-such-cache"
+        assert main(["cache", action, "--cache-dir", str(missing)]) == 2
+        assert f"no result cache at {missing}" in capsys.readouterr().err
+        assert not missing.exists()
 
     def test_cache_rejects_unknown_action(self):
         with pytest.raises(SystemExit):

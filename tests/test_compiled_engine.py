@@ -1,7 +1,8 @@
 """Differential golden tests: compiled engine core vs reference loop.
 
-The compiled fast path must be *bit-identical* to the reference
-ready-loop — same IEEE-754 operations in the same order — across every
+The compiled executor must be *bit-identical* to the reference
+ready-loop in ``engine_oracle`` — same IEEE-754 operations in the same
+order, and the same timeline when one is recorded — across every
 axis the sweeps exercise: schedules x placements x heterogeneous
 clusters x dp_ways, plus post-repack surviving placements and random
 dynamism states.  Equality below is exact (``==`` / ``array_equal``),
@@ -10,15 +11,18 @@ not approximate.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.collectives import CommCostModel
 from repro.cluster.placement import PLACEMENT_STRATEGIES, make_placement
 from repro.cluster.topology import parse_cluster
 from repro.model.cost import fresh_states
-from repro.pipeline.compiled import compile_schedule, execute_compiled
+from repro.pipeline.compiled import compile_schedule, execute_compiled, merge_lane
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.plan import PipelinePlan
-from repro.pipeline.schedules import OpKind, Schedule
+from repro.pipeline.schedules import Op, OpKind, Schedule
+
+import engine_oracle
 
 N_LAYERS = 26
 SCHEDULES = ("gpipe", "1f1b", "zb")
@@ -31,10 +35,9 @@ def assert_identical(fast, ref):
 
 
 def run_both(cost, comm, plan, states, **kw):
-    fast = PipelineEngine(cost, comm, **kw).run_iteration(plan, states)
-    ref = PipelineEngine(cost, comm, use_compiled=False, **kw).run_iteration(
-        plan, states
-    )
+    engine = PipelineEngine(cost, comm, **kw)
+    fast = engine.run_iteration(plan, states)
+    ref = engine_oracle.run_iteration(engine, plan, states)
     return fast, ref
 
 
@@ -68,10 +71,23 @@ def test_compiled_tables_cover_all_fb_ops(sched):
         per_stage[s] += 1
     assert per_stage == [2 * M] * S
     if sched == "zb":
-        assert all(len(b) == M for b in cs.b_ops)
+        assert all([cs.micro[i] for i in b] == list(range(M)) for b in cs.b_ops)
     # predecessors precede their dependents in the topological order
     for i, p in enumerate(cs.pred):
         assert p < i
+
+
+def test_zb_compile_rejects_b_ops_out_of_micro_order(monkeypatch):
+    """The W-filler takes execution order as (availability, micro)
+    order, so compiling a zb key checks once that every stage runs its
+    B ops in ascending micro order."""
+    monkeypatch.setattr(
+        Schedule,
+        "stage_ops",
+        lambda self, s, S, M: Schedule._gpipe(M) + [Op(OpKind.W, i) for i in range(M)],
+    )
+    with pytest.raises(RuntimeError, match="out of micro order"):
+        compile_schedule.__wrapped__("zb", 3, 4)
 
 
 # -- differential grid ------------------------------------------------------
@@ -170,22 +186,45 @@ def test_identical_random_stress(trial, gpt24_cost, gpt24_states):
         states,
         schedule=sched,
         num_micro=M,
-        worker_speeds=speeds,
+        rank_slowdowns={s: 1.0 / v for s, v in enumerate(speeds)},
     )
     assert_identical(fast, ref)
 
 
-def test_timeline_requests_use_reference_path(gpt24_cost, gpt24_states):
-    """record_timeline always goes through the oracle (timelines are a
-    reference-path feature) even when use_compiled is left on."""
-    eng = PipelineEngine(
-        gpt24_cost, None, schedule="zb", num_micro=4, record_timeline=True
-    )
-    res = eng.run_iteration(PipelinePlan.uniform(N_LAYERS, 4), gpt24_states)
-    assert res.timeline  # compiled path never records one
+@pytest.mark.parametrize("sched", SCHEDULES)
+@pytest.mark.parametrize("dp_ways", [1, 2])
+def test_timeline_matches_reference(sched, dp_ways, gpt24_cost, comm):
+    """A timeline engine records exactly the oracle's timeline (same
+    entries, same order, same floats) and prices the iteration exactly
+    like an engine that records none."""
+    rng = np.random.default_rng(21 + dp_ways)
+    placement = make_placement(comm.topology, 4, dp_ways, "scattered")
+    kw = dict(schedule=sched, num_micro=6, dp_ways=dp_ways, placement=placement)
+    plan = PipelinePlan((0, 3, 11, 19, N_LAYERS), N_LAYERS)
+    states = random_states(rng, fresh_states(N_LAYERS))
+    eng = PipelineEngine(gpt24_cost, comm, record_timeline=True, **kw)
+    res = eng.run_iteration(plan, states)
+    ref = engine_oracle.run_iteration(eng, plan, states, timeline=True)
+    assert res.timeline == ref.timeline
+    assert_identical(res, ref)
+    plain = PipelineEngine(gpt24_cost, comm, **kw).run_iteration(plan, states)
+    assert_identical(res, plain)
+    assert plain.timeline == []
+    kinds = {kind for _, kind, _, _, _ in res.timeline}
+    assert kinds == ({"F", "B", "W"} if sched == "zb" else {"F", "B"})
 
 
 # -- ZB gap-fill property ---------------------------------------------------
+
+
+def w_segments(cs, fwd, bwd, wgt):
+    """``(stage, micro, start, end)`` of every W placement of a run
+    without transfer costs (the tail lump has micro -1)."""
+    S = cs.num_stages
+    _, _, ops = execute_compiled(
+        cs, fwd, bwd, wgt, [0.0] * (S - 1), [0.0] * (S - 1), timeline=True
+    )
+    return [(s, m, start, end) for s, kind, m, start, end in ops if kind == "W"]
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -199,17 +238,13 @@ def test_zb_gap_fill_never_precedes_backward(trial, gpt24_cost, gpt24_states):
     states = random_states(rng, gpt24_states)
     eng = PipelineEngine(gpt24_cost, None, schedule="zb", num_micro=M)
     fwd, bwd, wgt, act = eng.stage_times(plan, states)
-    cs = compile_schedule("zb", S, M)
-    _, _, segments = execute_compiled(
-        cs, fwd, bwd, wgt, [0.0] * (S - 1), [0.0] * (S - 1), collect_w=True
-    )
+    segments = w_segments(compile_schedule("zb", S, M), fwd, bwd, wgt)
     # recover B finish times from a reference timeline run
-    ref = PipelineEngine(
-        gpt24_cost, None, schedule="zb", num_micro=M, record_timeline=True
-    )
     b_finish = {
         (s, m): end
-        for s, kind, m, _, end in ref.run_iteration(plan, states).timeline
+        for s, kind, m, _, end in engine_oracle.run_iteration(
+            eng, plan, states, timeline=True
+        ).timeline
         if kind == "B"
     }
     filled = 0
@@ -228,14 +263,77 @@ def test_zb_gap_fill_conserves_work(gpt24_cost, gpt24_states):
     plan = PipelinePlan.uniform(N_LAYERS, S)
     eng = PipelineEngine(gpt24_cost, None, schedule="zb", num_micro=M)
     fwd, bwd, wgt, _ = eng.stage_times(plan, gpt24_states)
-    cs = compile_schedule("zb", S, M)
-    _, _, segments = execute_compiled(
-        cs, fwd, bwd, wgt, [0.0] * (S - 1), [0.0] * (S - 1), collect_w=True
-    )
+    segments = w_segments(compile_schedule("zb", S, M), fwd, bwd, wgt)
     per_stage = np.zeros(S)
     for s, _, start, end in segments:
         per_stage[s] += end - start
     np.testing.assert_allclose(per_stage, wgt * M, rtol=1e-9)
+
+
+# -- the W-merge against the oracle's greedy filler ---------------------------
+
+
+def oracle_fill(gaps, avails, per_w):
+    """(leftover, fills) of the reference filler on one stage whose
+    item ``m`` is available from ``avails[m]``."""
+    finish = {(0, OpKind.B, m): a for m, a in enumerate(avails)}
+    worker_time, busy, log = [0.0], [0.0], []
+    engine_oracle._fill_weight_grads(
+        1,
+        [per_w],
+        finish,
+        [[list(g) for g in gaps]],
+        worker_time,
+        busy,
+        [list(range(len(avails)))],
+        log,
+        True,
+    )
+    return worker_time[0], [(m, t0, t1) for _, _, m, t0, t1 in log if m >= 0]
+
+
+def merged_fill(gaps, avails, per_w, fills=None):
+    partial, tail = merge_lane([g0 for g0, _ in gaps], [g1 for _, g1 in gaps], avails, per_w, fills)
+    leftover = partial
+    for _ in range(tail):
+        leftover += per_w
+    return leftover if leftover > 0 else 0.0
+
+
+def assert_merge_matches_oracle(gaps, avails, per_w):
+    want_leftover, want_fills = oracle_fill(gaps, avails, per_w)
+    fills: list = []
+    assert merged_fill(gaps, avails, per_w, fills) == want_leftover
+    assert fills == want_fills
+    assert merged_fill(gaps, avails, per_w) == want_leftover
+
+
+def test_merge_lane_sliver_corner():
+    """A fill that takes a gap's whole capacity can end one ulp short
+    of the gap (``g0 + (g1 - g0) < g1``); the greedy filler then pours
+    the next item into that sliver, and so must the merge."""
+    g0, g1 = 3.013769260397329, 7.747412096414174
+    assert g0 + (g1 - g0) < g1
+    per_w = 1.5 * (g1 - g0)
+    assert_merge_matches_oracle([(g0, g1)], [0.0, 0.0], per_w)
+    _, fills = oracle_fill([(g0, g1)], [0.0, 0.0], per_w)
+    assert [m for m, _, _ in fills] == [0, 1]
+
+
+@given(
+    points=st.lists(
+        st.floats(0.0, 50.0, allow_nan=False), min_size=0, max_size=16, unique=True
+    ),
+    avails=st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1, max_size=10),
+    per_w=st.floats(1e-3, 20.0, allow_nan=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_merge_lane_matches_greedy_filler(points, avails, per_w):
+    """Random chronological gaps and items in (availability, micro)
+    order: the merge's leftover and fills equal the greedy filler's."""
+    points = sorted(points)
+    gaps = list(zip(points[0::2], points[1::2]))
+    assert_merge_matches_oracle(gaps, sorted(avails), per_w)
 
 
 # -- schedule-table sanity --------------------------------------------------

@@ -10,12 +10,9 @@ from repro.dynamics import (
     GradualPruningSchedule,
     MoDDynamism,
     MoEDynamism,
-    PlateauFreezer,
     PruningDynamism,
     SparseAttentionDynamism,
     StaticScheme,
-    confidence_survival,
-    lsh_block_mask,
 )
 from repro.experiments.common import build_scenario, make_trainer
 from repro.model.config import GPTConfig
@@ -200,35 +197,6 @@ class TestPruningDynamism:
         assert all(trainer.states[i].sparsity == 1.0 for i in scheme.block_indices)
 
 
-class TestPlateauFreezer:
-    def test_freezes_on_plateau(self):
-        f = PlateauFreezer(2, threshold=0.05, patience=2)
-        vals = [1.0, 0.99, 0.989, 0.9889]
-        frozen_at = None
-        for i, v in enumerate(vals):
-            if f.feed(0, v):
-                frozen_at = i
-        assert f.frozen[0]
-        assert frozen_at is not None
-
-    def test_no_freeze_when_moving(self):
-        f = PlateauFreezer(1, threshold=0.01, patience=3)
-        for v in [1.0, 0.5, 1.5, 0.2, 2.0]:
-            f.feed(0, v)
-        assert not f.frozen[0]
-
-    def test_frozen_stays_frozen(self):
-        f = PlateauFreezer(1, threshold=0.5, patience=1)
-        f.feed(0, 1.0)
-        f.feed(0, 1.0)
-        assert f.frozen[0]
-        assert not f.feed(0, 100.0)  # no re-freeze event
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            PlateauFreezer(0)
-
-
 class TestFreezingDynamism:
     def test_front_contiguous(self, gpt24_specs):
         scheme = FreezingDynamism(gpt24_specs, freeze_every=50, tau0=100, seed=0)
@@ -298,24 +266,6 @@ class TestSparseAttention:
         with pytest.raises(ValueError):
             SparseAttentionDynamism(gpt24_specs, mean_density=0.0)
 
-    def test_lsh_block_mask_properties(self, rng):
-        x = rng.normal(size=(64, 16))
-        mask = lsh_block_mask(x, block_size=8, num_hashes=3, seed=0)
-        assert mask.shape == (8, 8)
-        assert mask.diagonal().all()  # self-attention always live
-        assert np.array_equal(mask, mask.T)  # bucket collision symmetric
-
-    def test_lsh_similar_tokens_collide(self):
-        """Identical hidden states land in the same bucket: full mask."""
-        x = np.ones((32, 8))
-        mask = lsh_block_mask(x, block_size=8, num_hashes=4, seed=1)
-        assert mask.all()
-
-    def test_lsh_input_validation(self, rng):
-        with pytest.raises(ValueError):
-            lsh_block_mask(rng.normal(size=(4,)))
-
-
 class TestEarlyExit:
     def test_survival_monotone_nonincreasing(self, gpt24_specs):
         scheme = EarlyExitDynamism(gpt24_specs, seed=0)
@@ -348,22 +298,6 @@ class TestEarlyExit:
         assert scheme.step(0, states)
         assert not scheme.step(1, states)
         assert scheme.step(scheme.rebalance_every, states)
-
-    def test_confidence_survival(self):
-        conf = np.array(
-            [
-                [0.1, 0.1, 0.9],  # token 2 exits after layer 0
-                [0.9, 0.1, 0.9],  # token 0 exits after layer 1
-                [0.9, 0.9, 0.9],
-            ]
-        )
-        surv = confidence_survival(conf, threshold=0.5)
-        assert surv.tolist() == [1.0, pytest.approx(2 / 3), pytest.approx(1 / 3)]
-
-    def test_confidence_survival_validation(self):
-        with pytest.raises(ValueError):
-            confidence_survival(np.ones(3), 0.5)
-
 
 class TestMoD:
     def test_alternating_pattern(self, gpt24_specs):

@@ -60,33 +60,6 @@ class TestBalancedVsOracle:
             assert dyn.tokens_per_s >= static.tokens_per_s * 0.99
 
 
-class TestCheckpointRepackRestart:
-    def test_full_cycle(self, tmp_path, gpt24_cost, gpt24_specs, comm):
-        """Train -> checkpoint -> restart on fewer workers -> continue.
-
-        The paper's alternative re-packing path (section 3.4.2):
-        combine re-packing with a checkpoint restart so the new
-        communicator and resharding come for free."""
-        from repro.training import load_checkpoint, save_checkpoint
-
-        scheme = FreezingDynamism(gpt24_specs, freeze_every=5, tau0=5, seed=0)
-        cfg = TrainingConfig(iterations=20, pp_stages=8, dp_ways=1)
-        trainer = Trainer(cfg, gpt24_cost, scheme, comm=comm)
-        trainer.run()
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, 20, trainer.plan, trainer.states)
-
-        it, plan, states = load_checkpoint(path, num_stages=4)
-        assert plan.num_stages == 4
-        cfg2 = TrainingConfig(iterations=10, pp_stages=4, dp_ways=1)
-        scheme2 = FreezingDynamism(gpt24_specs, freeze_every=5, tau0=5, seed=0)
-        trainer2 = Trainer(cfg2, gpt24_cost, scheme2, comm=comm, initial_plan=plan)
-        trainer2.states = states  # resume the dynamism state
-        res = trainer2.run()
-        assert res.tokens_per_s > 0
-        assert res.final_plan.num_stages == 4
-
-
 class TestActivationCheckpointing:
     def test_tradeoff(self, gpt24_specs):
         base = ModelCost(gpt24_specs)

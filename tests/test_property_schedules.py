@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.model.config import GPTConfig
 from repro.model.cost import LayerState, ModelCost, build_layer_specs, state_matrix
 from repro.pipeline.schedules import OpKind, Schedule
-from repro.training.trace import TraceRecord
 from repro.training.trainer import states_fingerprint
 
 
@@ -120,27 +119,6 @@ class TestCostModelProperties:
 
 
 class TestTraceProperties:
-    @given(
-        states=st.lists(layer_states, min_size=2, max_size=10),
-        iteration=st.integers(0, 10**6),
-        makespan=st.floats(0, 1e3, allow_nan=False),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_record_json_roundtrip(self, states, iteration, makespan):
-        n = len(states)
-        rec = TraceRecord(
-            iteration=iteration,
-            boundaries=(0, n),
-            states=states,
-            makespan=makespan,
-            bubble=0.1,
-        )
-        back = TraceRecord.from_json(rec.to_json())
-        assert back.iteration == iteration
-        assert back.boundaries == (0, n)
-        assert back.makespan == pytest.approx(makespan)
-        assert states_fingerprint(back.states) == states_fingerprint(states)
-
     @given(states=st.lists(layer_states, min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_fingerprint_roundtrip_stability(self, states):

@@ -22,13 +22,7 @@ LAZY = (
 
 #: modules no command reaches yet, each waiting for its own removal
 #: (ROADMAP.md); this list only shrinks
-ORPHANS = (
-    "repro.cluster.hierarchy",
-    "repro.cluster.variability",
-    "repro.core.balancers.hetero",
-    "repro.dynamics.composite",
-    "repro.training.trace",
-)
+ORPHANS: tuple[str, ...] = ()
 
 
 def _is_lazy(module: str) -> bool:

@@ -1,4 +1,4 @@
-"""Tests for TrainingConfig, Trainer, throughput, checkpointing."""
+"""Tests for TrainingConfig and Trainer."""
 
 import copy
 import hashlib
@@ -13,14 +13,7 @@ from repro.dynamics import FreezingDynamism, StaticScheme
 from repro.experiments.common import SCENARIOS, build_scenario, make_trainer
 from repro.model.cost import LayerState, fresh_states, state_matrix
 from repro.pipeline import PipelinePlan
-from repro.training import (
-    Trainer,
-    TrainingConfig,
-    ThroughputMeter,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.training.throughput import speedup
+from repro.training import Trainer, TrainingConfig
 from repro.training.trainer import states_fingerprint
 
 
@@ -115,53 +108,6 @@ class TestTrainer:
     def test_stage_count_history(self, gpt24_cost, gpt24_specs):
         res = self._trainer(gpt24_cost, gpt24_specs).run()
         assert all(s == 4 for _, s in res.stage_count_history)
-
-
-class TestThroughput:
-    def test_meter(self):
-        m = ThroughputMeter()
-        m.record(1000, 2.0)
-        m.record(1000, 2.0)
-        assert m.tokens_per_s == pytest.approx(500.0)
-        assert m.percentile(50) == pytest.approx(500.0)
-        assert m.per_gpu(4) == pytest.approx(125.0)
-
-    def test_meter_validation(self):
-        m = ThroughputMeter()
-        with pytest.raises(ValueError):
-            m.record(-1, 1)
-        with pytest.raises(ValueError):
-            m.per_gpu(0)
-        assert m.percentile(50) == 0.0
-
-    def test_speedup(self):
-        assert speedup(1200, 1000) == pytest.approx(1.2)
-        with pytest.raises(ValueError):
-            speedup(1, 0)
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        plan = PipelinePlan.uniform(10, 4)
-        states = fresh_states(10)
-        states[3].sparsity = 0.7
-        states[5].frozen = True
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, 123, plan, states)
-        it, plan2, states2 = load_checkpoint(path)
-        assert it == 123
-        assert plan2 == plan
-        assert states2[3].sparsity == 0.7
-        assert states2[5].frozen
-
-    def test_reshard_on_restore(self, tmp_path):
-        """Re-pack-with-restart: restore onto fewer workers."""
-        plan = PipelinePlan.uniform(12, 6)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, 5, plan, fresh_states(12))
-        _, plan2, _ = load_checkpoint(path, num_stages=3)
-        assert plan2.num_stages == 3
-        assert plan2.num_layers == 12
 
 
 class TestIterationCache:

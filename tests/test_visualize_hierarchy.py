@@ -1,16 +1,7 @@
-"""Tests for the Gantt visualizer and hierarchical collectives."""
+"""Tests for the Gantt visualizer."""
 
-import numpy as np
 import pytest
 
-from repro.cluster import CommCostModel, h100_cluster
-from repro.cluster.hierarchy import (
-    flat_vs_hierarchical,
-    hierarchical_allreduce_time,
-    pipeline_comm_cost,
-    topology_aware_stage_ranks,
-)
-from repro.model.cost import fresh_states
 from repro.pipeline import PipelineEngine, PipelinePlan
 from repro.pipeline.visualize import bubble_summary, render_gantt
 
@@ -59,51 +50,3 @@ class TestGantt:
         for row in rows:
             assert row["busy_ms"] > 0
             assert 0 <= row["idle_frac"] <= 1
-
-
-class TestHierarchicalAllreduce:
-    def test_beats_flat_across_nodes(self):
-        topo = h100_cluster(8, 4)
-        comm = CommCostModel(topo)
-        ranks = list(range(32))
-        row = flat_vs_hierarchical(comm, ranks, 1e9)
-        assert row["hierarchical_s"] < row["flat_s"]
-        assert row["speedup"] > 1.0
-
-    def test_single_node_falls_back_to_flat(self, small_cluster):
-        comm = CommCostModel(small_cluster)
-        ranks = [0, 1, 2, 3]
-        assert hierarchical_allreduce_time(comm, ranks, 1e8) == pytest.approx(
-            comm.allreduce_time(ranks, 1e8)
-        )
-
-    def test_zero_cases(self, comm):
-        assert hierarchical_allreduce_time(comm, [0], 1e8) == 0.0
-        assert hierarchical_allreduce_time(comm, [0, 4], 0.0) == 0.0
-
-
-class TestTopologyAwarePlacement:
-    def test_pack_keeps_neighbors_on_node(self, small_cluster):
-        ranks = topology_aware_stage_ranks(small_cluster, 8, "pack")
-        assert ranks == list(range(8))
-
-    def test_spread_round_robins(self, small_cluster):
-        ranks = topology_aware_stage_ranks(small_cluster, 4, "spread")
-        nodes = [small_cluster.node_of(r) for r in ranks]
-        assert nodes == [0, 1, 0, 1]
-
-    def test_pack_cheaper_pipeline_traffic(self, small_cluster):
-        comm = CommCostModel(small_cluster)
-        pack = topology_aware_stage_ranks(small_cluster, 8, "pack")
-        spread = topology_aware_stage_ranks(small_cluster, 8, "spread")
-        assert pipeline_comm_cost(comm, pack, 1e7) < pipeline_comm_cost(
-            comm, spread, 1e7
-        )
-
-    def test_too_many_stages_raises(self, small_cluster):
-        with pytest.raises(ValueError):
-            topology_aware_stage_ranks(small_cluster, 100)
-
-    def test_unknown_policy_raises(self, small_cluster):
-        with pytest.raises(ValueError):
-            topology_aware_stage_ranks(small_cluster, 4, "random")

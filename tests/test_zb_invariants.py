@@ -1,9 +1,10 @@
 """Property tests for the ZB gap-filling invariants in PipelineEngine.
 
-For random plans, worker speeds and micro-batch counts the engine must
-keep its books consistent: per-worker busy + idle accounts for the
-whole makespan, weight-gradient work never starts before its backward
-pass finished, and a worker never runs two ops at once.
+For random plans, per-stage slowdowns and micro-batch counts the
+engine must keep its books consistent: per-worker busy + idle accounts
+for the whole makespan, weight-gradient work never starts before its
+backward pass finished, and a worker never runs two ops at once.  The
+timeline checked here is the compiled executor's.
 """
 
 import numpy as np
@@ -40,7 +41,7 @@ def test_zb_timeline_invariants(trial, gpt24_cost, gpt24_states, comm):
         comm if trial % 2 == 0 else None,
         schedule="zb",
         num_micro=int(rng.integers(2, 13)),
-        worker_speeds=speeds,
+        rank_slowdowns={s: 1.0 / v for s, v in enumerate(speeds)},
         record_timeline=True,
     )
     res = eng.run_iteration(plan, states)
