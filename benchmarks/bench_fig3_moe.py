@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from repro.dynamics import MoEDynamism
 from repro.experiments import ascii_table, run_figure3_scenario
-from repro.experiments.common import ScenarioSetup, build_scenario, run_training
+from repro.experiments.common import ScenarioSetup, build_scenario, make_trainer
 from repro.model.config import llama_moe_3p5b_like
 from repro.model.cost import ModelCost, build_layer_specs
 
@@ -49,8 +49,8 @@ def _run_llama_moe():
         rebalance_every=1,
     )
     row = {"model": cfg.name}
-    static = run_training(setup, mode="megatron")
-    dynmo = run_training(setup, mode="dynmo-partition")
+    static = make_trainer(setup, mode="megatron").run()
+    dynmo = make_trainer(setup, mode="dynmo-partition").run()
     row["megatron"] = static.tokens_per_s
     row["dynmo-partition"] = dynmo.tokens_per_s
     row["speedup"] = dynmo.tokens_per_s / static.tokens_per_s

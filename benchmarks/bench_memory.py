@@ -27,7 +27,7 @@ import platform
 import sys
 import time
 
-from repro.experiments.common import build_scenario, run_training
+from repro.experiments.common import build_scenario, make_trainer
 
 ITERATIONS = 300
 SCENARIOS = ("pruning", "freezing")
@@ -38,13 +38,13 @@ def _run(scenario: str, enforced: bool, iterations: int) -> float:
         scenario, num_layers=24, pp_stages=8, dp_ways=1, iterations=iterations
     )
     t0 = time.perf_counter()
-    run_training(
+    make_trainer(
         setup,
         "dynmo-partition",
         schedule="zb",
         iterations=iterations,
         memory_limit="auto" if enforced else None,
-    )
+    ).run()
     return time.perf_counter() - t0
 
 

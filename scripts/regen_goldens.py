@@ -9,7 +9,14 @@ that covers what the perfbench workloads do not:
   ``2x8+2x4:a100`` cluster, in all three placements, with a failure +
   recovery + straggler event trace and forced re-packing;
 - a ``memory_limit="4e9"`` block whose cells split into ``ok`` and
-  ``oom``.
+  ``oom``;
+- pruning and freezing under dynmo-partition at 32 layers on ``1x8``
+  with ``memory_limit="4e9"``, over every schedule, both precisions and
+  recompute off/on (the byte path behind every ``oom`` verdict);
+- pruning and freezing at ``dp_ways=2`` under megatron and
+  dynmo-partition (the data-parallel gradient all-reduce);
+- the events cell on ``2x8+2x4:a100`` with ``memory_limit="auto"``
+  under both dynmo modes.
 
 Each run is stored as its status and the perfbench digest (SHA-256 of
 the canonical record without ``duration_s`` and ``cached``), next to a
@@ -20,6 +27,10 @@ simulated numbers, and say why in its commit.
 Usage::
 
     PYTHONPATH=src python scripts/regen_goldens.py
+
+:func:`run_records` replays the grid on any ``ExecutionPolicy``
+backend, and :func:`run_records_sharded` through
+:func:`repro.api.shard_sweep`.
 """
 
 from __future__ import annotations
@@ -31,7 +42,9 @@ from collections import Counter
 from pathlib import Path
 from typing import Any
 
+from repro.api import shard_sweep
 from repro.cluster.events import ClusterEvent, ClusterEventTrace
+from repro.model.cost import PRECISIONS
 from repro.orchestrator import ExecutionPolicy, RunRecord, RunSpec, SweepRunner
 from repro.orchestrator.spec import SIM_VERSION
 
@@ -101,7 +114,51 @@ def golden_specs() -> list[RunSpec]:
         for mode in ("megatron", "dynmo-partition")
         for stages in (2, 8)
     ]
-    return specs
+    specs += [
+        RunSpec(
+            scenario=scenario,
+            mode="dynmo-partition",
+            num_layers=32,
+            pp_stages=8,
+            iterations=30,
+            schedule=schedule,
+            cluster="1x8",
+            memory_limit="4e9",
+            precision=precision,
+            recompute=recompute,
+        )
+        for scenario in ("pruning", "freezing")
+        for schedule in SCHEDULES
+        for precision in PRECISIONS
+        for recompute in (False, True)
+    ]
+    specs += [
+        RunSpec(
+            scenario=scenario,
+            mode=mode,
+            num_layers=24,
+            pp_stages=8,
+            dp_ways=2,
+            iterations=30,
+        )
+        for scenario in ("pruning", "freezing")
+        for mode in ("megatron", "dynmo-partition")
+    ]
+    specs += [
+        RunSpec(
+            scenario="pruning",
+            mode=mode,
+            iterations=50,
+            cluster="2x8+2x4:a100",
+            cluster_events=events,
+            repack=True,
+            repack_target=4,
+            repack_force=True,
+            memory_limit="auto",
+        )
+        for mode in ("dynmo-partition", "dynmo-diffusion")
+    ]
+    return list(dict.fromkeys(specs))  # blocks may share a cell
 
 
 def digest(record: dict[str, Any]) -> str:
@@ -113,7 +170,10 @@ def digest(record: dict[str, Any]) -> str:
 def golden_entry(record: RunRecord) -> dict[str, Any]:
     metrics = record.metrics or {}
     return {
-        "label": record.spec.label + "/" + record.spec.schedule,
+        "label": "/".join(
+            [record.spec.label, record.spec.schedule]
+            + ([f"dp{record.spec.dp_ways}"] if record.spec.dp_ways > 1 else [])
+        ),
         "status": record.status,
         "digest": digest(record.to_dict()),
         "total_time_s": metrics.get("total_time_s"),
@@ -121,10 +181,20 @@ def golden_entry(record: RunRecord) -> dict[str, Any]:
     }
 
 
-def run_grid(backend: str) -> dict[str, dict[str, Any]]:
-    """``spec_hash -> entry`` for the whole grid on one backend."""
+def run_records(backend: str) -> list[RunRecord]:
+    """The whole grid's records on one ``ExecutionPolicy`` backend."""
     with SweepRunner(policy=ExecutionPolicy(backend)) as runner:
-        records = runner.run(golden_specs())
+        return runner.run(golden_specs())
+
+
+def run_records_sharded(shard_dir: Path) -> list[RunRecord]:
+    """The grid through a distributed sweep over ``shard_dir`` (one
+    worker, inline, shared result cache), merged back into records."""
+    return shard_sweep(golden_specs(), shard_dir, ExecutionPolicy("inline")).records
+
+
+def golden_entries(records: list[RunRecord]) -> dict[str, dict[str, Any]]:
+    """``spec_hash -> entry``, the layout of the goldens file."""
     return {r.spec_hash: golden_entry(r) for r in records}
 
 
@@ -134,7 +204,7 @@ def load_goldens() -> dict[str, Any]:
 
 
 def main() -> int:
-    runs = run_grid("inline")
+    runs = golden_entries(run_records("inline"))
     GOLDENS_PATH.parent.mkdir(parents=True, exist_ok=True)
     doc = {"sim_version": SIM_VERSION, "runs": runs}
     GOLDENS_PATH.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")

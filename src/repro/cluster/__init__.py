@@ -25,7 +25,7 @@ from repro.cluster.topology import (
 )
 from repro.cluster.collectives import CommCostModel
 from repro.cluster.events import EVENT_KINDS, ClusterEvent, ClusterEventTrace
-from repro.cluster.memory import MemoryTracker, OutOfMemoryError
+from repro.cluster.memory import OutOfMemoryError
 from repro.cluster.placement import PLACEMENT_STRATEGIES, Placement, make_placement
 from repro.cluster.job_manager import ElasticJobManager
 
@@ -42,7 +42,6 @@ __all__ = [
     "EVENT_KINDS",
     "ClusterEvent",
     "ClusterEventTrace",
-    "MemoryTracker",
     "OutOfMemoryError",
     "PLACEMENT_STRATEGIES",
     "Placement",

@@ -1,14 +1,11 @@
-"""Per-GPU memory budget tracking.
+"""Out-of-memory errors.
 
-Drives two paper behaviours: the OOM cells in Fig. 4 (a model that
-does not fit on 2 GPUs) and the memory-capacity constraint in both the
-balancers and re-packing Algorithm 2 (``mem_usage[src] +
-mem_usage[dst] < MAX_MEM``).
+The OOM cells in Fig. 4 (a model that does not fit on 2 GPUs) surface
+as :class:`PlacementOOMError`; the bytes behind the verdict come from
+:class:`~repro.model.memory.StageMemoryModel`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 
 class OutOfMemoryError(RuntimeError):
@@ -18,14 +15,13 @@ class OutOfMemoryError(RuntimeError):
 class PlacementOOMError(OutOfMemoryError):
     """A placement decision does not fit the placed devices' memory.
 
-    Raised by the :class:`~repro.training.trainer.Trainer` (policy
-    ``oom_policy="raise"``) when an initial placement, an
-    ``after_repack`` shrink, or an ``after_regrow`` re-admission
-    produces a stage whose resident bytes — per the
-    :class:`~repro.model.memory.StageMemoryModel` — exceed its ranks'
-    capacity.  Carries the full per-stage report list so callers (and
-    ``status="oom"`` sweep records) can see exactly which stage burst
-    and by how much.
+    Raised by the :class:`~repro.training.trainer.Trainer` when an
+    initial placement, an ``after_repack`` shrink, or an
+    ``after_regrow`` re-admission produces a stage whose resident bytes
+    — per the :class:`~repro.model.memory.StageMemoryModel` — exceed
+    its ranks' capacity.  Carries the full per-stage report list so
+    callers (and ``status="oom"`` sweep records) can see exactly which
+    stage burst and by how much.
     """
 
     def __init__(self, context: str, reports: list) -> None:
@@ -50,50 +46,3 @@ class PlacementOOMError(OutOfMemoryError):
         # default exception pickling replays self.args (the formatted
         # message) into __init__, which expects (context, reports)
         return (type(self), (self.context, self.reports))
-
-
-@dataclass
-class MemoryTracker:
-    """Tracks allocated bytes per worker against a fixed capacity."""
-
-    capacity_bytes: int
-    num_workers: int
-    usage: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        if self.num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if not self.usage:
-            self.usage = [0] * self.num_workers
-        elif len(self.usage) != self.num_workers:
-            raise ValueError("usage length mismatch")
-
-    def allocate(self, worker: int, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
-        if self.usage[worker] + nbytes > self.capacity_bytes:
-            raise OutOfMemoryError(
-                f"worker {worker}: {self.usage[worker] + nbytes} > {self.capacity_bytes}"
-            )
-        self.usage[worker] += nbytes
-
-    def free(self, worker: int, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
-        if nbytes > self.usage[worker]:
-            raise ValueError(f"freeing {nbytes} > allocated {self.usage[worker]}")
-        self.usage[worker] -= nbytes
-
-    def fits(self, worker: int, nbytes: int) -> bool:
-        return self.usage[worker] + nbytes <= self.capacity_bytes
-
-    def headroom(self, worker: int) -> int:
-        return self.capacity_bytes - self.usage[worker]
-
-    def utilization(self, worker: int) -> float:
-        return self.usage[worker] / self.capacity_bytes
-
-    def reset(self) -> None:
-        self.usage = [0] * self.num_workers

@@ -105,16 +105,12 @@ class Placement:
         return len({self.topology.gpu_of(r) for r in self.all_ranks()}) > 1
 
     # -- memory capacity -------------------------------------------------
-    def stage_capacity_bytes(self, stage: int) -> int:
-        """Device memory available to one stage: the *minimum* over its
+    def stage_capacities(self) -> tuple[int, ...]:
+        """Device memory available to each stage: the *minimum* over its
         DP group's placed devices (a replica that does not fit sinks the
         whole synchronous group), from each rank's actual
         :class:`~repro.cluster.topology.GPUSpec` — per-node capacity,
-        never the cluster-wide ``min_memory_bytes``."""
-        return self.stage_capacities()[stage]
-
-    def stage_capacities(self) -> tuple[int, ...]:
-        """Per-stage device capacities (see :meth:`stage_capacity_bytes`).
+        never the cluster-wide ``min_memory_bytes``.
 
         Cached on first use (the placement is immutable and the
         rank→device resolution walks the node list): the controller and
@@ -210,44 +206,22 @@ def validate_memory(
     states,
     placement: Placement | None = None,
     topology: ClusterTopology | None = None,
-    limit_bytes: float | None = None,
 ) -> list:
     """Price every stage of ``plan`` against its placed ranks' memory.
 
     Returns one :class:`~repro.model.memory.StageMemoryReport` per
     stage; callers decide whether a failing report is fatal (the
-    Trainer raises :class:`~repro.cluster.memory.PlacementOOMError` or
-    re-splits, per policy).  Capacity per stage is the minimum device
-    memory over the stage's DP group when a ``placement`` is given
-    (heterogeneous clusters use per-node capacity), the cluster-wide
-    minimum when only a ``topology`` is known, and unbounded otherwise;
-    ``limit_bytes`` (default: the model's own ``limit_bytes``) caps all
-    of them.
+    Trainer raises :class:`~repro.cluster.memory.PlacementOOMError`).
+    Capacities follow
+    :meth:`~repro.model.memory.StageMemoryModel.stage_capacities`.
     """
-    if placement is not None and placement.num_stages != plan.num_stages:
-        raise ValueError(
-            f"placement has {placement.num_stages} stages, "
-            f"plan has {plan.num_stages}"
-        )
-    if limit_bytes is None:
-        limit_bytes = model.limit_bytes
-    reports = []
-    for stage in range(plan.num_stages):
-        if placement is not None:
-            ranks = placement.dp_group(stage)
-            capacity = float(placement.stage_capacity_bytes(stage))
-        elif topology is not None:
-            ranks = ()
-            capacity = float(topology.min_memory_bytes)
-        else:
-            ranks = ()
-            capacity = float("inf")
-        if limit_bytes is not None:
-            capacity = min(capacity, float(limit_bytes))
-        reports.append(
-            model.stage_report(plan, states, stage, capacity, ranks=ranks)
-        )
-    return reports
+    caps = model.stage_capacities(plan.num_stages, placement, topology)
+    ranks = (
+        [placement.dp_group(s) for s in range(plan.num_stages)]
+        if placement is not None
+        else None
+    )
+    return model.stage_reports(plan, states, caps, ranks)
 
 
 def node_interleaved_order(topology: ClusterTopology) -> list[int]:

@@ -119,10 +119,16 @@ class PartitionBalancer(LoadBalancer):
         before = plan.stage_loads(w)
         # the binary-search probe reasons about one scalar bound, so a
         # per-stage capacity vector conservatively collapses to its min
-        new_plan = partition_balanced(
-            w, plan.num_stages, memory_per_layer,
-            self.scalar_capacity(memory_capacity),
-        )
+        try:
+            new_plan = partition_balanced(
+                w, plan.num_stages, memory_per_layer,
+                self.scalar_capacity(memory_capacity),
+            )
+        except ValueError:
+            # no split fits the conservative per-layer memory vector;
+            # like a worse split, that is no reason to leave the current
+            # plan (the caller validates the plan it already runs)
+            return BalanceResult(plan, before, before)
         after = new_plan.stage_loads(w)
         # never return a worse plan than the current one
         if after.max() > before.max():

@@ -180,14 +180,7 @@ class DynMoController:
             or placement.num_stages != num_stages
         ):
             return self.config.memory_capacity_bytes
-        caps = np.array(
-            [
-                float(c)
-                for c in placement.stage_capacities()
-            ]
-        )
-        if self.memory_model.limit_bytes is not None:
-            caps = np.minimum(caps, float(self.memory_model.limit_bytes))
+        caps = np.array(self.memory_model.stage_capacities(num_stages, placement))
         if self.config.memory_capacity_bytes is not None:
             caps = np.minimum(caps, float(self.config.memory_capacity_bytes))
         return caps

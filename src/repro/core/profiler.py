@@ -60,31 +60,16 @@ class PipelineProfiler:
     def profile(
         self, plan: PipelinePlan, states: list[LayerState], iteration: int = 0
     ) -> ProfileReport:
-        specs = self.cost.specs
-        if len(states) != len(specs):
+        if len(states) != len(self.cost.specs):
             raise ValueError("state/spec length mismatch")
-        n = len(specs)
-        fwd, bwd, _ = self.cost.layer_times(state_matrix([states]))
+        sm = state_matrix([states])
+        fwd, bwd, _ = self.cost.layer_times(sm)
         fwd, bwd = fwd[0], bwd[0]
         if self.noise > 0:
-            fwd = fwd * np.exp(self.rng.normal(0.0, self.noise, size=n))
-            bwd = bwd * np.exp(self.rng.normal(0.0, self.noise, size=n))
-        params = np.array(
-            [
-                specs[i].param_count * (1.0 - states[i].sparsity)
-                for i in range(n)
-            ]
-        )
-        lbytes = np.array(
-            [
-                self.cost.param_bytes(specs[i], states[i])
-                + self.cost.grad_bytes(specs[i], states[i])
-                + self.cost.optimizer_bytes(specs[i], states[i])
-                for i in range(n)
-            ]
-        )
-        mem = np.zeros(plan.num_stages)
-        for s in range(plan.num_stages):
-            for li in plan.stage_layers(s):
-                mem[s] += self.cost.layer_memory(specs[li], states[li], self.in_flight)
-        return ProfileReport(fwd, bwd, params, lbytes, mem, iteration)
+            fwd = fwd * np.exp(self.rng.normal(0.0, self.noise, size=fwd.size))
+            bwd = bwd * np.exp(self.rng.normal(0.0, self.noise, size=bwd.size))
+        params = self.cost.param_counts * (1.0 - sm[0, :, 0])
+        nbytes = self.cost.layer_bytes(sm, self.in_flight)[:, 0]
+        payload = nbytes[:4].sum(axis=0)  # everything but activations
+        mem = plan.stage_sums(nbytes.sum(axis=0)).astype(float)
+        return ProfileReport(fwd, bwd, params, payload, mem, iteration)

@@ -4,7 +4,6 @@ from repro.experiments.common import (
     ScenarioSetup,
     build_scenario,
     make_trainer,
-    run_training,
     SCENARIOS,
 )
 from repro.experiments.reporting import ascii_table
@@ -17,7 +16,6 @@ __all__ = [
     "ScenarioSetup",
     "build_scenario",
     "make_trainer",
-    "run_training",
     "SCENARIOS",
     "ascii_table",
     "run_figure1",

@@ -38,7 +38,7 @@ from repro.model.cost import ModelCost, build_layer_specs
 from repro.model.memory import StageMemoryModel
 from repro.pipeline.plan import PipelinePlan
 from repro.training.config import TrainingConfig
-from repro.training.trainer import Trainer, TrainingResult
+from repro.training.trainer import Trainer
 from repro.baselines.megatron import megatron_uniform_plan
 from repro.baselines.deepspeed import deepspeed_plan
 
@@ -140,7 +140,7 @@ def build_scenario(
     cost = ModelCost(
         specs,
         precision=precision,
-        activation_recompute=True if recompute else None,
+        activation_recompute=recompute,
     )
     if cluster:
         topo = parse_cluster(cluster)
@@ -249,21 +249,19 @@ def make_trainer(
     placement: str | None = "packed",
     cluster_events: ClusterEventTrace | None = None,
     memory_limit: "str | float | None" = None,
-    oom_policy: str = "raise",
 ) -> Trainer:
     """Build the Trainer for one configuration without running it.
 
     The batched sweep executor uses this to build every pending run
-    and drive them all in one lockstep call;
-    :func:`run_training` is the build-then-run composition.
+    and drive them all in one lockstep call; ``make_trainer(...).run()``
+    runs one.
 
     ``memory_limit`` (see :func:`parse_memory_limit`) turns on the
     per-stage memory model: placements are validated against placed-rank
     capacities, balancer/repack moves that would OOM a destination are
     rejected, and an infeasible placement raises
-    :class:`~repro.cluster.memory.PlacementOOMError` (or re-splits,
-    ``oom_policy="resplit"``).  Left unset, nothing about the legacy
-    path changes.
+    :class:`~repro.cluster.memory.PlacementOOMError`.  Left unset,
+    nothing about the legacy path changes.
 
     mode ∈ {"megatron", "deepspeed", "dynmo-partition", "dynmo-diffusion",
             "tutel", "egeria", "dense-baseline"}.
@@ -349,44 +347,4 @@ def make_trainer(
         job_manager=job_manager,
         cluster_events=cluster_events,
         memory_model=memory_model,
-        oom_policy=oom_policy,
     )
-
-
-def run_training(
-    setup: ScenarioSetup,
-    mode: str,
-    weight_by: str = "time",
-    repack: bool = False,
-    repack_target: int = 1,
-    repack_force: bool = False,
-    schedule: str = "zb",
-    iterations: int | None = None,
-    initial_plan: PipelinePlan | None = None,
-    scheme: DynamismScheme | None = None,
-    job_manager: ElasticJobManager | None = None,
-    balance_cost: str = "measured",
-    placement: str | None = "packed",
-    cluster_events: ClusterEventTrace | None = None,
-    memory_limit: "str | float | None" = None,
-    oom_policy: str = "raise",
-) -> TrainingResult:
-    """Build and run one configuration (see :func:`make_trainer`)."""
-    return make_trainer(
-        setup,
-        mode,
-        weight_by=weight_by,
-        repack=repack,
-        repack_target=repack_target,
-        repack_force=repack_force,
-        schedule=schedule,
-        iterations=iterations,
-        initial_plan=initial_plan,
-        scheme=scheme,
-        job_manager=job_manager,
-        balance_cost=balance_cost,
-        placement=placement,
-        cluster_events=cluster_events,
-        memory_limit=memory_limit,
-        oom_policy=oom_policy,
-    ).run()

@@ -6,17 +6,22 @@ At training step *k* each layer also carries a :class:`LayerState`
 into forward/backward seconds and resident bytes — the exact inputs
 DynMo's profiler hands to the balancers in the paper.
 
-Time is array-valued and has one path.  :func:`state_matrix` packs N
-state vectors into an ``(N, L, 6)`` float64 matrix (columns in
-:data:`STATE_FIELDS` order), :meth:`ModelCost.layer_times` prices it
-per layer, and :meth:`ModelCost.stage_times` sums layers into per-stage
-tables for N (plan, states) lanes at once.  The pipeline engine (one
-lane), the batched executor (many lanes, across engines whose cost
-models share a :attr:`ModelCost.content_key`) and the profiler all go
-through it.  Every element undergoes the same float64 operations, in
-the same order, as a per-layer scalar evaluation of the formulas below,
-and a stage sum adds its layers one by one in layer order, so results
-do not depend on how many lanes share a call.
+Time and bytes are array-valued and have one path each.
+:func:`state_matrix` packs N state vectors into an ``(N, L, 6)`` float64
+matrix (columns in :data:`STATE_FIELDS` order).
+:meth:`ModelCost.layer_times` prices it per layer, and
+:meth:`ModelCost.stage_times` sums layers into per-stage tables for N
+(plan, states) lanes at once.  The pipeline engine (one lane), the
+batched executor (many lanes, across engines whose cost models share a
+:attr:`ModelCost.content_key`) and the profiler all go through it.
+Every element undergoes the same float64 operations, in the same order,
+as a per-layer scalar evaluation of the formulas below, and a stage sum
+adds its layers one by one in layer order, so results do not depend on
+how many lanes share a call.  :meth:`ModelCost.layer_bytes` prices the
+resident bytes of every layer (weights, master copy, gradients,
+optimizer states, held activations) the same way, for the profiler,
+migration payloads, the data-parallel all-reduce and the per-stage
+memory model.
 
 FLOP accounting for one transformer block on a micro-batch of ``b``
 sequences of ``s`` tokens with hidden ``h`` and expansion ``x``
@@ -51,15 +56,28 @@ from repro.sparse.kernels import (
 )
 from repro.utils.validation import check_prob
 
-#: Training-precision regimes for memory accounting.  "mixed" is the
-#: legacy default: bf16/fp16 working weights + fp32 master copy, fp32
-#: gradients and optimizer states, half-precision activations.  "full"
-#: trains in fp32 throughout: 4-byte weights with *no* separate master
-#: copy, fp32 gradients/optimizer, 4-byte-per-element activations.
-#: Precision is a *memory* knob only — compute time is calibrated via
-#: ``peak_flops``/``efficiency`` and never depends on it, so default
-#: and full-precision runs are bit-identical in simulated time.
-PRECISIONS = ("mixed", "full")
+#: Bytes per element of each resident term, by training precision:
+#: working weight, master copy, gradient, optimizer state (each of
+#: :data:`OPTIMIZER_STATES`), and the activation scale relative to the
+#: specs' half-precision ``activation_bytes``.  "mixed" (the default)
+#: keeps bf16 working weights, an fp32 master copy, fp32 gradients and
+#: optimizer states and bf16 activations; "full" is fp32 throughout
+#: with no master copy.  Precision is a *memory* knob only: compute
+#: time is calibrated via ``peak_flops``/``efficiency`` and never
+#: depends on it.
+PRECISION_BYTES = {
+    "mixed": (2.0, 4.0, 4.0, 4.0, 1.0),
+    "full": (4.0, 0.0, 4.0, 4.0, 2.0),
+}
+PRECISIONS = tuple(PRECISION_BYTES)
+#: Adam keeps two states per trained parameter (m and v)
+OPTIMIZER_STATES = 2
+#: a pruned layer stores its weights as CSR: a 4-byte column index
+#: rides along with every kept value
+CSR_INDEX_BYTES = 4
+#: :meth:`ModelCost.layer_bytes` component order (the byte fields of
+#: :class:`~repro.model.memory.StageMemoryReport`)
+BYTE_FIELDS = ("weight", "master", "grad", "optimizer", "activation")
 
 
 @dataclass(frozen=True)
@@ -256,38 +274,26 @@ class ModelCost:
         specs: list[LayerSpec],
         peak_flops: float = 989e12,
         efficiency: float = 0.45,
-        optimizer_states_per_param: int = 2,  # Adam: m and v
-        dtype_bytes: int = 2,
-        master_weight_bytes: int = 4,
-        activation_checkpointing: bool = False,
         precision: str = "mixed",
-        activation_recompute: bool | None = None,
+        activation_recompute: bool = False,
     ) -> None:
-        """``activation_checkpointing`` trades memory for compute the
+        """``activation_recompute`` trades memory for compute the
         Megatron way: activations are not kept across the pipeline
         (only one micro-batch's worth per layer), and backward first
         recomputes the forward (backward time += forward time).
-        ``activation_recompute`` is the sweep-facing alias for the same
-        knob (it wins when both are given).  ``precision`` selects the
-        byte accounting regime (:data:`PRECISIONS`) consumed by
-        :class:`~repro.model.memory.StageMemoryModel`; the byte methods
-        on this class implement the legacy "mixed" accounting and are
-        unaffected, as is all timing."""
+        ``precision`` selects the byte regime (:data:`PRECISION_BYTES`)
+        that :class:`~repro.model.memory.StageMemoryModel` prices
+        resident memory with; it changes no time."""
         if not specs:
             raise ValueError("specs must be non-empty")
         if precision not in PRECISIONS:
             raise ValueError(
                 f"unknown precision {precision!r}; choose from {PRECISIONS}"
             )
-        if activation_recompute is not None:
-            activation_checkpointing = bool(activation_recompute)
         self.specs = specs
         self.peak_flops = peak_flops
         self.efficiency = efficiency
-        self.opt_states = optimizer_states_per_param
-        self.dtype_bytes = dtype_bytes
-        self.master_bytes = master_weight_bytes
-        self.activation_checkpointing = activation_checkpointing
+        self.activation_recompute = bool(activation_recompute)
         self.precision = precision
         # the per-layer spec columns the time path reads
         ffn = np.array([sp.ffn_flops for sp in specs], dtype=np.float64)
@@ -296,6 +302,8 @@ class ModelCost:
         self._ffn_flops = ffn
         self._quad_flops = np.array([sp.attn_quad_flops for sp in specs], dtype=np.float64)
         self._act_bytes = np.array([sp.activation_bytes for sp in specs], dtype=np.float64)
+        #: per-layer parameter counts (the byte path's spec column)
+        self.param_counts = np.array([sp.param_count for sp in specs], dtype=np.float64)
         self._pk = peak_flops * efficiency
         # the kernel candidates of sparse.kernels.best_kernel_time at
         # this device's sparse-kernel peak
@@ -311,13 +319,8 @@ class ModelCost:
         #: Nothing reassigns these fields after construction.
         self.content_key: bytes = (
             np.concatenate([self._dense_flops, ffn, self._quad_flops, self._act_bytes]).tobytes()
-            + np.array([peak_flops, efficiency, activation_checkpointing], dtype=np.float64).tobytes()
+            + np.array([peak_flops, efficiency, self.activation_recompute], dtype=np.float64).tobytes()
         )
-
-    @property
-    def activation_recompute(self) -> bool:
-        """Alias of ``activation_checkpointing`` (the sweep-axis name)."""
-        return self.activation_checkpointing
 
     # -- time ------------------------------------------------------------
     def _matmul_times(self, flops: np.ndarray, sparsity: np.ndarray | None) -> np.ndarray:
@@ -391,7 +394,7 @@ class ModelCost:
         dw = np.where(fz, 0.0, fwd_matmul)
         bwd_full = (fwd_matmul + dw) + (2.0 * quad_scaled) / pk
         bwd_full = bwd_full * tf
-        if self.activation_checkpointing:
+        if self.activation_recompute:
             bwd_full = bwd_full + fwd  # recompute pass
         bwd_full = np.where(dr, 0.0, bwd_full)
 
@@ -446,41 +449,46 @@ class ModelCost:
         return acc[0], acc[1], acc[2], act
 
     # -- memory -----------------------------------------------------------
-    def param_bytes(self, spec: LayerSpec, state: LayerState) -> int:
-        """Weights (+ master copy) with CSR overhead when pruned."""
-        active = spec.param_count * (1.0 - state.sparsity)
-        if state.sparsity > 0:
-            # CSR: values + column index per nnz (4B index)
-            weight = active * (self.dtype_bytes + 4)
-        else:
-            weight = spec.param_count * self.dtype_bytes
-        master = active * self.master_bytes
-        return int(weight + master)
+    def layer_bytes(
+        self,
+        states: np.ndarray,
+        in_flight: "int | np.ndarray" = 1,
+        precision: str = "mixed",
+    ) -> np.ndarray:
+        """Per-layer resident bytes for a :func:`state_matrix`.
 
-    def grad_bytes(self, spec: LayerSpec, state: LayerState) -> int:
-        if state.frozen:
-            return 0
-        active = spec.param_count * (1.0 - state.sparsity)
-        return int(active * self.master_bytes)
-
-    def optimizer_bytes(self, spec: LayerSpec, state: LayerState) -> int:
-        if state.frozen:
-            return 0
-        active = spec.param_count * (1.0 - state.sparsity)
-        return int(active * self.master_bytes * self.opt_states)
-
-    def activation_bytes(self, spec: LayerSpec, state: LayerState, in_flight: int) -> int:
-        if self.activation_checkpointing:
-            in_flight = 1  # only the boundary activation is retained
-        return int(spec.activation_bytes * state.token_fraction * max(1, in_flight))
-
-    def layer_memory(self, spec: LayerSpec, state: LayerState, in_flight: int = 1) -> int:
-        return (
-            self.param_bytes(spec, state)
-            + self.grad_bytes(spec, state)
-            + self.optimizer_bytes(spec, state)
-            + self.activation_bytes(spec, state, in_flight)
-        )
+        Returns an ``(5, N, L)`` int64 array whose rows follow
+        :data:`BYTE_FIELDS`: working weights (CSR values + index when
+        pruned), the master copy, gradients and optimizer states (none
+        for frozen layers; both count unpruned parameters only), and
+        the activations of ``in_flight`` micro-batches (an int or a
+        per-layer array; one under activation recompute, which holds
+        only the boundary activation).  ``precision`` picks the row of
+        :data:`PRECISION_BYTES`; only the memory model passes the
+        cost's own, so migration payloads, the data-parallel gradient
+        all-reduce and the profiler price mixed precision.  Each term
+        truncates to whole bytes like ``int()``; the weight term is
+        weights + master truncated, less the truncated master.
+        """
+        self._check_states(states)
+        wb, mb, gb, ob, act_scale = PRECISION_BYTES[precision]
+        sp = states[..., 0]
+        fz = states[..., 1]
+        tf = states[..., 4]
+        params = self.param_counts
+        active = params * (1.0 - sp)
+        weight = np.where(sp > 0, active * (wb + CSR_INDEX_BYTES), params * wb)
+        master = active * mb
+        if self.activation_recompute:
+            in_flight = 1
+        out = np.empty((5,) + sp.shape, dtype=np.int64)
+        out[1] = master
+        out[0] = weight + master
+        out[0] -= out[1]
+        out[2] = np.where(fz, 0.0, active * gb)
+        out[3] = np.where(fz, 0.0, active * ob * OPTIMIZER_STATES)
+        out[4] = self._act_bytes * tf * np.maximum(1, in_flight) * act_scale
+        return out
 
 
 def fresh_states(n: int) -> list[LayerState]:

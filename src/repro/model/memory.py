@@ -18,20 +18,12 @@ held activations to one micro-batch per stage; its recompute FLOPs are
 already folded into stage times by
 :class:`~repro.model.cost.ModelCost` (``backward += forward``).
 
-Precision regimes (per ``estimates.py``-style accounting):
-
-========== ================== ======== ========== =============
-term        mixed              full
-========== ================== ======== ========== =============
-weights     2 B (+4 B master)           4 B (no master copy)
-gradients   4 B/active param            4 B/active param
-optimizer   4 B x states/param          4 B x states/param
-activations 2 B/element                 4 B/element
-========== ================== ======== ========== =============
-
-"mixed" reproduces :class:`~repro.model.cost.ModelCost`'s legacy byte
-methods exactly; neither regime affects timing, so memory-knob-default
-runs stay bit-identical to pre-model results.
+Every term comes from :meth:`~repro.model.cost.ModelCost.layer_bytes`,
+the one array path for bytes, in the cost's own precision
+(:data:`~repro.model.cost.PRECISION_BYTES`: "mixed" keeps bf16 weights
+with an fp32 master copy, "full" is fp32 throughout with no master
+copy).  Neither precision nor enforcement affects timing, so a run that
+fits simulates exactly the time of an unenforced one.
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.model.cost import PRECISIONS
+from repro.model.cost import state_matrix
 
 SCHEDULES = ("gpipe", "1f1b", "zb")
 
@@ -95,7 +87,7 @@ class StageMemoryReport:
 class StageMemoryModel:
     """Prices per-stage resident memory for a (cost, schedule) pair.
 
-    ``precision`` and ``activation_recompute`` default to the bound
+    Precision and activation recompute are the bound
     :class:`~repro.model.cost.ModelCost`'s own knobs; ``limit_bytes``
     is an optional per-rank cap applied *on top of* device capacities
     (the ``--memory-limit`` sweep axis).
@@ -106,8 +98,6 @@ class StageMemoryModel:
         cost: Any,
         schedule: str = "zb",
         num_micro: int = 32,
-        precision: str | None = None,
-        activation_recompute: bool | None = None,
         limit_bytes: float | None = None,
     ) -> None:
         if schedule not in SCHEDULES:
@@ -116,32 +106,12 @@ class StageMemoryModel:
             )
         if num_micro < 1:
             raise ValueError("num_micro must be >= 1")
-        if precision is None:
-            precision = str(getattr(cost, "precision", "mixed"))
-        if precision not in PRECISIONS:
-            raise ValueError(
-                f"unknown precision {precision!r}; choose from {PRECISIONS}"
-            )
-        if activation_recompute is None:
-            activation_recompute = bool(
-                getattr(cost, "activation_checkpointing", False)
-            )
         if limit_bytes is not None and limit_bytes <= 0:
             raise ValueError("limit_bytes must be positive")
         self.cost = cost
         self.schedule = schedule
         self.num_micro = int(num_micro)
-        self.precision = precision
-        self.activation_recompute = bool(activation_recompute)
         self.limit_bytes = limit_bytes
-        # accounting depends only on (sparsity, frozen, token_fraction)
-        # per layer, which change rarely — memoising keeps validation
-        # off the training hot path
-        self._memo: dict[
-            tuple[int, float, bool, float, int],
-            tuple[int, int, int, int, int],
-        ] = {}
-        self._total_memo: dict[tuple[int, float, bool, float, int], int] = {}
 
     # -- schedule-aware in-flight counts ---------------------------------
     def in_flight(self, stage: int, num_stages: int) -> int:
@@ -154,7 +124,7 @@ class StageMemoryModel:
         """
         if not 0 <= stage < num_stages:
             raise ValueError(f"stage {stage} out of range for {num_stages} stages")
-        if self.activation_recompute:
+        if self.cost.activation_recompute:
             return 1
         if self.schedule == "gpipe":
             return self.num_micro
@@ -164,147 +134,82 @@ class StageMemoryModel:
         """The deepest stage's in-flight count (stage 0)."""
         return self.in_flight(0, max(1, num_stages))
 
-    # -- per-layer accounting --------------------------------------------
-    def layer_components(
-        self, spec: Any, state: Any, in_flight: int
-    ) -> tuple[int, int, int, int, int]:
-        """(weight, master, grad, optimizer, activation) bytes for one
-        layer at the given in-flight micro-batch count.
+    # -- capacities ---------------------------------------------------------
+    def stage_capacities(
+        self, num_stages: int, placement: Any = None, topology: Any = None
+    ) -> list[float]:
+        """Bytes each stage may hold: the smallest device memory over
+        the stage's placed ranks (heterogeneous clusters differ per
+        stage), else the cluster-wide minimum of ``topology``, else
+        unbounded; each clipped by ``limit_bytes``."""
+        if placement is not None:
+            if placement.num_stages != num_stages:
+                raise ValueError(
+                    f"placement has {placement.num_stages} stages, "
+                    f"plan has {num_stages}"
+                )
+            caps = [float(c) for c in placement.stage_capacities()]
+        elif topology is not None:
+            caps = [float(topology.min_memory_bytes)] * num_stages
+        else:
+            caps = [float("inf")] * num_stages
+        limit = self.limit_bytes
+        if limit is not None:
+            caps = [min(c, float(limit)) for c in caps]
+        return caps
 
-        The "mixed" branch delegates to the legacy ``ModelCost`` byte
-        methods so its totals match them integer-for-integer.
-        """
+    # -- accounting ---------------------------------------------------------
+    def _layer_bytes(self, states: Sequence[Any], in_flight: Any) -> Any:
+        """``(5, L)`` int64 per-layer bytes in the cost's precision."""
         cost = self.cost
-        active = spec.param_count * (1.0 - state.sparsity)
-        if self.precision == "mixed":
-            weight_and_master = int(cost.param_bytes(spec, state))
-            master = int(active * cost.master_bytes)
-            weight = weight_and_master - master
-            grad = int(cost.grad_bytes(spec, state))
-            opt = int(cost.optimizer_bytes(spec, state))
-            act_scale = 1.0
-        else:  # full: fp32 weights, no master copy, fp32 activations
-            if state.sparsity > 0:
-                weight = int(active * (4 + 4))  # CSR: fp32 values + 4B index
-            else:
-                weight = int(spec.param_count * 4)
-            master = 0
-            grad = 0 if state.frozen else int(active * 4)
-            opt = 0 if state.frozen else int(active * 4 * cost.opt_states)
-            act_scale = 4.0 / float(cost.dtype_bytes)
-        if self.activation_recompute:
-            in_flight = 1  # only the boundary activation is retained
-        act = int(
-            spec.activation_bytes
-            * state.token_fraction
-            * max(1, in_flight)
-            * act_scale
-        )
-        return weight, master, grad, opt, act
+        if len(states) != len(cost.specs):
+            raise ValueError(f"got {len(states)} states for {len(cost.specs)} layer specs")
+        return cost.layer_bytes(state_matrix([states]), in_flight, cost.precision)[:, 0]
 
-    def _cached_components(
-        self, li: int, spec: Any, state: Any, in_flight: int
-    ) -> tuple[int, int, int, int, int]:
-        key = (
-            li,
-            float(state.sparsity),
-            bool(state.frozen),
-            float(state.token_fraction),
-            int(in_flight),
-        )
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = self.layer_components(
-                spec, state, in_flight
-            )
-        return hit
+    def _stage_bytes(self, plan: Any, states: Sequence[Any]) -> Any:
+        """``(5, S)`` int64 per-stage bytes, each stage at its in-flight
+        count."""
+        S = plan.num_stages
+        infl = [self.in_flight(s, S) for s in range(S) for _ in plan.stage_layers(s)]
+        return plan.stage_sums(self._layer_bytes(states, infl))
 
-    def _cached_total(
-        self, li: int, spec: Any, state: Any, in_flight: int
-    ) -> int:
-        key = (
-            li,
-            float(state.sparsity),
-            bool(state.frozen),
-            float(state.token_fraction),
-            int(in_flight),
-        )
-        hit = self._total_memo.get(key)
-        if hit is None:
-            hit = self._total_memo[key] = sum(
-                self._cached_components(li, spec, state, in_flight)
-            )
-        return hit
-
-    def layer_bytes(
-        self, states: Sequence[Any], in_flight: int
-    ) -> list[int]:
+    def layer_bytes(self, states: Sequence[Any], in_flight: int) -> list[int]:
         """Per-layer resident bytes at a fixed in-flight count.
 
         This is the vector balancers consume: per-layer memory cannot
         express a stage-dependent in-flight count, so callers pass the
         conservative :meth:`worst_in_flight`.
         """
-        specs = self.cost.specs
-        if len(states) != len(specs):
-            raise ValueError(
-                f"got {len(states)} states for {len(specs)} layer specs"
-            )
-        return [
-            self._cached_total(li, sp, st, in_flight)
-            for li, (sp, st) in enumerate(zip(specs, states))
-        ]
+        totals: list[int] = self._layer_bytes(states, in_flight).sum(axis=0).tolist()
+        return totals
 
-    # -- per-stage accounting --------------------------------------------
-    def stage_report(
+    def plan_stage_bytes(self, plan: Any, states: Sequence[Any]) -> list[int]:
+        """Total resident bytes per stage of ``plan`` (no capacities)."""
+        totals: list[int] = self._stage_bytes(plan, states).sum(axis=0).tolist()
+        return totals
+
+    def stage_reports(
         self,
         plan: Any,
         states: Sequence[Any],
-        stage: int,
-        capacity_bytes: float,
-        ranks: tuple[int, ...] = (),
-    ) -> StageMemoryReport:
-        infl = self.in_flight(stage, plan.num_stages)
-        specs = self.cost.specs
-        weight = master = grad = opt = act = 0
-        for li in plan.stage_layers(stage):
-            w, m, g, o, a = self._cached_components(
-                li, specs[li], states[li], infl
+        capacities: Sequence[float],
+        ranks: Sequence[tuple[int, ...]] | None = None,
+    ) -> list[StageMemoryReport]:
+        """One :class:`StageMemoryReport` per stage of ``plan``, against
+        the given per-stage capacities and (optionally) placed ranks."""
+        S = plan.num_stages
+        per_stage = self._stage_bytes(plan, states).T.tolist()
+        return [
+            StageMemoryReport(
+                stage=s,
+                ranks=tuple(int(r) for r in ranks[s]) if ranks else (),
+                capacity_bytes=float(capacities[s]),
+                param_bytes=weight,
+                master_bytes=master,
+                grad_bytes=grad,
+                optimizer_bytes=opt,
+                activation_bytes=act,
+                in_flight=self.in_flight(s, S),
             )
-            weight += w
-            master += m
-            grad += g
-            opt += o
-            act += a
-        if self.limit_bytes is not None:
-            capacity_bytes = min(capacity_bytes, self.limit_bytes)
-        return StageMemoryReport(
-            stage=stage,
-            ranks=tuple(int(r) for r in ranks),
-            capacity_bytes=float(capacity_bytes),
-            param_bytes=weight,
-            master_bytes=master,
-            grad_bytes=grad,
-            optimizer_bytes=opt,
-            activation_bytes=act,
-            in_flight=infl,
-        )
-
-    def plan_stage_bytes(self, plan: Any, states: Sequence[Any]) -> list[int]:
-        """Total resident bytes per stage of ``plan`` (no capacities).
-
-        This sits on the controller's per-rebalance hot path, so it
-        sums memoised per-layer totals instead of building full
-        :class:`StageMemoryReport` objects."""
-        specs = self.cost.specs
-        num_stages = plan.num_stages
-        out: list[int] = []
-        for s in range(num_stages):
-            infl = self.in_flight(s, num_stages)
-            out.append(
-                sum(
-                    self._cached_total(li, specs[li], states[li], infl)
-                    for li in plan.stage_layers(s)
-                )
-            )
-        return out
+            for s, (weight, master, grad, opt, act) in enumerate(per_stage)
+        ]

@@ -29,7 +29,7 @@ SPEC_SCHEMA_VERSION = 4  # v4: precision / recompute / memory_limit axes
 #: plans valid.
 SIM_VERSION = "1.2.0"
 
-#: Every contender `run_training` understands.
+#: Every contender `make_trainer` understands.
 MODES = (
     "megatron",
     "deepspeed",

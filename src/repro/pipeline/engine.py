@@ -272,22 +272,16 @@ class PipelineEngine:
         makespan (shared by the scalar and the batched executor)."""
         comm_extra = 0.0
         if self.dp_ways > 1 and self.comm is not None:
-            grad_bytes = self._dp_grad_bytes(plan, states)
+            # per-stage gradient bytes exchanged across the DP group
+            # (frozen/pruned parameters are excluded, as in the paper)
+            grads = self.cost.layer_bytes(state_matrix([states]))[2, 0]
+            grad_bytes = plan.stage_sums(grads).astype(float)
             for s in range(plan.num_stages):
                 t = self.comm.allreduce_time(self._dp_group(s), grad_bytes[s])
                 worker_time[s] += t
                 comm_extra = max(comm_extra, t)
         makespan = float(max(worker_time))
         return IterationResult(makespan, np.array(busy), comm_extra, timeline or [])
-
-    def _dp_grad_bytes(self, plan: PipelinePlan, states) -> np.ndarray:
-        """Per-stage gradient bytes exchanged across the DP group
-        (frozen/pruned parameters are excluded, as in the paper)."""
-        out = np.zeros(plan.num_stages)
-        for s in range(plan.num_stages):
-            for li in plan.stage_layers(s):
-                out[s] += self.cost.grad_bytes(self.cost.specs[li], states[li])
-        return out
 
     # -- convenience ---------------------------------------------------------
     def throughput_tokens_per_s(

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cluster.collectives import CommCostModel
 from repro.cluster.placement import Placement
-from repro.model.cost import LayerState, ModelCost
+from repro.model.cost import LayerState, ModelCost, state_matrix
 from repro.pipeline.plan import PipelinePlan
 
 
@@ -102,16 +104,6 @@ class MigrationPlan:
         return exposed * (1.0 - overlap)
 
 
-def layer_bytes(cost: ModelCost, layer: int, state: LayerState) -> int:
-    """Bytes shipped when migrating one layer (weights+grad+opt state)."""
-    spec = cost.specs[layer]
-    return (
-        cost.param_bytes(spec, state)
-        + cost.grad_bytes(spec, state)
-        + cost.optimizer_bytes(spec, state)
-    )
-
-
 def diff_plans(
     old: PipelinePlan,
     new: PipelinePlan,
@@ -121,16 +113,25 @@ def diff_plans(
     """Transfers required to morph ``old`` into ``new``.
 
     Plans may have different stage counts (re-packing); a layer moves
-    when its stage index changes.
+    when its stage index changes, and ships its weights, master copy,
+    gradients and optimizer state (:meth:`ModelCost.layer_bytes`
+    without activations).
     """
     if old.num_layers != new.num_layers:
         raise ValueError("plans cover different layer counts")
+    src = old.layer_stages()
+    dst = new.layer_stages()
+    moved = np.flatnonzero(src != dst)
     plan = MigrationPlan()
-    for layer in range(old.num_layers):
-        s_old = old.stage_of(layer)
-        s_new = new.stage_of(layer)
-        if s_old != s_new:
-            plan.transfers.append(
-                LayerTransfer(layer, s_old, s_new, layer_bytes(cost, layer, states[layer]))
+    if moved.size:
+        payload = cost.layer_bytes(state_matrix([states]))[:4, 0].sum(axis=0)
+        plan.transfers = [
+            LayerTransfer(*t)
+            for t in zip(
+                moved.tolist(),
+                src[moved].tolist(),
+                dst[moved].tolist(),
+                payload[moved].tolist(),
             )
+        ]
     return plan

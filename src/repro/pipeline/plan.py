@@ -67,6 +67,16 @@ class PipelinePlan:
             raise ValueError(f"layer {layer} out of range")
         return int(np.searchsorted(self.boundaries, layer, side="right")) - 1
 
+    def layer_stages(self) -> np.ndarray:
+        """Every layer's stage index, as one int array of length L."""
+        return np.repeat(np.arange(self.num_stages), np.diff(self.boundaries))
+
+    def stage_sums(self, per_layer: np.ndarray) -> np.ndarray:
+        """Add the last axis of per-layer values up per stage, with
+        ``np.add.reduceat`` (integer bytes stay exact integers; float
+        balancer loads go through :meth:`stage_loads`)."""
+        return np.add.reduceat(per_layer, self.boundaries[:-1], axis=-1)
+
     def stage_sizes(self) -> list[int]:
         return [
             self.boundaries[i + 1] - self.boundaries[i] for i in range(self.num_stages)

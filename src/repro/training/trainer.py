@@ -30,7 +30,6 @@ from repro.cluster.events import ClusterEventTrace
 from repro.cluster.job_manager import ElasticJobManager
 from repro.cluster.memory import PlacementOOMError
 from repro.cluster.placement import Placement, make_placement, validate_memory
-from repro.core.balancers.partition import partition_balanced
 from repro.core.controller import DynMoController
 from repro.dynamics.base import DynamismScheme, StaticScheme
 from repro.model.cost import LayerState, ModelCost, state_matrix
@@ -96,9 +95,8 @@ class _RunState:
     # -- memory-model accounting ------------------------------------------
     #: largest per-stage resident-byte total seen across validations
     peak_stage_bytes: float = 0.0
-    #: times memory constraints bound behaviour: controller-rejected
-    #: balancer moves plus Trainer-level OOM validations (raised or
-    #: recovered by re-splitting, per policy)
+    #: balancer moves the controller rejected because a stage would
+    #: not fit its ranks' memory
     oom_events: int = 0
 
 
@@ -157,23 +155,16 @@ class Trainer:
         placement: Placement | None = None,
         cluster_events: ClusterEventTrace | None = None,
         memory_model: StageMemoryModel | None = None,
-        oom_policy: str = "raise",
     ) -> None:
-        if oom_policy not in ("raise", "resplit"):
-            raise ValueError(
-                f"unknown oom_policy {oom_policy!r}; choose 'raise' or 'resplit'"
-            )
         self.cfg = cfg
         self.cost = cost
         self.scheme = scheme
         self.comm = comm
         self.controller = controller
         # when set, every placement decision (initial, post-repack,
-        # post-regrow) is priced against its ranks' memory; "raise"
-        # surfaces a PlacementOOMError, "resplit" first tries a
-        # memory-balanced re-partition over the same stages
+        # post-regrow) is priced against its ranks' memory, and one
+        # that does not fit raises a PlacementOOMError
         self.memory_model = memory_model
-        self.oom_policy = oom_policy
         self._last_mem_key: tuple | None = None
         n_layers = len(cost.specs)
         self.plan = initial_plan or PipelinePlan.uniform(n_layers, cfg.pp_stages)
@@ -264,11 +255,12 @@ class Trainer:
         """Price the current plan against its placed ranks' memory.
 
         Throttled on (plan, placement, states) identity so steady-state
-        iterations pay one tuple comparison, not a re-pricing; OOM either
-        raises :class:`PlacementOOMError` or (policy ``"resplit"``)
-        re-partitions by memory over the same stage count.
+        iterations pay one tuple comparison, not a re-pricing.  A stage
+        that does not fit raises :class:`PlacementOOMError` with every
+        stage's report.
         """
-        if self.memory_model is None:
+        model = self.memory_model
+        if model is None:
             return
         key = (
             self.plan.boundaries,
@@ -277,102 +269,22 @@ class Trainer:
         )
         if key == self._last_mem_key:
             return
-        # fast path: memoised per-stage totals against cached capacities;
-        # full StageMemoryReports are only built when a stage overflows
-        # (for the error message / resplit decision)
-        aligned = (
-            self.placement is None
-            or self.placement.num_stages == self.plan.num_stages
-        )
-        if aligned:
-            totals = self.memory_model.plan_stage_bytes(
-                self.plan, self.states
+        topology = self.comm.topology if self.comm is not None else None
+        totals = model.plan_stage_bytes(self.plan, self.states)
+        caps = model.stage_capacities(len(totals), self.placement, topology)
+        if not all(t <= c for t, c in zip(totals, caps)):
+            raise PlacementOOMError(
+                context,
+                validate_memory(
+                    model, self.plan, self.states, self.placement, topology
+                ),
             )
-            caps = self._stage_capacity_floats(len(totals))
-            if all(t <= c for t, c in zip(totals, caps)):
-                # record the peak only for plans that are accepted:
-                # a rejected split never becomes resident memory
-                peak = float(max(totals, default=0))
-                if peak > st.peak_stage_bytes:
-                    st.peak_stage_bytes = peak
-                self._last_mem_key = key
-                return
-        reports = self._memory_reports(self.plan)
-        if not all(r.fits for r in reports):
-            st.oom_events += 1
-            resplit = (
-                self._memory_resplit(st) if self.oom_policy == "resplit" else None
-            )
-            if resplit is None:
-                raise PlacementOOMError(context, reports)
-            peak = max((float(r.total_bytes) for r in resplit), default=0.0)
-            if peak > st.peak_stage_bytes:
-                st.peak_stage_bytes = peak
-            key = (
-                self.plan.boundaries,
-                self.placement.grid if self.placement is not None else None,
-                self._states_key(),
-            )
+        # record the peak only for plans that are accepted: a rejected
+        # split never becomes resident memory
+        peak = float(max(totals, default=0))
+        if peak > st.peak_stage_bytes:
+            st.peak_stage_bytes = peak
         self._last_mem_key = key
-
-    def _stage_capacity_floats(self, num_stages: int) -> "list[float]":
-        """Per-stage capacities exactly as ``validate_memory`` derives
-        them (placed ranks, else cluster minimum, else unbounded;
-        clipped by the model's ``limit_bytes``)."""
-        if self.placement is not None:
-            caps = [float(c) for c in self.placement.stage_capacities()]
-        elif self.comm is not None:
-            caps = [float(self.comm.topology.min_memory_bytes)] * num_stages
-        else:
-            caps = [float("inf")] * num_stages
-        limit = self.memory_model.limit_bytes
-        if limit is not None:
-            caps = [min(c, float(limit)) for c in caps]
-        return caps
-
-    def _memory_reports(self, plan: PipelinePlan) -> list:
-        return validate_memory(
-            self.memory_model,
-            plan,
-            self.states,
-            placement=self.placement,
-            topology=(
-                self.comm.topology
-                if self.placement is None and self.comm is not None
-                else None
-            ),
-        )
-
-    def _memory_resplit(self, st: _RunState) -> "list | None":
-        """Memory-balanced re-partition over the current stage count.
-
-        Balances *memory* (not compute) because the goal is feasibility;
-        the controller's next forced invocation re-optimises compute
-        within the recovered headroom.  Returns the new plan's reports,
-        or None when no contiguous partition fits.
-        """
-        model = self.memory_model
-        n_stages = self.plan.num_stages
-        infl = model.worst_in_flight(n_stages)
-        mem = np.asarray(model.layer_bytes(self.states, infl), dtype=float)
-        if self.placement is not None:
-            cap = float(min(self.placement.stage_capacities()))
-        elif self.comm is not None:
-            cap = float(self.comm.topology.min_memory_bytes)
-        else:
-            cap = float("inf")
-        if model.limit_bytes is not None:
-            cap = min(cap, float(model.limit_bytes))
-        try:
-            new_plan = partition_balanced(mem, n_stages, mem, cap)
-        except ValueError:
-            return None
-        reports = self._memory_reports(new_plan)
-        if not all(r.fits for r in reports):
-            return None
-        self.plan = new_plan
-        st.force_rebalance = True
-        return reports
 
     def _iteration_result(self) -> IterationResult:
         key = self._cache_key()
@@ -650,7 +562,7 @@ class Trainer:
 
         A *scout* — a shadow Trainer over deep copies of the scheme and
         states — replays the next ``iterations`` steps (dynamism, cluster
-        events, memory re-splits) without any engine call and collects
+        events, memory validation) without any engine call and collects
         one scenario per distinct iteration-cache key.  One
         :func:`~repro.pipeline.batched.simulate_many` call then seeds
         this run's cache, so the real run hits it on every iteration.
@@ -688,7 +600,6 @@ class Trainer:
             placement=self.placement,
             cluster_events=self.cluster_events,
             memory_model=self.memory_model,
-            oom_policy=self.oom_policy,
         )
         shadow.states = states
         st = shadow._begin_run(

@@ -2,11 +2,13 @@
 
 ``ModelCost`` prices time only through its array path
 (:meth:`~repro.model.cost.ModelCost.layer_times` and
-:meth:`~repro.model.cost.ModelCost.stage_times`).  This module keeps the
-scalar formulas that path replaced — one layer and one state at a time,
-in plain Python floats — and the per-stage accumulation loop the engine
-used to run, so tests can require the array path to equal them bit for
-bit.  Tests of cost *semantics* call the production array path instead.
+:meth:`~repro.model.cost.ModelCost.stage_times`) and bytes only through
+:meth:`~repro.model.cost.ModelCost.layer_bytes`.  This module keeps the
+scalar formulas those paths replaced — one layer and one state at a
+time, in plain Python numbers — and the per-stage accumulation loop the
+engine used to run, so tests can require the array paths to equal them
+bit for bit.  Tests of cost *semantics* call the production array paths
+instead.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def backward_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
     dw = 0.0 if state.frozen else fwd_matmul
     quad = 2.0 * (spec.attn_quad_flops * state.attn_density) / (cost.peak_flops * cost.efficiency)
     total = (dx + dw + quad) * state.token_fraction
-    if cost.activation_checkpointing:
+    if cost.activation_recompute:
         total += forward_time(cost, spec, state)  # recompute pass
     return total
 
@@ -76,6 +78,109 @@ def weight_grad_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> flo
     return fwd_matmul * state.token_fraction
 
 
+# -- bytes -------------------------------------------------------------------
+#: bf16 working weights, fp32 master copy, Adam's two states per param
+DTYPE_BYTES = 2
+MASTER_BYTES = 4
+OPT_STATES = 2
+
+
+def param_bytes(cost: ModelCost, spec: LayerSpec, state: LayerState) -> int:
+    """Weights (+ master copy) with CSR overhead when pruned."""
+    active = spec.param_count * (1.0 - state.sparsity)
+    if state.sparsity > 0:
+        # CSR: values + column index per nnz (4B index)
+        weight = active * (DTYPE_BYTES + 4)
+    else:
+        weight = spec.param_count * DTYPE_BYTES
+    master = active * MASTER_BYTES
+    return int(weight + master)
+
+
+def grad_bytes(cost: ModelCost, spec: LayerSpec, state: LayerState) -> int:
+    if state.frozen:
+        return 0
+    active = spec.param_count * (1.0 - state.sparsity)
+    return int(active * MASTER_BYTES)
+
+
+def optimizer_bytes(cost: ModelCost, spec: LayerSpec, state: LayerState) -> int:
+    if state.frozen:
+        return 0
+    active = spec.param_count * (1.0 - state.sparsity)
+    return int(active * MASTER_BYTES * OPT_STATES)
+
+
+def activation_bytes(
+    cost: ModelCost, spec: LayerSpec, state: LayerState, in_flight: int
+) -> int:
+    if cost.activation_recompute:
+        in_flight = 1  # only the boundary activation is retained
+    return int(spec.activation_bytes * state.token_fraction * max(1, in_flight))
+
+
+def layer_memory(
+    cost: ModelCost, spec: LayerSpec, state: LayerState, in_flight: int = 1
+) -> int:
+    """Mixed-precision resident bytes of one layer."""
+    return (
+        param_bytes(cost, spec, state)
+        + grad_bytes(cost, spec, state)
+        + optimizer_bytes(cost, spec, state)
+        + activation_bytes(cost, spec, state, in_flight)
+    )
+
+
+def layer_components(
+    cost: ModelCost, spec: LayerSpec, state: LayerState, in_flight: int, precision: str
+) -> tuple[int, int, int, int, int]:
+    """(weight, master, grad, optimizer, activation) bytes for one layer;
+    "mixed" splits :func:`param_bytes` into weights and master copy."""
+    active = spec.param_count * (1.0 - state.sparsity)
+    if precision == "mixed":
+        weight_and_master = param_bytes(cost, spec, state)
+        master = int(active * MASTER_BYTES)
+        weight = weight_and_master - master
+        grad = grad_bytes(cost, spec, state)
+        opt = optimizer_bytes(cost, spec, state)
+        act_scale = 1.0
+    else:  # full: fp32 weights, no master copy, fp32 activations
+        if state.sparsity > 0:
+            weight = int(active * (4 + 4))  # CSR: fp32 values + 4B index
+        else:
+            weight = int(spec.param_count * 4)
+        master = 0
+        grad = 0 if state.frozen else int(active * 4)
+        opt = 0 if state.frozen else int(active * 4 * OPT_STATES)
+        act_scale = 4.0 / float(DTYPE_BYTES)
+    if cost.activation_recompute:
+        in_flight = 1
+    act = int(
+        spec.activation_bytes * state.token_fraction * max(1, in_flight) * act_scale
+    )
+    return weight, master, grad, opt, act
+
+
+def migration_bytes(cost: ModelCost, layer: int, state: LayerState) -> int:
+    """Bytes shipped when migrating one layer (weights+grad+opt state)."""
+    spec = cost.specs[layer]
+    return (
+        param_bytes(cost, spec, state)
+        + grad_bytes(cost, spec, state)
+        + optimizer_bytes(cost, spec, state)
+    )
+
+
+def dp_grad_bytes(cost: ModelCost, plan: PipelinePlan, states: list[LayerState]) -> np.ndarray:
+    """Per-stage gradient bytes exchanged across the DP group."""
+    out = np.zeros(plan.num_stages)
+    for s in range(plan.num_stages):
+        for li in plan.stage_layers(s):
+            out[s] += grad_bytes(cost, cost.specs[li], states[li])
+    return out
+
+
+# -- accumulation loops --------------------------------------------------------
 def total_forward_time(cost: ModelCost, states: list[LayerState]) -> float:
     return sum(forward_time(cost, sp, st) for sp, st in zip(cost.specs, states))
 

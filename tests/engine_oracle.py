@@ -19,6 +19,8 @@ from repro.pipeline.engine import IterationResult, PipelineEngine
 from repro.pipeline.plan import PipelinePlan
 from repro.pipeline.schedules import Op, OpKind
 
+import cost_oracle
+
 
 def run_iteration(
     engine: PipelineEngine,
@@ -120,7 +122,7 @@ def run_iteration(
     # Data-parallel gradient all-reduce at iteration end.
     comm_extra = 0.0
     if engine.dp_ways > 1 and engine.comm is not None:
-        grad_bytes = engine._dp_grad_bytes(plan, states)
+        grad_bytes = cost_oracle.dp_grad_bytes(engine.cost, plan, states)
         for s in range(S):
             t = engine.comm.allreduce_time(engine._dp_group(s), grad_bytes[s])
             worker_time[s] += t

@@ -123,6 +123,16 @@ class TestPartitionBalancer:
         with pytest.raises(ValueError):
             PartitionBalancer().rebalance(plan, np.ones(3))
 
+    def test_memory_infeasible_keeps_plan(self):
+        """No split fits the memory vector: keep the current plan
+        instead of raising (``partition_balanced`` itself still raises)."""
+        plan = PipelinePlan.uniform(4, 2)
+        res = PartitionBalancer().rebalance(
+            plan, np.ones(4), np.full(4, 3.0), 2.0
+        )
+        assert res.plan == plan
+        assert list(res.loads_after) == list(res.loads_before)
+
     def test_fixes_skewed_load(self):
         """One hot layer: the balancer must isolate it."""
         w = np.ones(8)

@@ -1,4 +1,4 @@
-"""Tests for topology, collectives, memory tracker, job manager."""
+"""Tests for topology, collectives, job manager."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from repro.cluster import (
     CommCostModel,
     ElasticJobManager,
-    MemoryTracker,
-    OutOfMemoryError,
     h100_cluster,
     h100_node,
 )
@@ -85,46 +83,6 @@ class TestCollectives:
         link = NVLINK4
         expected = 2 * (n - 1) * link.latency_s + 2 * (n - 1) / n * nbytes / link.bandwidth_Bps
         assert comm.allreduce_time([0, 1, 2, 3], nbytes) == pytest.approx(expected)
-
-
-class TestMemoryTracker:
-    def test_allocate_free(self):
-        mt = MemoryTracker(100, 2)
-        mt.allocate(0, 60)
-        assert mt.usage[0] == 60
-        assert mt.headroom(0) == 40
-        mt.free(0, 20)
-        assert mt.usage[0] == 40
-        assert mt.utilization(0) == pytest.approx(0.4)
-
-    def test_oom(self):
-        mt = MemoryTracker(100, 1)
-        mt.allocate(0, 90)
-        with pytest.raises(OutOfMemoryError):
-            mt.allocate(0, 20)
-
-    def test_fits(self):
-        mt = MemoryTracker(100, 1)
-        assert mt.fits(0, 100)
-        mt.allocate(0, 50)
-        assert not mt.fits(0, 51)
-
-    def test_over_free_raises(self):
-        mt = MemoryTracker(100, 1)
-        with pytest.raises(ValueError):
-            mt.free(0, 1)
-
-    def test_reset(self):
-        mt = MemoryTracker(10, 2)
-        mt.allocate(1, 5)
-        mt.reset()
-        assert mt.usage == [0, 0]
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            MemoryTracker(0, 1)
-        with pytest.raises(ValueError):
-            MemoryTracker(10, 0)
 
 
 class TestJobManager:

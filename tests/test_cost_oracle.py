@@ -1,4 +1,4 @@
-"""Property tests: the array cost path equals the scalar oracle bit for bit.
+"""Property tests: the array cost paths equal the scalar oracle bit for bit.
 
 Per-layer times from :meth:`ModelCost.layer_times` and per-stage tables
 from :meth:`ModelCost.stage_times` (several lanes with different plans
@@ -6,14 +6,22 @@ in one call) must equal :mod:`cost_oracle`'s scalar formulas and
 per-layer accumulation loop exactly — compared as raw float64 bytes —
 for random states (pruned up to sparsity 1.0, frozen and droppable
 layers), random plans, with and without the zero-bubble B/W split and
-activation recompute.
+activation recompute.  Per-layer bytes from :meth:`ModelCost.layer_bytes`
+must equal the scalar byte formulas integer for integer in both
+precisions, at per-layer in-flight counts.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.model.config import GPTConfig
-from repro.model.cost import LayerState, ModelCost, build_layer_specs, state_matrix
+from repro.model.cost import (
+    PRECISIONS,
+    LayerState,
+    ModelCost,
+    build_layer_specs,
+    state_matrix,
+)
 from repro.pipeline.plan import PipelinePlan
 
 import cost_oracle
@@ -81,3 +89,31 @@ def test_stage_tables_equal_oracle(data, split, recompute):
         want = cost_oracle.base_stage_times(cost, plan, states, split)
         for g, w in zip(got, want):
             assert g[lane].tobytes() == w.tobytes()
+
+
+@given(
+    data=st.data(),
+    states=state_vectors,
+    precision=st.sampled_from(PRECISIONS),
+    recompute=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_layer_bytes_equal_oracle(data, states, precision, recompute):
+    cost = COSTS[recompute]
+    num_micro = data.draw(st.integers(1, 32))
+    in_flight = data.draw(
+        st.lists(st.integers(1, num_micro), min_size=L, max_size=L)
+    )
+    got = cost.layer_bytes(state_matrix([states]), np.array(in_flight), precision)
+    assert got.shape == (5, 1, L) and got.dtype == np.int64
+    for li, (spec, state, infl) in enumerate(zip(SPECS, states, in_flight)):
+        want = cost_oracle.layer_components(cost, spec, state, infl, precision)
+        assert tuple(got[:, 0, li].tolist()) == want
+        if precision == "mixed":
+            assert sum(want) == cost_oracle.layer_memory(cost, spec, state, infl)
+            assert sum(want[:4]) == cost_oracle.migration_bytes(cost, li, state)
+    # a scalar in-flight count prices like the same count on every layer
+    same = cost.layer_bytes(state_matrix([states]), in_flight[0], precision)
+    assert same.tolist() == cost.layer_bytes(
+        state_matrix([states]), np.full(L, in_flight[0]), precision
+    ).tolist()

@@ -7,11 +7,11 @@ from repro.experiments import (
     SCENARIOS,
     ascii_table,
     build_scenario,
+    make_trainer,
     run_figure1,
     run_figure3_scenario,
     run_figure4_repacking,
     run_overhead_table,
-    run_training,
 )
 
 
@@ -64,19 +64,19 @@ class TestRunTraining:
     def test_modes(self):
         setup = build_scenario("freezing", num_layers=24, pp_stages=4, dp_ways=1, iterations=30)
         for mode in ("megatron", "deepspeed", "egeria", "dynmo-partition"):
-            res = run_training(setup, mode=mode)
+            res = make_trainer(setup, mode=mode).run()
             assert res.tokens_per_s > 0
 
     def test_dense_baseline_requires_support(self):
         setup = build_scenario("freezing", num_layers=24, iterations=10)
         with pytest.raises(ValueError):
-            run_training(setup, mode="dense-baseline")
+            make_trainer(setup, mode="dense-baseline")
 
     def test_dense_baseline_for_sparse_attention(self):
         setup = build_scenario(
             "sparse_attention", num_layers=24, pp_stages=4, dp_ways=1, iterations=10
         )
-        res = run_training(setup, mode="dense-baseline")
+        res = make_trainer(setup, mode="dense-baseline").run()
         assert res.tokens_per_s > 0
 
 

@@ -4,7 +4,7 @@ stage-rank striding, throughput accounting edge paths."""
 import numpy as np
 
 from repro.cluster.memory import OutOfMemoryError
-from repro.experiments.common import build_scenario, run_training
+from repro.experiments.common import build_scenario, make_trainer
 from repro.experiments.figure4 import run_figure4_repacking
 from repro.model.cost import fresh_states
 from repro.pipeline import PipelineEngine, PipelinePlan
@@ -82,15 +82,15 @@ class TestRunTrainingEdge:
 
         setup = build_scenario("freezing", num_layers=24, pp_stages=4, dp_ways=1, iterations=10)
         plan = deepspeed_plan(setup.specs, 4, "regex:block")
-        res = run_training(
+        res = make_trainer(
             setup, mode="megatron", scheme=StaticScheme(setup.specs), initial_plan=plan
-        )
+        ).run()
         assert res.tokens_per_s > 0
         assert res.final_plan == plan
 
     def test_iterations_override(self):
         setup = build_scenario("freezing", num_layers=24, pp_stages=4, dp_ways=1, iterations=100)
-        res = run_training(setup, mode="megatron", iterations=7)
+        res = make_trainer(setup, mode="megatron", iterations=7).run()
         assert res.iterations == 7
 
 

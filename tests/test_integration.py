@@ -63,11 +63,9 @@ class TestBalancedVsOracle:
 class TestActivationCheckpointing:
     def test_tradeoff(self, gpt24_specs):
         base = ModelCost(gpt24_specs)
-        ckpt = ModelCost(gpt24_specs, activation_checkpointing=True)
-        from repro.model.cost import LayerState, fresh_states, state_matrix
+        ckpt = ModelCost(gpt24_specs, activation_recompute=True)
+        from repro.model.cost import BYTE_FIELDS, fresh_states, state_matrix
 
-        st = LayerState()
-        sp = gpt24_specs[1]
         states = state_matrix([fresh_states(len(gpt24_specs))])
         base_fwd, base_bwd, _ = (t[0, 1] for t in base.layer_times(states))
         ckpt_bwd = ckpt.layer_times(states)[1][0, 1]
@@ -75,9 +73,10 @@ class TestActivationCheckpointing:
         assert ckpt_bwd > base_bwd
         assert ckpt_bwd == pytest.approx(base_bwd + base_fwd)
         # ...but less activation memory in flight
-        assert ckpt.activation_bytes(sp, st, in_flight=8) < base.activation_bytes(
-            sp, st, in_flight=8
-        )
+        act = BYTE_FIELDS.index("activation")
+        assert ckpt.layer_bytes(states, 8)[act, 0, 1] < base.layer_bytes(
+            states, 8
+        )[act, 0, 1]
 
     def test_enables_tighter_repack(self, gpt24_specs):
         """Checkpointing shrinks worker memory, letting re-packing fold
@@ -91,7 +90,7 @@ class TestActivationCheckpointing:
             plan, states
         ).worker_memory
         ckpt_mem = PipelineProfiler(
-            ModelCost(gpt24_specs, activation_checkpointing=True), in_flight=8
+            ModelCost(gpt24_specs, activation_recompute=True), in_flight=8
         ).profile(plan, states).worker_memory
         assert ckpt_mem.sum() < base_mem.sum()
         capacity = float(base_mem.max() * 2.5)

@@ -104,6 +104,14 @@ def layer_time(cost, state, split=False, layer=1):
     return fwd[0, layer], bwd[0, layer], wgt[0, layer]
 
 
+def layer_bytes(cost, state, layer=1, in_flight=1):
+    """Mixed-precision BYTE_FIELDS of one layer in ``state`` via the
+    array path."""
+    states = fresh_states(len(cost.specs))
+    states[layer] = state
+    return cost.layer_bytes(state_matrix([states]), in_flight)[:, 0, layer].tolist()
+
+
 class TestModelCost:
     @pytest.fixture
     def cost(self):
@@ -164,24 +172,31 @@ class TestModelCost:
         assert half >= dense * 0.99
 
     def test_memory_components(self, cost):
-        sp = cost.specs[1]
-        st = LayerState()
-        assert cost.param_bytes(sp, st) > 0
-        assert cost.grad_bytes(sp, st) > 0
-        assert cost.optimizer_bytes(sp, st) == 2 * cost.grad_bytes(sp, st)
-        assert cost.layer_memory(sp, st, in_flight=2) > cost.param_bytes(sp, st)
+        weight, master, grad, opt, act = layer_bytes(cost, LayerState(), in_flight=2)
+        assert weight > 0 and master > 0 and act > 0
+        assert grad > 0
+        assert opt == 2 * grad
+        assert sum(layer_bytes(cost, LayerState(), in_flight=2)) > weight + master
 
     def test_frozen_memory_smaller(self, cost):
-        sp = cost.specs[1]
-        assert cost.layer_memory(sp, LayerState(frozen=True)) < cost.layer_memory(
-            sp, LayerState()
-        )
+        frozen = layer_bytes(cost, LayerState(frozen=True))
+        assert frozen[2] == frozen[3] == 0
+        assert sum(frozen) < sum(layer_bytes(cost, LayerState()))
 
     def test_pruned_memory_smaller_at_high_sparsity(self, cost):
-        sp = cost.specs[1]
-        assert cost.param_bytes(sp, LayerState(sparsity=0.9)) < cost.param_bytes(
-            sp, LayerState()
+        pruned = layer_bytes(cost, LayerState(sparsity=0.9))
+        dense = layer_bytes(cost, LayerState())
+        assert pruned[0] + pruned[1] < dense[0] + dense[1]
+
+    def test_in_flight_scales_activations_only(self, cost):
+        one = layer_bytes(cost, LayerState(), in_flight=1)
+        four = layer_bytes(cost, LayerState(), in_flight=4)
+        assert four[:4] == one[:4]
+        assert four[4] == 4 * one[4]
+        held = layer_bytes(
+            ModelCost(cost.specs, activation_recompute=True), LayerState(), in_flight=4
         )
+        assert held == one  # recompute holds only the boundary activation
 
     def test_totals_require_matching_lengths(self, cost):
         with pytest.raises(ValueError):

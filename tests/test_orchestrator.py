@@ -104,7 +104,7 @@ class TestExecuteSpec:
         assert "warp-drive" in record.error
 
     def test_invalid_baseline_is_isolated_error(self):
-        # pruning has no dense baseline -> run_training raises ValueError
+        # pruning has no dense baseline -> make_trainer raises ValueError
         record = execute_spec(tiny(mode="dense-baseline"))
         assert record.status == "error"
         assert record.error_type == "ValueError"

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.model.cost import LayerState, ModelCost, fresh_states, state_matrix
+from repro.model.cost import ModelCost, fresh_states, state_matrix
 from repro.pipeline import PipelineEngine, PipelinePlan
-from repro.pipeline.migration import diff_plans, layer_bytes
+from repro.pipeline.migration import diff_plans
 
 
 class TestEngineBasics:
@@ -189,9 +189,14 @@ class TestMigration:
         with pytest.raises(ValueError):
             mig.cost_seconds(comm, overlap=1.5)
 
-    def test_layer_bytes_pruned_smaller(self, gpt24_cost):
-        sparse_state = LayerState(sparsity=0.9)
-        dense_state = LayerState()
-        assert layer_bytes(gpt24_cost, 1, sparse_state) < layer_bytes(
-            gpt24_cost, 1, dense_state
-        )
+    def test_layer_bytes_pruned_smaller(self, gpt24_cost, gpt24_states):
+        """A pruned layer ships fewer bytes when it migrates."""
+        a = PipelinePlan.from_stage_sizes([13, 13])
+        b = PipelinePlan.from_stage_sizes([10, 16])
+        sparse = [s.copy() for s in gpt24_states]
+        sparse[11].sparsity = 0.9
+        dense = diff_plans(a, b, gpt24_cost, gpt24_states).transfers
+        pruned = diff_plans(a, b, gpt24_cost, sparse).transfers
+        assert [t.layer for t in dense] == [10, 11, 12]
+        assert pruned[1].nbytes < dense[1].nbytes
+        assert pruned[0].nbytes == dense[0].nbytes

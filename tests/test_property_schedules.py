@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.model.config import GPTConfig
-from repro.model.cost import LayerState, ModelCost, build_layer_specs, state_matrix
+from repro.model.cost import (
+    PRECISIONS,
+    LayerState,
+    ModelCost,
+    build_layer_specs,
+    state_matrix,
+)
 from repro.pipeline.schedules import OpKind, Schedule
 from repro.training.trainer import states_fingerprint
 
@@ -113,9 +119,9 @@ class TestCostModelProperties:
     @given(state=layer_states)
     @settings(max_examples=60, deadline=None)
     def test_memory_nonnegative(self, state):
-        for spec in self.COST.specs:
-            assert self.COST.layer_memory(spec, state, in_flight=4) >= 0
-            assert self.COST.param_bytes(spec, state) >= 0
+        states = state_matrix([[state] * len(self.COST.specs)])
+        for precision in PRECISIONS:
+            assert (self.COST.layer_bytes(states, 4, precision) >= 0).all()
 
 
 class TestTraceProperties:
