@@ -2,16 +2,13 @@
 
 Paper: Sputnik outperforms cuSPARSE at every deep-learning sparsity
 level and overtakes dense (cuBLAS) around 75% sparsity; cuSPARSE only
-pays off at extreme (>99%) sparsity.  Also times the real CSR SpMM
-kernel against numpy dense matmul.
+pays off at extreme (>99%) sparsity.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments import ascii_table
-from repro.sparse import CSRMatrix, cusparse_cost_model, sputnik_cost_model
+from repro.sparse import cusparse_cost_model, sputnik_cost_model
 from repro.sparse.kernels import crossover_sparsity, dense_time
 
 
@@ -41,13 +38,3 @@ def test_spmm_crossover_table(once):
         if 0 < row["sparsity"] <= 0.95:
             assert row["sputnik_ms"] < row["cusparse_ms"]
 
-
-def test_csr_spmm_kernel(benchmark):
-    """Time the actual numpy CSR kernel at 90% sparsity."""
-    rng = np.random.default_rng(0)
-    dense = rng.normal(size=(512, 512))
-    mask = rng.random((512, 512)) < 0.1
-    csr = CSRMatrix.from_mask(dense, mask)
-    B = rng.normal(size=(512, 64))
-    out = benchmark(csr.matmul_dense, B)
-    assert np.allclose(out, (dense * mask) @ B)

@@ -42,7 +42,7 @@ def main() -> None:
             weight_by="time",
             repack=True,  # consolidate once the model shrinks
             repack_target_workers=2,
-            memory_capacity_bytes=float(topo.gpu.memory_bytes),
+            memory_capacity_bytes=float(topo.min_memory_bytes),
         ),
     )
     train_cfg = TrainingConfig(

@@ -18,6 +18,14 @@ that covers what the perfbench workloads do not:
 - the events cell on ``2x8+2x4:a100`` with ``memory_limit="auto"``
   under both dynmo modes.
 
+Two smaller goldens sit beside it: ``tests/goldens/ensemble.json``
+holds, for pruning x {megatron, dynmo-partition} x {zb, 1f1b} at 8
+stages and 40 iterations, each group's ``EnsembleStats`` digest over 8
+sampled fault traces next to its p50/p99 iteration time and final
+survivability; ``tests/goldens/maxmodel.json`` holds a small
+``fig-maxmodel`` table under ``memory_limit="4e9"`` with both ``ok``
+and ``oom`` cells.
+
 Each run is stored as its status and the perfbench digest (SHA-256 of
 the canonical record without ``duration_s`` and ``cached``), next to a
 few readable numbers so a diff shows what moved.  The header pins
@@ -30,7 +38,8 @@ Usage::
 
 :func:`run_records` replays the grid on any ``ExecutionPolicy``
 backend, and :func:`run_records_sharded` through
-:func:`repro.api.shard_sweep`.
+:func:`repro.api.shard_sweep`; :func:`ensemble_entries` and
+:func:`maxmodel_table` do the same for the two smaller goldens.
 """
 
 from __future__ import annotations
@@ -44,11 +53,23 @@ from typing import Any
 
 from repro.api import shard_sweep
 from repro.cluster.events import ClusterEvent, ClusterEventTrace
+from repro.experiments.maxmodel import run_fig_maxmodel
 from repro.model.cost import PRECISIONS
-from repro.orchestrator import ExecutionPolicy, RunRecord, RunSpec, SweepRunner
+from repro.orchestrator import (
+    ExecutionPolicy,
+    RunRecord,
+    RunSpec,
+    SweepRunner,
+    run_ensemble,
+)
 from repro.orchestrator.spec import SIM_VERSION
 
-GOLDENS_PATH = Path(__file__).resolve().parents[1] / "tests" / "goldens" / "sweep.json"
+GOLDENS_DIR = Path(__file__).resolve().parents[1] / "tests" / "goldens"
+GOLDENS_PATH = GOLDENS_DIR / "sweep.json"
+ENSEMBLE_PATH = GOLDENS_DIR / "ensemble.json"
+MAXMODEL_PATH = GOLDENS_DIR / "maxmodel.json"
+#: sampled fault traces per ensemble group
+ENSEMBLE_DRAWS = 8
 
 SCENARIOS = ("pruning", "freezing", "sparse_attention", "early_exit", "moe", "mod")
 MODES = ("megatron", "dynmo-partition", "dynmo-diffusion")
@@ -198,18 +219,72 @@ def golden_entries(records: list[RunRecord]) -> dict[str, dict[str, Any]]:
     return {r.spec_hash: golden_entry(r) for r in records}
 
 
-def load_goldens() -> dict[str, Any]:
-    with GOLDENS_PATH.open(encoding="utf-8") as fh:
+def ensemble_bases() -> list[RunSpec]:
+    return [
+        RunSpec(
+            scenario="pruning",
+            mode=mode,
+            pp_stages=8,
+            iterations=40,
+            schedule=schedule,
+        )
+        for mode in ("megatron", "dynmo-partition")
+        for schedule in ("zb", "1f1b")
+    ]
+
+
+def ensemble_entries(backend: str) -> dict[str, dict[str, Any]]:
+    """``group label -> entry`` for the ensemble grid on one backend:
+    the digest of the group's whole ``EnsembleStats`` next to its p50
+    and p99 iteration time and final survivability."""
+    result = run_ensemble(ensemble_bases(), ENSEMBLE_DRAWS, ExecutionPolicy(backend))
+    return {
+        stats.label: {
+            "digest": digest(stats.to_dict()),
+            "iter_time_p50": stats.iter_time_p50,
+            "iter_time_p99": stats.iter_time_p99,
+            "survivability_final": stats.survivability[-1][1],
+        }
+        for stats in result.stats
+    }
+
+
+def maxmodel_table(backend: str) -> list[dict[str, Any]]:
+    """A small ``fig-maxmodel`` table whose cells split into ``ok`` and
+    ``oom`` (the 2-GPU cluster cannot hold 48 layers under 4 GB)."""
+    with SweepRunner(policy=ExecutionPolicy(backend)) as runner:
+        return run_fig_maxmodel(
+            depths=(24, 48),
+            clusters=("1x2", "1x8"),
+            iterations=30,
+            memory_limit="4e9",
+            runner=runner,
+        )
+
+
+def load_goldens(path: Path = GOLDENS_PATH) -> dict[str, Any]:
+    with path.open(encoding="utf-8") as fh:
         return json.load(fh)
 
 
+def _write(path: Path, key: str, value: Any) -> None:
+    doc = {"sim_version": SIM_VERSION, key: value}
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def main() -> int:
+    GOLDENS_DIR.mkdir(parents=True, exist_ok=True)
     runs = golden_entries(run_records("inline"))
-    GOLDENS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    doc = {"sim_version": SIM_VERSION, "runs": runs}
-    GOLDENS_PATH.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    _write(GOLDENS_PATH, "runs", runs)
     statuses = Counter(entry["status"] for entry in runs.values())
     print(f"wrote {GOLDENS_PATH} ({len(runs)} runs: {dict(statuses)})")
+    groups = ensemble_entries("inline")
+    _write(ENSEMBLE_PATH, "groups", groups)
+    print(f"wrote {ENSEMBLE_PATH} ({len(groups)} groups x {ENSEMBLE_DRAWS} draws)")
+    table = maxmodel_table("inline")
+    _write(MAXMODEL_PATH, "rows", table)
+    cells = Counter(cell["status"] for row in table for cell in row["cells"])
+    print(f"wrote {MAXMODEL_PATH} ({len(table)} clusters: {dict(cells)})")
     return 0
 
 

@@ -8,9 +8,9 @@ Top-level convenience re-exports; see subpackages for the full API:
 - ``repro.pipeline``  — pipeline plans, schedules, event simulator
 - ``repro.cluster``   — topology, collectives, placement, job manager
 - ``repro.model``     — GPT configs + per-layer cost model
-- ``repro.sparse``    — CSR/SpMM substrate
+- ``repro.sparse``    — dense/sparse matmul kernel cost models
 - ``repro.training``  — end-to-end Trainer
-- ``repro.baselines`` — Megatron/DeepSpeed/Tutel/Egeria/PipeTransformer
+- ``repro.baselines`` — Megatron/DeepSpeed/Tutel/Egeria
 - ``repro.experiments`` — figure/table drivers
 """
 

@@ -25,7 +25,6 @@ from repro.analysis.registry import (
     all_checkers,
     all_codes,
     register,
-    run_checkers,
 )
 from repro.analysis.runner import (
     LintReport,
@@ -46,5 +45,4 @@ __all__ = [
     "lint_paths",
     "lint_sources",
     "register",
-    "run_checkers",
 ]

@@ -10,7 +10,7 @@ can exercise any checker regardless of where they live.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Type
+from typing import Iterator, Type
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.source import SourceFile
@@ -76,22 +76,3 @@ def all_codes() -> dict[str, str]:
         codes.update(checker.codes)
     return dict(sorted(codes.items()))
 
-
-def run_checkers(
-    src: SourceFile,
-    checkers: Iterable[Checker] | None = None,
-    select: Callable[[str], bool] | None = None,
-) -> list[Diagnostic]:
-    """Run checkers over one file, applying scope and suppressions."""
-    out = [d for d in src.errors if select is None or select(d.code)]
-    if src.tree is None:
-        return sorted(out)
-    for checker in checkers if checkers is not None else all_checkers():
-        if not checker.applies_to(src):
-            continue
-        for diag in checker.check(src):
-            if select is not None and not select(diag.code):
-                continue
-            if not src.suppressed(diag):
-                out.append(diag)
-    return sorted(out)

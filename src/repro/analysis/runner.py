@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.registry import all_checkers, run_checkers
+from repro.analysis.registry import all_checkers
 from repro.analysis.source import SourceFile
 
 REPORT_SCHEMA_VERSION = 1

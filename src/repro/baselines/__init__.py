@@ -5,20 +5,16 @@
 - Tutel: MoE-tailored adaptive expert parallelism (capacity tuning) —
   balances *within* the MoE FFN but not across pipeline stages.
 - Egeria: layer freezing driver without any load rebalancing.
-- PipeTransformer: freeze-training elasticity that halves the pipeline
-  (powers of two only), with parameter-count memory proxy.
 """
 
 from repro.baselines.megatron import megatron_uniform_plan
 from repro.baselines.deepspeed import deepspeed_plan
 from repro.baselines.tutel import TutelMoEBaseline
 from repro.baselines.egeria import EgeriaBaseline
-from repro.baselines.pipetransformer import pipetransformer_repack
 
 __all__ = [
     "megatron_uniform_plan",
     "deepspeed_plan",
     "TutelMoEBaseline",
     "EgeriaBaseline",
-    "pipetransformer_repack",
 ]

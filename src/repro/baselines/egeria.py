@@ -13,19 +13,23 @@ from repro.dynamics.freezing import FreezingDynamism
 from repro.model.cost import LayerState
 
 
+#: reference-model maintenance seconds per iteration per squared layer
+_REF_COST_COEFF_S = 2.4e-7
+
+
 class EgeriaBaseline:
     """FreezingDynamism + per-iteration reference-model overhead."""
 
     name = "egeria"
 
-    def __init__(self, scheme: FreezingDynamism, ref_cost_coeff_s: float = 2.4e-7):
+    def __init__(self, scheme: FreezingDynamism):
         self.scheme = scheme
         self.specs = scheme.specs
         self.rebalance_every = 10**9  # never rebalances the pipeline
         # reference-model maintenance scales superlinearly with depth
         # (forward pass + per-layer plasticity bookkeeping): ~d^2
         d = len(scheme.block_indices)
-        self.ref_cost_per_iter_s = ref_cost_coeff_s * d * d
+        self.ref_cost_per_iter_s = _REF_COST_COEFF_S * d * d
 
     def initial_states(self) -> list[LayerState]:
         return self.scheme.initial_states()

@@ -39,7 +39,7 @@ from repro.experiments import (
     run_figure4_repacking,
     run_overhead_table,
 )
-from repro.experiments.common import parse_memory_limit
+from repro.experiments.common import effective_shape, parse_memory_limit
 from repro.orchestrator import (
     MODES,
     ExecutionPolicy,
@@ -1154,17 +1154,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _requested_shape(args) -> tuple[int, int]:
+    """The (pipeline stages, data-parallel ways) a command asks its
+    scenarios for: fig4 sizes the pipeline by its largest ``--gpus``,
+    overhead always runs 8 stages, and only sweep, shard plan, ensemble
+    and fig3 pass ``--dp`` on."""
+    if args.command == "fig4":
+        return max(args.gpus), 1
+    if args.command == "overhead":
+        return 8, 1
+    uses_dp = args.command in ("sweep", "shard", "ensemble", "fig3")
+    return args.stages, args.dp if uses_dp else 1
+
+
+def _check_shapes(parser: argparse.ArgumentParser, args) -> None:
+    """Exit 2, naming the flag, when a scenario's effective pipeline
+    (after MoE widening or the paper-scale grids) does not fit its
+    ``--layers`` or ``--cluster``."""
     layers = getattr(args, "layers", None)
+    if not layers:
+        return
+    paper_scale = getattr(args, "paper_scale", False)
     # megatron_uniform_plan gives every stage at least one block; the
     # paper-scale grids pick their own stage counts
-    if layers and not getattr(args, "paper_scale", False) and args.stages > min(layers):
+    if not paper_scale and args.stages > min(layers):
         parser.error(
             f"--stages {args.stages} exceeds --layers {min(layers)}: "
             "every pipeline stage needs at least one transformer block"
         )
+    stages, dp = _requested_shape(args)
+    cluster = getattr(args, "cluster", None)
+    gpus = parse_cluster(cluster).num_gpus if cluster else None
+    for scenario in args.scenario:
+        pp, ways, _ = effective_shape(scenario, stages, dp, 1, paper_scale)
+        if pp > min(layers):
+            parser.error(
+                f"--layers {min(layers)}: scenario {scenario!r} runs on {pp} "
+                "pipeline stages, and every stage needs at least one "
+                "transformer block"
+            )
+        if gpus is not None and gpus < pp * ways:
+            parser.error(
+                f"--cluster {cluster} has {gpus} GPUs; scenario {scenario!r} "
+                f"runs {pp} stages x {ways} data-parallel ways = {pp * ways}"
+            )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_shapes(parser, args)
     return args.fn(args)
 
 

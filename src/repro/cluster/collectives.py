@@ -1,14 +1,12 @@
 """α–β cost models for the communication primitives DynMo uses.
 
-- P2P send/recv: activation passing between pipeline stages, layer
-  migration, and the gather/scatter of Algorithm 1 (the paper uses
-  NCCL P2P instead of collectives there — section 4).
+- P2P send/recv: activation passing between pipeline stages and layer
+  migration.
 - Ring all-reduce: data-parallel gradient exchange.
-- All-to-all: MoE token exchange.
 
 Times follow the standard LogP-style decomposition
-``t = steps * latency + bytes_on_wire / bandwidth`` with the
-ring/all-to-all step counts of NCCL's algorithms.
+``t = steps * latency + bytes_on_wire / bandwidth`` with the ring step
+count of NCCL's algorithm.
 """
 
 from __future__ import annotations
@@ -47,39 +45,3 @@ class CommCostModel:
         steps = 2 * (n - 1)
         wire_bytes = 2.0 * (n - 1) / n * nbytes
         return steps * link.latency_s + wire_bytes / link.bandwidth_Bps
-
-    def allgather_time(self, ranks: list[int], nbytes_per_rank: float) -> float:
-        n = len(ranks)
-        if n <= 1 or nbytes_per_rank <= 0:
-            return 0.0
-        link = self._group_link(ranks)
-        steps = n - 1
-        wire = (n - 1) * nbytes_per_rank
-        return steps * link.latency_s + wire / link.bandwidth_Bps
-
-    def gather_time(self, root: int, ranks: list[int], nbytes_per_rank: float) -> float:
-        """Serialised receives at the root (pessimistic, like rank-0
-        gather in Algorithm 1)."""
-        total = 0.0
-        for r in ranks:
-            if r == root:
-                continue
-            total += self.p2p_time(r, root, nbytes_per_rank)
-        return total
-
-    def scatter_time(self, root: int, ranks: list[int], nbytes_per_rank: float) -> float:
-        return self.gather_time(root, ranks, nbytes_per_rank)
-
-    def all_to_all_time(self, ranks: list[int], nbytes_per_pair: float) -> float:
-        """Each rank exchanges a shard with every other rank."""
-        n = len(ranks)
-        if n <= 1 or nbytes_per_pair <= 0:
-            return 0.0
-        link = self._group_link(ranks)
-        steps = n - 1
-        wire = (n - 1) * nbytes_per_pair
-        return steps * link.latency_s + wire / link.bandwidth_Bps
-
-    def migration_time(self, src_rank: int, dst_rank: int, layer_bytes: float) -> float:
-        """Moving one layer's weights+opt state between pipeline stages."""
-        return self.p2p_time(src_rank, dst_rank, layer_bytes)

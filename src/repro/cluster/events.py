@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,28 +147,6 @@ class ClusterEventTrace:
     def max_rank(self) -> int:
         """Highest rank any event names (-1 for an empty trace)."""
         return max((max(e.ranks) for e in self.events), default=-1)
-
-    def shifted(self, offset: int) -> "ClusterEventTrace":
-        """The same trace with every iteration moved by ``offset``."""
-        return ClusterEventTrace(
-            tuple(replace(e, iteration=e.iteration + offset) for e in self.events)
-        )
-
-    def segment_boundaries(self) -> tuple[int, ...]:
-        """Iterations that open a new piecewise-static segment.
-
-        Between consecutive boundaries the run's placement and slowdown
-        map — and therefore its compiled-schedule cache key — are fixed,
-        which is what lets trace-driven runs batch segment by segment.
-        Boundaries are every event iteration plus the expiry of each
-        straggler window (``iteration + duration``, when its slowdown
-        factor lifts again).
-        """
-        marks = {e.iteration for e in self.events}
-        marks.update(
-            e.iteration + e.duration for e in self.events if e.kind == "straggler"
-        )
-        return tuple(sorted(marks))
 
     def summary(self) -> dict[str, int]:
         """Event counts by kind (for logs and CLI output)."""

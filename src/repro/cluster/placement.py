@@ -101,9 +101,6 @@ class Placement:
             ]
         )
 
-    def is_heterogeneous(self) -> bool:
-        return len({self.topology.gpu_of(r) for r in self.all_ranks()}) > 1
-
     # -- memory capacity -------------------------------------------------
     def stage_capacities(self) -> tuple[int, ...]:
         """Device memory available to each stage: the *minimum* over its

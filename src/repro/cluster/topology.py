@@ -111,19 +111,8 @@ class ClusterTopology:
         return self.nodes[0].gpus_per_node
 
     @property
-    def is_uniform(self) -> bool:
-        return (
-            len({n.gpus_per_node for n in self.nodes}) == 1
-            and len({n.gpu for n in self.nodes}) == 1
-        )
-
-    @property
     def num_gpus(self) -> int:
         return self._offsets[-1]
-
-    @property
-    def gpu(self) -> GPUSpec:
-        return self.nodes[0].gpu
 
     @property
     def min_memory_bytes(self) -> int:

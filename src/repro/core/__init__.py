@@ -8,12 +8,7 @@ All components are independent of the dynamism scheme (DynMo is a
 black box invoked at fixed intervals — section 3.2).
 """
 
-from repro.core.metrics import (
-    imbalance,
-    potential,
-    bubble_ratio_from_loads,
-    jain_fairness,
-)
+from repro.core.metrics import imbalance, potential
 from repro.core.profiler import PipelineProfiler, ProfileReport
 from repro.core.balancers import (
     LoadBalancer,
@@ -24,13 +19,11 @@ from repro.core.balancers import (
 )
 from repro.core.convergence import diffusion_rounds_bound
 from repro.core.repack import first_fit_repack, RepackResult
-from repro.core.controller import DynMoController, DynMoConfig, OverheadBreakdown
+from repro.core.controller import DynMoController, DynMoConfig
 
 __all__ = [
     "imbalance",
     "potential",
-    "bubble_ratio_from_loads",
-    "jain_fairness",
     "PipelineProfiler",
     "ProfileReport",
     "LoadBalancer",
@@ -43,5 +36,4 @@ __all__ = [
     "RepackResult",
     "DynMoController",
     "DynMoConfig",
-    "OverheadBreakdown",
 ]

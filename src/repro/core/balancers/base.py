@@ -28,10 +28,6 @@ class BalanceResult:
     def imbalance_after(self) -> float:
         return imbalance(self.loads_after)
 
-    @property
-    def improved(self) -> bool:
-        return self.imbalance_after <= self.imbalance_before + 1e-12
-
 
 class LoadBalancer(ABC):
     """Produces a new contiguous PipelinePlan from per-layer weights.

@@ -10,7 +10,7 @@ Overhead accounting mirrors the Fig. 4 table's three components:
 - *profiling* — one instrumented iteration's extra cost, modelled as a
   fixed fraction of the iteration time;
 - *balancing algorithm* — the Python balancer's own cost: either its
-  real wall-clock time (measured with a Timer; paper fidelity) or a
+  real wall-clock time (``balance_cost="measured"``; paper fidelity) or a
   deterministic analytic estimate (``balance_cost="modeled"``, the
   default for orchestrated runs so results are reproducible);
 - *migration* — the simulated communication time of moving layers,
@@ -19,6 +19,7 @@ Overhead accounting mirrors the Fig. 4 table's three components:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,33 +32,12 @@ from repro.core.balancers import (
     LoadBalancer,
     PartitionBalancer,
 )
-from repro.core.profiler import PipelineProfiler, ProfileReport
-from repro.core.repack import repack_plan, RepackResult
+from repro.core.profiler import PipelineProfiler
+from repro.core.repack import repack_plan
 from repro.model.cost import LayerState, ModelCost
 from repro.model.memory import StageMemoryModel
 from repro.pipeline.migration import diff_plans
 from repro.pipeline.plan import PipelinePlan
-from repro.utils.timers import TimerSet
-
-
-@dataclass
-class OverheadBreakdown:
-    profile_s: float = 0.0
-    balance_s: float = 0.0
-    migrate_s: float = 0.0
-
-    @property
-    def total_s(self) -> float:
-        return self.profile_s + self.balance_s + self.migrate_s
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "profile_s": self.profile_s,
-            "balance_s": self.balance_s,
-            "migrate_s": self.migrate_s,
-            "total_s": self.total_s,
-        }
-
 
 #: Constants for the *modeled* balance overhead (calibrated on a
 #: commodity x86 core): the greedy balancers are linear in layers,
@@ -65,6 +45,20 @@ class OverheadBreakdown:
 _MODELED_PER_LAYER_S = 10e-6
 _MODELED_PER_ROUND_S = 40e-6
 _MODELED_DP_UNIT_S = 0.17e-6
+
+#: one profiled iteration's extra cost, as a fraction of the previous
+#: iteration's makespan
+_PROFILE_OVERHEAD_FRAC = 0.005
+#: the diffusion balancer's gamma, as a fraction of the total load
+_DIFFUSION_GAMMA_FRAC = 1e-3
+#: Re-packing is only useful once dynamism has *shrunk* the model
+#: (section 3.4: "when the overall compute demand drops").  A shrink
+#: slack of 0.1 allows packing down to worker counts whose per-stage
+#: compute stays within 110% of the original per-stage compute, so
+#: throughput is sustained while GPUs are released.
+_REPACK_SHRINK_SLACK = 0.1
+#: fraction of a layer migration hidden behind back-propagation
+MIGRATION_OVERLAP = 0.7
 
 
 def modeled_balance_cost_s(
@@ -96,19 +90,10 @@ class DynMoConfig:
     rebalance_every: int | None = None  # None -> scheme recommendation
     repack: bool = False
     repack_target_workers: int = 1
-    # Re-packing is only useful once dynamism has *shrunk* the model
-    # (section 3.4: "when the overall compute demand drops").  A shrink
-    # slack of 0.1 allows packing down to worker counts whose per-stage
-    # compute stays within 110% of the original per-stage compute, so
-    # throughput is sustained while GPUs are released.
-    repack_shrink_slack: float = 0.1
     # Force packing to repack_target_workers regardless of the compute
     # gate (the Fig. 4 sweep trains entire runs at 6/4/2 GPUs).
     repack_force_target: bool = False
     memory_capacity_bytes: float | None = None
-    migration_overlap: float = 0.7
-    profile_overhead_frac: float = 0.005
-    diffusion_gamma_frac: float = 1e-3  # gamma as fraction of total load
 
     def __post_init__(self) -> None:
         if self.balancer not in ("partition", "diffusion", "dp"):
@@ -117,8 +102,6 @@ class DynMoConfig:
             raise ValueError(f"unknown weight_by {self.weight_by!r}")
         if self.balance_cost not in ("measured", "modeled"):
             raise ValueError(f"unknown balance_cost {self.balance_cost!r}")
-        if not 0.0 <= self.migration_overlap <= 1.0:
-            raise ValueError("migration_overlap must be in [0, 1]")
 
 
 @dataclass
@@ -127,12 +110,10 @@ class DynMoDecision:
     #: the balancer changed the partition (re-pack alone does not count)
     rebalanced: bool = False
     repacked: bool = False
-    released_workers: list[int] = field(default_factory=list)  # stage indices
     released_ranks: list[int] = field(default_factory=list)  # global GPU ranks
     placement: Placement | None = None  # post-decision stage→rank map
     overhead_s: float = 0.0
     layers_moved: int = 0
-    report: ProfileReport | None = None
     #: the balancer's plan was rejected because a stage would not fit
     #: its destination ranks' memory (memory-model mode only)
     oom_rejected: bool = False
@@ -162,11 +143,6 @@ class DynMoController:
         self.memory_model = memory_model
         self.profiler = profiler or PipelineProfiler(cost)
         self.balancer_override = balancer_override
-        self.timers = TimerSet()
-        self.overhead = OverheadBreakdown()
-        self.num_rebalances = 0
-        self.num_repacks = 0
-        self.num_oom_rejections = 0
         self._initial_per_stage_load: float | None = None
 
     def _stage_capacities(
@@ -193,7 +169,7 @@ class DynMoController:
         if self.config.balancer == "dp":
             return DPExactBalancer()
         return DiffusionBalancer(
-            gamma=max(self.config.diffusion_gamma_frac * total_load, 1e-15)
+            gamma=max(_DIFFUSION_GAMMA_FRAC * total_load, 1e-15)
         )
 
     def should_invoke(self, k: int, scheme_every: int) -> bool:
@@ -212,10 +188,8 @@ class DynMoController:
         decision = DynMoDecision(plan=plan)
 
         # 1. profile (instrumented iteration)
-        report = self.profiler.profile(plan, states, iteration=k)
-        decision.report = report
-        profile_cost = self.config.profile_overhead_frac * iter_time_hint
-        self.overhead.profile_s += profile_cost
+        report = self.profiler.profile(plan, states)
+        profile_cost = _PROFILE_OVERHEAD_FRAC * iter_time_hint
 
         weights = report.weights(self.config.weight_by)
         if self.memory_model is not None:
@@ -249,9 +223,7 @@ class DynMoController:
             if self.config.repack_force_target:
                 target = self.config.repack_target_workers
             else:
-                budget = self._initial_per_stage_load * (
-                    1.0 + self.config.repack_shrink_slack
-                )
+                budget = self._initial_per_stage_load * (1.0 + _REPACK_SHRINK_SLACK)
                 min_stages_by_compute = max(
                     1, int(np.ceil(total_load / max(budget, 1e-30)))
                 )
@@ -264,7 +236,6 @@ class DynMoController:
             )
             if result.num_active < plan.num_stages:
                 decision.repacked = True
-                decision.released_workers = result.released
                 if self.placement is not None:
                     decision.released_ranks = list(
                         self.placement.released_ranks(result.surviving)
@@ -282,14 +253,9 @@ class DynMoController:
             else capacity
         )
         balancer = self._make_balancer(float(weights.sum()))
-        timer = self.timers("balance")
-        timer.start()
-        try:
-            result = balancer.rebalance(
-                work_plan, weights, mem_layers, balance_capacity
-            )
-        finally:
-            balance_cost = timer.stop()
+        start = time.perf_counter()
+        result = balancer.rebalance(work_plan, weights, mem_layers, balance_capacity)
+        balance_cost = time.perf_counter() - start
         if self.config.balance_cost == "modeled":
             balance_cost = modeled_balance_cost_s(
                 self.config.balancer,
@@ -297,13 +263,11 @@ class DynMoController:
                 work_plan.num_stages,
                 rounds=getattr(result, "rounds", 0),
             )
-        self.overhead.balance_s += balance_cost
 
         # commit re-pack state only now: a balancer exception above must
         # leave the controller consistent with the caller's plan
         if decision.repacked:
             self.placement = new_placement
-            self.num_repacks += 1
 
         new_plan = result.plan
         if (
@@ -326,7 +290,6 @@ class DynMoController:
                 # decides whether the status quo itself is viable)
                 new_plan = work_plan
                 decision.oom_rejected = True
-                self.num_oom_rejections += 1
         decision.placement = new_placement
 
         # 4. migration cost — priced between the ranks that actually
@@ -336,16 +299,14 @@ class DynMoController:
             migration = diff_plans(plan, new_plan, self.cost, states)
             mig_cost = migration.cost_seconds(
                 self.comm,
-                overlap=self.config.migration_overlap,
+                overlap=MIGRATION_OVERLAP,
                 src_placement=old_placement,
                 dst_placement=new_placement,
             )
-            self.overhead.migrate_s += mig_cost
             decision.layers_moved = migration.num_layers_moved
             decision.rebalanced = new_plan.boundaries != work_plan.boundaries
             decision.plan = new_plan
             decision.overhead_s = profile_cost + balance_cost + mig_cost
         else:
             decision.overhead_s = profile_cost + balance_cost
-        self.num_rebalances += 1
         return decision

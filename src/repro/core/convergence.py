@@ -5,25 +5,12 @@ The paper bounds the rounds to γ-convergence by
     O( min( N² log(SN/γ) log N ,  S N log N / γ ) )
 
 with N workers, total pipeline size S and convergence factor γ.  The
-constant from the proof's good-round analysis is 60 n² ln(2n) ·
-ln(S n² γ⁻¹); we expose both the asymptotic expressions and the
-explicit s_con count so benchmarks can compare measured rounds against
-the bound.
+diffusion balancer caps its rounds with this bound.
 """
 
 from __future__ import annotations
 
 import math
-
-
-def s_con(n: int, S: float, gamma: float) -> float:
-    """Good rounds needed: 60 n² ln(2n) ln(S n² / γ) (from the proof)."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if S <= 0 or gamma <= 0:
-        raise ValueError("S and gamma must be positive")
-    arg = max(S * n * n / gamma, math.e)
-    return 60.0 * n * n * math.log(2 * n) * math.log(arg)
 
 
 def diffusion_rounds_bound(n: int, S: float, gamma: float) -> int:

@@ -1,4 +1,4 @@
-"""Load-imbalance metrics (paper Eq. 1–2 and the Lyapunov potential)."""
+"""Load-imbalance metrics (paper Eq. 2 and the Lyapunov potential)."""
 
 from __future__ import annotations
 
@@ -28,26 +28,3 @@ def potential(loads: np.ndarray) -> float:
     coeff = 2 * np.arange(n) - (n - 1)
     return float(np.dot(x, coeff))
 
-
-def bubble_ratio_from_loads(loads: np.ndarray) -> float:
-    """Idle fraction if every worker waits for the slowest each step:
-    1 - mean(L)/max(L).  A load-only proxy for the engine's measured
-    bubble ratio (exact in the steady-state of a deep pipeline)."""
-    loads = np.asarray(loads, dtype=float)
-    if loads.size == 0:
-        raise ValueError("loads must be non-empty")
-    mx = loads.max()
-    if mx <= 0:
-        return 0.0
-    return float(1.0 - loads.mean() / mx)
-
-
-def jain_fairness(loads: np.ndarray) -> float:
-    """Jain's fairness index in (0, 1]; 1 = perfectly balanced."""
-    loads = np.asarray(loads, dtype=float)
-    if loads.size == 0:
-        raise ValueError("loads must be non-empty")
-    denom = loads.size * np.sum(loads**2)
-    if denom == 0:
-        return 1.0
-    return float(np.sum(loads) ** 2 / denom)

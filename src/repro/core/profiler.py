@@ -9,7 +9,7 @@ jitter so balancer robustness can be tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class ProfileReport:
     layer_params: np.ndarray  # active (unpruned, unfrozen-agnostic) params
     layer_bytes: np.ndarray  # migration payload per layer
     worker_memory: np.ndarray
-    profiled_at_iter: int = 0
 
     @property
     def layer_total_s(self) -> np.ndarray:
@@ -57,9 +56,7 @@ class PipelineProfiler:
         self.in_flight = in_flight
         self.rng = new_rng(seed)
 
-    def profile(
-        self, plan: PipelinePlan, states: list[LayerState], iteration: int = 0
-    ) -> ProfileReport:
+    def profile(self, plan: PipelinePlan, states: list[LayerState]) -> ProfileReport:
         if len(states) != len(self.cost.specs):
             raise ValueError("state/spec length mismatch")
         sm = state_matrix([states])
@@ -72,4 +69,4 @@ class PipelineProfiler:
         nbytes = self.cost.layer_bytes(sm, self.in_flight)[:, 0]
         payload = nbytes[:4].sum(axis=0)  # everything but activations
         mem = plan.stage_sums(nbytes.sum(axis=0)).astype(float)
-        return ProfileReport(fwd, bwd, params, payload, mem, iteration)
+        return ProfileReport(fwd, bwd, params, payload, mem)

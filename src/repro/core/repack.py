@@ -56,10 +56,6 @@ class RepackResult:
         return sum(self.active_workers)
 
     @property
-    def released(self) -> list[int]:
-        return [i for i, a in enumerate(self.active_workers) if a == 0]
-
-    @property
     def surviving(self) -> list[int]:
         """Old worker indices still active, ascending — new stage i
         inherits old stage ``surviving[i]``'s GPUs."""

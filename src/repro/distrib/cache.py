@@ -19,9 +19,8 @@ finish.
 from __future__ import annotations
 
 import logging
-import os
 
-from repro.distrib.fsio import with_io_retry
+from repro.orchestrator.fsio import with_io_retry
 from repro.orchestrator.cache import ResultCache
 from repro.orchestrator.results import RunRecord
 from repro.orchestrator.retry import RetryPolicy
@@ -48,18 +47,6 @@ class TieredResultCache:
         self.shared = shared
         self.retry = retry or RetryPolicy()
 
-    @classmethod
-    def at(
-        cls,
-        local_root: str | os.PathLike[str],
-        shared_root: str | os.PathLike[str],
-        *,
-        retry: RetryPolicy | None = None,
-    ) -> "TieredResultCache":
-        return cls(
-            ResultCache(local_root), ResultCache(shared_root), retry=retry
-        )
-
     def get(self, spec: RunSpec) -> RunRecord | None:
         record = self.local.get(spec)
         if record is not None:
@@ -83,6 +70,3 @@ class TieredResultCache:
             # degraded, not fatal: the result is safe locally and in
             # the worker's journal; other workers just recompute
             log.warning("shared cache write failed, continuing: %s", exc)
-
-    def __len__(self) -> int:
-        return len(self.local)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.distrib.fsio import atomic_write_json, read_json
+from repro.orchestrator.fsio import atomic_write_json, read_json
 from repro.orchestrator import faults
 
 LEASE_SUFFIX = ".lease"

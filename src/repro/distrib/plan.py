@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.distrib.fsio import atomic_write_json, read_json, with_io_retry
+from repro.orchestrator.fsio import atomic_write_json, read_json, with_io_retry
 from repro.distrib.layout import ShardDirLayout
 from repro.orchestrator.retry import RetryPolicy
 from repro.orchestrator.spec import SIM_VERSION, SPEC_SCHEMA_VERSION, RunSpec
@@ -57,10 +57,6 @@ class Shard:
     shard_id: str
     index: int
     specs: tuple[RunSpec, ...]
-
-    @property
-    def spec_hashes(self) -> tuple[str, ...]:
-        return tuple(spec.spec_hash for spec in self.specs)
 
 
 def _shard_id(index: int, specs: Sequence[RunSpec]) -> str:
@@ -116,12 +112,6 @@ class ShardPlan:
 
     def __len__(self) -> int:
         return sum(len(shard.specs) for shard in self.shards)
-
-    def shard(self, shard_id: str) -> Shard:
-        for shard in self.shards:
-            if shard.shard_id == shard_id:
-                return shard
-        raise KeyError(shard_id)
 
     # -- serialisation -------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

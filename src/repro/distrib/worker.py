@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.distrib.cache import TieredResultCache
-from repro.distrib.fsio import atomic_write_json, read_json
+from repro.orchestrator.fsio import atomic_write_json, read_json
 from repro.distrib.layout import ShardDirLayout, safe_name
 from repro.distrib.lease import DEFAULT_TTL_S, LeaseManager
 from repro.distrib.plan import Shard, ShardPlan

@@ -21,6 +21,10 @@ from repro.utils.rng import new_rng
 from repro.utils.validation import check_prob
 
 
+#: exit rate at iteration 0, where the ramp to ``final_exit_rate`` starts
+_INITIAL_EXIT_RATE = 0.1
+
+
 class EarlyExitDynamism(DynamismScheme):
     name = "early_exit"
     rebalance_every = 100  # Fig. 4 table: every 100 iterations
@@ -29,7 +33,6 @@ class EarlyExitDynamism(DynamismScheme):
         self,
         specs: list[LayerSpec],
         exit_start_frac: float = 0.3,
-        initial_exit_rate: float = 0.1,
         final_exit_rate: float = 0.5,
         ramp_iters: int = 5000,
         jitter: float = 0.03,
@@ -39,7 +42,7 @@ class EarlyExitDynamism(DynamismScheme):
         super().__init__(specs)
         check_prob("exit_start_frac", exit_start_frac)
         self.exit_start_frac = exit_start_frac
-        self.r0 = initial_exit_rate
+        self.r0 = _INITIAL_EXIT_RATE
         self.r1 = final_exit_rate
         self.ramp_iters = ramp_iters
         self.jitter = jitter

@@ -18,6 +18,10 @@ from repro.dynamics.base import DynamismScheme
 from repro.model.cost import LayerSpec, LayerState
 from repro.utils.rng import new_rng
 
+#: how much later the last layer converges than the first (the
+#: ``gamma`` of ``tau_j``)
+_DEPTH_GAMMA = 8.0
+
 
 class FreezingDynamism(DynamismScheme):
     """Front-to-back progressive freezing with noisy convergence times.
@@ -40,7 +44,6 @@ class FreezingDynamism(DynamismScheme):
         specs: list[LayerSpec],
         freeze_every: int = 300,
         tau0: float = 1000.0,
-        depth_gamma: float = 8.0,
         noise: float = 0.15,
         max_frozen_fraction: float = 0.75,
         seed: int | np.random.Generator = 0,
@@ -54,13 +57,10 @@ class FreezingDynamism(DynamismScheme):
         rng = new_rng(seed)
         d = len(self.block_indices)
         rel_depth = np.arange(d) / max(1, d - 1)
-        self.tau = tau0 * (1.0 + depth_gamma * rel_depth) * np.exp(
+        self.tau = tau0 * (1.0 + _DEPTH_GAMMA * rel_depth) * np.exp(
             rng.normal(0.0, noise, size=d)
         )
         self.frozen_flags = np.zeros(d, dtype=bool)
-
-    def frozen_fraction(self) -> float:
-        return float(self.frozen_flags.mean())
 
     def step(self, k: int, states: list[LayerState]) -> bool:
         self._check(states)

@@ -23,6 +23,15 @@ from repro.utils.rng import new_rng
 from repro.utils.validation import check_prob
 
 
+#: scale of the routers' misprediction noise (and of their persistent
+#: per-layer bias, drawn at 3x this)
+_PREDICTOR_ERROR = 0.3
+#: step size and pull toward zero of each block's expert-choice
+#: multiplier (an Ornstein-Uhlenbeck walk)
+_MOE_DRIFT = 0.25
+_MOE_TETHER = 0.02
+
+
 class MoDDynamism(DynamismScheme):
     name = "mod"
     rebalance_every = 1  # routing decided per forward pass
@@ -32,10 +41,7 @@ class MoDDynamism(DynamismScheme):
         specs: list[LayerSpec],
         capacity: float = 0.125,
         every_other: int = 2,
-        predictor_error: float = 0.3,
         moe_imbalance: float = 0.3,
-        moe_drift: float = 0.25,
-        moe_tether: float = 0.02,
         seed: int | np.random.Generator = 0,
     ) -> None:
         super().__init__(specs)
@@ -44,10 +50,7 @@ class MoDDynamism(DynamismScheme):
             raise ValueError("every_other must be positive")
         self.capacity = capacity
         self.every_other = every_other
-        self.predictor_error = predictor_error
         self.moe_imbalance = moe_imbalance
-        self.moe_drift = moe_drift
-        self.moe_tether = moe_tether
         self.rng = new_rng(seed)
         # routed blocks: every other block starting from the second
         self.routed = sorted(
@@ -59,7 +62,7 @@ class MoDDynamism(DynamismScheme):
         # systematically over-admit tokens (persistent bias), which is
         # the layer-to-layer heterogeneity DynMo redistributes.
         self._bias = {
-            i: float(abs(self.rng.normal(0.0, 3.0 * predictor_error)))
+            i: float(abs(self.rng.normal(0.0, 3.0 * _PREDICTOR_ERROR)))
             for i in self.routed
         }
         self._bias_drift = 0.02
@@ -76,7 +79,7 @@ class MoDDynamism(DynamismScheme):
         for i in self.block_indices:
             if self.moe_imbalance > 0:
                 x = self._moe_x[i]
-                x = (x + self.rng.normal(0.0, self.moe_drift)) * (1.0 - self.moe_tether)
+                x = (x + self.rng.normal(0.0, _MOE_DRIFT)) * (1.0 - _MOE_TETHER)
                 self._moe_x[i] = x
                 states[i].moe_multiplier = 1.0 + abs(x)
             if i in routed_set:
@@ -86,7 +89,7 @@ class MoDDynamism(DynamismScheme):
                 self._bias[i] = abs(
                     self._bias[i] + self.rng.normal(0.0, self._bias_drift)
                 )
-                err = self._bias[i] + abs(self.rng.normal(0.0, self.predictor_error))
+                err = self._bias[i] + abs(self.rng.normal(0.0, _PREDICTOR_ERROR))
                 frac = float(np.clip(self.capacity * (1.0 + err), 0.01, 1.0))
                 states[i].token_fraction = frac
             else:

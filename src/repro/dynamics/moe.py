@@ -25,6 +25,10 @@ from repro.dynamics.base import DynamismScheme
 from repro.model.cost import LayerSpec, LayerState
 from repro.utils.rng import new_rng
 
+#: range of the per-layer aux-loss tether toward uniform popularity,
+#: drawn log-uniformly per MoE layer
+_TETHER = (0.01, 0.2)
+
 
 class MoEDynamism(DynamismScheme):
     name = "moe"
@@ -36,7 +40,6 @@ class MoEDynamism(DynamismScheme):
         router: str = "aux_loss",
         tokens_per_iter: int = 8192,
         drift: float = 0.1,
-        tether: tuple[float, float] = (0.01, 0.2),
         seed: int | np.random.Generator = 0,
     ) -> None:
         super().__init__(specs)
@@ -52,7 +55,7 @@ class MoEDynamism(DynamismScheme):
         # per-layer aux-loss strength differs (later layers are harder
         # to balance in practice), giving layers persistently different
         # concentration levels — the heterogeneity DynMo redistributes.
-        lo, hi = tether
+        lo, hi = _TETHER
         self._tether = {
             i: float(np.exp(self.rng.uniform(np.log(lo), np.log(hi))))
             for i in self.moe_layers
@@ -62,7 +65,6 @@ class MoEDynamism(DynamismScheme):
             i: self.rng.normal(0.0, 1.0, size=specs[i].num_experts)
             for i in self.moe_layers
         }
-        self.last_counts: dict[int, np.ndarray] = {}
 
     # -- internals -------------------------------------------------------
     def _counts_for(self, spec_idx: int) -> np.ndarray:
@@ -84,7 +86,6 @@ class MoEDynamism(DynamismScheme):
         self._check(states)
         for i in self.moe_layers:
             counts = self._counts_for(i)
-            self.last_counts[i] = counts
             e = self.specs[i].num_experts
             total = counts.sum()
             fair = total / e if e else 1.0
@@ -93,14 +94,3 @@ class MoEDynamism(DynamismScheme):
                 mult *= 1.02  # auction assignment latency penalty
             states[i].moe_multiplier = mult
         return True  # routing changes every iteration
-
-    def mean_imbalance(self) -> float:
-        """Average (max-min)/mean token imbalance across MoE layers."""
-        if not self.last_counts:
-            return 0.0
-        vals = []
-        for c in self.last_counts.values():
-            m = c.mean()
-            if m > 0:
-                vals.append((c.max() - c.min()) / m)
-        return float(np.mean(vals)) if vals else 0.0

@@ -98,12 +98,19 @@ class GlobalMagnitudePruner:
         return [m >= thresh for m in mags]
 
 
+#: proxy weight samples per layer that Algorithm 1 thresholds
+_PROXY_PER_LAYER = 2000
+#: spread of the log weight-magnitude scale from the first to the last
+#: block (deeper layers have larger weights, so they retain more)
+_DEPTH_SCALE_SPREAD = 0.6
+
+
 class PruningDynamism(DynamismScheme):
     """Maps the pruning schedule onto per-layer sparsity states.
 
     Each block layer gets a weight-magnitude scale sigma_i (log-normal
     across depth). At each pruning step, Algorithm 1 runs on proxy
-    weight samples (``proxy_per_layer`` values per layer, distributed
+    weight samples (``_PROXY_PER_LAYER`` values per layer, distributed
     round-robin over ``num_ranks``), yielding a global threshold and
     hence non-uniform per-layer retention.
     """
@@ -115,8 +122,6 @@ class PruningDynamism(DynamismScheme):
         specs: list[LayerSpec],
         schedule: GradualPruningSchedule | None = None,
         num_ranks: int = 4,
-        proxy_per_layer: int = 2000,
-        depth_scale_spread: float = 0.6,
         seed: int | np.random.Generator = 0,
     ) -> None:
         super().__init__(specs)
@@ -127,9 +132,9 @@ class PruningDynamism(DynamismScheme):
         d = len(self.block_indices)
         # deeper layers tend to have larger-magnitude weights -> retain more
         depth = np.linspace(-1.0, 1.0, d)
-        self._sigma = np.exp(depth_scale_spread * depth + self.rng.normal(0, 0.1, d))
+        self._sigma = np.exp(_DEPTH_SCALE_SPREAD * depth + self.rng.normal(0, 0.1, d))
         self._proxy = [
-            self.rng.normal(0.0, self._sigma[j], size=proxy_per_layer)
+            self.rng.normal(0.0, self._sigma[j], size=_PROXY_PER_LAYER)
             for j in range(d)
         ]
         self.current_sparsity = self.schedule.initial_sparsity

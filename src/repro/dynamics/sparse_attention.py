@@ -19,6 +19,9 @@ from repro.dynamics.base import DynamismScheme
 from repro.model.cost import LayerSpec, LayerState
 from repro.utils.rng import new_rng
 
+#: concentration of the per-layer Beta(a, b) base densities (a + b)
+_LAYER_SPREAD = 4.0
+
 
 class SparseAttentionDynamism(DynamismScheme):
     name = "sparse_attention"
@@ -28,7 +31,6 @@ class SparseAttentionDynamism(DynamismScheme):
         self,
         specs: list[LayerSpec],
         mean_density: float = 0.25,
-        layer_spread: float = 4.0,
         jitter: float = 0.05,
         drift: float = 0.01,
         seed: int | np.random.Generator = 0,
@@ -41,8 +43,8 @@ class SparseAttentionDynamism(DynamismScheme):
         self.drift = drift
         d = len(self.block_indices)
         # per-layer base densities ~ Beta, mean = mean_density
-        a = layer_spread * mean_density
-        b = layer_spread * (1 - mean_density)
+        a = _LAYER_SPREAD * mean_density
+        b = _LAYER_SPREAD * (1 - mean_density)
         self.base_density = self.rng.beta(a, b, size=d)
         self.base_density = np.clip(self.base_density, 0.02, 1.0)
 

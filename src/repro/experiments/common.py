@@ -72,6 +72,38 @@ class ScenarioSetup:
     baseline_scheme_factory: "callable | None" = None  # e.g. dense attention
 
 
+def effective_shape(
+    name: str,
+    pp_stages: int,
+    dp_ways: int,
+    iterations: int,
+    paper_scale: bool = False,
+) -> tuple[int, int, int]:
+    """The (pipeline stages, data-parallel ways, iterations) scenario
+    ``name`` actually runs when asked for the given shape.
+
+    ``paper_scale`` picks the paper's own grids (section 5): MoE/MoD on
+    128 GPUs as 8-way DP x 16-way PP, the others on 720 GPUs as 30-way
+    DP x 24-way PP, 10,000 iterations each.  Otherwise MoE widens to at
+    least 16 stages.
+    """
+    if paper_scale:
+        if name in ("moe", "mod"):
+            return 16, 8, 10_000
+        return 24, 30, 10_000
+    if name == "moe" and pp_stages < 16:
+        # The paper runs MoEs on 16-way pipelines; this is also a
+        # memory requirement here (Mixtral-like layers are ~20 GB of
+        # state — an 80 GB GPU cannot hold a 5th block, so 8-stage
+        # pipelines would be memory-locked with no freedom to
+        # rebalance).  MoD keeps the caller's stage count: with
+        # alternating full/routed blocks, a pipeline needs >= 2 full
+        # blocks per stage before rebalancing has any freedom
+        # (pigeonhole: 1 full block per stage locks the bottleneck).
+        return 16, dp_ways, iterations
+    return pp_stages, dp_ways, iterations
+
+
 def build_scenario(
     name: str,
     num_layers: int = 24,
@@ -95,23 +127,9 @@ def build_scenario(
     """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
-    if paper_scale:
-        # MoE/MoD: 128 GPUs as 8-way DP x 16-way PP; others: 720 GPUs
-        # as 30-way DP x 24-way PP (section 5)
-        if name in ("moe", "mod"):
-            pp_stages, dp_ways, iterations = 16, 8, 10_000
-        else:
-            pp_stages, dp_ways, iterations = 24, 30, 10_000
-    elif name == "moe" and pp_stages < 16:
-        # The paper runs MoEs on 16-way pipelines; this is also a
-        # memory requirement here (Mixtral-like layers are ~20 GB of
-        # state — an 80 GB GPU cannot hold a 5th block, so 8-stage
-        # pipelines would be memory-locked with no freedom to
-        # rebalance).  MoD keeps the caller's stage count: with
-        # alternating full/routed blocks, a pipeline needs >= 2 full
-        # blocks per stage before rebalancing has any freedom
-        # (pigeonhole: 1 full block per stage locks the bottleneck).
-        pp_stages = 16
+    pp_stages, dp_ways, iterations = effective_shape(
+        name, pp_stages, dp_ways, iterations, paper_scale
+    )
 
     if name == "moe":
         cfg = mixtral_8x7b_like() if num_layers == 32 else GPTConfig(

@@ -100,18 +100,3 @@ MODEL_ZOO: dict[str, GPTConfig] = {
     c.name: c
     for c in (gpt_24(), gpt_32(), gpt_40(), gpt_48(), mixtral_8x7b_like(), llama_moe_3p5b_like())
 }
-
-
-def tiny_config(num_layers: int = 4, moe: bool = False) -> GPTConfig:
-    """Small config for unit tests."""
-    return GPTConfig(
-        f"tiny-{num_layers}L{'-moe' if moe else ''}",
-        num_layers=num_layers,
-        hidden=64,
-        num_heads=4,
-        seq_len=32,
-        vocab_size=128,
-        moe_every=1 if moe else 0,
-        num_experts=4 if moe else 0,
-        moe_top_k=2 if moe else 2,
-    )

@@ -54,7 +54,6 @@ from repro.sparse.kernels import (
     dense_cost_model,
     sputnik_cost_model,
 )
-from repro.utils.validation import check_prob
 
 #: Bytes per element of each resident term, by training precision:
 #: working weight, master copy, gradient, optimizer state (each of
@@ -121,13 +120,6 @@ class LayerState:
     attn_density: float = 1.0
     token_fraction: float = 1.0
     moe_multiplier: float = 1.0
-
-    def validate(self) -> None:
-        check_prob("sparsity", self.sparsity)
-        check_prob("attn_density", self.attn_density)
-        check_prob("token_fraction", self.token_fraction)
-        if not self.moe_multiplier >= 0:  # NaN fails too
-            raise ValueError(f"moe_multiplier must be >= 0, got {self.moe_multiplier}")
 
     def copy(self) -> "LayerState":
         return replace(self)
@@ -305,8 +297,8 @@ class ModelCost:
         #: per-layer parameter counts (the byte path's spec column)
         self.param_counts = np.array([sp.param_count for sp in specs], dtype=np.float64)
         self._pk = peak_flops * efficiency
-        # the kernel candidates of sparse.kernels.best_kernel_time at
-        # this device's sparse-kernel peak
+        # the dense, Sputnik and cuSPARSE kernel models at this
+        # device's sparse-kernel peak
         spk = self._pk / 0.62
         self._spk = spk
         self._kernels = (dense_cost_model(spk), sputnik_cost_model(spk), cusparse_cost_model(spk))
@@ -325,9 +317,9 @@ class ModelCost:
     # -- time ------------------------------------------------------------
     def _matmul_times(self, flops: np.ndarray, sparsity: np.ndarray | None) -> np.ndarray:
         """Weight-matmul seconds with the sparse-kernel crossover applied:
-        dense peak time where ``sparsity <= 0``, else the best of
-        :func:`repro.sparse.kernels.best_kernel_time`'s three kernels
-        (same formulas, elementwise).  ``sparsity=None`` means no
+        dense peak time where ``sparsity <= 0``, else the fastest of the
+        three :mod:`repro.sparse.kernels` models (their ``time``
+        formula, elementwise).  ``sparsity=None`` means no
         element is pruned, so the kernel candidates are skipped."""
         t = flops / self._pk
         if sparsity is not None:

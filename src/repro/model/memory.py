@@ -61,10 +61,6 @@ class StageMemoryReport:
         )
 
     @property
-    def headroom_bytes(self) -> float:
-        return self.capacity_bytes - self.total_bytes
-
-    @property
     def fits(self) -> bool:
         return self.total_bytes <= self.capacity_bytes
 

@@ -18,7 +18,6 @@ quarantined, never served (see ``docs/failure-semantics.md``).
 
 from repro.orchestrator.cache import CacheAudit, ResultCache
 from repro.orchestrator.export import (
-    read_json,
     record_row,
     records_to_rows,
     write_csv,
@@ -79,7 +78,6 @@ __all__ = [
     "quarantine_spec",
     "quarantined",
     "quarantined_hashes",
-    "read_json",
     "record_row",
     "records_to_rows",
     "result_metrics",

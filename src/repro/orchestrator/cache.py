@@ -17,26 +17,25 @@ Lookups additionally verify the stored spec matches the query spec
 field-for-field (hash collisions and schema drift both surface as a
 miss).  Only *deterministic* outcomes are cached — ``ok`` results and
 ``oom`` rejections (a pure function of the spec under the memory
-model) — so failures and timeouts are always retried.  Writes go through a per-write temp file (PID +
-thread id + counter, so concurrent writers in one process never
-collide), are fsync'd, and land via :func:`os.replace`; a writer that
-dies mid-write leaves at worst a ``*.tmp.*`` file that
-:meth:`verify`/:meth:`gc` account for and reap.
+model) — so failures and timeouts are always retried.  Writes go
+through :func:`~repro.orchestrator.fsio.atomic_write_json` (a unique
+temp file, fsync'd, landed via :func:`os.replace`); a writer that dies
+mid-write leaves at worst a ``*.tmp.*`` file that :meth:`verify` /
+:meth:`gc` account for and reap.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.orchestrator import faults
+from repro.orchestrator.fsio import atomic_write_json
 from repro.orchestrator.results import RECORD_SCHEMA_VERSION, RunRecord
 from repro.orchestrator.spec import RunSpec
 
@@ -44,10 +43,6 @@ CACHE_SCHEMA_VERSION = 2
 
 #: suffix appended to quarantined (checksum-failed) entries
 CORRUPT_SUFFIX = ".corrupt"
-
-#: distinguishes concurrent writers within one process (PIDs already
-#: distinguish across processes)
-_TMP_COUNTER = itertools.count()
 
 #: statuses the cache stores and serves: deterministic outcomes only.
 #: ``error``/``timeout``/``crashed`` depend on the host (bugs, load,
@@ -175,20 +170,7 @@ class ResultCache:
             "sha256": _checksum(payload),
             "record": payload,
         }
-        tmp = self.root / (
-            f"{record.spec_hash}.tmp."
-            f"{os.getpid()}.{threading.get_ident()}.{next(_TMP_COUNTER)}"
-        )
-        try:
-            with tmp.open("w", encoding="utf-8") as fh:
-                json.dump(envelope, fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            # a failed dump/replace must not orphan the temp file; after
-            # a successful replace the name is gone and this is a no-op
-            tmp.unlink(missing_ok=True)
+        atomic_write_json(path, envelope)
         faults.on_cache_put(path)
 
     # -- audit and maintenance ----------------------------------------------
@@ -279,13 +261,3 @@ class ResultCache:
                 audit.stale += 1
         self._tally_side_files(audit)
         return audit
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
-
-    def clear(self) -> int:
-        n = 0
-        for path in self.root.glob("*.json"):
-            path.unlink(missing_ok=True)
-            n += 1
-        return n

@@ -68,9 +68,6 @@ class TraceDistribution:
             straggler_slowdown=self.straggler_slowdown,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 def percentile_nearest(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (no interpolation).

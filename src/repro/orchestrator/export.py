@@ -97,9 +97,3 @@ def write_csv(
         writer.writeheader()
         writer.writerows(rows)
     return out
-
-
-def read_json(path: str | os.PathLike[str]) -> list[RunRecord]:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return [RunRecord.from_dict(d) for d in payload.get("records", [])]

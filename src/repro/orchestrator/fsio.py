@@ -1,9 +1,10 @@
-"""Shared-directory I/O primitives: atomic JSON writes, bounded retry.
+"""File I/O primitives: atomic JSON writes, bounded retry.
 
-Every cross-host artifact (plan, done markers, heartbeats, poison
-markers) goes through :func:`atomic_write_json` — written to a unique
-temp file, fsync'd, then ``os.replace``d into place — so a reader
-never observes a torn file, only the old state or the new one.
+Every result-cache entry and every cross-host artifact of a sharded
+sweep (plan, done markers, heartbeats, poison markers) goes through
+:func:`atomic_write_json` — written to a unique temp file, fsync'd,
+then ``os.replace``d into place — so a reader never observes a torn
+file, only the old state or the new one.
 
 Networked filesystems hiccup: :func:`with_io_retry` re-runs an
 ``OSError``-raising operation per a

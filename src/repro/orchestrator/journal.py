@@ -219,6 +219,3 @@ class SweepJournal:
         tb: TracebackType | None,
     ) -> None:
         self.close()
-
-    def __len__(self) -> int:
-        return len(self.prior)

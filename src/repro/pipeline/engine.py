@@ -282,14 +282,3 @@ class PipelineEngine:
                 comm_extra = max(comm_extra, t)
         makespan = float(max(worker_time))
         return IterationResult(makespan, np.array(busy), comm_extra, timeline or [])
-
-    # -- convenience ---------------------------------------------------------
-    def throughput_tokens_per_s(
-        self,
-        plan: PipelinePlan,
-        states: list[LayerState],
-        tokens_per_micro: int,
-    ) -> float:
-        res = self.run_iteration(plan, states)
-        total_tokens = tokens_per_micro * self.num_micro * self.dp_ways
-        return total_tokens / res.makespan if res.makespan > 0 else 0.0

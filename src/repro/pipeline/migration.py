@@ -37,10 +37,6 @@ class MigrationPlan:
     def num_layers_moved(self) -> int:
         return len(self.transfers)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(t.nbytes for t in self.transfers)
-
     def cost_seconds(
         self,
         comm: CommCostModel | None,

@@ -45,15 +45,6 @@ class PipelinePlan:
             bounds.append(bounds[-1] + base + (1 if s < rem else 0))
         return cls(tuple(bounds), num_layers)
 
-    @classmethod
-    def from_stage_sizes(cls, sizes: list[int]) -> "PipelinePlan":
-        if any(s <= 0 for s in sizes):
-            raise ValueError("all stage sizes must be positive")
-        bounds = [0]
-        for s in sizes:
-            bounds.append(bounds[-1] + s)
-        return cls(tuple(bounds), bounds[-1])
-
     # -- queries ---------------------------------------------------------
     @property
     def num_stages(self) -> int:
@@ -61,11 +52,6 @@ class PipelinePlan:
 
     def stage_layers(self, stage: int) -> range:
         return range(self.boundaries[stage], self.boundaries[stage + 1])
-
-    def stage_of(self, layer: int) -> int:
-        if not 0 <= layer < self.num_layers:
-            raise ValueError(f"layer {layer} out of range")
-        return int(np.searchsorted(self.boundaries, layer, side="right")) - 1
 
     def layer_stages(self) -> np.ndarray:
         """Every layer's stage index, as one int array of length L."""

@@ -29,13 +29,6 @@ class GanttChart:
             rows.append(f"w{i:<2} |{row}|")
         return "\n".join(rows)
 
-    def occupancy(self, worker: int) -> float:
-        """Fraction of non-idle columns for a worker."""
-        row = self.grid[worker]
-        if not row:
-            return 0.0
-        return 1.0 - row.count(".") / len(row)
-
 
 def render_gantt(result: IterationResult, width: int = 80) -> GanttChart:
     """Rasterise a recorded timeline into a fixed-width ASCII grid.

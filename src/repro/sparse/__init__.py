@@ -1,29 +1,21 @@
-"""CSR sparse-matrix substrate (stand-in for Sputnik CUDA kernels).
+"""Sparse-matmul kernel cost models (stand-ins for the Sputnik CUDA kernels).
 
-Gradual pruning stores pruned weights in CSR and replaces dense matmul
-(DMM) with sparse matmul (SpMM).  This package provides:
-
-- :class:`CSRMatrix` — a from-scratch CSR container built on numpy
-  (no scipy dependency in the hot path; scipy is used only in tests as
-  a cross-check oracle),
-- SpMM kernels, and
-- a calibrated *crossover cost model* reproducing the paper's finding
-  that deep-learning-tuned sparse kernels (Sputnik) overtake dense
-  (cuBLAS) at ~75% sparsity, while HPC kernels (cuSPARSE) only pay off
-  at extreme sparsity.
+Gradual pruning replaces dense matmul (DMM) with sparse matmul (SpMM).
+:mod:`repro.sparse.kernels` times each kernel family with a calibrated
+effective-throughput model, reproducing the paper's finding that
+deep-learning-tuned sparse kernels (Sputnik) overtake dense (cuBLAS) at
+~75% sparsity, while HPC kernels (cuSPARSE) only pay off at extreme
+sparsity.  :class:`~repro.model.cost.ModelCost` prices pruned layers
+with the best of the three.
 """
 
-from repro.sparse.csr import CSRMatrix
 from repro.sparse.kernels import (
     SpmmCostModel,
-    spmm,
     sputnik_cost_model,
     cusparse_cost_model,
 )
 
 __all__ = [
-    "CSRMatrix",
-    "spmm",
     "SpmmCostModel",
     "sputnik_cost_model",
     "cusparse_cost_model",

@@ -1,4 +1,4 @@
-"""SpMM execution and the dense/sparse crossover cost model.
+"""The dense/sparse matmul kernel cost models and their crossover.
 
 The paper (section 4.2.2) benchmarks three GPU kernels for the pruned
 layers: cuBLAS dense matmul, cuSPARSE CSR SpMM, and Sputnik SpMM.  The
@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sparse.csr import CSRMatrix
 from repro.utils.validation import check_prob
-
-
-def spmm(A: CSRMatrix, B: np.ndarray) -> np.ndarray:
-    """Execute SpMM with the CSR row-gather kernel."""
-    return A.matmul_dense(B)
 
 
 @dataclass(frozen=True)
@@ -79,17 +73,6 @@ def dense_time(dense_flops: float, peak_flops: float = 989e12) -> float:
     m = dense_cost_model(peak_flops)
     # sparsity=0: dense kernels always execute the full FLOPs
     return m.time(dense_flops, 0.0)
-
-
-def best_kernel_time(dense_flops: float, sparsity: float, peak_flops: float = 989e12) -> float:
-    """Time of the best kernel choice at this sparsity (what a tuned
-    runtime — or the paper's Sputnik bindings — would achieve)."""
-    candidates = [
-        dense_cost_model(peak_flops).time(dense_flops, 0.0),
-        sputnik_cost_model(peak_flops).time(dense_flops, sparsity),
-        cusparse_cost_model(peak_flops).time(dense_flops, sparsity),
-    ]
-    return min(candidates)
 
 
 def crossover_sparsity(

@@ -21,7 +21,6 @@ class TrainingConfig:
     dp_ways: int = 1
     num_micro: int | None = None  # None -> 4 * pp_stages
     schedule: str = "zb"
-    seed: int = 0
     record_every: int = 10
     # how stages x replicas map onto cluster ranks ("packed",
     # "scattered", "dp-outer"); None keeps the legacy identity mapping

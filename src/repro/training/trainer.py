@@ -30,7 +30,7 @@ from repro.cluster.events import ClusterEventTrace
 from repro.cluster.job_manager import ElasticJobManager
 from repro.cluster.memory import PlacementOOMError
 from repro.cluster.placement import Placement, make_placement, validate_memory
-from repro.core.controller import DynMoController
+from repro.core.controller import MIGRATION_OVERLAP, DynMoController
 from repro.dynamics.base import DynamismScheme, StaticScheme
 from repro.model.cost import LayerState, ModelCost, state_matrix
 from repro.model.memory import StageMemoryModel
@@ -38,6 +38,9 @@ from repro.pipeline.engine import IterationResult, PipelineEngine
 from repro.pipeline.migration import diff_plans
 from repro.pipeline.plan import PipelinePlan
 from repro.training.config import TrainingConfig
+
+#: the job name a run books its GPUs under in an ElasticJobManager
+_JOB_NAME = "train"
 
 
 class RunDeadlineExceeded(RuntimeError):
@@ -151,7 +154,6 @@ class Trainer:
         controller: DynMoController | None = None,
         initial_plan: PipelinePlan | None = None,
         job_manager: ElasticJobManager | None = None,
-        job_name: str = "train",
         placement: Placement | None = None,
         cluster_events: ClusterEventTrace | None = None,
         memory_model: StageMemoryModel | None = None,
@@ -194,7 +196,6 @@ class Trainer:
         )
         self.states = scheme.initial_states()
         self.job_manager = job_manager
-        self.job_name = job_name
         self.cluster_events = cluster_events
         if cluster_events:
             limit = (
@@ -207,15 +208,10 @@ class Trainer:
                     f"cluster event trace names rank {cluster_events.max_rank()}, "
                     f"but only ranks [0, {limit}) exist here"
                 )
-        # migration pricing for event-driven shrink/regrow transitions
-        # follows the controller's overlap model when one is attached
-        self._event_overlap = (
-            controller.config.migration_overlap if controller is not None else 0.7
-        )
         # canonical straggler state folded into the iteration-cache key
         self._slowdown_key: tuple = ()
         if job_manager is not None:
-            job_manager.request(job_name, cfg.total_gpus, iteration=0)
+            job_manager.request(_JOB_NAME, cfg.total_gpus, iteration=0)
         # Bounded LRU of iteration results: long elastic runs that
         # alternate between a handful of plans never thrash (the old
         # clear-everything-at-512 wiped the hot entries too).
@@ -346,7 +342,7 @@ class Trainer:
                     released = self.plan.num_stages - decision.plan.num_stages
                     if released > 0:
                         self.job_manager.release(
-                            self.job_name, released * self.cfg.dp_ways, iteration=k
+                            _JOB_NAME, released * self.cfg.dp_ways, iteration=k
                         )
                 if decision.placement is not None:
                     self.placement = decision.placement
@@ -447,7 +443,7 @@ class Trainer:
         released = [r for s in hit for r in placement.dp_group(s)]
         self._transition(st, k, placement.after_repack(surviving), released)
         if self.job_manager is not None:
-            self.job_manager.release(self.job_name, len(released), iteration=k)
+            self.job_manager.release(_JOB_NAME, len(released), iteration=k)
 
     def _apply_recovery(self, st: _RunState, k: int, ranks: tuple[int, ...]) -> None:
         placement = self._require_event_placement("recovery")
@@ -485,7 +481,7 @@ class Trainer:
             return
         self._transition(st, k, regrown, released=[])
         if self.job_manager is not None:
-            self.job_manager.request(self.job_name, len(readmitted), iteration=k)
+            self.job_manager.request(_JOB_NAME, len(readmitted), iteration=k)
 
     def _transition(
         self, st: _RunState, k: int, new_placement: Placement, released: list[int]
@@ -498,7 +494,7 @@ class Trainer:
         migration = diff_plans(old_plan, new_plan, self.cost, self.states)
         cost = migration.cost_seconds(
             self.comm,
-            overlap=self._event_overlap,
+            overlap=MIGRATION_OVERLAP,
             src_placement=old_placement,
             dst_placement=new_placement,
         )
@@ -527,7 +523,7 @@ class Trainer:
     def _finish_run(self, st: _RunState) -> TrainingResult:
         tokens = self.tokens_per_iteration() * st.iters
         avg_gpus = (
-            self.job_manager.average_gpus(self.job_name, st.iters)
+            self.job_manager.average_gpus(_JOB_NAME, st.iters)
             if self.job_manager is not None
             else float(self.cfg.total_gpus)
         )

@@ -1,15 +1,10 @@
-"""Shared utilities: seeded RNG, timers, validation helpers."""
+"""Shared utilities: seeded RNG and validation helpers."""
 
-from repro.utils.rng import new_rng, spawn_rngs
-from repro.utils.timers import Timer, TimerSet
-from repro.utils.validation import check_positive, check_prob, check_nonneg
+from repro.utils.rng import new_rng
+from repro.utils.validation import check_positive, check_prob
 
 __all__ = [
     "new_rng",
-    "spawn_rngs",
-    "Timer",
-    "TimerSet",
     "check_positive",
     "check_prob",
-    "check_nonneg",
 ]

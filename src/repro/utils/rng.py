@@ -21,15 +21,3 @@ def new_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
     if seed is None:
         seed = 0
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` independent child generators from one seed.
-
-    Used to give each simulated rank / worker its own stream so that
-    per-rank randomness does not depend on rank execution order.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in ss.spawn(n)]

@@ -9,12 +9,6 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0, got {value}")
 
 
-def check_nonneg(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value >= 0``."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-
-
 def check_prob(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``0 <= value <= 1``."""
     if not (0.0 <= value <= 1.0):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster.collectives import CommCostModel
 from repro.cluster.topology import h100_cluster
-from repro.model.config import gpt_24, tiny_config
+from repro.model.config import gpt_24
 from repro.model.cost import ModelCost, build_layer_specs, fresh_states
 
 
@@ -39,8 +39,3 @@ def small_cluster():
 @pytest.fixture
 def comm(small_cluster):
     return CommCostModel(small_cluster)
-
-
-@pytest.fixture
-def tiny_cfg():
-    return tiny_config(num_layers=4)

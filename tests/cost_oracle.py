@@ -18,9 +18,34 @@ import numpy as np
 from repro.model.cost import LayerSpec, LayerState, ModelCost
 from repro.pipeline.engine import IterationResult, PipelineEngine
 from repro.pipeline.plan import PipelinePlan
-from repro.sparse.kernels import best_kernel_time
+from repro.sparse.kernels import (
+    cusparse_cost_model,
+    dense_cost_model,
+    sputnik_cost_model,
+)
 
 import engine_oracle
+
+
+def best_kernel_time(dense_flops: float, sparsity: float, peak_flops: float = 989e12) -> float:
+    """Time of the best kernel choice at this sparsity (what a tuned
+    runtime — or the paper's Sputnik bindings — would achieve)."""
+    candidates = [
+        dense_cost_model(peak_flops).time(dense_flops, 0.0),
+        sputnik_cost_model(peak_flops).time(dense_flops, sparsity),
+        cusparse_cost_model(peak_flops).time(dense_flops, sparsity),
+    ]
+    return min(candidates)
+
+
+def _validate(state: LayerState) -> None:
+    """The range checks ``ModelCost`` applies to every priced state."""
+    for name in ("sparsity", "attn_density", "token_fraction"):
+        value = getattr(state, name)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
+    if not state.moe_multiplier >= 0:  # NaN fails too
+        raise ValueError(f"moe_multiplier must be >= 0, got {state.moe_multiplier}")
 
 
 def matmul_time(cost: ModelCost, flops: float, sparsity: float) -> float:
@@ -33,7 +58,7 @@ def matmul_time(cost: ModelCost, flops: float, sparsity: float) -> float:
 
 
 def forward_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
-    state.validate()
+    _validate(state)
     ffn = spec.ffn_flops * state.moe_multiplier
     dense_part = spec.matmul_flops - spec.ffn_flops
     t = matmul_time(cost, dense_part, state.sparsity)
@@ -44,7 +69,7 @@ def forward_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
 
 def backward_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
     """dX + dW (unless frozen) + 2x attention quadratic."""
-    state.validate()
+    _validate(state)
     if state.droppable_bwd:
         return 0.0
     fwd_matmul = matmul_time(

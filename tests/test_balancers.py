@@ -6,14 +6,11 @@ import pytest
 from repro.core import (
     DiffusionBalancer,
     PartitionBalancer,
-    bubble_ratio_from_loads,
     diffusion_rounds_bound,
     imbalance,
-    jain_fairness,
     potential,
 )
 from repro.core.balancers.partition import partition_balanced
-from repro.core.convergence import s_con
 from repro.pipeline import PipelinePlan
 
 
@@ -49,18 +46,8 @@ class TestMetrics:
         brute = sum(abs(a - b) for i, a in enumerate(x) for b in x[i + 1 :])
         assert potential(x) == pytest.approx(brute)
 
-    def test_bubble_from_loads(self):
-        assert bubble_ratio_from_loads(np.array([1.0, 1.0])) == 0.0
-        assert bubble_ratio_from_loads(np.array([1.0, 3.0])) == pytest.approx(
-            1 - 2 / 3
-        )
-
-    def test_jain(self):
-        assert jain_fairness(np.ones(8)) == pytest.approx(1.0)
-        assert jain_fairness(np.array([1.0, 0.0])) == pytest.approx(0.5)
-
     def test_empty_raises(self):
-        for fn in (imbalance, potential, bubble_ratio_from_loads, jain_fairness):
+        for fn in (imbalance, potential):
             with pytest.raises(ValueError):
                 fn(np.array([]))
 
@@ -111,7 +98,7 @@ class TestPartitionBalancer:
         plan = PipelinePlan.uniform(26, 8)
         res = PartitionBalancer().rebalance(plan, w)
         assert res.loads_after.max() <= res.loads_before.max() + 1e-12
-        assert res.improved or res.plan == plan
+        assert res.imbalance_after <= res.imbalance_before + 1e-12 or res.plan == plan
 
     def test_rejects_negative_weights(self):
         plan = PipelinePlan.uniform(4, 2)
@@ -214,10 +201,3 @@ class TestConvergenceBounds:
             diffusion_rounds_bound(4, -1, 0.1)
         with pytest.raises(ValueError):
             diffusion_rounds_bound(4, 1, 0)
-        with pytest.raises(ValueError):
-            s_con(0, 1, 1)
-
-    def test_s_con_scales_n2_logn(self):
-        a = s_con(4, 100, 0.1)
-        b = s_con(8, 100, 0.1)
-        assert b > a * 3  # ~n^2 growth with log factors

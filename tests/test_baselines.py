@@ -8,7 +8,6 @@ from repro.baselines import (
     TutelMoEBaseline,
     deepspeed_plan,
     megatron_uniform_plan,
-    pipetransformer_repack,
 )
 from repro.dynamics import FreezingDynamism, MoEDynamism
 from repro.model.config import GPTConfig
@@ -115,24 +114,3 @@ class TestEgeria:
             > EgeriaBaseline(s24).per_iteration_overhead_s()
         )
 
-
-class TestPipeTransformer:
-    def test_halves_when_fits(self):
-        plan = PipelinePlan.uniform(16, 8)
-        params = np.ones(16) * 100
-        new = pipetransformer_repack(plan, params, bytes_per_param=1.0, max_mem=1e9)
-        assert new.num_stages in (1, 2, 4)  # halved at least once
-
-    def test_stops_at_memory_limit(self):
-        plan = PipelinePlan.uniform(16, 8)
-        params = np.ones(16) * 100
-        # 4 stages => 400 per stage > 250 limit; 8 stages => 200 fits
-        new = pipetransformer_repack(plan, params, bytes_per_param=1.0, max_mem=250.0)
-        assert new.num_stages == 8
-
-    def test_validation(self):
-        plan = PipelinePlan.uniform(4, 2)
-        with pytest.raises(ValueError):
-            pipetransformer_repack(plan, np.ones(4), 0, 10)
-        with pytest.raises(ValueError):
-            pipetransformer_repack(plan, np.ones(3), 1, 10)

@@ -133,7 +133,7 @@ class TestSweepJournal:
         assert json.loads(lines[1])["spec_hash"] == record.spec_hash
 
         reloaded = SweepJournal(path)
-        assert len(reloaded) == 1
+        assert len(reloaded.prior) == 1
         prior = reloaded.prior[record.spec_hash]
         assert prior.status == "ok"
         assert prior.metrics == record.metrics
@@ -160,7 +160,7 @@ class TestSweepJournal:
         with path.open("a") as fh:
             fh.write('{"kind": "record", "status": "ok", "trunc')  # torn write
         reloaded = SweepJournal(path)
-        assert len(reloaded) == 2
+        assert len(reloaded.prior) == 2
         assert reloaded.skipped_lines == 1
         reloaded.close()
 
@@ -171,7 +171,7 @@ class TestCacheIntegrity:
         spec = tiny()
         runner = SweepRunner(policy=ExecutionPolicy("inline"), cache=cache)
         [first] = runner.run([spec])
-        assert not first.cached and len(cache) == 1
+        assert not first.cached and len(list(tmp_path.glob("*.json"))) == 1
 
         entry = tmp_path / f"{spec.spec_hash}.json"
         faults.corrupt_file(entry, seed=0)

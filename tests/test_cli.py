@@ -40,6 +40,15 @@ class TestParser:
             (["gantt", "--micro", "0"], "--micro"),
             (["events", "--ranks", "0"], "--ranks"),
             (["fig4", "--gpus", "0"], "--gpus"),
+            # the effective shape: MoE widens to 16 stages, --paper-scale
+            # picks its own grid
+            (["sweep", "--scenario", "moe", "--layers", "12"], "--layers"),
+            (["sweep", "--cluster", "1x2"], "--cluster"),
+            (["sweep", "--stages", "8", "--dp", "4", "--cluster", "2x8"], "--cluster"),
+            (["sweep", "--paper-scale", "--cluster", "4x4"], "--cluster"),
+            (["ensemble", "--scenario", "moe", "--layers", "12"], "--layers"),
+            (["gantt", "--scenario", "moe", "--layers", "12"], "--layers"),
+            (["fig3", "--scenario", "moe", "--layers", "12"], "--layers"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -59,6 +68,15 @@ class TestParser:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not cache_dir.exists()
+
+    def test_invalid_shape_publishes_no_shard_plan(self, tmp_path, capsys):
+        shard_dir = tmp_path / "shards"
+        with pytest.raises(SystemExit) as exc:
+            main(["shard", "plan", "--shard-dir", str(shard_dir),
+                  "--scenario", "moe", "--layers", "12"])
+        assert exc.value.code == 2
+        assert "--layers" in capsys.readouterr().err
+        assert not shard_dir.exists()
 
     def test_valid_values_still_parse(self):
         args = build_parser().parse_args(

@@ -68,15 +68,6 @@ class TestCollectives:
         inter = comm.allreduce_time([0, 1, 4, 5], 1e8)
         assert inter > intra
 
-    def test_gather_scatter_symmetry(self, comm):
-        ranks = [0, 1, 2, 3]
-        assert comm.gather_time(0, ranks, 1e6) == comm.scatter_time(0, ranks, 1e6)
-
-    def test_all_to_all_grows_with_group(self, comm):
-        t4 = comm.all_to_all_time([0, 1, 2, 3], 1e6)
-        t8 = comm.all_to_all_time(list(range(8)), 1e6)
-        assert t8 > t4
-
     def test_ring_allreduce_formula(self, small_cluster):
         comm = CommCostModel(small_cluster)
         n, nbytes = 4, 1e8
@@ -181,8 +172,6 @@ class TestHeterogeneousTopology:
         topo = hetero_cluster([8, 4])
         with pytest.raises(ValueError, match="heterogeneous"):
             _ = topo.gpus_per_node
-        assert not topo.is_uniform
-        assert h100_cluster(2, 4).is_uniform
 
 
 class TestParseCluster:

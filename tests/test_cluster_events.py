@@ -174,10 +174,6 @@ class TestClusterEventTrace:
         with pytest.raises(ValueError, match="iterations"):
             ClusterEventTrace.generate(0, 4)
 
-    def test_shifted(self):
-        trace = ClusterEventTrace((ClusterEvent(5, "failure", (0,)),))
-        assert trace.shifted(10).events[0].iteration == 15
-
 
 class TestAfterRepackValidation:
     """Satellite bugfix: strictly ascending + in-range indices only."""

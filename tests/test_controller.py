@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DynMoConfig, DynMoController, PipelineProfiler
+from repro.core.controller import _PROFILE_OVERHEAD_FRAC
 from repro.model.cost import LayerState, fresh_states
 from repro.pipeline import PipelinePlan
 
@@ -11,11 +12,10 @@ from repro.pipeline import PipelinePlan
 class TestProfiler:
     def test_report_shapes(self, gpt24_cost, gpt24_states):
         plan = PipelinePlan.uniform(26, 4)
-        rep = PipelineProfiler(gpt24_cost).profile(plan, gpt24_states, iteration=7)
+        rep = PipelineProfiler(gpt24_cost).profile(plan, gpt24_states)
         assert rep.layer_fwd_s.shape == (26,)
         assert rep.layer_bwd_s.shape == (26,)
         assert rep.worker_memory.shape == (4,)
-        assert rep.profiled_at_iter == 7
         assert (rep.layer_total_s == rep.layer_fwd_s + rep.layer_bwd_s).all()
 
     def test_weight_kinds(self, gpt24_cost, gpt24_states):
@@ -59,10 +59,6 @@ class TestDynMoConfig:
     def test_invalid_weight_by(self):
         with pytest.raises(ValueError):
             DynMoConfig(weight_by="flops")
-
-    def test_invalid_overlap(self):
-        with pytest.raises(ValueError):
-            DynMoConfig(migration_overlap=2.0)
 
 
 class TestController:
@@ -110,18 +106,9 @@ class TestController:
             states[i].frozen = True
         ctl = self._controller(gpt24_cost, comm)
         d = ctl.rebalance(0, PipelinePlan.uniform(26, 4), states, iter_time_hint=1.0)
-        assert d.overhead_s > 0
-        assert ctl.overhead.total_s > 0
-        assert ctl.overhead.balance_s > 0
-        assert ctl.overhead.profile_s == pytest.approx(
-            ctl.config.profile_overhead_frac * 1.0
-        )
-        assert set(ctl.overhead.as_dict()) == {
-            "profile_s",
-            "balance_s",
-            "migrate_s",
-            "total_s",
-        }
+        # the profiled iteration's share of the hint, plus the measured
+        # balancer time and the migration
+        assert d.overhead_s > _PROFILE_OVERHEAD_FRAC * 1.0
 
     def test_repack_shrinks_plan(self, gpt24_cost, comm):
         """Heavily pruned model on generous memory: repack must fire."""
@@ -144,21 +131,12 @@ class TestController:
         d = ctl.rebalance(1, plan, states, iter_time_hint=0.1)
         assert d.repacked
         assert d.plan.num_stages < 8
-        assert d.released_workers
-
-    def test_num_rebalances_counter(self, gpt24_cost):
-        ctl = self._controller(gpt24_cost)
-        states = fresh_states(26)
-        plan = PipelinePlan.uniform(26, 2)
-        ctl.rebalance(0, plan, states)
-        ctl.rebalance(1, plan, states)
-        assert ctl.num_rebalances == 2
 
 
 class TestBalancerFailure:
-    def test_balancer_exception_releases_timer(self, gpt24_cost, comm):
-        """A crashing balancer must not leave the balance timer running
-        (the next invocation would raise 'already started')."""
+    def test_balancer_exception_leaves_controller_usable(self, gpt24_cost, comm):
+        """A crashing balancer propagates, and the next invocation with
+        a healthy balancer works."""
 
         from repro.core.balancers.base import LoadBalancer
 
@@ -173,7 +151,6 @@ class TestBalancerFailure:
         plan = PipelinePlan.uniform(26, 4)
         with pytest.raises(RuntimeError, match="boom"):
             ctl.rebalance(0, plan, fresh_states(26), iter_time_hint=0.1)
-        # the timer is free again: a healthy retry must work
-        timer = ctl.timers("balance")
-        timer.start()
-        timer.stop()
+        ctl.balancer_override = None
+        d = ctl.rebalance(1, plan, fresh_states(26), iter_time_hint=0.1)
+        assert d.plan.num_stages == 4

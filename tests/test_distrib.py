@@ -228,21 +228,25 @@ class TestLeases:
 # -- two-tier cache ----------------------------------------------------------
 
 
+def tiered(local, shared) -> TieredResultCache:
+    return TieredResultCache(ResultCache(local), ResultCache(shared))
+
+
 class TestTieredCache:
     def test_put_lands_in_both_tiers_and_get_promotes(self, tmp_path):
-        cache = TieredResultCache.at(tmp_path / "local", tmp_path / "shared")
+        cache = tiered(tmp_path / "local", tmp_path / "shared")
         spec = tiny()
         record = execute_spec(spec)
         cache.put(record)
         assert cache.local.get(spec) is not None
         assert cache.shared.get(spec) is not None
         # a fresh local tier (new host) hits shared and promotes
-        cache2 = TieredResultCache.at(tmp_path / "local2", tmp_path / "shared")
+        cache2 = tiered(tmp_path / "local2", tmp_path / "shared")
         assert cache2.get(spec) is not None
         assert cache2.local.get(spec) is not None  # promoted
 
     def test_corrupt_shared_entry_degrades_to_miss(self, tmp_path):
-        cache = TieredResultCache.at(tmp_path / "local", tmp_path / "shared")
+        cache = tiered(tmp_path / "local", tmp_path / "shared")
         spec = tiny()
         cache.shared.put(execute_spec(spec))
         entry = tmp_path / "shared" / f"{spec.spec_hash}.json"
@@ -254,8 +258,9 @@ class TestTieredCache:
     def test_shared_write_failure_degrades_not_fatal(self, tmp_path, monkeypatch):
         from repro.orchestrator.retry import RetryPolicy
 
-        cache = TieredResultCache.at(
-            tmp_path / "local", tmp_path / "shared",
+        cache = TieredResultCache(
+            ResultCache(tmp_path / "local"),
+            ResultCache(tmp_path / "shared"),
             retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
         )
 

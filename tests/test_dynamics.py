@@ -66,14 +66,16 @@ class TestMoEDynamism:
         for k in range(30):
             aux.step(k, sa)
             sb.step(k, ss)
-        assert aux.mean_imbalance() > sb.mean_imbalance()
+        slowest_expert = [
+            np.mean([states[i].moe_multiplier for i in aux.moe_layers])
+            for states in (sa, ss)
+        ]
+        assert slowest_expert[0] > slowest_expert[1]
 
     def test_counts_conserve_tokens(self, moe_specs):
         scheme = MoEDynamism(moe_specs, tokens_per_iter=4096, seed=0)
-        states = scheme.initial_states()
-        scheme.step(0, states)
-        for c in scheme.last_counts.values():
-            assert c.sum() == 4096
+        for i in scheme.moe_layers:
+            assert scheme._counts_for(i).sum() == 4096
 
     def test_unknown_router_raises(self, moe_specs):
         with pytest.raises(ValueError):
@@ -225,7 +227,7 @@ class TestFreezingDynamism:
         states = scheme.initial_states()
         for k in range(0, 10000, 10):
             scheme.step(k, states)
-        assert scheme.frozen_fraction() <= 0.5 + 1e-9
+        assert scheme.frozen_flags.mean() <= 0.5 + 1e-9
 
     def test_only_on_cadence(self, gpt24_specs):
         scheme = FreezingDynamism(gpt24_specs, freeze_every=300, tau0=1, seed=0)

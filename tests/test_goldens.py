@@ -6,6 +6,11 @@ a process pool and a sharded sweep — must reproduce every digest; a
 change that means to move simulated numbers bumps ``SIM_VERSION`` and
 regenerates the file.  Every inline record also passes the run-level
 invariants below.
+
+``tests/goldens/ensemble.json`` (fault-ensemble percentiles) and
+``tests/goldens/maxmodel.json`` (a small ``fig-maxmodel`` table with
+``ok`` and ``oom`` cells) are checked the same way on the inline and
+batched backends.
 """
 
 from __future__ import annotations
@@ -55,6 +60,22 @@ def test_goldens_match(backend, goldens, inline_records, tmp_path):
         if goldens["runs"].get(h) != runs.get(h)
     }
     assert not moved, f"{len(moved)} golden run(s) moved: {moved}"
+
+
+@pytest.mark.parametrize("backend", ["inline", "batched"])
+def test_ensemble_goldens_match(backend):
+    golden = regen_goldens.load_goldens(regen_goldens.ENSEMBLE_PATH)
+    assert golden["sim_version"] == SIM_VERSION
+    assert regen_goldens.ensemble_entries(backend) == golden["groups"]
+
+
+@pytest.mark.parametrize("backend", ["inline", "batched"])
+def test_maxmodel_goldens_match(backend):
+    golden = regen_goldens.load_goldens(regen_goldens.MAXMODEL_PATH)
+    assert golden["sim_version"] == SIM_VERSION
+    statuses = {cell["status"] for row in golden["rows"] for cell in row["cells"]}
+    assert statuses == {"ok", "oom"}
+    assert regen_goldens.maxmodel_table(backend) == golden["rows"]
 
 
 def test_golden_records_hold_run_invariants(inline_records):

@@ -218,7 +218,6 @@ class TestValidateMemory:
         d = rep.as_dict()
         assert d["total_bytes"] == rep.total_bytes
         assert d["fits"] is True
-        assert rep.headroom_bytes == rep.capacity_bytes - rep.total_bytes
 
 
 class TestPerDestinationRepack:

@@ -76,19 +76,6 @@ class TestBuildLayerSpecs:
 
 
 class TestLayerState:
-    def test_defaults_valid(self):
-        LayerState().validate()
-
-    def test_invalid_values(self):
-        with pytest.raises(ValueError):
-            LayerState(sparsity=1.5).validate()
-        with pytest.raises(ValueError):
-            LayerState(attn_density=-0.1).validate()
-        with pytest.raises(ValueError):
-            LayerState(moe_multiplier=-1).validate()
-        with pytest.raises(ValueError, match="moe_multiplier"):
-            LayerState(moe_multiplier=float("nan")).validate()
-
     def test_copy_independent(self):
         a = LayerState(sparsity=0.5)
         b = a.copy()

@@ -139,24 +139,16 @@ class TestEngineBasics:
         with pytest.raises(ValueError):
             eng.run_iteration(PipelinePlan.uniform(26, 2), fresh_states(5))
 
-    def test_throughput_helper(self, gpt24_cost, gpt24_states):
-        eng = self._engine(gpt24_cost)
-        tps = eng.throughput_tokens_per_s(
-            PipelinePlan.uniform(26, 4), gpt24_states, tokens_per_micro=4096
-        )
-        assert tps > 0
-
 
 class TestMigration:
     def test_diff_identical_plans_empty(self, gpt24_cost, gpt24_states):
         plan = PipelinePlan.uniform(26, 4)
         mig = diff_plans(plan, plan, gpt24_cost, gpt24_states)
         assert mig.num_layers_moved == 0
-        assert mig.total_bytes == 0
 
     def test_diff_boundary_move(self, gpt24_cost, gpt24_states):
-        a = PipelinePlan.from_stage_sizes([13, 13])
-        b = PipelinePlan.from_stage_sizes([12, 14])
+        a = PipelinePlan((0, 13, 26), 26)
+        b = PipelinePlan((0, 12, 26), 26)
         mig = diff_plans(a, b, gpt24_cost, gpt24_states)
         assert mig.num_layers_moved == 1
         assert mig.transfers[0].layer == 12
@@ -179,8 +171,8 @@ class TestMigration:
             )
 
     def test_migration_cost_overlap(self, gpt24_cost, gpt24_states, comm):
-        a = PipelinePlan.from_stage_sizes([13, 13])
-        b = PipelinePlan.from_stage_sizes([10, 16])
+        a = PipelinePlan((0, 13, 26), 26)
+        b = PipelinePlan((0, 10, 26), 26)
         mig = diff_plans(a, b, gpt24_cost, gpt24_states)
         full = mig.cost_seconds(comm, overlap=0.0)
         hidden = mig.cost_seconds(comm, overlap=0.9)
@@ -191,8 +183,8 @@ class TestMigration:
 
     def test_layer_bytes_pruned_smaller(self, gpt24_cost, gpt24_states):
         """A pruned layer ships fewer bytes when it migrates."""
-        a = PipelinePlan.from_stage_sizes([13, 13])
-        b = PipelinePlan.from_stage_sizes([10, 16])
+        a = PipelinePlan((0, 13, 26), 26)
+        b = PipelinePlan((0, 10, 26), 26)
         sparse = [s.copy() for s in gpt24_states]
         sparse[11].sparsity = 0.9
         dense = diff_plans(a, b, gpt24_cost, gpt24_states).transfers

@@ -97,11 +97,6 @@ class TestHeterogeneousSpeeds:
         speeds = p.worker_speeds()
         assert np.allclose(speeds[:4], 1.0)
         assert np.all(speeds[4:] < 0.5)
-        assert p.is_heterogeneous()
-
-    def test_homogeneous_is_not_heterogeneous(self, small_cluster):
-        p = make_placement(small_cluster, num_stages=4)
-        assert not p.is_heterogeneous()
 
     def test_uniform_non_reference_cluster_is_slower(self, gpt24_cost, gpt24_states):
         """A homogeneous A100 cluster must not simulate at H100 speed."""
@@ -303,10 +298,9 @@ class TestPostRepackAccounting:
         with pytest.raises(RuntimeError, match="boom"):
             ctl.rebalance(1, plan, states, iter_time_hint=0.1)
         assert ctl.placement.num_stages == 8  # nothing committed
-        assert ctl.num_repacks == 0
         d = ctl.rebalance(2, plan, states, iter_time_hint=0.1)  # retry works
         assert d.repacked
-        assert ctl.num_repacks == 1
+        assert ctl.placement.num_stages == d.plan.num_stages < 8
 
     def test_repack_only_decision_is_not_rebalanced(self, gpt24_cost, comm):
         """Re-pack alone must not masquerade as a balancer move."""

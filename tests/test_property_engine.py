@@ -90,9 +90,9 @@ class TestPlanProperties:
         sizes = plan.stage_sizes()
         assert sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
+        stages = plan.layer_stages()
         for layer in range(n):
-            st_idx = plan.stage_of(layer)
-            assert layer in plan.stage_layers(st_idx)
+            assert layer in plan.stage_layers(int(stages[layer]))
 
 
 class TestRepackProperties:

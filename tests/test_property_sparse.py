@@ -1,55 +1,10 @@
-"""Property-based tests for the CSR substrate and Algorithm 1."""
+"""Property-based tests for Algorithm 1 (global magnitude pruning)."""
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.dynamics.pruning import GlobalMagnitudePruner
-from repro.sparse import CSRMatrix
-
-
-dense_matrices = arrays(
-    dtype=np.float64,
-    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
-    elements=st.floats(min_value=-10, max_value=10, allow_nan=False, width=64),
-)
-
-
-class TestCSRProperties:
-    @given(m=dense_matrices)
-    @settings(max_examples=80, deadline=None)
-    def test_roundtrip(self, m):
-        assert np.allclose(CSRMatrix.from_dense(m).to_dense(), m)
-
-    @given(m=dense_matrices)
-    @settings(max_examples=60, deadline=None)
-    def test_transpose_involution(self, m):
-        csr = CSRMatrix.from_dense(m)
-        assert np.allclose(csr.transpose().transpose().to_dense(), m)
-
-    @given(m=dense_matrices, data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_spmm_matches_dense(self, m, data):
-        k = m.shape[1]
-        cols = data.draw(st.integers(1, 6))
-        B = data.draw(
-            arrays(
-                np.float64,
-                (k, cols),
-                elements=st.floats(min_value=-5, max_value=5, allow_nan=False, width=64),
-            )
-        )
-        assert np.allclose(CSRMatrix.from_dense(m).matmul_dense(B), m @ B, atol=1e-9)
-
-    @given(m=dense_matrices)
-    @settings(max_examples=60, deadline=None)
-    def test_nnz_consistency(self, m):
-        csr = CSRMatrix.from_dense(m)
-        assert csr.nnz == np.count_nonzero(m)
-        assert csr.density() == pytest.approx(
-            np.count_nonzero(m) / m.size if m.size else 0.0
-        )
 
 
 #: weight shards for Algorithm 1: integer-valued weights force heavy

@@ -6,6 +6,10 @@ alive.  Importing the two entry points loads every module except the
 few that one command imports lazily, named in ``LAZY``, and the known
 orphans in ``ORPHANS`` that are still waiting for removal.
 
+The function half of the rule — no function that no command, API
+call or example enters — is ``scripts/reach_trace.py --check``, a CI
+step of its own.
+
 ``perfbench/layers.py`` wraps entry points by module and attribute
 name; a renamed or deleted one fails its ``install`` with a
 ``KeyError``/``AttributeError``, which this test reports instead of a

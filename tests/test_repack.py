@@ -36,10 +36,6 @@ class TestFirstFitRepack:
         assert [(s, d) for s, d, _ in res.transfers] == [(0, 1)] * 3
         assert [l for _, _, l in res.transfers] == [0, 1, 2]
 
-    def test_released_property(self):
-        res = first_fit_repack([1.0, 1.0, 1.0], [1, 1, 1], max_mem=10.0)
-        assert set(res.released) == {i for i, a in enumerate(res.active_workers) if not a}
-
     def test_greedy_first_fit_order(self):
         """Algorithm 2 scans (src, dst) pairs in index order: worker 0
         merges into worker 1 first."""

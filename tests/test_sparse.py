@@ -1,100 +1,12 @@
-"""Tests for the CSR container and SpMM kernels (scipy as oracle)."""
+"""Tests for the sparse-matmul kernel cost models."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from repro.sparse import (
-    CSRMatrix,
-    SpmmCostModel,
-    cusparse_cost_model,
-    spmm,
-    sputnik_cost_model,
-)
-from repro.sparse.kernels import best_kernel_time, crossover_sparsity, dense_cost_model, dense_time
+from repro.sparse import SpmmCostModel, cusparse_cost_model, sputnik_cost_model
+from repro.sparse.kernels import crossover_sparsity, dense_cost_model, dense_time
 
-
-def random_sparse(rng, m, k, density):
-    dense = rng.normal(size=(m, k))
-    mask = rng.random((m, k)) < density
-    return dense * mask, mask
-
-
-class TestCSRConstruction:
-    def test_from_dense_roundtrip(self, rng):
-        dense, _ = random_sparse(rng, 6, 5, 0.4)
-        csr = CSRMatrix.from_dense(dense)
-        assert np.allclose(csr.to_dense(), dense)
-
-    def test_from_mask(self, rng):
-        dense = rng.normal(size=(4, 4))
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[1, 2] = mask[3, 0] = True
-        csr = CSRMatrix.from_mask(dense, mask)
-        assert csr.nnz == 2
-        out = csr.to_dense()
-        assert out[1, 2] == dense[1, 2] and out[3, 0] == dense[3, 0]
-        assert out[0, 0] == 0
-
-    def test_matches_scipy(self, rng):
-        dense, _ = random_sparse(rng, 8, 6, 0.3)
-        ours = CSRMatrix.from_dense(dense)
-        theirs = sp.csr_matrix(dense)
-        assert np.array_equal(ours.indptr, theirs.indptr)
-        assert np.array_equal(ours.indices, theirs.indices)
-        assert np.allclose(ours.data, theirs.data)
-
-    def test_sparsity_density(self, rng):
-        dense, mask = random_sparse(rng, 10, 10, 0.2)
-        csr = CSRMatrix.from_mask(dense, mask)
-        assert csr.density() == pytest.approx(mask.mean())
-        assert csr.sparsity() == pytest.approx(1 - mask.mean())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CSRMatrix(np.array([0, 1]), np.array([5]), np.array([1.0]), (1, 2))
-        with pytest.raises(ValueError):
-            CSRMatrix(np.array([0]), np.array([]), np.array([]), (1, 2))
-        with pytest.raises(ValueError):
-            CSRMatrix.from_dense(np.ones(3))
-
-    def test_nbytes(self):
-        csr = CSRMatrix.from_dense(np.eye(4))
-        # 4 values*4B + 4 indices*4B + 5 indptr*4B
-        assert csr.nbytes() == 4 * 4 + 4 * 4 + 5 * 4
-
-
-class TestSpMM:
-    def test_matches_dense(self, rng):
-        dense, _ = random_sparse(rng, 7, 5, 0.5)
-        B = rng.normal(size=(5, 3))
-        assert np.allclose(spmm(CSRMatrix.from_dense(dense), B), dense @ B)
-
-    def test_empty_rows(self, rng):
-        dense = np.zeros((4, 4))
-        dense[2, 1] = 3.0
-        B = rng.normal(size=(4, 2))
-        out = spmm(CSRMatrix.from_dense(dense), B)
-        assert np.allclose(out, dense @ B)
-
-    def test_all_zero_matrix(self, rng):
-        csr = CSRMatrix.from_dense(np.zeros((3, 3)))
-        assert np.allclose(spmm(csr, rng.normal(size=(3, 2))), 0.0)
-
-    def test_shape_mismatch_raises(self, rng):
-        csr = CSRMatrix.from_dense(np.eye(3))
-        with pytest.raises(ValueError):
-            csr.matmul_dense(rng.normal(size=(4, 2)))
-
-    def test_transpose(self, rng):
-        dense, _ = random_sparse(rng, 5, 7, 0.4)
-        csr = CSRMatrix.from_dense(dense)
-        assert np.allclose(csr.transpose().to_dense(), dense.T)
-
-    def test_transpose_twice_identity(self, rng):
-        dense, _ = random_sparse(rng, 6, 4, 0.3)
-        csr = CSRMatrix.from_dense(dense)
-        assert np.allclose(csr.transpose().transpose().to_dense(), dense)
+from cost_oracle import best_kernel_time
 
 
 class TestCostModels:

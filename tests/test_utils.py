@@ -1,13 +1,10 @@
-"""Tests for repro.utils: rng, timers, validation."""
-
-import time
+"""Tests for repro.utils: rng, validation."""
 
 import numpy as np
 import pytest
 
-from repro.utils.rng import new_rng, spawn_rngs
-from repro.utils.timers import Timer, TimerSet
-from repro.utils.validation import check_nonneg, check_positive, check_prob
+from repro.utils.rng import new_rng
+from repro.utils.validation import check_positive, check_prob
 
 
 class TestRng:
@@ -25,66 +22,6 @@ class TestRng:
     def test_none_defaults_to_zero(self):
         assert np.array_equal(new_rng(None).random(5), new_rng(0).random(5))
 
-    def test_spawn_rngs_independent(self):
-        streams = spawn_rngs(123, 4)
-        assert len(streams) == 4
-        draws = [s.random(8) for s in streams]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert not np.array_equal(draws[i], draws[j])
-
-    def test_spawn_rngs_reproducible(self):
-        a = spawn_rngs(5, 3)
-        b = spawn_rngs(5, 3)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.random(4), y.random(4))
-
-    def test_spawn_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer("x")
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed_s >= 0.009
-        assert t.count == 1
-
-    def test_double_start_raises(self):
-        t = Timer("x")
-        t.start()
-        with pytest.raises(RuntimeError):
-            t.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer("x").stop()
-
-    def test_reset(self):
-        t = Timer("x")
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed_s == 0.0 and t.count == 0
-
-    def test_timerset_creates_on_demand(self):
-        ts = TimerSet()
-        with ts("a"):
-            pass
-        with ts("b"):
-            pass
-        assert ts.names() == ["a", "b"]
-        assert ts.total() >= 0
-        assert ts.elapsed("missing") == 0.0
-
-    def test_timerset_summary(self):
-        ts = TimerSet()
-        with ts("a"):
-            pass
-        assert set(ts.summary()) == {"a"}
-
 
 class TestValidation:
     def test_check_positive(self):
@@ -93,11 +30,6 @@ class TestValidation:
             check_positive("x", 0)
         with pytest.raises(ValueError):
             check_positive("x", -1)
-
-    def test_check_nonneg(self):
-        check_nonneg("x", 0)
-        with pytest.raises(ValueError):
-            check_nonneg("x", -0.1)
 
     def test_check_prob(self):
         check_prob("x", 0.0)
