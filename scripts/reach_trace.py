@@ -69,8 +69,6 @@ ALLOWLIST: dict[str, str] = {
         "kept: reads back h100_cluster(gpus_per_node=), which every example passes",
     "src/repro/core/balancers/dpexact.py:dp_partition":
         "the exact DP reference balancer (ROADMAP item 4)",
-    "src/repro/core/balancers/dpexact.py:min_stages_within":
-        "the exact DP reference balancer (ROADMAP item 4)",
     "src/repro/core/metrics.py:imbalance":
         "BalanceResult.imbalance_before/_after, which benchmarks and scripts "
         "read, compute it",

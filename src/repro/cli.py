@@ -40,6 +40,7 @@ from repro.experiments import (
     run_overhead_table,
 )
 from repro.experiments.common import effective_shape, parse_memory_limit
+from repro.experiments.maxmodel import cell_stages
 from repro.orchestrator import (
     MODES,
     ExecutionPolicy,
@@ -1167,10 +1168,33 @@ def _requested_shape(args) -> tuple[int, int]:
     return args.stages, args.dp if uses_dp else 1
 
 
+def _check_maxmodel_clusters(parser: argparse.ArgumentParser, args) -> None:
+    """Exit 2, naming ``--clusters``, when a fig-maxmodel cluster has
+    fewer GPUs than its cells' effective pipeline stages."""
+    scenario = args.scenario[0]  # the scenario cmd_fig_maxmodel runs
+    short = []
+    for cluster in args.clusters:
+        gpus = parse_cluster(cluster).num_gpus
+        pp = max(
+            effective_shape(scenario, cell_stages(gpus, depth), 1, 1)[0]
+            for depth in args.depths
+        )
+        if pp > gpus:
+            short.append(f"{cluster} has {gpus} GPUs for {pp} stages")
+    if short:
+        parser.error(
+            f"--clusters too small for scenario {scenario!r}, which runs "
+            f"one pipeline stage per GPU: {'; '.join(short)}"
+        )
+
+
 def _check_shapes(parser: argparse.ArgumentParser, args) -> None:
     """Exit 2, naming the flag, when a scenario's effective pipeline
     (after MoE widening or the paper-scale grids) does not fit its
-    ``--layers`` or ``--cluster``."""
+    ``--layers`` or ``--cluster`` (``--clusters`` for fig-maxmodel)."""
+    if args.command == "fig-maxmodel":
+        _check_maxmodel_clusters(parser, args)
+        return
     layers = getattr(args, "layers", None)
     if not layers:
         return

@@ -3,7 +3,7 @@
 from repro.core.balancers.base import LoadBalancer, BalanceResult
 from repro.core.balancers.partition import PartitionBalancer, partition_balanced
 from repro.core.balancers.diffusion import DiffusionBalancer
-from repro.core.balancers.dpexact import DPExactBalancer, dp_partition, min_stages_within
+from repro.core.balancers.dpexact import DPExactBalancer, dp_partition
 
 __all__ = [
     "LoadBalancer",
@@ -13,5 +13,4 @@ __all__ = [
     "DiffusionBalancer",
     "DPExactBalancer",
     "dp_partition",
-    "min_stages_within",
 ]

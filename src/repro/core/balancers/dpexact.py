@@ -1,11 +1,13 @@
-"""Exact dynamic-programming balancer (oracle / third balancer option).
+"""Exact dynamic-programming balancer (reference / third balancer option).
 
 Solves min-max contiguous partitioning exactly in O(S · n²) with the
-classic DP over prefix sums.  The Partition balancer's binary search
-reaches the same optimum in O(n log(sum/eps)); this DP exists (a) as a
-cross-check oracle for tests, (b) to expose the full Pareto row — the
-optimal bottleneck for *every* stage count 1..S in one pass, which the
-re-packing gate uses to pick how far a shrunken model can fold.
+classic DP over prefix sums.  The Partition balancer reaches the same
+optimum by a greedy search over candidate bottlenecks; this DP is the
+independent reference tests hold it to, and ``DynMoConfig(balancer="dp")``
+runs it inside the controller.  ``dp_partition`` also returns the
+Pareto row, the optimal bottleneck for every stage count 1..S; nothing
+in the package reads it (the re-packing gate sizes its target from the
+total load, in ``controller.py``).
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ def dp_partition(
                 if v < best:
                     best = v
                     arg = j
-                # segments only grow as j decreases; once seg alone
-                # exceeds best we cannot improve further for smaller j
             dp[s, i] = best
             parent[s, i] = arg
     if not np.isfinite(dp[num_stages, n]):
@@ -71,29 +71,6 @@ def dp_partition(
     bounds.reverse()
     pareto = dp[1:, n].copy()
     return PipelinePlan(tuple(bounds), n), pareto
-
-
-def min_stages_within(
-    weights: np.ndarray, bottleneck_budget: float
-) -> int:
-    """Smallest stage count whose optimal bottleneck fits the budget.
-
-    Greedy packing is exact for this direction: fill stages left to
-    right up to the budget.
-    """
-    w = np.asarray(weights, dtype=float)
-    if bottleneck_budget <= 0:
-        raise ValueError("budget must be positive")
-    if (w > bottleneck_budget).any():
-        raise ValueError("a single layer exceeds the budget")
-    stages = 1
-    load = 0.0
-    for x in w:
-        if load + x > bottleneck_budget:
-            stages += 1
-            load = 0.0
-        load += x
-    return stages
 
 
 class DPExactBalancer(LoadBalancer):

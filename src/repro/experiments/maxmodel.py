@@ -27,6 +27,12 @@ from repro.orchestrator import RunSpec, SweepRunner, run_specs
 DEFAULT_CLUSTERS = ("1x2", "1x4", "1x8", "2x8+2x4:a100")
 
 
+def cell_stages(num_gpus: int, depth: int) -> int:
+    """Pipeline stages a cell asks for: one per GPU, at most one per
+    layer, at most 8.  ``effective_shape`` still widens MoE to 16."""
+    return min(num_gpus, depth, 8)
+
+
 def run_fig_maxmodel(
     scenario: str = "pruning",
     depths: tuple[int, ...] = (24, 32, 40, 48),
@@ -59,7 +65,7 @@ def run_fig_maxmodel(
     for cluster in clusters:
         num_gpus = parse_cluster(cluster).num_gpus
         for depth in depths:
-            pp = min(num_gpus, depth, 8)
+            pp = cell_stages(num_gpus, depth)
             base = RunSpec(
                 scenario=scenario,
                 mode="dynmo-diffusion",

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
+import gc
 import math
 import os
 import signal
@@ -450,7 +451,12 @@ _SHARED_POOLS: dict[int, ProcessPoolExecutor] = {}
 def _shared_pool(workers: int) -> ProcessPoolExecutor:
     pool = _SHARED_POOLS.get(workers)
     if pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers)
+        # A forked worker inherits this process's discarded pools, whose
+        # shutdown locks another thread may hold at fork time.  Freezing
+        # everything it inherits keeps the worker's garbage collector
+        # from running their weakref callbacks, which take that lock and
+        # would wait forever.
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
         _SHARED_POOLS[workers] = pool
     return pool
 

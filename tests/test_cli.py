@@ -49,6 +49,8 @@ class TestParser:
             (["ensemble", "--scenario", "moe", "--layers", "12"], "--layers"),
             (["gantt", "--scenario", "moe", "--layers", "12"], "--layers"),
             (["fig3", "--scenario", "moe", "--layers", "12"], "--layers"),
+            (["fig-maxmodel", "--scenario", "moe", "--depths", "24",
+              "--clusters", "1x8"], "--clusters"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -60,8 +62,9 @@ class TestParser:
             "sweep": ["--scenario", "pruning", "--mode", "megatron", "--jobs", "1"],
             "ensemble": ["--scenario", "pruning", "--mode", "megatron", "--jobs", "1"],
             "fig4": ["--iterations", "5"],
+            "fig-maxmodel": ["--iterations", "5"],
         }.get(argv[0], [])
-        if argv[0] in ("sweep", "ensemble", "fig4"):
+        if argv[0] in ("sweep", "ensemble", "fig4", "fig-maxmodel"):
             runner_flags += ["--cache-dir", str(cache_dir)]
         with pytest.raises(SystemExit) as exc:
             main([argv[0], *runner_flags, *argv[1:]])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import DPExactBalancer, PartitionBalancer
-from repro.core.balancers.dpexact import dp_partition, min_stages_within
+from repro.core.balancers.dpexact import dp_partition
+from repro.core.balancers.partition import partition_balanced
 from repro.pipeline import PipelinePlan
 
 
@@ -26,6 +27,15 @@ class TestDPPartition:
         assert all(b <= a + 1e-12 for a, b in zip(pareto, pareto[1:]))
         assert pareto[0] == pytest.approx(w.sum())
 
+    def test_pareto_row_matches_partition(self, rng):
+        """Each Pareto entry is the bottleneck the partition balancer
+        reaches at that stage count."""
+        w = rng.random(16) + 0.1
+        _, pareto = dp_partition(w, 8)
+        for s, bottleneck in enumerate(pareto, start=1):
+            got = partition_balanced(w, s).stage_loads(w).max()
+            assert got == pytest.approx(bottleneck, rel=1e-9)
+
     def test_memory_constraint(self):
         w = np.ones(8)
         mem = np.ones(8)
@@ -45,27 +55,6 @@ class TestDPPartition:
             dp_partition(np.ones(3), 0)
         with pytest.raises(ValueError):
             dp_partition(np.ones(3), 4)
-
-
-class TestMinStagesWithin:
-    def test_exact_fit(self):
-        assert min_stages_within(np.ones(8), 2.0) == 4
-
-    def test_single_stage(self):
-        assert min_stages_within(np.ones(4), 100.0) == 1
-
-    def test_budget_too_small_raises(self):
-        with pytest.raises(ValueError):
-            min_stages_within(np.array([3.0, 1.0]), 2.0)
-        with pytest.raises(ValueError):
-            min_stages_within(np.ones(2), 0)
-
-    def test_consistent_with_dp(self, rng):
-        w = rng.random(16) + 0.1
-        _, pareto = dp_partition(w, 8)
-        for s, bottleneck in enumerate(pareto, start=1):
-            # packing within the optimal bottleneck needs <= s stages
-            assert min_stages_within(w, bottleneck + 1e-9) <= s
 
 
 class TestDPExactBalancer:

@@ -1,5 +1,6 @@
 """Tests for the parallel sweep orchestrator (spec/cache/runner/export)."""
 
+import gc
 import json
 import time
 
@@ -184,6 +185,15 @@ class TestSweepRunner:
             runner.run([tiny(seed=2), tiny(seed=3)])
             assert runner._pool is pool
         assert runner._pool is None  # context exit closed it
+
+    def test_pool_workers_freeze_what_they_inherit(self):
+        """A worker's garbage collector must never collect a pool object
+        it inherited: that runs the pool's weakref callback, which waits
+        on a shutdown lock another thread may have held at fork time."""
+        with SweepRunner(policy=ExecutionPolicy("pool", workers=2)) as runner:
+            runner.run([tiny(), tiny(seed=1)])
+            frozen = runner._pool.submit(gc.get_freeze_count).result(timeout=60)
+        assert frozen > 0
 
     def test_close_is_idempotent(self):
         runner = SweepRunner(policy=ExecutionPolicy("pool", workers=2))
