@@ -9,8 +9,8 @@ bench-smoke job runs this script and
 ``scripts/check_bench_regression.py`` gates on the committed baseline).
 
 Scenario states come from a deterministic pruning-dynamism trajectory —
-the distinct state vectors a sweep or Trainer prewarm actually
-simulates — not synthetic uniform states.
+the distinct state vectors a sweep prices in one window of
+``Trainer.run`` — not synthetic uniform states.
 
 Runs standalone::
 

@@ -2,7 +2,9 @@
 
 Times ``run_trainers_lockstep`` over N trace-driven trainers — the
 execution path behind ``repro ensemble`` — against the same N trainers
-stepped scalar one by one, and writes a ``BENCH_ensemble.json``
+stepped scalar one by one (a one-run lockstep call each, so every
+iteration's miss is a bin of one, priced by ``run_iteration``), and
+writes a ``BENCH_ensemble.json``
 artifact tracked commit-over-commit (the CI bench-smoke job runs this
 script and ``scripts/check_bench_regression.py`` gates on the
 committed baseline).
@@ -110,7 +112,7 @@ def run_case(schedule: str, n: int, micro: int, repeats: int) -> tuple[float, fl
 
         trainers = _build_trainers(schedule, n, micro)
         t0 = time.perf_counter()
-        scalar = [t.run(prewarm=False) for t in trainers]
+        scalar = [run_trainers_lockstep([(t, None)])[0] for t in trainers]
         t_scalar = min(t_scalar, time.perf_counter() - t0)
     for a, b in zip(fast, scalar):
         assert a.total_time_s == b.total_time_s, "lockstep diverged from scalar"

@@ -1,15 +1,18 @@
 """Cluster-event microbenchmark: trace-driven runs must stay cache-friendly.
 
 An event-carrying run's plan, placement and per-rank speeds change
-mid-flight, so its hot path is the Trainer's iteration cache (seeded
-by the prewarm scout) keyed on
-``(plan, placement grid, straggler state, dynamism fingerprint)``.
-This benchmark drives one failure + straggler + recovery trace through
-a full Trainer twice — once with the iteration cache (the shipped
-path) and once re-simulating every iteration — and records the
-speedup.  The ratio is machine-neutral (both paths run in the same
-process) and collapses if event handling ever starts thrashing the
-cache, e.g. by leaking a non-canonical slowdown key.
+mid-flight, so its hot path is the Trainer's iteration cache keyed on
+``(plan, placement grid, straggler state, dynamism fingerprint)``:
+``Trainer.run`` prices only a window's distinct uncached keys, in one
+batched call.  This benchmark drives one failure + straggler +
+recovery trace through a full Trainer twice — once through
+``Trainer.run`` (the shipped path) and once re-simulating every
+iteration on the scalar engine — and records the speedup.  The floor
+is a one-run ``run_trainers_lockstep`` call with every cache lookup
+missing: each iteration's miss is a bin of one, priced by
+``run_iteration``.  The ratio is machine-neutral (both paths run in the
+same process) and collapses if event handling ever starts thrashing
+the cache, e.g. by leaking a non-canonical slowdown key.
 
 Runs standalone::
 
@@ -28,6 +31,7 @@ import time
 
 from repro.cluster.events import ClusterEventTrace
 from repro.experiments.common import build_scenario, make_trainer
+from repro.training.lockstep import run_trainers_lockstep
 
 ITERATIONS = 300
 SCHEDULES = ("1f1b", "zb")
@@ -58,12 +62,15 @@ def _run(schedule: str, cached: bool, iterations: int) -> float:
         iterations=iterations,
         cluster_events=_trace(iterations),
     )
-    if not cached:
-        # shadow the bound method: every lookup misses, every iteration
-        # re-simulates (the no-memoisation floor)
-        trainer._cache_lookup = lambda key: None
     t0 = time.perf_counter()
-    trainer.run()
+    if cached:
+        trainer.run()
+    else:
+        # shadow the bound method: every lookup misses, and the one-run
+        # lockstep call re-simulates every iteration on the scalar
+        # engine (the no-memoisation floor)
+        trainer._cache_lookup = lambda key: None
+        run_trainers_lockstep([(trainer, None)])
     return time.perf_counter() - t0
 
 

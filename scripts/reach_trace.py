@@ -151,7 +151,7 @@ def cli_invocations(tmp: Path) -> list[tuple[list[str], int]]:
     sweep_grid = [
         *every_scenario,
         "--mode", "megatron", "deepspeed", "dynmo-partition", "dynmo-diffusion",
-        "--layers", "16", "--stages", "4", "--iterations", "6",
+        "--layers", "24", "--stages", "4", "--iterations", "6",
     ]
     return [
         (["sweep", "--jobs", "1", *sweep_grid, "--cache-dir", cache,

@@ -81,10 +81,10 @@ def _as_cache(
 def simulate(spec: RunSpec, *, policy: ExecutionPolicy | None = None) -> RunRecord:
     """Run one spec to a :class:`RunRecord` (failures captured, not raised).
 
-    A single run always executes in this process; the Trainer's
-    prewarm scout still batches where it can (it replays the run,
-    trace-driven segments included, and simulates every distinct state
-    in one vectorized call).  ``policy`` only contributes its
+    A single run always executes in this process and still batches:
+    ``Trainer.run`` decides a window of iterations, controller and
+    cluster events included, then prices its distinct uncached states
+    in one vectorized call.  ``policy`` only contributes its
     ``timeout_s`` here.
     """
     return execute_spec(spec, policy.timeout_s if policy is not None else None)

@@ -39,7 +39,7 @@ from repro.experiments import (
     run_figure4_repacking,
     run_overhead_table,
 )
-from repro.experiments.common import effective_shape, parse_memory_limit
+from repro.experiments.common import check_depth, effective_shape, parse_memory_limit
 from repro.experiments.maxmodel import cell_stages
 from repro.orchestrator import (
     MODES,
@@ -1189,9 +1189,10 @@ def _check_maxmodel_clusters(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _check_shapes(parser: argparse.ArgumentParser, args) -> None:
-    """Exit 2, naming the flag, when a scenario's effective pipeline
-    (after MoE widening or the paper-scale grids) does not fit its
-    ``--layers`` or ``--cluster`` (``--clusters`` for fig-maxmodel)."""
+    """Exit 2, naming the flag, when a scenario has no model of a
+    ``--layers`` depth, or its effective pipeline (after MoE widening or
+    the paper-scale grids) does not fit its ``--layers`` or
+    ``--cluster`` (``--clusters`` for fig-maxmodel)."""
     if args.command == "fig-maxmodel":
         _check_maxmodel_clusters(parser, args)
         return
@@ -1210,6 +1211,11 @@ def _check_shapes(parser: argparse.ArgumentParser, args) -> None:
     cluster = getattr(args, "cluster", None)
     gpus = parse_cluster(cluster).num_gpus if cluster else None
     for scenario in args.scenario:
+        for depth in layers:
+            try:
+                check_depth(scenario, depth)
+            except ValueError as exc:
+                parser.error(f"--layers {depth}: {exc}")
         pp, ways, _ = effective_shape(scenario, stages, dp, 1, paper_scale)
         if pp > min(layers):
             parser.error(

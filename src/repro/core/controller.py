@@ -7,8 +7,9 @@ MoE/sparse-attention/MoD, every few hundred/thousand for the rest).
 
 Overhead accounting mirrors the Fig. 4 table's three components:
 
-- *profiling* — one instrumented iteration's extra cost, modelled as a
-  fixed fraction of the iteration time;
+- *profiling* — one instrumented iteration's extra cost, a fixed
+  fraction of the previous makespan, added by
+  :meth:`DynMoDecision.overhead_s` once that makespan is known;
 - *balancing algorithm* — the Python balancer's own cost: either its
   real wall-clock time (``balance_cost="measured"``; paper fidelity) or a
   deterministic analytic estimate (``balance_cost="modeled"``, the
@@ -112,11 +113,20 @@ class DynMoDecision:
     repacked: bool = False
     released_ranks: list[int] = field(default_factory=list)  # global GPU ranks
     placement: Placement | None = None  # post-decision stage→rank map
-    overhead_s: float = 0.0
+    #: the balancer's own cost (measured or modeled)
+    balance_s: float = 0.0
+    #: the layer migration's cost; None when nothing moved
+    migration_s: float | None = None
     layers_moved: int = 0
     #: the balancer's plan was rejected because a stage would not fit
     #: its destination ranks' memory (memory-model mode only)
     oom_rejected: bool = False
+
+    def overhead_s(self, prev_makespan: float) -> float:
+        """The invocation's overhead: profiling (a share of the previous
+        iteration's makespan), then balancing, then migration."""
+        cost = _PROFILE_OVERHEAD_FRAC * prev_makespan + self.balance_s
+        return cost if self.migration_s is None else cost + self.migration_s
 
 
 class DynMoController:
@@ -178,18 +188,14 @@ class DynMoController:
 
     # -- the DynMo step -----------------------------------------------------
     def rebalance(
-        self,
-        k: int,
-        plan: PipelinePlan,
-        states: list[LayerState],
-        iter_time_hint: float = 0.0,
+        self, k: int, plan: PipelinePlan, states: list[LayerState]
     ) -> DynMoDecision:
         """One full DynMo invocation at iteration k."""
         decision = DynMoDecision(plan=plan)
 
-        # 1. profile (instrumented iteration)
+        # 1. profile (instrumented iteration; DynMoDecision.overhead_s
+        # prices it)
         report = self.profiler.profile(plan, states)
-        profile_cost = _PROFILE_OVERHEAD_FRAC * iter_time_hint
 
         weights = report.weights(self.config.weight_by)
         if self.memory_model is not None:
@@ -255,9 +261,9 @@ class DynMoController:
         balancer = self._make_balancer(float(weights.sum()))
         start = time.perf_counter()
         result = balancer.rebalance(work_plan, weights, mem_layers, balance_capacity)
-        balance_cost = time.perf_counter() - start
+        decision.balance_s = time.perf_counter() - start
         if self.config.balance_cost == "modeled":
-            balance_cost = modeled_balance_cost_s(
+            decision.balance_s = modeled_balance_cost_s(
                 self.config.balancer,
                 len(weights),
                 work_plan.num_stages,
@@ -297,7 +303,7 @@ class DynMoController:
         # placement) the move
         if new_plan.boundaries != plan.boundaries or decision.repacked:
             migration = diff_plans(plan, new_plan, self.cost, states)
-            mig_cost = migration.cost_seconds(
+            decision.migration_s = migration.cost_seconds(
                 self.comm,
                 overlap=MIGRATION_OVERLAP,
                 src_placement=old_placement,
@@ -306,7 +312,4 @@ class DynMoController:
             decision.layers_moved = migration.num_layers_moved
             decision.rebalanced = new_plan.boundaries != work_plan.boundaries
             decision.plan = new_plan
-            decision.overhead_s = profile_cost + balance_cost + mig_cost
-        else:
-            decision.overhead_s = profile_cost + balance_cost
         return decision

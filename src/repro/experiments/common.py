@@ -54,6 +54,17 @@ SCENARIOS = (
 GPT_BY_LAYERS = {24: gpt_24, 32: gpt_32, 40: gpt_40, 48: gpt_48}
 
 
+def check_depth(name: str, num_layers: int) -> None:
+    """Raise ``ValueError`` when scenario ``name`` has no model of
+    ``num_layers`` blocks: MoE and sparse attention build any depth, the
+    others run a :data:`GPT_BY_LAYERS` config."""
+    if name not in ("moe", "sparse_attention") and num_layers not in GPT_BY_LAYERS:
+        raise ValueError(
+            f"scenario {name!r} has no {num_layers}-layer model; supported "
+            f"depths are {sorted(GPT_BY_LAYERS)}"
+        )
+
+
 @dataclass
 class ScenarioSetup:
     """Everything needed to run one scenario end to end."""
@@ -127,6 +138,7 @@ def build_scenario(
     """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
+    check_depth(name, num_layers)
     pp_stages, dp_ways, iterations = effective_shape(
         name, pp_stages, dp_ways, iterations, paper_scale
     )
@@ -152,7 +164,7 @@ def build_scenario(
             seq_len=8192,
         )
     else:
-        cfg = GPT_BY_LAYERS.get(num_layers, gpt_24)()
+        cfg = GPT_BY_LAYERS[num_layers]()
 
     specs = build_layer_specs(cfg)
     cost = ModelCost(

@@ -14,7 +14,8 @@ Execution backends (:class:`ExecutionPolicy`):
   (no pickling, no worker import cost).  Timeouts are enforced with a
   monotonic-clock check between iterations — they work off the main
   thread, unlike ``SIGALRM``.
-- ``backend="inline"`` — serial, in the calling process.
+- ``backend="inline"`` — serial, in the calling process; each run
+  prices its cache misses one window of iterations per batched call.
 - ``backend="pool"`` — a process pool, submitted in chunks (one future
   per chunk of specs, not per spec) over a module-wide warm pool that
   is reused across sweep calls, so repeat sweeps stop paying per-spec
@@ -921,7 +922,8 @@ class SweepRunner:
     ) -> None:
         """Evaluate every pending spec in one lockstep call.
 
-        Each spec becomes a Trainer and all of them advance together;
+        Each spec becomes a Trainer and all of them advance together,
+        one iteration per pricing call (so no lane snapshots);
         :func:`~repro.pipeline.batched.simulate_many` re-bins each
         iteration's cache misses by *current* compiled key, so runs whose
         stage count changes mid-flight (cluster events, re-packing,

@@ -16,9 +16,11 @@ regrow re-admission, straggler windows) happens in each Trainer's own
 ``_pre_iteration`` hook exactly as in a solo run.
 
 Per-run semantics are untouched: each Trainer executes the exact same
-begin / pre-iteration / post-iteration / finish hooks as
-:meth:`Trainer.run`, against its own scheme, controller, cache and
-accounting, so every ``TrainingResult`` is bit-identical to a solo run.
+begin / decide (``_pre_iteration``) / fold (``_post_iteration``) /
+finish hooks as :meth:`Trainer.run`, against its own scheme,
+controller, cache and accounting, so every ``TrainingResult`` is
+bit-identical to a solo run; it prices each iteration right after
+deciding it, so it needs no lane snapshots.
 A run whose own hooks raise keeps that exception as its outcome
 without touching the other runs; an exception from the shared
 :func:`simulate_many` call becomes the outcome of every run that

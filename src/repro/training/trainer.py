@@ -9,18 +9,21 @@ Per iteration:
    times and bubble ratio under the current plan;
 4. throughput and elasticity accounting update.
 
-Iteration results are memoised on (plan, state-fingerprint): schemes
-that only change every few hundred iterations (pruning, freezing,
-early exit) re-simulate only when something changed, which keeps a
-10,000-iteration run fast.
+No decision in steps 1-2 reads a simulated iteration (the controller's
+profiling overhead, a share of the previous makespan, is added later),
+so :meth:`Trainer.run` *decides* a window of iterations with no engine
+call, *prices* its distinct uncached states in one batched call, then
+*folds* the terms and makespans in iteration order: bit-identical to
+pricing each iteration as it is decided.  Results are memoised on
+(plan, placement, straggler state, state fingerprint), so schemes that
+change every few hundred iterations re-simulate only when they change.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +33,8 @@ from repro.cluster.events import ClusterEventTrace
 from repro.cluster.job_manager import ElasticJobManager
 from repro.cluster.memory import PlacementOOMError
 from repro.cluster.placement import Placement, make_placement, validate_memory
-from repro.core.controller import MIGRATION_OVERLAP, DynMoController
-from repro.dynamics.base import DynamismScheme, StaticScheme
+from repro.core.controller import MIGRATION_OVERLAP, DynMoController, DynMoDecision
+from repro.dynamics.base import DynamismScheme
 from repro.model.cost import LayerState, ModelCost, state_matrix
 from repro.model.memory import StageMemoryModel
 from repro.pipeline.engine import IterationResult, PipelineEngine
@@ -41,6 +44,9 @@ from repro.training.config import TrainingConfig
 
 #: the job name a run books its GPUs under in an ElasticJobManager
 _JOB_NAME = "train"
+#: iterations Trainer.run decides before one pricing call (the iteration
+#: cache's size too)
+WINDOW = 512
 
 
 class RunDeadlineExceeded(RuntimeError):
@@ -74,6 +80,9 @@ class _RunState:
     overhead: float = 0.0
     moved: int = 0
     last_iter_time: float = 0.0
+    #: decided iterations not yet folded, oldest first: (event migration
+    #: costs, controller decision or None, stage count)
+    pending: deque = field(default_factory=deque)
     bubbles: list[tuple[int, float]] = field(default_factory=list)
     makespans: list[tuple[int, float]] = field(default_factory=list)
     stages: list[tuple[int, int]] = field(default_factory=list)
@@ -186,14 +195,7 @@ class Trainer:
             and memory_model is not None
         ):
             controller.memory_model = memory_model
-        self.engine = PipelineEngine(
-            cost,
-            comm,
-            schedule=cfg.schedule,
-            num_micro=cfg.micro_batches,
-            dp_ways=cfg.dp_ways,
-            placement=placement,
-        )
+        self.engine = self._new_engine(placement)
         self.states = scheme.initial_states()
         self.job_manager = job_manager
         self.cluster_events = cluster_events
@@ -216,7 +218,7 @@ class Trainer:
         # alternate between a handful of plans never thrash (the old
         # clear-everything-at-512 wiped the hot entries too).
         self._cache: OrderedDict[tuple, IterationResult] = OrderedDict()
-        self._cache_capacity = 512
+        self._cache_capacity = WINDOW
         # states_fingerprint memo, invalidated by the scheme's version
         # counter: schemes that change every few hundred iterations
         # (pruning, freezing, early exit) skip the per-iteration hash.
@@ -224,6 +226,17 @@ class Trainer:
         self._fp_version: int | None = None
 
     # -- internals ---------------------------------------------------------
+    def _new_engine(self, placement: Placement | None, slowdown_key: tuple = ()) -> PipelineEngine:
+        return PipelineEngine(
+            self.cost,
+            self.comm,
+            schedule=self.cfg.schedule,
+            num_micro=self.cfg.micro_batches,
+            dp_ways=self.cfg.dp_ways,
+            placement=placement,
+            rank_slowdowns=dict(slowdown_key),
+        )
+
     def _states_key(self) -> bytes:
         version = getattr(self.scheme, "version", None)
         if version is None or version != self._fp_version or self._fp is None:
@@ -282,14 +295,6 @@ class Trainer:
             st.peak_stage_bytes = peak
         self._last_mem_key = key
 
-    def _iteration_result(self) -> IterationResult:
-        key = self._cache_key()
-        res = self._cache_lookup(key)
-        if res is None:
-            res = self.engine.run_iteration(self.plan, self.states)
-            self._cache_store(key, res)
-        return res
-
     def tokens_per_iteration(self) -> float:
         return float(
             self.cfg.micro_batch
@@ -299,11 +304,9 @@ class Trainer:
         )
 
     # -- stepwise run protocol ----------------------------------------------
-    # run() is decomposed into begin / pre-iteration / post-iteration /
-    # finish hooks so a lockstep driver (repro.training.lockstep) can
-    # interleave many Trainers and simulate their cache misses in one
-    # vectorized batch per iteration.  run() itself is the single-run
-    # composition of the same hooks.
+    # begin / decide (_pre_iteration) / fold (_post_iteration) / finish
+    # hooks, shared by run() (a window decided per pricing call) and the
+    # lockstep driver (one iteration of many Trainers per call).
 
     def _begin_run(self, iterations: int | None) -> _RunState:
         st = _RunState(
@@ -321,22 +324,19 @@ class Trainer:
         return st
 
     def _pre_iteration(self, st: _RunState, k: int) -> None:
-        """Apply cluster events, advance dynamism and (when due) the
-        DynMo controller."""
-        if self.cluster_events:
-            self._apply_cluster_events(st, k)
+        """Decide iteration k (events, dynamism, controller, memory) with
+        no engine call; queue its terms for :meth:`_post_iteration`."""
+        migrations = self._apply_cluster_events(st, k) if self.cluster_events else ()
         st.advance(k, self.states)
-        st.total_time += st.scheme_overhead
 
+        decision: DynMoDecision | None = None
         force = st.force_rebalance
         st.force_rebalance = False
         if self.controller is not None and (
             force
             or self.controller.should_invoke(k, self.scheme.rebalance_every)
         ):
-            decision = self.controller.rebalance(
-                k, self.plan, self.states, iter_time_hint=st.last_iter_time
-            )
+            decision = self.controller.rebalance(k, self.plan, self.states)
             if decision.repacked:
                 if self.job_manager is not None:
                     released = self.plan.num_stages - decision.plan.num_stages
@@ -349,14 +349,13 @@ class Trainer:
                     self.engine.placement = decision.placement
                     st.released_history.append((k, list(decision.released_ranks)))
             self.plan = decision.plan
-            st.overhead += decision.overhead_s
-            st.total_time += decision.overhead_s
             st.moved += decision.layers_moved
             if decision.oom_rejected:
                 st.oom_events += 1
         # covers controller decisions, event-driven shrink (after_repack)
         # and regrow (after_regrow), and dynamism state changes alike
         self._validate_memory(st, f"iteration {k}")
+        st.pending.append((migrations, decision, self.plan.num_stages))
 
     # -- cluster-event handling ----------------------------------------------
     # A trace-driven run reacts to a changing cluster mid-flight:
@@ -366,7 +365,9 @@ class Trainer:
     # Every transition prices its layer migration like a controller
     # repack would, so elasticity overhead stays honest.
 
-    def _apply_cluster_events(self, st: _RunState, k: int) -> None:
+    def _apply_cluster_events(self, st: _RunState, k: int) -> list[float]:
+        """Apply iteration k's events; return their migration costs."""
+        migrations: list[float] = []
         if not st.stage_order and self.placement is not None:
             # seed the stable pipeline frame before anything (events or
             # controller re-packs) can mutate the placement
@@ -388,9 +389,9 @@ class Trainer:
                     changed = True
                     st.force_rebalance = True
             elif ev.kind in ("failure", "preemption"):
-                self._apply_departure(st, k, ev.ranks)
+                migrations += self._apply_departure(st, k, ev.ranks)
             else:  # recovery
-                self._apply_recovery(st, k, ev.ranks)
+                migrations += self._apply_recovery(st, k, ev.ranks)
         # a failed rank's open straggler windows die with it: the rank
         # left the placement, so its slowdown prices nothing and a stale
         # key would fragment the iteration cache (and its later expiry
@@ -410,6 +411,7 @@ class Trainer:
                     slow[r] = max(slow.get(r, 1.0), factor)
             self.engine.set_rank_slowdowns(slow)
             self._slowdown_key = tuple(sorted(self.engine.rank_slowdowns.items()))
+        return migrations
 
     def _require_event_placement(self, kind: str) -> Placement:
         if self.placement is None:
@@ -420,19 +422,20 @@ class Trainer:
             )
         return self.placement
 
-    def _apply_departure(self, st: _RunState, k: int, ranks: tuple[int, ...]) -> None:
+    def _apply_departure(self, st: _RunState, k: int, ranks: tuple[int, ...]) -> list[float]:
+        """Shrink onto the surviving stages; return the migration costs."""
         placement = self._require_event_placement("failure/preemption")
         dead = {r for r in ranks if r not in st.failed_ranks}
         st.failed_ranks.update(ranks)
         if not dead:
-            return
+            return []
         hit = [
             s
             for s in range(placement.num_stages)
             if dead.intersection(placement.dp_group(s))
         ]
         if not hit:
-            return  # spare ranks died; nothing placed on them
+            return []  # spare ranks died; nothing placed on them
         surviving = [s for s in range(placement.num_stages) if s not in hit]
         if not surviving:
             raise RuntimeError(
@@ -441,11 +444,13 @@ class Trainer:
         for s in hit:
             st.lost_stages.append(placement.dp_group(s))
         released = [r for s in hit for r in placement.dp_group(s)]
-        self._transition(st, k, placement.after_repack(surviving), released)
+        cost = self._transition(st, k, placement.after_repack(surviving), released)
         if self.job_manager is not None:
             self.job_manager.release(_JOB_NAME, len(released), iteration=k)
+        return [cost]
 
-    def _apply_recovery(self, st: _RunState, k: int, ranks: tuple[int, ...]) -> None:
+    def _apply_recovery(self, st: _RunState, k: int, ranks: tuple[int, ...]) -> list[float]:
+        """Regrow the healthy lost stages; return the migration costs."""
         placement = self._require_event_placement("recovery")
         st.failed_ranks.difference_update(ranks)
         # a lost stage group regrows once every rank in it is healthy
@@ -461,7 +466,7 @@ class Trainer:
             key=lambda g: order.get(g, len(order)),
         )
         if not ready:
-            return
+            return []
         regrown = placement
         readmitted: list[int] = []
         for group in ready:
@@ -478,15 +483,16 @@ class Trainer:
             st.lost_stages.remove(group)
             readmitted.extend(group)
         if not readmitted:
-            return
-        self._transition(st, k, regrown, released=[])
+            return []
+        cost = self._transition(st, k, regrown, released=[])
         if self.job_manager is not None:
             self.job_manager.request(_JOB_NAME, len(readmitted), iteration=k)
+        return [cost]
 
     def _transition(
         self, st: _RunState, k: int, new_placement: Placement, released: list[int]
-    ) -> None:
-        """Re-split the plan over the new stage count and price the move."""
+    ) -> float:
+        """Re-split the plan over the new stage count; return the move's cost."""
         old_plan, old_placement = self.plan, self.placement
         new_plan = PipelinePlan.uniform(
             old_plan.num_layers, new_placement.num_stages
@@ -503,22 +509,32 @@ class Trainer:
         self.engine.placement = new_placement
         if self.controller is not None:
             self.controller.placement = new_placement
-        st.overhead += cost
-        st.total_time += cost
         st.moved += migration.num_layers_moved
         if released:
             st.released_history.append((k, released))
         # the re-split partition is contiguous-uniform; let the
         # controller re-optimise it on its next (forced) invocation
         st.force_rebalance = True
+        return cost
 
     def _post_iteration(self, st: _RunState, k: int, res: IterationResult) -> None:
+        """Fold iteration k: charge its decided terms, in the order they
+        arose, then its makespan."""
+        migrations, decision, num_stages = st.pending.popleft()
+        for cost in migrations:
+            st.overhead += cost
+            st.total_time += cost
+        st.total_time += st.scheme_overhead
+        if decision is not None:
+            cost = decision.overhead_s(st.last_iter_time)
+            st.overhead += cost
+            st.total_time += cost
         st.last_iter_time = res.makespan
         st.total_time += res.makespan
         if k % self.cfg.record_every == 0 or k == st.iters - 1:
             st.bubbles.append((k, res.bubble_ratio()))
             st.makespans.append((k, res.makespan))
-            st.stages.append((k, self.plan.num_stages))
+            st.stages.append((k, num_stages))
 
     def _finish_run(self, st: _RunState) -> TrainingResult:
         tokens = self.tokens_per_iteration() * st.iters
@@ -552,128 +568,85 @@ class Trainer:
             oom_events=st.oom_events,
         )
 
-    # -- batched fast path ---------------------------------------------------
-    def prewarm(self, iterations: int | None = None) -> int:
-        """Pre-simulate every distinct iteration the run will visit.
+    # -- pricing --------------------------------------------------------------
+    def prewarm(
+        self,
+        lanes: dict[tuple, tuple[PipelinePlan, list[LayerState], Placement | None]],
+        priced: dict[tuple, IterationResult],
+    ) -> int:
+        """Price a window's cache misses in one batched call; return the
+        number of lanes.
 
-        A *scout* — a shadow Trainer over deep copies of the scheme and
-        states — replays the next ``iterations`` steps (dynamism, cluster
-        events, memory validation) without any engine call and collects
-        one scenario per distinct iteration-cache key.  One
-        :func:`~repro.pipeline.batched.simulate_many` call then seeds
-        this run's cache, so the real run hits it on every iteration.
-
-        A trace-driven run is *piecewise static*: between cluster events
-        and straggler expiries the placement, plan and slowdown map are
-        fixed.  Lanes are priced on this Trainer's own engine until the
-        scout's placement or slowdown key first changes, then on a
-        frozen engine snapshot per segment — the same inputs the live
-        engine prices that segment with, so results are bit-identical.
-
-        Only valid for controller-less runs (a controller may change the
-        plan based on results).  Returns the number of scenarios
-        batch-simulated; schemes that cannot be deep-copied are skipped
-        (returns 0).  The replay is deterministic, so an error it raises
-        is the one the run would raise at the same iteration.
+        ``lanes`` maps each uncached key to the plan, states copy and
+        placement it was decided under.  Results go to the cache and to
+        ``priced``, the map the fold reads (an eviction cannot lose
+        one).  A key's (placement grid, slowdown key) is its segment:
+        the live one runs on this Trainer's engine, each other on one
+        engine snapshot with the same inputs.  An exception from the
+        batched call is the run's outcome; nothing is re-run scalar.
         """
-        if self.controller is not None or not self.engine.can_batch:
+        if not lanes:
             return 0
-        if not self.cluster_events and isinstance(self.scheme, StaticScheme):
-            # static control runs never leave their initial state; skip
-            # the scout instead of discovering one lone fingerprint
-            return 0
-        try:
-            scheme = copy.deepcopy(self.scheme)
-            states = copy.deepcopy(self.states)
-        except (TypeError, copy.Error):
-            return 0
-        shadow = Trainer(
-            self.cfg,
-            self.cost,
-            scheme,
-            comm=self.comm,
-            initial_plan=self.plan,
-            placement=self.placement,
-            cluster_events=self.cluster_events,
-            memory_model=self.memory_model,
-        )
-        shadow.states = states
-        st = shadow._begin_run(
-            iterations if iterations is not None else self.cfg.iterations
-        )
-        # cache keys are (plan, placement grid, slowdown key, states):
-        # key[1:3] names the engine a lane must be priced on
-        engine, segment = self.engine, self._cache_key()[1:3]
-        seen: set[tuple] = set()
-        todo: list[tuple[tuple, PipelineEngine, PipelinePlan, list[LayerState]]] = []
-        for k in range(st.iters):
-            shadow._pre_iteration(st, k)
-            key = shadow._cache_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            if self._cache_lookup(key) is not None:
-                continue
-            if key[1:3] != segment:
-                segment = key[1:3]
-                engine = PipelineEngine(
-                    self.cost,
-                    self.comm,
-                    schedule=self.cfg.schedule,
-                    num_micro=self.cfg.micro_batches,
-                    dp_ways=self.cfg.dp_ways,
-                    placement=shadow.placement,
-                    rank_slowdowns=dict(shadow.engine.rank_slowdowns),
-                )
-            todo.append((key, engine, shadow.plan, [s.copy() for s in shadow.states]))
-            if len(todo) >= self._cache_capacity:
-                break
-        if len(todo) < 2:  # nothing to amortise
-            return 0
+        # cache keys are (plan, placement grid, slowdown key, states)
+        engines = {self._cache_key()[1:3]: self.engine}
+        requests = []
+        for key, (plan, states, placement) in lanes.items():
+            engine = engines.get(key[1:3])
+            if engine is None:
+                engine = engines[key[1:3]] = self._new_engine(placement, key[2])
+            requests.append((engine, plan, states))
         # looked up at call time, so a wrapper installed on the module
         # attribute (profilers, tests) sees this call
         from repro.pipeline.batched import simulate_many
 
-        results = simulate_many([(eng, plan, sts) for _, eng, plan, sts in todo])
-        for (key, *_), res in zip(todo, results):
+        for key, res in zip(lanes, simulate_many(requests)):
             self._cache_store(key, res)
-        return len(todo)
+            priced[key] = res
+        return len(lanes)
 
     # -- main loop ----------------------------------------------------------
     def run(
-        self,
-        iterations: int | None = None,
-        prewarm: bool | None = None,
-        deadline_s: float | None = None,
+        self, iterations: int | None = None, deadline_s: float | None = None
     ) -> TrainingResult:
-        """Run the training loop.
-
-        ``prewarm=None`` (auto) runs the :meth:`prewarm` scout when no
-        controller is attached — bit-identical results, one vectorized
-        engine call instead of one scalar call per distinct state.
+        """Run the training loop: decide :data:`WINDOW` iterations, price
+        them with :meth:`prewarm`, fold them, repeat.
 
         ``deadline_s`` bounds the run's *wall-clock* time with a
-        monotonic-clock check between iterations, raising
-        :class:`RunDeadlineExceeded` when the budget is spent.  This is
-        the signal-free timeout path: it works off the main thread and
-        on platforms without ``SIGALRM``, where the sweep runner cannot
-        arm an alarm.  Simulated time is unaffected.
+        monotonic-clock check between iterations (while deciding and
+        while folding), raising :class:`RunDeadlineExceeded` when the
+        budget is spent.  This is the signal-free timeout path: it works
+        off the main thread and on platforms without ``SIGALRM``, where
+        the sweep runner cannot arm an alarm.  Simulated time is
+        unaffected.
         """
         start = time.monotonic() if deadline_s is not None else 0.0
         st = self._begin_run(iterations)
-        if prewarm is None:
-            prewarm = self.controller is None and st.iters > 1
-        if prewarm:
-            self.prewarm(st.iters)
-        for k in range(st.iters):
-            if (
-                deadline_s is not None
-                and time.monotonic() - start > deadline_s
-            ):
+
+        def check_deadline(k: int) -> None:
+            if deadline_s is not None and time.monotonic() - start > deadline_s:
                 raise RunDeadlineExceeded(
                     f"exceeded {deadline_s:.0f}s budget (monotonic "
                     f"deadline check at iteration {k}/{st.iters})"
                 )
-            self._pre_iteration(st, k)
-            self._post_iteration(st, k, self._iteration_result())
+
+        for lo in range(0, st.iters, WINDOW):
+            keys: list[tuple] = []
+            lanes: dict[tuple, tuple] = {}
+            priced: dict[tuple, IterationResult] = {}
+            for k in range(lo, min(lo + WINDOW, st.iters)):
+                check_deadline(k)
+                self._pre_iteration(st, k)
+                key = self._cache_key()
+                keys.append(key)
+                if key in priced or key in lanes:
+                    continue
+                res = self._cache_lookup(key)
+                if res is None:
+                    lanes[key] = (self.plan, [s.copy() for s in self.states], self.placement)
+                else:
+                    priced[key] = res
+            self.prewarm(lanes, priced)
+            for k, key in enumerate(keys, lo):
+                check_deadline(k)
+                self._post_iteration(st, k, priced[key])
         return self._finish_run(st)

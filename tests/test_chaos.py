@@ -32,7 +32,7 @@ from repro.orchestrator import faults
 
 def tiny(**kwargs) -> RunSpec:
     base = dict(
-        scenario="pruning", mode="dynmo-partition", num_layers=12,
+        scenario="pruning", mode="dynmo-partition", num_layers=24,
         pp_stages=4, dp_ways=1, iterations=6,
     )
     base.update(kwargs)

@@ -43,6 +43,8 @@ class TestParser:
             # the effective shape: MoE widens to 16 stages, --paper-scale
             # picks its own grid
             (["sweep", "--scenario", "moe", "--layers", "12"], "--layers"),
+            # no 30-layer model for pruning (24, 32, 40 and 48 exist)
+            (["sweep", "--layers", "30"], "--layers"),
             (["sweep", "--cluster", "1x2"], "--cluster"),
             (["sweep", "--stages", "8", "--dp", "4", "--cluster", "2x8"], "--cluster"),
             (["sweep", "--paper-scale", "--cluster", "4x4"], "--cluster"),

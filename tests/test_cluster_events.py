@@ -540,12 +540,10 @@ class TestTrainerEvents:
         )
         with pytest.raises(RuntimeError, match="every pipeline stage"):
             _event_trainer(5, trace).run()
-        # the prewarm scout replays the trace, so it raises the run's error
-        with pytest.raises(RuntimeError, match="every pipeline stage"):
-            _event_trainer(5, trace).prewarm()
-        # inline (scout first) and batched (lockstep) sweeps record the
-        # same failure — also when a memory-limited run overflows at an
-        # earlier shrink (8 -> 6 stages), which the scout must hit first
+        # inline (a window decided before it is priced) and batched
+        # (lockstep: each iteration priced once decided) sweeps record
+        # the same failure — also when a memory-limited run overflows
+        # at an earlier shrink (8 -> 6 stages), which deciding hits first
         from repro.orchestrator import ExecutionPolicy, RunSpec, SweepRunner
 
         shrink_then_kill = ClusterEventTrace(

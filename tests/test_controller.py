@@ -84,7 +84,7 @@ class TestController:
             states[i].droppable_bwd = True
         plan = PipelinePlan.uniform(26, 4)
         ctl = self._controller(gpt24_cost, comm, balancer="partition")
-        decision = ctl.rebalance(0, plan, states, iter_time_hint=0.1)
+        decision = ctl.rebalance(0, plan, states)
         assert decision.rebalanced
         assert decision.layers_moved > 0
         assert decision.plan != plan
@@ -95,7 +95,7 @@ class TestController:
         states = fresh_states(26)
         plan = PipelinePlan.uniform(26, 2)
         ctl = self._controller(gpt24_cost, comm, balancer="diffusion")
-        decision = ctl.rebalance(0, plan, states, iter_time_hint=0.1)
+        decision = ctl.rebalance(0, plan, states)
         # uniform dense split over 2 stages is near-balanced; diffusion
         # may make at most a marginal improvement without repacking
         assert decision.plan.num_stages == 2
@@ -105,10 +105,18 @@ class TestController:
         for i in range(1, 13):
             states[i].frozen = True
         ctl = self._controller(gpt24_cost, comm)
-        d = ctl.rebalance(0, PipelinePlan.uniform(26, 4), states, iter_time_hint=1.0)
-        # the profiled iteration's share of the hint, plus the measured
-        # balancer time and the migration
-        assert d.overhead_s > _PROFILE_OVERHEAD_FRAC * 1.0
+        d = ctl.rebalance(0, PipelinePlan.uniform(26, 4), states)
+        # the profiled iteration's share of the previous makespan, plus
+        # the measured balancer time and the migration, in that order
+        assert d.layers_moved > 0 and d.migration_s > 0 and d.balance_s > 0
+        assert d.overhead_s(1.0) == (
+            _PROFILE_OVERHEAD_FRAC * 1.0 + d.balance_s + d.migration_s
+        )
+        assert d.overhead_s(1.0) > _PROFILE_OVERHEAD_FRAC * 1.0
+        # nothing moves on one stage: no migration term
+        still = ctl.rebalance(1, PipelinePlan.uniform(26, 1), states)
+        assert still.migration_s is None
+        assert still.overhead_s(2.0) == _PROFILE_OVERHEAD_FRAC * 2.0 + still.balance_s
 
     def test_repack_shrinks_plan(self, gpt24_cost, comm):
         """Heavily pruned model on generous memory: repack must fire."""
@@ -126,9 +134,9 @@ class TestController:
             memory_capacity_bytes=capacity,
         )
         # first invocation on the dense model sets the compute baseline
-        d0 = ctl.rebalance(0, plan, fresh_states(26), iter_time_hint=0.1)
+        d0 = ctl.rebalance(0, plan, fresh_states(26))
         assert not d0.repacked  # dense model has not shrunk yet
-        d = ctl.rebalance(1, plan, states, iter_time_hint=0.1)
+        d = ctl.rebalance(1, plan, states)
         assert d.repacked
         assert d.plan.num_stages < 8
 
@@ -150,7 +158,7 @@ class TestBalancerFailure:
         )
         plan = PipelinePlan.uniform(26, 4)
         with pytest.raises(RuntimeError, match="boom"):
-            ctl.rebalance(0, plan, fresh_states(26), iter_time_hint=0.1)
+            ctl.rebalance(0, plan, fresh_states(26))
         ctl.balancer_override = None
-        d = ctl.rebalance(1, plan, fresh_states(26), iter_time_hint=0.1)
+        d = ctl.rebalance(1, plan, fresh_states(26))
         assert d.plan.num_stages == 4

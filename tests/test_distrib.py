@@ -52,7 +52,7 @@ from repro.orchestrator.spec import SPEC_SCHEMA_VERSION
 
 def tiny(**kwargs) -> RunSpec:
     base = dict(
-        scenario="pruning", mode="dynmo-partition", num_layers=12,
+        scenario="pruning", mode="dynmo-partition", num_layers=24,
         pp_stages=4, dp_ways=1, iterations=4,
     )
     base.update(kwargs)
@@ -429,7 +429,7 @@ class TestJournalSchemaRefusal:
         with pytest.raises(SystemExit, match="cannot resume"):
             main([
                 "sweep", "--resume", path, "--scenario", "pruning",
-                "--mode", "megatron", "--layers", "12", "--iterations", "2",
+                "--mode", "megatron", "--layers", "24", "--iterations", "2",
                 "--cache-dir", str(tmp_path / "cache"),
             ])
 

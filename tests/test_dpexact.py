@@ -72,5 +72,5 @@ class TestDPExactBalancer:
             states[i].frozen = True
             states[i].droppable_bwd = True
         ctl = DynMoController(gpt24_cost, comm, DynMoConfig(balancer="dp"))
-        d = ctl.rebalance(0, PipelinePlan.uniform(26, 4), states, 0.1)
+        d = ctl.rebalance(0, PipelinePlan.uniform(26, 4), states)
         assert d.rebalanced

@@ -3,8 +3,8 @@
 Two invariants anchor this file:
 
 1. **Bit-identity** — a trace-driven run decomposed into piecewise-
-   static segments and pre-simulated through the batched engine must
-   produce results bitwise equal to the same run stepped scalar
+   static segments and priced in windows through the batched engine
+   must produce results bitwise equal to the same run stepped scalar
    iteration by iteration (differential golden tests over failure /
    preemption / straggler / recovery traces).
 2. **Determinism** — ensemble percentile summaries must be identical
@@ -28,6 +28,7 @@ from repro.orchestrator import (
     sample_specs,
 )
 import repro.pipeline.batched as batched_mod
+from repro.training import run_trainers_lockstep
 
 
 # ---------------------------------------------------------------------------
@@ -77,20 +78,27 @@ class TestSegmentBoundaries:
 # differential golden tests: segmented-batched == scalar, bit for bit
 
 
+def _trainer(trace, mode="megatron", iterations=40, dp_ways=1):
+    setup = build_scenario(
+        "pruning", num_layers=24, pp_stages=8, dp_ways=dp_ways,
+        iterations=iterations,
+    )
+    return make_trainer(
+        setup, mode, iterations=iterations, balance_cost="modeled",
+        cluster_events=trace,
+    )
+
+
 def _run_pair(trace, mode="megatron", iterations=40, dp_ways=1):
-    """Run the same trace scalar and segmented-batched; return both results."""
-    results = []
-    for prewarm in (False, True):
-        setup = build_scenario(
-            "pruning", num_layers=24, pp_stages=8, dp_ways=dp_ways,
-            iterations=iterations,
-        )
-        trainer = make_trainer(
-            setup, mode, iterations=iterations, balance_cost="modeled",
-            cluster_events=trace,
-        )
-        results.append(trainer.run(prewarm=prewarm))
-    return results
+    """Run the same trace scalar and segmented-batched; return both
+    results.  A one-run lockstep call prices each miss right after
+    deciding it, on the scalar engine (a bin of one); Trainer.run
+    prices a window's misses in one batched call."""
+    (scalar,) = run_trainers_lockstep(
+        [(_trainer(trace, mode, iterations, dp_ways), None)]
+    )
+    warmed = _trainer(trace, mode, iterations, dp_ways).run()
+    return scalar, warmed
 
 
 def _assert_identical(scalar, warmed):
@@ -142,32 +150,35 @@ class TestSegmentedPrewarmBitIdentity:
         )
         _assert_identical(*_run_pair(trace, mode="dynmo-partition"))
 
-    def test_prewarm_simulates_segments_batched(self):
-        """The scout must find >= 2 distinct keys and run them as
-        batched lanes, not fall back to scalar per-key calls."""
+    def test_prewarm_simulates_segments_batched(self, monkeypatch):
+        """A window's distinct keys across segments (>= 2 of them) run
+        as batched lanes, not as scalar per-key calls."""
         trace = ClusterEventTrace(
             (
                 ClusterEvent(6, "failure", (2,)),
                 ClusterEvent(22, "recovery", (2,)),
             )
         )
-        setup = build_scenario(
-            "pruning", num_layers=24, pp_stages=8, dp_ways=1, iterations=40
-        )
-        trainer = make_trainer(
-            setup, "megatron", iterations=40, balance_cost="modeled",
-            cluster_events=trace,
-        )
+        trainer = _trainer(trace)
+        warmed = []
+        real = type(trainer).prewarm
+
+        def counting(self, lanes, priced):
+            warmed.append(real(self, lanes, priced))
+            return warmed[-1]
+
+        monkeypatch.setattr(type(trainer), "prewarm", counting)
         batched_mod.stats.reset()
-        warmed = trainer.prewarm(40)
-        assert warmed >= 2
-        assert batched_mod.stats.batched_lanes >= warmed
+        trainer.run()
+        (n,) = warmed  # 40 iterations: one window
+        assert n >= 2
+        assert batched_mod.stats.batched_lanes >= n
         assert batched_mod.stats.scalar_unbatchable == 0
 
     def test_prewarm_prices_each_segment_on_one_engine(self, monkeypatch):
-        """The scout prices lanes on the Trainer's own engine until the
-        first placement/slowdown change, then on one snapshot per
-        segment — never one engine per lane."""
+        """A window's lanes of the segment the Trainer is in when it
+        prices run on its own engine, every other segment's on one
+        snapshot — never one engine per lane."""
         trace = ClusterEventTrace(
             (
                 ClusterEvent(6, "failure", (2,)),
@@ -183,23 +194,20 @@ class TestSegmentedPrewarmBitIdentity:
 
         monkeypatch.setattr(batched_mod, "simulate_many", spy)
         for events in (trace, None):
-            setup = build_scenario(
-                "pruning", num_layers=24, pp_stages=8, dp_ways=1, iterations=40
-            )
-            trainer = make_trainer(
-                setup, "megatron", iterations=40, balance_cost="modeled",
-                cluster_events=events,
-            )
+            trainer = _trainer(events)
             calls.clear()
-            warmed = trainer.prewarm(40)
-            (engines,) = calls  # one batched call per scout
-            assert len(engines) == warmed >= 2
-            assert engines[0] is trainer.engine
+            trainer.run()
+            (engines,) = calls  # 40 iterations: one window, one call
+            assert len(engines) >= 2
             distinct = {id(eng) for eng in engines}
             if events is None:
                 assert distinct == {id(trainer.engine)}
             else:
-                assert len(distinct) <= len(segment_boundaries(trace)) + 1
+                # the run ends in its first segment's placement (the
+                # recovery restores it), so those lanes share the live
+                # engine; the failure's segment gets one snapshot
+                assert engines[0] is trainer.engine
+                assert len(distinct) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,17 @@ class TestBuildScenario:
         with pytest.raises(ValueError):
             build_scenario("quantum")
 
+    @pytest.mark.parametrize("name", ["pruning", "freezing", "mod", "early_exit"])
+    def test_depth_without_model_raises(self, name):
+        """These scenarios run a GPT_BY_LAYERS config: another depth is
+        refused, not silently run at 24 layers."""
+        with pytest.raises(ValueError, match=r"\[24, 32, 40, 48\]"):
+            build_scenario(name, num_layers=30)
+
+    @pytest.mark.parametrize("name", ["moe", "sparse_attention"])
+    def test_any_depth_builds_its_own_model(self, name):
+        assert len(build_scenario(name, num_layers=18).specs) == 18 + 2
+
     def test_moe_forces_16_stages(self):
         setup = build_scenario("moe", num_layers=32, pp_stages=8)
         assert setup.pp_stages == 16

@@ -250,8 +250,8 @@ class TestPostRepackAccounting:
             ),
             placement=make_placement(comm.topology, 8),
         )
-        ctl.rebalance(0, plan, fresh_states(26), iter_time_hint=0.1)
-        d = ctl.rebalance(1, plan, states, iter_time_hint=0.1)
+        ctl.rebalance(0, plan, fresh_states(26))
+        d = ctl.rebalance(1, plan, states)
         assert d.repacked
         assert d.placement is not None
         survivors = d.placement.stage_ranks()
@@ -294,11 +294,11 @@ class TestPostRepackAccounting:
             balancer_override=FlakyBalancer(),
             placement=make_placement(comm.topology, 8),
         )
-        ctl.rebalance(0, plan, fresh_states(26), iter_time_hint=0.1)
+        ctl.rebalance(0, plan, fresh_states(26))
         with pytest.raises(RuntimeError, match="boom"):
-            ctl.rebalance(1, plan, states, iter_time_hint=0.1)
+            ctl.rebalance(1, plan, states)
         assert ctl.placement.num_stages == 8  # nothing committed
-        d = ctl.rebalance(2, plan, states, iter_time_hint=0.1)  # retry works
+        d = ctl.rebalance(2, plan, states)  # retry works
         assert d.repacked
         assert ctl.placement.num_stages == d.plan.num_stages < 8
 
@@ -328,8 +328,8 @@ class TestPostRepackAccounting:
             ),
             balancer_override=IdentityBalancer(),
         )
-        ctl.rebalance(0, plan, fresh_states(26), iter_time_hint=0.1)
-        d = ctl.rebalance(1, plan, states, iter_time_hint=0.1)
+        ctl.rebalance(0, plan, fresh_states(26))
+        d = ctl.rebalance(1, plan, states)
         assert d.repacked
         assert not d.rebalanced
         assert d.plan.num_stages < 8

@@ -1,12 +1,10 @@
 """Tests for TrainingConfig and Trainer."""
 
-import copy
 import hashlib
 
 import numpy as np
 import pytest
 
-from repro.cluster.events import ClusterEvent, ClusterEventTrace
 from repro.cluster.job_manager import ElasticJobManager
 from repro.core import DynMoConfig, DynMoController
 from repro.dynamics import FreezingDynamism, StaticScheme
@@ -118,20 +116,26 @@ class TestIterationCache:
         cfg = TrainingConfig(iterations=iters, pp_stages=4, dp_ways=1)
         return Trainer(cfg, cost, StaticScheme(specs))
 
+    @staticmethod
+    def _price(t, plan):
+        """Look ``plan`` up in the cache, pricing it on a miss the way
+        Trainer.run does (one lane through prewarm)."""
+        t.plan = plan
+        key = t._cache_key()
+        if t._cache_lookup(key) is None:
+            t.prewarm({key: (plan, t.states, t.placement)}, {})
+
     def test_lru_evicts_oldest_not_everything(self, gpt24_cost, gpt24_specs):
         t = self._trainer(gpt24_cost, gpt24_specs)
         t._cache_capacity = 4
         plans = [PipelinePlan.uniform(26, s) for s in (2, 3, 4, 5)]
         for p in plans:
-            t.plan = p
-            t._iteration_result()
+            self._price(t, p)
         assert len(t._cache) == 4
         # touch the oldest so it becomes most-recent ...
-        t.plan = plans[0]
-        t._iteration_result()
+        self._price(t, plans[0])
         # ... then overflow: plans[1] (now the LRU entry) is evicted
-        t.plan = PipelinePlan.uniform(26, 6)
-        t._iteration_result()
+        self._price(t, PipelinePlan.uniform(26, 6))
         assert len(t._cache) == 4
         keys = list(t._cache)
         assert all(k[0] != plans[1].boundaries for k in keys)
@@ -141,8 +145,7 @@ class TestIterationCache:
         t = self._trainer(gpt24_cost, gpt24_specs)
         t._cache_capacity = 3
         for s in range(2, 9):
-            t.plan = PipelinePlan.uniform(26, s)
-            t._iteration_result()
+            self._price(t, PipelinePlan.uniform(26, s))
         assert len(t._cache) == 3
 
     def test_fingerprint_skipped_while_version_unchanged(
@@ -158,9 +161,7 @@ class TestIterationCache:
             "states_fingerprint",
             lambda states: calls.append(1) or real(states),
         )
-        # prewarm=False: the batched prewarm dry-run hashes once itself;
-        # this test pins the *run loop's* version-gated memoisation
-        t.run(prewarm=False)  # StaticScheme: version never changes
+        t.run()  # StaticScheme: version never changes
         assert len(calls) == 1
 
     def test_fingerprint_recomputed_on_version_bump(self, gpt24_cost, gpt24_specs):
@@ -237,36 +238,54 @@ class TestPrewarmAndLockstep:
         return Trainer(cfg, cost, scheme or StaticScheme(specs))
 
     def test_prewarm_seeds_cache_and_matches(self, gpt24_cost, gpt24_specs):
-        scheme = FreezingDynamism(gpt24_specs, freeze_every=5, tau0=5, seed=0)
-        warm = self._trainer(gpt24_cost, gpt24_specs, scheme=scheme)
-        n = warm.prewarm(30)
-        assert n >= 2  # freezing visits several distinct states
-        assert len(warm._cache) == n
-        res_warm = warm.run(prewarm=False)  # served from the seeded cache
-
-        cold_scheme = FreezingDynamism(gpt24_specs, freeze_every=5, tau0=5, seed=0)
-        cold = self._trainer(gpt24_cost, gpt24_specs, scheme=cold_scheme)
-        res_cold = cold.run(prewarm=False)
-        assert res_warm.total_time_s == res_cold.total_time_s
-        assert res_warm.makespan_history == res_cold.makespan_history
-
-    def test_prewarm_noop_for_static_scheme(self, gpt24_cost, gpt24_specs):
+        """prewarm prices its lanes into the cache and the window's map,
+        each result equal to the scalar engine's."""
         t = self._trainer(gpt24_cost, gpt24_specs)
-        assert t.prewarm(30) == 0  # one distinct state: nothing to batch
+        lanes = {}
+        for stages in (2, 3, 4):
+            t.plan = PipelinePlan.uniform(26, stages)
+            lanes[t._cache_key()] = (t.plan, [s.copy() for s in t.states], None)
+        priced = {}
+        assert t.prewarm(lanes, priced) == 3
+        assert list(priced) == list(lanes) == list(t._cache)
+        for key, (plan, states, _) in lanes.items():
+            assert priced[key] is t._cache[key]
+            scalar = t.engine.run_iteration(plan, states)
+            assert priced[key].makespan == scalar.makespan
+            assert np.array_equal(priced[key].busy, scalar.busy)
+        assert t.prewarm({}, priced) == 0  # an all-hit window prices nothing
 
-    def test_prewarm_refused_with_controller(self, gpt24_cost, gpt24_specs, comm):
-        controller = DynMoController(gpt24_cost, comm, DynMoConfig(balancer="partition"))
-        cfg = TrainingConfig(iterations=10, pp_stages=4, dp_ways=1)
-        scheme = FreezingDynamism(gpt24_specs, freeze_every=2, tau0=2, seed=0)
-        t = Trainer(cfg, gpt24_cost, scheme, comm=comm, controller=controller)
-        assert t.prewarm(10) == 0
+    def test_prewarm_noop_for_static_scheme(
+        self, gpt24_cost, gpt24_specs, monkeypatch
+    ):
+        """A static run misses once: its first window prices one lane,
+        and every later window is served by the cache with no engine
+        call at all."""
+        import repro.pipeline.batched as batched_mod
+        import repro.training.trainer as trainer_mod
+
+        calls = []
+        real = batched_mod.simulate_many
+        monkeypatch.setattr(
+            batched_mod,
+            "simulate_many",
+            lambda requests: calls.append(len(requests)) or real(requests),
+        )
+        monkeypatch.setattr(trainer_mod, "WINDOW", 7)
+        self._trainer(gpt24_cost, gpt24_specs).run()  # 30 iterations, 5 windows
+        assert calls == [1]
 
     def test_run_prewarm_auto_is_bit_identical(self, gpt24_cost, gpt24_specs):
+        """run() prices in windows; a one-run lockstep call prices every
+        miss right after deciding it, on the scalar engine."""
+        from repro.training import run_trainers_lockstep
+
         mk = lambda: FreezingDynamism(gpt24_specs, freeze_every=4, tau0=4, seed=3)  # noqa: E731
         auto = self._trainer(gpt24_cost, gpt24_specs, scheme=mk()).run()
-        off = self._trainer(gpt24_cost, gpt24_specs, scheme=mk()).run(prewarm=False)
-        assert auto.total_time_s == off.total_time_s
-        assert auto.bubble_history == off.bubble_history
+        (scalar,) = run_trainers_lockstep(
+            [(self._trainer(gpt24_cost, gpt24_specs, scheme=mk()), None)]
+        )
+        assert auto == scalar
 
     def test_lockstep_matches_solo_runs(self, gpt24_cost, gpt24_specs):
         from repro.training import run_trainers_lockstep
@@ -393,6 +412,157 @@ class TestPrewarmAndLockstep:
         assert out_b.iterations == 23
 
 
+def _spec_trainer(spec):
+    from repro.orchestrator.runner import _spec_scenario_and_trainer
+
+    return _spec_scenario_and_trainer(spec)[1]
+
+
+def _events_json() -> str:
+    """A failure, its recovery and a straggler window."""
+    from repro.cluster.events import ClusterEvent, ClusterEventTrace
+
+    return ClusterEventTrace(
+        (
+            ClusterEvent(10, "failure", (2,)),
+            ClusterEvent(30, "recovery", (2,)),
+            ClusterEvent(35, "straggler", (4,), duration=8, slowdown=1.5),
+        )
+    ).to_json()
+
+
+#: runs whose window edges are checked: a controller invoked every
+#: iteration, a memory-limited diffusion run, and an event trace with
+#: forced re-packing on a mixed cluster
+WINDOW_SPECS = {
+    "dynmo-partition": dict(scenario="mod", mode="dynmo-partition"),
+    "dynmo-diffusion-4e9": dict(
+        scenario="freezing", mode="dynmo-diffusion", memory_limit="4e9"
+    ),
+    "events-repack": dict(
+        scenario="pruning",
+        mode="dynmo-diffusion",
+        cluster="2x8+2x4:a100",
+        cluster_events=_events_json(),
+        repack=True,
+        repack_target=4,
+        repack_force=True,
+    ),
+}
+
+
+class TestDecidePriceFold:
+    """Trainer.run decides a window of iterations, prices its cache
+    misses in one batched call, then folds the terms in order."""
+
+    @pytest.mark.parametrize("case", sorted(WINDOW_SPECS))
+    def test_window_edges_are_bit_identical(self, case, monkeypatch):
+        """Window edges move nothing: at 7, a 150-iteration run has 21
+        of them, and a controller invoked first in a window reads the
+        makespan of the previous window's last iteration."""
+        import repro.training.trainer as trainer_mod
+        from repro.orchestrator import RunSpec
+
+        spec = RunSpec(iterations=150, **WINDOW_SPECS[case])
+        results = []
+        for window in (1, 7, trainer_mod.WINDOW):
+            monkeypatch.setattr(trainer_mod, "WINDOW", window)
+            results.append(_spec_trainer(spec).run())
+        # a one-entry cache evicts inside every window: the fold reads
+        # the window's own results, not the cache
+        evicting = _spec_trainer(spec)
+        evicting._cache_capacity = 1
+        results.append(evicting.run())
+        assert all(r == results[0] for r in results)
+        res = results[0]
+        assert res.overhead_s > 0
+        if case == "dynmo-partition":
+            assert _spec_trainer(spec).scheme.rebalance_every == 1
+        elif case == "dynmo-diffusion-4e9":
+            assert res.peak_stage_bytes > 0
+        else:
+            assert res.cluster_events_applied and res.released_ranks_history
+
+    def test_no_scalar_pricing(self, monkeypatch):
+        """An inline controller run prices every miss inside
+        simulate_many, one call per window: no scalar engine call of
+        its own."""
+        import repro.pipeline.batched as batched_mod
+        import repro.training.trainer as trainer_mod
+        from repro.orchestrator import RunSpec
+        from repro.pipeline.engine import PipelineEngine
+
+        inside = []
+        batched_calls = []
+        outside = []
+        real_many = batched_mod.simulate_many
+        real_scalar = PipelineEngine.run_iteration
+
+        def spy_many(requests):
+            batched_calls.append(len(requests))
+            inside.append(True)
+            try:
+                return real_many(requests)
+            finally:
+                inside.pop()
+
+        def spy_scalar(self, plan, states):
+            if not inside:
+                outside.append(plan)
+            return real_scalar(self, plan, states)
+
+        monkeypatch.setattr(batched_mod, "simulate_many", spy_many)
+        monkeypatch.setattr(PipelineEngine, "run_iteration", spy_scalar)
+        spec = RunSpec(scenario="mod", mode="dynmo-partition", iterations=150)
+        for window, windows in ((None, 1), (50, 3)):
+            if window is not None:
+                monkeypatch.setattr(trainer_mod, "WINDOW", window)
+            batched_calls.clear()
+            _spec_trainer(spec).run()
+            assert outside == []
+            assert len(batched_calls) == windows
+            assert sum(batched_calls) > 100  # most iterations miss
+
+    def test_decide_error_is_the_outcome(self, gpt24_cost, gpt24_specs):
+        """An exception while deciding iteration k is the run's outcome,
+        even with earlier iterations of its window still unpriced."""
+
+        class Exploding(StaticScheme):
+            def step(self, k, states):
+                if k == 5:
+                    raise RuntimeError("boom")
+                return False
+
+        cfg = TrainingConfig(iterations=30, pp_stages=4, dp_ways=1)
+        t = Trainer(cfg, gpt24_cost, Exploding(gpt24_specs))
+        with pytest.raises(RuntimeError, match="boom"):
+            t.run()
+        assert not t._cache  # nothing was priced
+
+    def test_deadline_checked_while_deciding_and_folding(
+        self, gpt24_cost, gpt24_specs, monkeypatch
+    ):
+        """The wall-clock budget is checked between iterations in both
+        phases, with one message."""
+        import repro.training.trainer as trainer_mod
+        from repro.training.trainer import RunDeadlineExceeded
+
+        cfg = TrainingConfig(iterations=10, pp_stages=4, dp_ways=1)
+        clock = iter([0.0] + [0.0] * 10 + [5.0])  # start, 10 decides, fold 0
+        monkeypatch.setattr(trainer_mod.time, "monotonic", lambda: next(clock))
+        t = Trainer(cfg, gpt24_cost, StaticScheme(gpt24_specs))
+        with pytest.raises(RunDeadlineExceeded, match=r"iteration 0/10"):
+            t.run(deadline_s=1.0)
+        assert t._cache  # the window was priced before the fold ran out
+
+        clock = iter([0.0, 0.0, 0.0, 5.0])  # start, decide 0, decide 1, decide 2
+        monkeypatch.setattr(trainer_mod.time, "monotonic", lambda: next(clock))
+        t = Trainer(cfg, gpt24_cost, StaticScheme(gpt24_specs))
+        with pytest.raises(RunDeadlineExceeded, match=r"exceeded 1s budget .*iteration 2/10"):
+            t.run(deadline_s=1.0)
+        assert not t._cache
+
+
 #: every built-in scheme a RunSpec can select: each scenario's own
 #: scheme, plus the baseline wrappers
 BUILTIN_SCHEMES = [
@@ -408,40 +578,24 @@ BUILTIN_SCHEMES = [
 
 
 class TestSchemeDeepcopy:
-    """Prewarm scouts a deep copy of the dynamism scheme."""
+    """Copies of one run's scheme, each built from the scenario the way
+    a sweep builds it, replay the same states when interleaved.  The
+    batched backend steps many runs' schemes in one process, so a
+    scheme must share no state (an RNG, a buffer) with another one."""
 
     @pytest.mark.parametrize("scenario,mode", BUILTIN_SCHEMES)
     def test_copy_replays_same_fingerprints(self, scenario, mode):
         iters = 150
-        trainer = make_trainer(build_scenario(scenario, iterations=iters), mode)
-        schemes = [trainer.scheme, copy.deepcopy(trainer.scheme)]
-        states = [copy.deepcopy(trainer.states) for _ in schemes]
+        trainers = [
+            make_trainer(build_scenario(scenario, iterations=iters), mode)
+            for _ in range(2)
+        ]
+        schemes = [t.scheme for t in trainers]
+        states = [t.states for t in trainers]
         advances = [getattr(s, "advance", s.step) for s in schemes]
         for k in range(iters):
-            # interleaved, so any state the copy shares with the
-            # original (an RNG, a buffer) makes the two diverge
+            # interleaved, so any state the copies share makes them
+            # diverge
             for advance, sts in zip(advances, states):
                 advance(k, sts)
             assert states_fingerprint(states[0]) == states_fingerprint(states[1]), k
-
-    def test_deepcopy_errors_are_not_swallowed(self):
-        """Only the errors deepcopy raises for uncopyable state skip
-        prewarm; anything else surfaces from the scout, with or without
-        cluster events."""
-
-        def trainer(error, cluster_events):
-            class Uncopyable(FreezingDynamism):
-                def __deepcopy__(self, memo):
-                    raise error("deepcopy exploded")
-
-            setup = build_scenario("freezing", iterations=30)
-            scheme = Uncopyable(setup.specs, freeze_every=5, tau0=5, seed=0)
-            return make_trainer(
-                setup, "megatron", scheme=scheme, cluster_events=cluster_events
-            )
-
-        events = ClusterEventTrace((ClusterEvent(6, "failure", (2,)),))
-        for cluster_events in (None, events):
-            with pytest.raises(RuntimeError, match="deepcopy exploded"):
-                trainer(RuntimeError, cluster_events).prewarm(30)
-            assert trainer(TypeError, cluster_events).prewarm(30) == 0
