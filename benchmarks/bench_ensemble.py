@@ -1,10 +1,11 @@
 """Ensemble-replay benchmark: batched segment lanes vs N scalar runs.
 
-Times ``run_trainers_lockstep`` over N trace-driven trainers — the
-execution path behind ``repro ensemble`` — against the same N trainers
-stepped scalar one by one (a one-run lockstep call each, so every
-iteration's miss is a bin of one, priced by ``run_iteration``), and
-writes a ``BENCH_ensemble.json``
+Times the lockstep pricing reference ``run_trainers_lockstep`` over N
+trace-driven trainers (``repro ensemble`` runs its draws one after
+another instead, each pricing its own windows) against the same N
+trainers stepped scalar one by one (a one-run lockstep call each, so
+every iteration's miss is a bin of one, priced by ``run_iteration``),
+and writes a ``BENCH_ensemble.json``
 artifact tracked commit-over-commit (the CI bench-smoke job runs this
 script and ``scripts/check_bench_regression.py`` gates on the
 committed baseline).

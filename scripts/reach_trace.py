@@ -4,9 +4,10 @@
     PYTHONPATH=src python scripts/reach_trace.py --check   # exit 1 unless empty
 
 In this one process, under ``sys.setprofile`` (and
-``threading.setprofile`` for the shard heartbeat thread), the script
-runs a fixed list of CLI invocations that covers every subcommand, the
-four ``repro.api`` entry points and the three examples, all inside a
+``threading.setprofile`` for the shard heartbeat thread and one
+timed-out ``simulate`` off the main thread), the script runs a fixed
+list of CLI invocations that covers every subcommand, the four
+``repro.api`` entry points and the three examples, all inside a
 temporary directory.  It records every code object the run enters,
 then walks the source of ``src/repro`` and reports every function,
 method and nested function that was never entered, except
@@ -124,7 +125,6 @@ ALLOWLIST: dict[str, str] = {
     "src/repro/orchestrator/runner.py:SweepRunner._interrupt": _SIGINT,
     "src/repro/orchestrator/runner.py:SweepRunner._restart_pool": _POOL,
     "src/repro/orchestrator/runner.py:SweepRunner._probe": _POOL,
-    "src/repro/orchestrator/runner.py:SweepRunner._run_inline_fallback": _POOL,
     "src/repro/orchestrator/runner.py:SweepRunner._drain": _POOL,
     "src/repro/orchestrator/runner.py:SweepRunner._recover_chunk": _POOL,
     "src/repro/orchestrator/runner.py:SweepRunner._bisect": _POOL,
@@ -165,13 +165,10 @@ def cli_invocations(tmp: Path) -> list[tuple[list[str], int]]:
         (["sweep", "--jobs", "1", "--scenario", "sparse_attention", "early_exit",
           "--mode", "egeria", "dense-baseline", *_SMALL, "--no-cache",
           "--schedule", "1f1b", "--precision", "full", "--recompute"], 0),
-        # an error row (tutel needs MoE layers) and a timeout row; the
-        # batched backend's deadline is a clock check, not a SIGALRM
-        # that would land inside the profiler and remove it
+        # an error row (tutel needs MoE layers); api_calls adds a
+        # timeout row
         (["sweep", "--jobs", "1", "--scenario", "pruning", "--mode", "tutel",
           *_SMALL, "--no-cache"], 1),
-        (["sweep", "--jobs", "0", "--scenario", "moe", "--mode", "dynmo-partition",
-          "--iterations", "100000", "--timeout", "0.5", "--no-cache"], 1),
         # one oom cell
         (["sweep", "--jobs", "1", "--scenario", "pruning", "--mode",
           "dynmo-partition", "--layers", "32", "--stages", "2", "--cluster", "1x2",
@@ -241,15 +238,29 @@ def cli_invocations(tmp: Path) -> list[tuple[list[str], int]]:
 
 
 def api_calls(tmp: Path) -> list[Callable[[], Any]]:
-    """The four ``repro.api`` entry points, each on a small spec."""
+    """The four ``repro.api`` entry points, each on a small spec, and a
+    ``simulate`` that times out."""
     import repro
 
     spec = repro.RunSpec(
         scenario="freezing", mode="dynmo-partition", pp_stages=4, iterations=8
     )
     specs = [spec, spec.with_(mode="megatron")]
+
+    def timeout_off_main_thread() -> None:
+        # off the main thread the budget is the trainer's monotonic
+        # clock check; a SIGALRM would land inside the profiler and
+        # remove it
+        policy = repro.ExecutionPolicy(timeout_s=1e-9)
+        worker = threading.Thread(
+            target=repro.simulate, args=(spec,), kwargs={"policy": policy}
+        )
+        worker.start()
+        worker.join()
+
     return [
         lambda: repro.simulate(spec),
+        timeout_off_main_thread,
         lambda: repro.sweep(
             specs, repro.ExecutionPolicy("inline"), cache=tmp / "api-cache",
             journal=tmp / "api.jsonl",

@@ -101,8 +101,9 @@ def sweep(
 ) -> list[RunRecord]:
     """Run many specs through a :class:`SweepRunner`.
 
-    ``policy`` picks the backend (default: one batched lockstep call in
-    this process); ``cache`` (a :class:`ResultCache` or a directory
+    ``policy`` picks the backend (default: ``"batched"``, the specs run
+    one after another in this process, each pricing a window of
+    iterations per vectorized call); ``cache`` (a :class:`ResultCache` or a directory
     path) serves repeat specs from their content hash.  ``journal``
     (a :class:`SweepJournal` or a path) makes the sweep durable and
     resumable: records append as they land, SIGINT/SIGTERM drain

@@ -40,7 +40,7 @@ from repro.experiments import (
     run_overhead_table,
 )
 from repro.experiments.common import check_depth, effective_shape, parse_memory_limit
-from repro.experiments.maxmodel import cell_stages
+from repro.experiments.maxmodel import cell_stages, check_maxmodel_depths
 from repro.orchestrator import (
     MODES,
     ExecutionPolicy,
@@ -116,9 +116,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_runner_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs", type=_non_negative_int, default=1,
-        help="execution backend: 0 = batched in-process executor (steps "
-             "all runs together and simulates each iteration's cache "
-             "misses vectorized, no worker processes), 1 = serial in-process, "
+        help="execution backend: 0 or 1 = in-process, one run after "
+             "another, each pricing its cache misses a window of "
+             "iterations per vectorized call (no worker processes); "
              "N>1 = process pool with N workers "
              "(default: 1 for figure commands, all cores for sweep)",
     )
@@ -127,10 +127,9 @@ def _add_runner_flags(p: argparse.ArgumentParser) -> None:
         help="serve identical runs from this result cache directory",
     )
     p.add_argument("--timeout", type=_positive_float, default=None, metavar="SECONDS",
-                   help="per-run time budget (sweep records over-budget runs as "
-                        "failed rows; figure commands abort on them; with "
-                        "--jobs 0 the N runs share an N x budget "
-                        "wall-clock deadline)")
+                   help="per-run wall-clock budget, fractions of a second "
+                        "included (sweep records over-budget runs as "
+                        "failed rows; figure commands abort on them)")
     p.add_argument(
         "--balance-cost", default="modeled", choices=["modeled", "measured"],
         help="charge the balancer's analytic (reproducible) or real "
@@ -245,7 +244,6 @@ def _runner_from_args(args, progress=None, journal=None) -> SweepRunner:
     return SweepRunner(
         policy=_policy_from_args(args),
         cache=cache,
-        timeout_s=args.timeout,
         progress=progress,
         refresh=bool(getattr(args, "no_cache", False)),
         journal=journal,
@@ -969,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn = sub.add_parser(
         "ensemble",
         help="Monte-Carlo fault ensemble: N sampled cluster-event traces "
-             "per (scenario x mode), batched execution, p50/p99 + "
+             "per (scenario x mode), in-process by default, p50/p99 + "
              "survivability summaries",
     )
     _add_common(pn)
@@ -1192,8 +1190,12 @@ def _check_shapes(parser: argparse.ArgumentParser, args) -> None:
     """Exit 2, naming the flag, when a scenario has no model of a
     ``--layers`` depth, or its effective pipeline (after MoE widening or
     the paper-scale grids) does not fit its ``--layers`` or
-    ``--cluster`` (``--clusters`` for fig-maxmodel)."""
+    ``--cluster`` (``--depths`` and ``--clusters`` for fig-maxmodel)."""
     if args.command == "fig-maxmodel":
+        try:
+            check_maxmodel_depths(tuple(args.depths))
+        except ValueError as exc:
+            parser.error(f"--depths: {exc}")
         _check_maxmodel_clusters(parser, args)
         return
     layers = getattr(args, "layers", None)

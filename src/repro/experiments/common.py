@@ -282,9 +282,9 @@ def make_trainer(
 ) -> Trainer:
     """Build the Trainer for one configuration without running it.
 
-    The batched sweep executor uses this to build every pending run
-    and drive them all in one lockstep call; ``make_trainer(...).run()``
-    runs one.
+    The sweep runner builds each run's Trainer with this and calls its
+    ``run()``; tests and benchmarks also hand unrun Trainers to the
+    lockstep pricing reference, ``run_trainers_lockstep``.
 
     ``memory_limit`` (see :func:`parse_memory_limit`) turns on the
     per-stage memory model: placements are validated against placed-rank

@@ -27,6 +27,18 @@ from repro.orchestrator import RunSpec, SweepRunner, run_specs
 DEFAULT_CLUSTERS = ("1x2", "1x4", "1x8", "2x8+2x4:a100")
 
 
+def check_maxmodel_depths(depths: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless every depth has a GPT config: the
+    cells probe the :data:`GPT_BY_LAYERS` models whatever the scenario,
+    so even MoE's 16 widened stages fit the shallowest one."""
+    bad = sorted(set(depths) - set(GPT_BY_LAYERS))
+    if bad:
+        raise ValueError(
+            f"no GPT config for depths {bad}; choose from "
+            f"{sorted(GPT_BY_LAYERS)}"
+        )
+
+
 def cell_stages(num_gpus: int, depth: int) -> int:
     """Pipeline stages a cell asks for: one per GPU, at most one per
     layer, at most 8.  ``effective_shape`` still widens MoE to 16."""
@@ -52,12 +64,7 @@ def run_fig_maxmodel(
     pipeline stage's rank (the repack → regrow path); a depth counts as
     trainable under failures only if the shrunken pipeline still fits.
     """
-    bad = sorted(set(depths) - set(GPT_BY_LAYERS))
-    if bad:
-        raise ValueError(
-            f"no GPT config for depths {bad}; choose from "
-            f"{sorted(GPT_BY_LAYERS)}"
-        )
+    check_maxmodel_depths(depths)
     depths = tuple(sorted(depths))
 
     specs: list[RunSpec] = []

@@ -14,13 +14,13 @@ distributions:
 - a survivability curve: the fraction of runs still at their full
   stage count at each recorded iteration.
 
-Execution defaults to the batched backend: every draw is an
-independent Trainer, and one lockstep call hands each iteration's
-cache misses across all draws to one vectorized batch — trace-driven
-runs are piecewise static, so they batch segment by segment (see
-:mod:`repro.training.lockstep`).  Percentiles use the
-deterministic nearest-rank definition, so summaries are bit-identical
-across inline/pool/batched backends and across cached re-runs.
+Execution defaults to the in-process ``batched`` backend: every draw
+is an independent Trainer run, which prices a window of iterations'
+cache misses per vectorized call — trace-driven runs are piecewise
+static, so each window batches segment by segment.  Percentiles use
+the deterministic nearest-rank definition, so summaries are
+bit-identical across inline/pool/batched backends and across cached
+re-runs.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def run_ensemble(
 
     Draws are deduplicated by spec content hash before execution (empty
     traces collapse into one event-free run), executed through a
-    :class:`SweepRunner` — one batched lockstep call by default — and
+    :class:`SweepRunner` — in this process by default — and
     fanned back out so duplicate draws weight the statistics exactly
     once per draw.  ``journal`` makes the underlying sweep durable and
     resumable, exactly as in :meth:`SweepRunner.run`.

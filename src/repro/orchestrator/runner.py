@@ -1,4 +1,4 @@
-"""Sweep runner: batched in-process, pooled, and serial execution.
+"""Sweep runner: in-process and pooled execution.
 
 ``execute_spec`` is the single entry point that turns a
 :class:`RunSpec` into a :class:`RunRecord`; it is a module-level
@@ -8,14 +8,12 @@ pickle it to workers.  All exceptions are captured into the record
 
 Execution backends (:class:`ExecutionPolicy`):
 
-- ``backend="batched"`` — drives every pending spec's Trainer in one
-  lockstep call in this process, handing each iteration's cache misses
-  to one vectorized :func:`~repro.pipeline.batched.simulate_many` call
-  (no pickling, no worker import cost).  Timeouts are enforced with a
-  monotonic-clock check between iterations — they work off the main
-  thread, unlike ``SIGALRM``.
-- ``backend="inline"`` — serial, in the calling process; each run
-  prices its cache misses one window of iterations per batched call.
+- ``backend="inline"`` — serial, in the calling process (no pickling,
+  no worker import cost); each run prices its cache misses one window
+  of iterations per vectorized
+  :func:`~repro.pipeline.batched.simulate_many` call.
+- ``backend="batched"`` — the same loop as ``inline``; the name stays
+  for ``--jobs 0`` and the callers that pick it.
 - ``backend="pool"`` — a process pool, submitted in chunks (one future
   per chunk of specs, not per spec) over a module-wide warm pool that
   is reused across sweep calls, so repeat sweeps stop paying per-spec
@@ -40,16 +38,17 @@ contract):
 - **Journaling** — with a :class:`~repro.orchestrator.journal.SweepJournal`
   attached, every landed record is durably appended as it lands, and
   ``SIGINT``/``SIGTERM`` are trapped: in-flight futures are drained,
-  the journal is flushed, and the sweep exits by raising
+  an in-process run stops at its next iteration and lands nothing, the
+  journal is flushed, and the sweep exits by raising
   :class:`SweepInterrupted` (the CLI maps it to exit code 130).  A
   journal opened with ``resume=True`` serves already-finished specs
   without re-running them.
 
-Per-run timeouts use ``SIGALRM`` inside the executing process where
-available; when the alarm cannot be armed (no SIGALRM, or off the main
-thread) the trainer checks a monotonic-clock deadline every iteration,
-so an over-budget run is still stopped mid-flight and recorded as
-``status="timeout"``.
+Per-run timeouts use an ``ITIMER_REAL`` alarm (``SIGALRM``) inside the
+executing process where available; when the alarm cannot be armed (no
+SIGALRM, or off the main thread) the trainer checks a monotonic-clock
+deadline every iteration, so an over-budget run is still stopped
+mid-flight and recorded as ``status="timeout"``.
 
 The experiments package imports this module (the figure drivers build
 their sweeps on top of it), so the heavy experiment imports happen
@@ -72,7 +71,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import FrameType
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NoReturn, Sequence
 
 from repro.cluster.memory import PlacementOOMError
 from repro.orchestrator import faults
@@ -81,6 +80,7 @@ from repro.orchestrator.journal import SweepJournal
 from repro.orchestrator.results import RunRecord, result_metrics
 from repro.orchestrator.retry import RetryPolicy
 from repro.orchestrator.spec import MODES, RunSpec
+from repro.training.trainer import RunDeadlineExceeded, RunInterrupted
 
 #: execution backends an :class:`ExecutionPolicy` can name
 BACKENDS = ("batched", "inline", "pool")
@@ -93,15 +93,12 @@ class ExecutionPolicy:
     Replaces the ``jobs`` integer protocol (``0`` → batched, ``1`` →
     inline, ``N>1`` → pool of N, ``None`` → pool of cpu_count):
 
-    - ``backend="batched"`` — drive all pending specs in one lockstep
-      call in this process, simulating each iteration's cache misses
-      as one vectorized batch;
     - ``backend="inline"`` — serial, in the calling process;
+    - ``backend="batched"`` — the same in-process loop as ``inline``;
     - ``backend="pool"`` — chunked submission over a warm process pool
       of ``workers`` (``None`` → all cores).
 
-    ``timeout_s`` is the per-run wall-clock budget (the batched backend
-    scales it to a deadline for the whole lockstep call).  ``retry``
+    ``timeout_s`` is the per-run wall-clock budget.  ``retry``
     governs how transient worker faults re-run; ``max_pool_restarts``
     bounds how many times a run may replace a broken pool before
     degrading to inline execution; ``chunk_size`` (pool only) overrides
@@ -235,14 +232,16 @@ def _deadline(seconds: float | None) -> Iterator[bool]:
         return
 
     def _handler(signum: int, frame: FrameType | None) -> None:
-        raise SweepTimeout(f"exceeded {seconds:.0f}s budget")
+        raise SweepTimeout(f"exceeded {seconds:g}s budget")
 
     old = signal.signal(signal.SIGALRM, _handler)
-    signal.alarm(max(1, int(math.ceil(seconds or 0.0))))
     try:
+        # armed inside the try: a budget that expires at once still
+        # disarms and restores the old handler
+        signal.setitimer(signal.ITIMER_REAL, seconds or 0.0)
         yield True
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
 
 
@@ -298,7 +297,17 @@ def _spec_scenario_and_trainer(spec: RunSpec) -> tuple[Any, Any]:
     return setup, trainer
 
 
-def _spec_metrics(setup: Any, result: Any) -> dict[str, Any]:
+def _run_spec(
+    spec: RunSpec,
+    deadline_s: float | None = None,
+    stop: threading.Event | None = None,
+) -> dict[str, Any]:
+    setup, trainer = _spec_scenario_and_trainer(spec)
+    try:
+        result = trainer.run(deadline_s=deadline_s, stop=stop)
+    except RunDeadlineExceeded as exc:
+        # same record shape as the SIGALRM path: status="timeout"
+        raise SweepTimeout(str(exc)) from None
     metrics = result_metrics(result)
     # effective shape (build_scenario may widen the pipeline, e.g. MoE)
     metrics["effective_pp_stages"] = setup.pp_stages
@@ -307,21 +316,7 @@ def _spec_metrics(setup: Any, result: Any) -> dict[str, Any]:
     return metrics
 
 
-def _run_spec(spec: RunSpec, deadline_s: float | None = None) -> dict[str, Any]:
-    from repro.training.trainer import RunDeadlineExceeded
-
-    setup, trainer = _spec_scenario_and_trainer(spec)
-    try:
-        result = trainer.run(deadline_s=deadline_s)
-    except RunDeadlineExceeded as exc:
-        # same record shape as the SIGALRM path: status="timeout"
-        raise SweepTimeout(str(exc)) from None
-    return _spec_metrics(setup, result)
-
-
 def _error_record(spec: RunSpec, exc: BaseException, duration: float = 0.0) -> RunRecord:
-    # format from the exception object, not the ambient sys.exc_info():
-    # lockstep outcomes are handed over *outside* their except block
     trace = "".join(
         traceback.format_exception(type(exc), exc, exc.__traceback__, limit=8)
     )
@@ -380,8 +375,17 @@ def _crashed_record(spec: RunSpec, fate: str, duration: float = 0.0) -> RunRecor
     )
 
 
-def execute_spec(spec: RunSpec, timeout_s: float | None = None) -> RunRecord:
-    """Run one spec, capturing any failure into the returned record."""
+def execute_spec(
+    spec: RunSpec,
+    timeout_s: float | None = None,
+    stop: threading.Event | None = None,
+) -> RunRecord:
+    """Run one spec, capturing any failure into the returned record.
+
+    Once ``stop`` is set, the run ends at its next iteration by raising
+    :class:`~repro.training.trainer.RunInterrupted`: an interrupted run
+    has no record.
+    """
     faults.on_spec_execute(spec.spec_hash)
     start = time.perf_counter()
     try:
@@ -391,7 +395,9 @@ def execute_spec(spec: RunSpec, timeout_s: float | None = None) -> RunRecord:
             # the budget itself with monotonic-clock checks between
             # iterations, so over-budget runs still stop mid-flight
             metrics = _run_spec(
-                spec, deadline_s=timeout_s if timeout_s and not armed else None
+                spec,
+                deadline_s=timeout_s if timeout_s and not armed else None,
+                stop=stop,
             )
         duration = time.perf_counter() - start
         if timeout_s and not armed and duration > timeout_s:
@@ -399,7 +405,7 @@ def execute_spec(spec: RunSpec, timeout_s: float | None = None) -> RunRecord:
             # during scenario setup, where no deadline check ran
             return _timeout_record(
                 spec,
-                f"exceeded {timeout_s:.0f}s budget "
+                f"exceeded {timeout_s:g}s budget "
                 f"(detected post-hoc: ran {duration:.1f}s)",
                 duration,
             )
@@ -414,6 +420,8 @@ def execute_spec(spec: RunSpec, timeout_s: float | None = None) -> RunRecord:
         return _timeout_record(spec, str(exc), time.perf_counter() - start)
     except PlacementOOMError as exc:
         return _oom_record(spec, exc, time.perf_counter() - start)
+    except RunInterrupted:
+        raise
     except Exception as exc:
         return _error_record(spec, exc, time.perf_counter() - start)
 
@@ -497,16 +505,15 @@ class SweepRunner:
     """Executes RunSpecs, serving repeats from cache and misses from an
     execution backend.
 
-    The backend is named by an :class:`ExecutionPolicy`:
-    ``backend="batched"`` runs all pending specs in one in-process
-    lockstep call over the vectorized engine, ``"inline"`` runs
-    serially, ``"pool"`` fans chunks of specs out over a warm process
-    pool.  Results come back in spec order regardless of completion
-    order.
+    The backend is named by an :class:`ExecutionPolicy`: ``"inline"``
+    and ``"batched"`` run the specs one after another in this process,
+    ``"pool"`` fans chunks of specs out over a warm process pool.
+    Results come back in spec order regardless of completion order.
 
     With a :class:`~repro.orchestrator.journal.SweepJournal` attached,
     every landed record is durably appended, SIGINT/SIGTERM drain
-    in-flight work and raise :class:`SweepInterrupted`, and specs the
+    in-flight work (an in-process run stops at its next iteration and
+    lands nothing) and raise :class:`SweepInterrupted`, and specs the
     journal already resolved (``ok`` or quarantined ``crashed``) are
     served without re-running.
 
@@ -518,17 +525,13 @@ class SweepRunner:
         self,
         *,
         cache: ResultCache | None = None,
-        timeout_s: float | None = None,
         progress: ProgressFn | None = None,
         refresh: bool = False,
         policy: ExecutionPolicy | None = None,
         journal: SweepJournal | None = None,
     ) -> None:
-        if policy is None:
-            policy = ExecutionPolicy("inline", timeout_s=timeout_s)
-        self.policy = policy
+        self.policy = policy if policy is not None else ExecutionPolicy()
         self.cache = cache
-        self.timeout_s = timeout_s if timeout_s is not None else policy.timeout_s
         self.progress = progress
         self.journal = journal
         # refresh: skip cache reads but still write results through, so
@@ -603,7 +606,7 @@ class SweepRunner:
             signal.signal(signal.SIGINT, old_int)
             signal.signal(signal.SIGTERM, old_term)
 
-    def _interrupt(self, state: _RunState) -> None:
+    def _interrupt(self, state: _RunState) -> NoReturn:
         """Raise :class:`SweepInterrupted` with everything that landed."""
         done = state.partial()
         message = (
@@ -712,15 +715,28 @@ class SweepRunner:
 
         state = _RunState(specs=specs, records=records, land=land, stop=stop)
         with self._trap_signals(stop):
-            if self.policy.backend == "batched":
-                self._run_batched([(i, specs[i]) for i in pending], state)
-            elif self.policy.backend == "inline" or len(pending) == 1:
-                for i in pending:
-                    self._maybe_interrupt(state)
-                    land(i, execute_spec(specs[i], self.timeout_s))
-            else:
+            if self.policy.backend == "pool" and len(pending) > 1:
                 self._run_pool(pending, state)
+            else:
+                self._run_inline(pending, state)
         return [r for r in records if r is not None]
+
+    def _run_inline(self, indices: list[int], state: _RunState) -> None:
+        """Run ``indices`` one after another in this process.
+
+        Once the stop event is set, the running spec ends at its next
+        iteration and lands nothing (a resume re-runs exactly it), and
+        :class:`SweepInterrupted` is raised.
+        """
+        for i in indices:
+            self._maybe_interrupt(state)
+            try:
+                record = execute_spec(
+                    state.specs[i], self.policy.timeout_s, state.stop
+                )
+            except RunInterrupted:
+                self._interrupt(state)
+            state.land(i, record)
 
     # -- pooled execution with retry / bisection -----------------------------
     def _restart_pool(self, state: _RunState) -> None:
@@ -748,16 +764,11 @@ class SweepRunner:
         future = self._pool.submit(
             _execute_chunk,
             [state.specs[i] for i in indices],
-            self.timeout_s,
+            self.policy.timeout_s,
             faults.active(),
             os.getpid(),
         )
         return future.result()
-
-    def _run_inline_fallback(self, indices: list[int], state: _RunState) -> None:
-        for i in indices:
-            self._maybe_interrupt(state)
-            state.land(i, execute_spec(state.specs[i], self.timeout_s))
 
     def _run_pool(self, pending: list[int], state: _RunState) -> None:
         if self._pool is None:
@@ -776,7 +787,7 @@ class SweepRunner:
             self._pool.submit(
                 _execute_chunk,
                 [state.specs[i] for i in chunk],
-                self.timeout_s,
+                self.policy.timeout_s,
                 plan,
                 owner,
             ): chunk
@@ -865,7 +876,7 @@ class SweepRunner:
                 state.land(i, record)
             return
         if state.degraded:
-            self._run_inline_fallback(chunk, state)
+            self._run_inline(chunk, state)
             return
         self._bisect(chunk, state)
 
@@ -883,7 +894,7 @@ class SweepRunner:
             self._maybe_interrupt(state)
             group = stack.pop()
             if state.degraded:
-                self._run_inline_fallback(group, state)
+                self._run_inline(group, state)
                 continue
             try:
                 group_records = self._probe(group, state)
@@ -913,73 +924,6 @@ class SweepRunner:
                 continue
             for i, record in zip(group, group_records):
                 state.land(i, record)
-
-    # -- batched in-process execution ---------------------------------------
-    def _run_batched(
-        self,
-        pending: list[tuple[int, RunSpec]],
-        state: _RunState,
-    ) -> None:
-        """Evaluate every pending spec in one lockstep call.
-
-        Each spec becomes a Trainer and all of them advance together,
-        one iteration per pricing call (so no lane snapshots);
-        :func:`~repro.pipeline.batched.simulate_many` re-bins each
-        iteration's cache misses by *current* compiled key, so runs whose
-        stage count changes mid-flight (cluster events, re-packing,
-        elasticity) batch segment by segment.  Timeouts are wall-clock
-        checks between iterations, recorded as ``status="timeout"`` like
-        the signal-based path.  An interrupt stops the call at the next
-        iteration boundary: finished runs land, unfinished ones stay
-        unrecorded (a resume re-runs exactly those), and
-        :class:`SweepInterrupted` is raised.
-        """
-        from repro.training.lockstep import LockstepTimeout, run_trainers_lockstep
-
-        land = state.land
-        entries: list[tuple[int, RunSpec, Any, Any]] = []
-        for i, spec in pending:
-            start = time.perf_counter()
-            try:
-                setup, trainer = _spec_scenario_and_trainer(spec)
-            except Exception as exc:
-                land(i, _error_record(spec, exc, time.perf_counter() - start))
-                continue
-            entries.append((i, spec, setup, trainer))
-
-        t0 = time.perf_counter()
-        # all runs advance together, so the per-run budget scales to a
-        # whole-call deadline: N runs may take N x timeout_s before the
-        # still-active ones time out — runs that fit the budget solo are
-        # not penalised for sharing the call
-        deadline = self.timeout_s * len(entries) if self.timeout_s else self.timeout_s
-        outcomes = run_trainers_lockstep(
-            [(trainer, None) for _, _, _, trainer in entries],
-            deadline_s=deadline,
-            stop=state.stop,
-        )
-        share = (time.perf_counter() - t0) / max(1, len(entries))
-        for (i, spec, setup, _), outcome in zip(entries, outcomes):
-            if outcome is None:
-                continue  # stopped before it finished: left for a resume
-            if isinstance(outcome, LockstepTimeout):
-                land(i, _timeout_record(spec, str(outcome), share))
-            elif isinstance(outcome, PlacementOOMError):
-                land(i, _oom_record(spec, outcome, share))
-            elif isinstance(outcome, BaseException):
-                land(i, _error_record(spec, outcome, share))
-            else:
-                land(
-                    i,
-                    RunRecord(
-                        spec=spec,
-                        spec_hash=spec.spec_hash,
-                        status="ok",
-                        duration_s=share,
-                        metrics=_spec_metrics(setup, outcome),
-                    ),
-                )
-        self._maybe_interrupt(state)
 
 
 def run_specs(

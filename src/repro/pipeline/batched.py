@@ -47,10 +47,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.pipeline.engine import IterationResult, PipelineEngine
     from repro.pipeline.plan import PipelinePlan
 
-#: lanes per batched executor call; bounds the ``(N, num_ops)`` scratch
-#: matrices (256 lanes x 8192 ops x 8 B = 16 MB per matrix) while
-#: keeping per-level NumPy calls well amortised.
-MAX_LANES = 256
+#: lanes x ops per batched executor call: bounds each ``(N, num_ops)``
+#: float64 work matrix at 1 MiB whatever the schedule's size (256
+#: lanes at the default 8 stages x 32 micro-batches, 64 at 16 x 64),
+#: while keeping per-level NumPy calls well amortised.
+MAX_CELLS = 2**17
 
 
 @dataclass
@@ -318,8 +319,9 @@ def simulate_many(
         lv = compile_levels(name, S, M)
         stats.batched_lanes += len(idxs)
         split = lv.cs.zb  # the compiled key fixes the schedule, so zb is per bin
-        for chunk_at in range(0, len(idxs), MAX_LANES):
-            chunk = idxs[chunk_at : chunk_at + MAX_LANES]
+        per = max(1, MAX_CELLS // lv.num_ops)
+        for chunk_at in range(0, len(idxs), per):
+            chunk = idxs[chunk_at : chunk_at + per]
             n = len(chunk)
             fwd = np.empty((n, S))
             bwd = np.empty((n, S))

@@ -2,12 +2,11 @@
 
 from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer, TrainingResult
-from repro.training.lockstep import LockstepTimeout, run_trainers_lockstep
+from repro.training.lockstep import run_trainers_lockstep
 
 __all__ = [
     "TrainingConfig",
     "Trainer",
     "TrainingResult",
-    "LockstepTimeout",
     "run_trainers_lockstep",
 ]

@@ -1,63 +1,51 @@
-"""Lockstep execution of many Trainers with batched iteration simulation.
+"""Per-iteration pricing reference for :meth:`Trainer.run`'s windows.
 
-The batched sweep executor (``ExecutionPolicy(backend="batched")``,
-a.k.a. ``repro sweep --jobs 0``) and the ensemble runner run all of a
-sweep's pending RunSpecs in one process.  Each run is an independent
-Trainer; instead of running them one after another, this driver
-advances every run one iteration at a time and hands all of that
-iteration's cache misses to one :func:`simulate_many` call
-(:mod:`repro.pipeline.batched`), which bins them by the *current*
-compiled key ``(schedule, S, M)`` and replays each bin vectorized.
+No command, ``repro.api`` call or sweep backend calls
+:func:`run_trainers_lockstep`: every in-process run goes through
+:meth:`Trainer.run`, which decides a window of iterations, prices its
+cache misses in one batched call and folds them.  This loop instead
+advances many Trainers one iteration at a time and hands that
+iteration's cache misses across all of them to one
+:func:`simulate_many` call (:mod:`repro.pipeline.batched`), right after
+deciding it.  Tests and benchmarks compare windowed pricing against it
+(``tests/test_trainer.py``, ``tests/test_ensemble.py``,
+``tests/test_cluster_events.py``, ``benchmarks/bench_events.py``,
+``benchmarks/bench_ensemble.py``).
 
-Runs whose stage count changes mid-flight — cluster-event traces,
-controller re-packs, elastic shrinks — simply move between bins from
-one iteration to the next.  The boundary stitching (migration pricing,
-regrow re-admission, straggler windows) happens in each Trainer's own
-``_pre_iteration`` hook exactly as in a solo run.
+It stays in ``src/`` only because the end-to-end benchmark's layer
+tracer (``perfbench/layers.py``) wraps ``run_trainers_lockstep`` and
+this module's ``simulate_many`` by name; the module moves to ``tests/``
+with the benchmark change that re-points that tracer.
 
-Per-run semantics are untouched: each Trainer executes the exact same
-begin / decide (``_pre_iteration``) / fold (``_post_iteration``) /
-finish hooks as :meth:`Trainer.run`, against its own scheme,
-controller, cache and accounting, so every ``TrainingResult`` is
-bit-identical to a solo run; it prices each iteration right after
-deciding it, so it needs no lane snapshots.
-A run whose own hooks raise keeps that exception as its outcome
-without touching the other runs; an exception from the shared
-:func:`simulate_many` call becomes the outcome of every run that
-missed in that call — there is no scalar re-run.  An expired deadline
-converts all still-running runs to :class:`LockstepTimeout`; a set
-``stop`` event leaves them without an outcome.
+Each Trainer executes the same begin / decide (``_pre_iteration``) /
+fold (``_post_iteration``) / finish hooks as :meth:`Trainer.run`,
+against its own scheme, controller, cache and accounting, so every
+``TrainingResult`` is bit-identical to a solo run.  Runs whose stage
+count changes mid-flight (cluster events, re-packs, elastic shrinks)
+move between :func:`simulate_many`'s compiled-key bins from one
+iteration to the next.  A run whose own hooks raise keeps that
+exception as its outcome without touching the other runs; an exception
+from the shared :func:`simulate_many` call becomes the outcome of every
+run that missed in that call — there is no scalar re-run.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from typing import Sequence
 
 from repro.pipeline.batched import simulate_many
 from repro.training.trainer import Trainer, TrainingResult
 
 
-class LockstepTimeout(Exception):
-    """A lockstep call exceeded its wall-clock budget mid-run."""
-
-
 def run_trainers_lockstep(
     entries: Sequence[tuple[Trainer, int | None]],
-    deadline_s: float | None = None,
-    stop: threading.Event | None = None,
-) -> list[TrainingResult | BaseException | None]:
+) -> list[TrainingResult | BaseException]:
     """Run ``(trainer, iterations)`` pairs in lockstep.
 
     Returns one outcome per entry, in order: a :class:`TrainingResult`,
-    or the exception that run raised, or :class:`LockstepTimeout` for
-    runs still unfinished when ``deadline_s`` (seconds from call start)
-    expires.  Once ``stop`` is set, the driver halts at the next
-    iteration boundary and runs still unfinished get ``None``.
+    or the exception that run raised.
     """
-    n = len(entries)
-    outcomes: list[TrainingResult | BaseException | None] = [None] * n
+    outcomes: list[TrainingResult | BaseException | None] = [None] * len(entries)
     states = []
     active: list[int] = []
     for i, (trainer, iterations) in enumerate(entries):
@@ -67,29 +55,8 @@ def run_trainers_lockstep(
         except Exception as exc:
             states.append(None)
             outcomes[i] = exc
-    t0 = time.monotonic()
     k = 0
     while active:
-        expired = deadline_s is not None and time.monotonic() - t0 > deadline_s
-        if expired or (stop is not None and stop.is_set()):
-            for i in active:
-                trainer, _ = entries[i]
-                st = states[i]
-                if k >= st.iters:
-                    # this run completed every iteration and is only
-                    # awaiting bookkeeping; finishing it is O(1) and its
-                    # outcome must never be overwritten by the others'
-                    # timeout or interruption
-                    try:
-                        outcomes[i] = trainer._finish_run(st)
-                    except Exception as exc:
-                        outcomes[i] = exc
-                elif expired:
-                    outcomes[i] = LockstepTimeout(
-                        f"lockstep call exceeded {deadline_s:.0f}s budget "
-                        f"at iteration {k}"
-                    )
-            break
         stepping: list[int] = []
         results: dict[int, object] = {}
         misses: list[tuple[int, tuple]] = []

@@ -22,6 +22,7 @@ change every few hundred iterations re-simulate only when they change.
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -55,6 +56,15 @@ class RunDeadlineExceeded(RuntimeError):
     Raised by :meth:`Trainer.run` between iterations when
     ``deadline_s`` is set; the sweep runner maps it to a
     ``status="timeout"`` record exactly like the ``SIGALRM`` path.
+    """
+
+
+class RunInterrupted(RuntimeError):
+    """A training run stopped because its ``stop`` event was set.
+
+    Raised by :meth:`Trainer.run` at the same points as
+    :class:`RunDeadlineExceeded`; the sweep runner lands no record for
+    the run, so a journal resume re-runs it.
     """
 
 
@@ -306,7 +316,7 @@ class Trainer:
     # -- stepwise run protocol ----------------------------------------------
     # begin / decide (_pre_iteration) / fold (_post_iteration) / finish
     # hooks, shared by run() (a window decided per pricing call) and the
-    # lockstep driver (one iteration of many Trainers per call).
+    # lockstep pricing reference (one iteration of many Trainers per call).
 
     def _begin_run(self, iterations: int | None) -> _RunState:
         st = _RunState(
@@ -606,7 +616,10 @@ class Trainer:
 
     # -- main loop ----------------------------------------------------------
     def run(
-        self, iterations: int | None = None, deadline_s: float | None = None
+        self,
+        iterations: int | None = None,
+        deadline_s: float | None = None,
+        stop: threading.Event | None = None,
     ) -> TrainingResult:
         """Run the training loop: decide :data:`WINDOW` iterations, price
         them with :meth:`prewarm`, fold them, repeat.
@@ -616,16 +629,19 @@ class Trainer:
         while folding), raising :class:`RunDeadlineExceeded` when the
         budget is spent.  This is the signal-free timeout path: it works
         off the main thread and on platforms without ``SIGALRM``, where
-        the sweep runner cannot arm an alarm.  Simulated time is
+        the sweep runner cannot arm an alarm.  Once ``stop`` is set, the
+        same check raises :class:`RunInterrupted`.  Simulated time is
         unaffected.
         """
         start = time.monotonic() if deadline_s is not None else 0.0
         st = self._begin_run(iterations)
 
-        def check_deadline(k: int) -> None:
+        def check_limits(k: int) -> None:
+            if stop is not None and stop.is_set():
+                raise RunInterrupted(f"stopped at iteration {k}/{st.iters}")
             if deadline_s is not None and time.monotonic() - start > deadline_s:
                 raise RunDeadlineExceeded(
-                    f"exceeded {deadline_s:.0f}s budget (monotonic "
+                    f"exceeded {deadline_s:g}s budget (monotonic "
                     f"deadline check at iteration {k}/{st.iters})"
                 )
 
@@ -634,7 +650,7 @@ class Trainer:
             lanes: dict[tuple, tuple] = {}
             priced: dict[tuple, IterationResult] = {}
             for k in range(lo, min(lo + WINDOW, st.iters)):
-                check_deadline(k)
+                check_limits(k)
                 self._pre_iteration(st, k)
                 key = self._cache_key()
                 keys.append(key)
@@ -647,6 +663,6 @@ class Trainer:
                     priced[key] = res
             self.prewarm(lanes, priced)
             for k, key in enumerate(keys, lo):
-                check_deadline(k)
+                check_limits(k)
                 self._post_iteration(st, k, priced[key])
         return self._finish_run(st)

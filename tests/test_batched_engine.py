@@ -179,6 +179,31 @@ def test_identical_random_stress(trial, gpt24_cost):
     assert_all_identical(engine, scenarios)
 
 
+def test_chunks_stay_within_the_cell_budget(gpt24_cost, monkeypatch):
+    """One zb bin of 150 lanes at 16 stages x 64 micro-batches (2,048
+    ops a lane) reaches the executor in chunks of at most MAX_CELLS
+    lanes x ops, and every lane still equals its scalar run."""
+    rng = np.random.default_rng(9)
+    plan = PipelinePlan.uniform(N_LAYERS, 16)
+    engine = PipelineEngine(gpt24_cost, None, schedule="zb", num_micro=64)
+    scenarios = [(plan, random_states(rng)) for _ in range(150)]
+    cells = []
+    real = batched_mod.execute_compiled_batched
+
+    def recording(lv, fwd, *tables):
+        cells.append(fwd.shape[0] * lv.num_ops)
+        return real(lv, fwd, *tables)
+
+    monkeypatch.setattr(batched_mod, "execute_compiled_batched", recording)
+    batched = simulate_many([(engine, plan, states) for plan, states in scenarios])
+    assert sum(cells) == 150 * 2048
+    assert max(cells) <= batched_mod.MAX_CELLS
+    for (plan, states), fast in zip(scenarios, batched):
+        scalar = engine.run_iteration(plan, states)
+        assert fast.makespan == scalar.makespan
+        assert np.array_equal(fast.busy, scalar.busy)
+
+
 def test_heterogeneous_bin_splits_and_falls_back(gpt24_cost):
     """Mixed stage counts in one call: each (S, M) bin runs batched,
     and a bin of one falls back to the scalar engine — results stay

@@ -240,9 +240,9 @@ class TestDedupeAndProgress:
         calls = []
         real = runner_mod.execute_spec
 
-        def counting(spec, timeout_s=None):
+        def counting(spec, timeout_s=None, stop=None):
             calls.append(spec.spec_hash)
-            return real(spec, timeout_s)
+            return real(spec, timeout_s, stop)
 
         monkeypatch.setattr(runner_mod, "execute_spec", counting)
         spec = tiny()
@@ -352,9 +352,9 @@ class TestInterruptAndResume:
         calls = []
         real = runner_mod.execute_spec
 
-        def counting(spec, timeout_s=None):
+        def counting(spec, timeout_s=None, stop=None):
             calls.append(spec.spec_hash)
-            return real(spec, timeout_s)
+            return real(spec, timeout_s, stop)
 
         monkeypatch.setattr(runner_mod, "execute_spec", counting)
         with SweepJournal(path) as journal:
@@ -390,9 +390,24 @@ class TestInterruptAndResume:
     def test_batched_interrupt_stops_at_iteration_boundary(
         self, tmp_path, monkeypatch
     ):
-        """A SIGINT mid-lockstep stops the batched backend at the next
-        iteration boundary: unfinished runs land nothing, and a resume
-        re-runs exactly those to the rows an inline sweep produces."""
+        self._interrupt_stops_at_iteration_boundary(
+            "batched", tmp_path, monkeypatch
+        )
+
+    def test_inline_interrupt_stops_at_iteration_boundary(
+        self, tmp_path, monkeypatch
+    ):
+        self._interrupt_stops_at_iteration_boundary(
+            "inline", tmp_path, monkeypatch
+        )
+
+    def _interrupt_stops_at_iteration_boundary(
+        self, backend, tmp_path, monkeypatch
+    ):
+        """A SIGINT mid-run stops either in-process backend at the
+        run's next iteration: the unfinished run lands nothing, and a
+        resume re-runs exactly it to the rows an uninterrupted sweep
+        produces."""
         import os
         import signal
 
@@ -414,13 +429,13 @@ class TestInterruptAndResume:
             with SweepJournal(path) as journal:
                 with pytest.raises(SweepInterrupted) as info:
                     SweepRunner(
-                        policy=ExecutionPolicy("batched"), journal=journal
+                        policy=ExecutionPolicy(backend), journal=journal
                     ).run(specs)
         assert info.value.records == []
         with SweepJournal(path) as journal:
             assert not journal.prior
             resumed = SweepRunner(
-                policy=ExecutionPolicy("batched"), journal=journal
+                policy=ExecutionPolicy(backend), journal=journal
             ).run(specs)
 
         for a, b in zip(baseline, resumed):

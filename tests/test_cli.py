@@ -53,6 +53,8 @@ class TestParser:
             (["fig3", "--scenario", "moe", "--layers", "12"], "--layers"),
             (["fig-maxmodel", "--scenario", "moe", "--depths", "24",
               "--clusters", "1x8"], "--clusters"),
+            # fig-maxmodel probes only the 24/32/40/48-layer GPT configs
+            (["fig-maxmodel", "--depths", "30"], "--depths"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )

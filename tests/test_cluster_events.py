@@ -540,10 +540,9 @@ class TestTrainerEvents:
         )
         with pytest.raises(RuntimeError, match="every pipeline stage"):
             _event_trainer(5, trace).run()
-        # inline (a window decided before it is priced) and batched
-        # (lockstep: each iteration priced once decided) sweeps record
-        # the same failure — also when a memory-limited run overflows
-        # at an earlier shrink (8 -> 6 stages), which deciding hits first
+        # both in-process backend names record the same failure — also
+        # when a memory-limited run overflows at an earlier shrink
+        # (8 -> 6 stages), which deciding a window hits first
         from repro.orchestrator import ExecutionPolicy, RunSpec, SweepRunner
 
         shrink_then_kill = ClusterEventTrace(
@@ -682,11 +681,10 @@ class TestEventSweep:
         assert record.metrics["final_num_stages"] == 8
 
     def test_batched_executor_matches_serial_on_event_specs(self, tmp_path):
-        """The batched backend drives event specs through its lockstep
-        call (piecewise-static segments re-bin by current compiled key)
-        and still produces the same metrics as serial execution.
-        Controller-driven modes (dynmo-*) ride along: the lockstep
-        driver runs their hooks per iteration exactly like a solo run."""
+        """The batched backend prices event specs' windows segment by
+        segment (piecewise-static segments re-bin by current compiled
+        key) and produces the same metrics as serial execution, for
+        controller-driven modes (dynmo-*) too."""
         from repro.orchestrator import ExecutionPolicy, RunSpec, SweepRunner
 
         specs = [

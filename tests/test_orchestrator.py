@@ -202,7 +202,7 @@ class TestSweepRunner:
 
 
 class TestBatchedExecutor:
-    """jobs=0: binned lockstep execution in-process."""
+    """jobs=0: the in-process loop under the ``batched`` name."""
 
     def _grid(self):
         return [
@@ -226,13 +226,9 @@ class TestBatchedExecutor:
         assert [r.status for r in records] == ["ok", "error", "ok"]
         assert records[1].error_type == "ValueError"
 
-    def test_batched_repack_elastic_and_event_specs_run_in_lockstep(
-        self, monkeypatch
-    ):
+    def test_batched_matches_serial_on_repack_elastic_events(self):
         """Re-packing, elastic and event+repack runs change stage count
-        mid-flight; the batched backend drives them through its single
-        lockstep call (never the per-spec path) and matches serial."""
-        import repro.orchestrator.runner as runner_mod
+        mid-flight; the batched backend matches serial on all three."""
         from repro.cluster.events import ClusterEvent, ClusterEventTrace
 
         repack = tiny(
@@ -259,16 +255,7 @@ class TestBatchedExecutor:
             repack.with_(cluster="", cluster_events=trace.to_json()),
         ]
         serial = SweepRunner().run(specs)
-        calls = []
-        real = runner_mod.execute_spec
-
-        def counting(spec, timeout_s=None):
-            calls.append(spec.spec_hash)
-            return real(spec, timeout_s)
-
-        monkeypatch.setattr(runner_mod, "execute_spec", counting)
         batched = SweepRunner(policy=ExecutionPolicy("batched")).run(specs)
-        assert calls == []
         for a, b in zip(serial, batched):
             assert a.ok and b.ok, (a.error, b.error)
             assert a.metrics == b.metrics
@@ -278,10 +265,51 @@ class TestBatchedExecutor:
         assert (stages[4], stages[5], stages[25]) == (4, 3, 4)
 
     def test_batched_timeout_records_status(self):
+        self._timeout_records_status("batched")
+
+    def test_inline_timeout_records_status(self):
+        self._timeout_records_status("inline")
+
+    def _timeout_records_status(self, backend):
+        """A sub-second budget holds on both in-process backend names:
+        the alarm is armed to the budget, not rounded up to a second."""
         specs = [tiny(iterations=5000), tiny(iterations=5000, seed=1)]
-        records = SweepRunner(policy=ExecutionPolicy("batched"), timeout_s=1e-9).run(specs)
+        policy = ExecutionPolicy(backend, timeout_s=1e-9)
+        records = SweepRunner(policy=policy).run(specs)
         assert [r.status for r in records] == ["timeout", "timeout"]
         assert all(r.error_type == "SweepTimeout" for r in records)
+
+    def test_batched_runs_the_inline_loop(self, monkeypatch):
+        """The batched name runs each spec through Trainer.run's
+        windows: no lockstep call, and as many simulate_many calls as
+        inline on a dynmo-partition grid."""
+        import repro.pipeline.batched as batched_mod
+        import repro.training.lockstep as lockstep_mod
+
+        lockstep_calls = []
+        monkeypatch.setattr(
+            lockstep_mod,
+            "run_trainers_lockstep",
+            lambda *args, **kwargs: lockstep_calls.append(args),
+        )
+        pricing_calls = []
+        real = batched_mod.simulate_many
+
+        def counting(requests):
+            pricing_calls.append(len(requests))
+            return real(requests)
+
+        monkeypatch.setattr(batched_mod, "simulate_many", counting)
+        specs = [s for s in self._grid() if s.mode == "dynmo-partition"]
+        calls = {}
+        for backend in ("inline", "batched"):
+            pricing_calls.clear()
+            records = SweepRunner(policy=ExecutionPolicy(backend)).run(specs)
+            assert all(r.ok for r in records)
+            calls[backend] = list(pricing_calls)
+        assert lockstep_calls == []
+        assert calls["batched"] == calls["inline"]
+        assert len(calls["inline"]) >= len(specs)
 
     def test_batched_serves_and_fills_cache(self, tmp_path):
         cache = ResultCache(tmp_path)

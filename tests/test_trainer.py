@@ -346,62 +346,6 @@ class TestPrewarmAndLockstep:
         assert all(outcome is boom for outcome in outcomes)
         assert scalar_calls == []
 
-    def test_lockstep_stop_leaves_unfinished_runs_without_outcome(
-        self, gpt24_cost, gpt24_specs
-    ):
-        import threading
-
-        from repro.training import run_trainers_lockstep
-
-        stop = threading.Event()
-
-        class Stopping(StaticScheme):
-            def step(self, k, states):
-                if k == 3:
-                    stop.set()
-                return False
-
-        done = self._trainer(gpt24_cost, gpt24_specs, iters=2)
-        cut = self._trainer(gpt24_cost, gpt24_specs, scheme=Stopping(gpt24_specs))
-        out_done, out_cut = run_trainers_lockstep(
-            [(done, None), (cut, None)], stop=stop
-        )
-        assert out_done.iterations == 2
-        assert out_cut is None
-
-    def test_lockstep_deadline_times_out_runs(self, gpt24_cost, gpt24_specs):
-        from repro.training import LockstepTimeout, run_trainers_lockstep
-
-        t = self._trainer(gpt24_cost, gpt24_specs, iters=10_000)
-        (outcome,) = run_trainers_lockstep([(t, None)], deadline_s=0.0)
-        assert isinstance(outcome, LockstepTimeout)
-
-    def test_lockstep_deadline_never_overwrites_finished_runs(
-        self, gpt24_cost, gpt24_specs
-    ):
-        """Regression: a fast run that completed all its iterations
-        before the deadline expired must get its TrainingResult, not be
-        swept into the slow lockstep partner's LockstepTimeout."""
-        import time as _time
-
-        from repro.training import LockstepTimeout, run_trainers_lockstep
-
-        class Slow(StaticScheme):
-            def step(self, k, states):
-                _time.sleep(0.2)
-                return False
-
-        fast = self._trainer(gpt24_cost, gpt24_specs, scheme=Slow(gpt24_specs), iters=1)
-        slow = self._trainer(gpt24_cost, gpt24_specs, scheme=Slow(gpt24_specs), iters=50)
-        # after iteration 0 (~0.4s of scheme steps) the deadline is long
-        # expired; fast has no iterations left, slow has 49
-        out_fast, out_slow = run_trainers_lockstep(
-            [(fast, None), (slow, None)], deadline_s=0.1
-        )
-        assert isinstance(out_slow, LockstepTimeout)
-        assert not isinstance(out_fast, BaseException)
-        assert out_fast.iterations == 1
-
     def test_lockstep_mixed_iteration_counts(self, gpt24_cost, gpt24_specs):
         from repro.training import run_trainers_lockstep
 
@@ -561,6 +505,41 @@ class TestDecidePriceFold:
         with pytest.raises(RunDeadlineExceeded, match=r"exceeded 1s budget .*iteration 2/10"):
             t.run(deadline_s=1.0)
         assert not t._cache
+
+    def test_stop_checked_while_deciding_and_folding(self, gpt24_cost, gpt24_specs):
+        """A set stop event ends the run at its next iteration, in
+        either phase, with RunInterrupted."""
+        import threading
+
+        from repro.training.trainer import RunInterrupted
+
+        cfg = TrainingConfig(iterations=10, pp_stages=4, dp_ways=1)
+        stop = threading.Event()
+
+        class Stopping(StaticScheme):
+            def step(self, k, states):
+                if k == 2:
+                    stop.set()
+                return False
+
+        t = Trainer(cfg, gpt24_cost, Stopping(gpt24_specs))
+        with pytest.raises(RunInterrupted, match=r"iteration 3/10"):
+            t.run(stop=stop)
+        assert not t._cache  # stopped while deciding: nothing priced
+
+        stop.clear()
+        real = Trainer._post_iteration
+
+        def folding(self, st, k, res):
+            if k == 4:
+                stop.set()
+            real(self, st, k, res)
+
+        t = Trainer(cfg, gpt24_cost, StaticScheme(gpt24_specs))
+        t._post_iteration = folding.__get__(t)
+        with pytest.raises(RunInterrupted, match=r"iteration 5/10"):
+            t.run(stop=stop)
+        assert t._cache  # the window was priced before the fold stopped
 
 
 #: every built-in scheme a RunSpec can select: each scenario's own
