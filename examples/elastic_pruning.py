@@ -1,10 +1,11 @@
 """Elastic training under gradual global magnitude pruning.
 
 Reproduces the paper's flagship elasticity story (sections 3.2/3.4):
-a GPT is pruned on the Zhu-Gupta cubic schedule via the distributed
-global top-k of Algorithm 1; as compute shrinks, DynMo re-packs the
-pipeline onto fewer GPUs and releases them to an elastic job manager,
-sustaining throughput-per-GPU.
+a GPT is pruned on the Zhu-Gupta cubic schedule to the global top-k
+magnitudes of Algorithm 1 (the threshold the distributed algorithm
+agrees on, whatever the rank count); as compute shrinks, DynMo re-packs
+the pipeline onto fewer GPUs and releases them to an elastic job
+manager, sustaining throughput-per-GPU.
 
 Run:  python examples/elastic_pruning.py
 """
@@ -31,7 +32,7 @@ def main() -> None:
         end_iter=350,
         prune_every=50,
     )
-    scheme = PruningDynamism(specs, schedule=schedule, num_ranks=4, seed=0)
+    scheme = PruningDynamism(specs, schedule=schedule, seed=0)
 
     job_manager = ElasticJobManager(total_gpus=8)
     controller = DynMoController(

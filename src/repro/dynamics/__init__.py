@@ -10,11 +10,7 @@ to ~5x, freezing ~40%, sparse attention ~4x, early exit ~5x, MoD ~18%).
 
 from repro.dynamics.base import DynamismScheme, StaticScheme
 from repro.dynamics.moe import MoEDynamism
-from repro.dynamics.pruning import (
-    GradualPruningSchedule,
-    GlobalMagnitudePruner,
-    PruningDynamism,
-)
+from repro.dynamics.pruning import GradualPruningSchedule, PruningDynamism
 from repro.dynamics.freezing import FreezingDynamism
 from repro.dynamics.sparse_attention import SparseAttentionDynamism
 from repro.dynamics.early_exit import EarlyExitDynamism
@@ -25,7 +21,6 @@ __all__ = [
     "StaticScheme",
     "MoEDynamism",
     "GradualPruningSchedule",
-    "GlobalMagnitudePruner",
     "PruningDynamism",
     "FreezingDynamism",
     "SparseAttentionDynamism",

@@ -1,18 +1,21 @@
 """Gradual global magnitude pruning (paper sections 2.2, 3.2.1, Algorithm 1).
 
-Three pieces:
+Two pieces:
 
 - :class:`GradualPruningSchedule` — the Zhu–Gupta cubic schedule
   (Eq. 3): rapid pruning early, slowing as the network shrinks.
-- :class:`GlobalMagnitudePruner` — Algorithm 1 over a list of per-rank
-  weight shards: each rank takes its local top-k of |w|, the gathered
-  candidates' k-th largest is the *global* threshold, and each rank
-  keeps the weights at or above it.  Works on real numpy weight shards.
 - :class:`PruningDynamism` — drives the schedule during training and
   maps the resulting *non-uniform per-layer retention* onto LayerStates.
   Per-layer weight-magnitude scales differ (depth-dependent), so a
   global threshold prunes layers unevenly — exactly the imbalance
   source in the paper (Fig. 1 shows ~5x idleness at 90% sparsity).
+
+Algorithm 1 runs each rank's local top-k of |w|, takes the gathered
+candidates' k-th largest as the global threshold and keeps every weight
+at or above it.  Every global top-k weight is in its own rank's local
+top-k, so that threshold is the k-th largest magnitude of the whole
+model whatever the rank count: :class:`PruningDynamism` computes it
+with one partition over all proxy magnitudes.
 """
 
 from __future__ import annotations
@@ -61,43 +64,6 @@ class GradualPruningSchedule:
         )
 
 
-class GlobalMagnitudePruner:
-    """Algorithm 1: global magnitude pruning over per-rank weight shards."""
-
-    def __init__(self, num_ranks: int) -> None:
-        if num_ranks <= 0:
-            raise ValueError("num_ranks must be positive")
-        self.num_ranks = num_ranks
-
-    def prune(self, shards: list[np.ndarray], sparsity: float) -> list[np.ndarray]:
-        """Run Algorithm 1; returns per-rank boolean keep-masks.
-
-        Keeps the ``round(total * (1 - sparsity))`` largest magnitudes
-        (every weight tied with the k-th largest is kept too).
-        """
-        check_prob("sparsity", sparsity)
-        if len(shards) != self.num_ranks:
-            raise ValueError("one shard per rank required")
-        k = int(round(sum(s.size for s in shards) * (1.0 - sparsity)))
-        mags = [np.abs(s) for s in shards]
-        if k == 0:
-            return [np.zeros(m.shape, dtype=bool) for m in mags]
-        # line 3: each rank's local top-k magnitudes (all of a small shard)
-        local_top = [
-            np.partition(m, m.size - k, axis=None)[m.size - k :]
-            if m.size > k
-            else m.ravel()
-            for m in mags
-        ]
-        # lines 4-6: gather the candidates; their k-th largest is the
-        # global threshold, since every global top-k weight is in its
-        # own rank's local top-k
-        cand = np.concatenate(local_top)
-        thresh = np.partition(cand, cand.size - k)[cand.size - k]
-        # line 8: scatter the threshold; each rank keeps |w| >= it
-        return [m >= thresh for m in mags]
-
-
 #: proxy weight samples per layer that Algorithm 1 thresholds
 _PROXY_PER_LAYER = 2000
 #: spread of the log weight-magnitude scale from the first to the last
@@ -109,10 +75,10 @@ class PruningDynamism(DynamismScheme):
     """Maps the pruning schedule onto per-layer sparsity states.
 
     Each block layer gets a weight-magnitude scale sigma_i (log-normal
-    across depth). At each pruning step, Algorithm 1 runs on proxy
-    weight samples (``_PROXY_PER_LAYER`` values per layer, distributed
-    round-robin over ``num_ranks``), yielding a global threshold and
-    hence non-uniform per-layer retention.
+    across depth) and ``_PROXY_PER_LAYER`` proxy weights drawn at that
+    scale.  At each pruning step the global threshold over all proxy
+    magnitudes (Algorithm 1) sets each layer's retention: the fraction
+    of its proxies at or above the threshold, which differs per layer.
     """
 
     name = "pruning"
@@ -121,41 +87,34 @@ class PruningDynamism(DynamismScheme):
         self,
         specs: list[LayerSpec],
         schedule: GradualPruningSchedule | None = None,
-        num_ranks: int = 4,
         seed: int | np.random.Generator = 0,
     ) -> None:
         super().__init__(specs)
         self.schedule = schedule or GradualPruningSchedule()
         self.rebalance_every = self.schedule.prune_every
-        self.rng = new_rng(seed)
-        self.pruner = GlobalMagnitudePruner(num_ranks)
+        rng = new_rng(seed)
         d = len(self.block_indices)
         # deeper layers tend to have larger-magnitude weights -> retain more
         depth = np.linspace(-1.0, 1.0, d)
-        self._sigma = np.exp(_DEPTH_SCALE_SPREAD * depth + self.rng.normal(0, 0.1, d))
-        self._proxy = [
-            self.rng.normal(0.0, self._sigma[j], size=_PROXY_PER_LAYER)
-            for j in range(d)
-        ]
+        sigma = np.exp(_DEPTH_SCALE_SPREAD * depth + rng.normal(0, 0.1, d))
+        proxies = [rng.normal(0.0, sigma[j], size=_PROXY_PER_LAYER) for j in range(d)]
+        #: (d, _PROXY_PER_LAYER) proxy weight magnitudes, one row per block
+        self._mags = np.abs(np.stack(proxies))
         self.current_sparsity = self.schedule.initial_sparsity
-        self.per_layer_retention = np.ones(d)
 
     def _apply_global_prune(self, sparsity: float) -> np.ndarray:
-        """Run Algorithm 1 on proxy weights; return per-layer retention."""
-        flat = np.concatenate(self._proxy)
-        shards = np.array_split(flat, self.pruner.num_ranks)
-        keeps = self.pruner.prune(list(shards), sparsity)
-        keep_flat = np.concatenate(keeps)
-        # unsplit back into layers
-        sizes = [p.size for p in self._proxy]
-        offsets = np.cumsum([0] + sizes)
-        retention = np.array(
-            [
-                keep_flat[offsets[j] : offsets[j + 1]].mean()
-                for j in range(len(sizes))
-            ]
-        )
-        return retention
+        """Algorithm 1 on the proxy magnitudes; return per-layer retention.
+
+        Keeps the ``round(n * (1 - sparsity))`` largest magnitudes (every
+        weight tied with the k-th largest is kept too); ``k == 0`` keeps
+        nothing.
+        """
+        n = self._mags.size
+        k = int(round(n * (1.0 - sparsity)))
+        if k == 0:
+            return np.zeros(self._mags.shape[0])
+        thresh = np.partition(self._mags.ravel(), n - k)[n - k]
+        return (self._mags >= thresh).sum(axis=1) / _PROXY_PER_LAYER
 
     def step(self, k: int, states: list[LayerState]) -> bool:
         self._check(states)
@@ -166,7 +125,7 @@ class PruningDynamism(DynamismScheme):
             return False
         self.current_sparsity = target
         retention = self._apply_global_prune(target)
-        self.per_layer_retention = retention
-        for j, i in enumerate(self.block_indices):
-            states[i].sparsity = float(np.clip(1.0 - retention[j], 0.0, 1.0))
+        sparsity = np.clip(1.0 - retention, 0.0, 1.0).tolist()
+        for i, sp in zip(self.block_indices, sparsity):
+            states[i].sparsity = sp
         return True

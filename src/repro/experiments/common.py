@@ -53,6 +53,10 @@ SCENARIOS = (
 
 GPT_BY_LAYERS = {24: gpt_24, 32: gpt_32, 40: gpt_40, 48: gpt_48}
 
+#: paper iterations between rebalances (Fig. 4 table), scaled with the
+#: run length; the other scenarios rebalance every iteration
+_CADENCE = {"pruning": 1000, "freezing": 300, "early_exit": 100}
+
 
 def check_depth(name: str, num_layers: int) -> None:
     """Raise ``ValueError`` when scenario ``name`` has no model of
@@ -186,6 +190,9 @@ def build_scenario(
 
     # dynamism-schedule scaling: the paper's cadence assumes 10k iters
     scale = iterations / 10_000.0
+    # the scheme's rebalance cadence, known without building a scheme
+    cadence = _CADENCE.get(name)
+    every = max(1, int(cadence * scale)) if cadence else 1
 
     def scheme_factory(s: int = seed) -> DynamismScheme:
         if name == "moe":
@@ -194,13 +201,13 @@ def build_scenario(
             sched = GradualPruningSchedule(
                 start_iter=max(1, int(3000 * scale)),
                 end_iter=max(2, int(7000 * scale)),
-                prune_every=max(1, int(1000 * scale)),
+                prune_every=every,
             )
             return PruningDynamism(specs, schedule=sched, seed=s)
         if name == "freezing":
             return FreezingDynamism(
                 specs,
-                freeze_every=max(1, int(300 * scale)),
+                freeze_every=every,
                 tau0=max(1.0, 1000 * scale),
                 seed=s,
             )
@@ -208,7 +215,7 @@ def build_scenario(
             return SparseAttentionDynamism(specs, seed=s)
         if name == "early_exit":
             ee = EarlyExitDynamism(specs, ramp_iters=max(1, int(5000 * scale)), seed=s)
-            ee.rebalance_every = max(1, int(100 * scale))
+            ee.rebalance_every = every
             return ee
         if name == "mod":
             return MoDDynamism(specs, seed=s)
@@ -219,7 +226,6 @@ def build_scenario(
         # the paper's baseline for these is the *dense / no-exit* model
         baseline_factory = lambda s=seed: StaticScheme(specs)  # noqa: E731
 
-    probe = scheme_factory()
     return ScenarioSetup(
         name=name,
         cfg=cfg,
@@ -231,7 +237,7 @@ def build_scenario(
         iterations=iterations,
         pp_stages=pp_stages,
         dp_ways=dp_ways,
-        rebalance_every=probe.rebalance_every,
+        rebalance_every=every,
         baseline_scheme_factory=baseline_factory,
     )
 

@@ -34,19 +34,21 @@ _TMP_COUNTER = itertools.count()
 
 def atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
     """Write ``payload`` as JSON at ``path`` atomically (fsync'd)."""
+    # json.dumps encodes in C; json.dump into a file always takes the
+    # pure-Python encoder
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     tmp = path.with_name(
         f"{path.name}.tmp.{os.getpid()}."
         f"{threading.get_ident()}.{next(_TMP_COUNTER)}"
     )
     try:
         with tmp.open("w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(text + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
-        # a failed dump/replace must not orphan the temp file; after a
+        # a failed write/replace must not orphan the temp file; after a
         # successful replace the name is gone and this is a no-op
         tmp.unlink(missing_ok=True)
 

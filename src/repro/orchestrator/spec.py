@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from typing import Any
 
 SPEC_SCHEMA_VERSION = 4  # v4: precision / recompute / memory_limit axes
@@ -98,14 +99,15 @@ class RunSpec:
     def with_(self, **kwargs: Any) -> "RunSpec":
         return replace(self, **kwargs)
 
-    @property
+    @cached_property
     def spec_hash(self) -> str:
         """Stable 16-hex-char content hash of the spec.
 
         The payload folds in the schema version *and*
         :data:`SIM_VERSION`, so cached results are never served across
         changes that move simulated numbers — a bump invalidates the
-        whole cache.
+        whole cache.  Computed once per instance: the dataclass is
+        frozen, so the value cannot go stale.
         """
         payload = dict(
             self.to_dict(),

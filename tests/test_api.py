@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 import repro
-from repro.dynamics.pruning import GlobalMagnitudePruner
+from repro.dynamics.pruning import PruningDynamism
 from repro.orchestrator.runner import ExecutionPolicy, SweepRunner
 
 
@@ -87,18 +87,18 @@ class TestFacade:
         reference seconds on that assumption."""
         started, prunes = [], []
         thread_start = threading.Thread.start
-        prune = GlobalMagnitudePruner.prune
+        prune = PruningDynamism._apply_global_prune
 
         def counting_start(thread):
             started.append(thread.name)
             thread_start(thread)
 
-        def counting_prune(pruner, shards, sparsity):
+        def counting_prune(scheme, sparsity):
             prunes.append(sparsity)
-            return prune(pruner, shards, sparsity)
+            return prune(scheme, sparsity)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        monkeypatch.setattr(GlobalMagnitudePruner, "prune", counting_prune)
+        monkeypatch.setattr(PruningDynamism, "_apply_global_prune", counting_prune)
         assert repro.simulate(tiny()).ok
         records = repro.sweep(
             [tiny(), tiny(mode="dynmo-partition")], repro.ExecutionPolicy("batched")

@@ -6,7 +6,6 @@ import pytest
 from repro.dynamics import (
     EarlyExitDynamism,
     FreezingDynamism,
-    GlobalMagnitudePruner,
     GradualPruningSchedule,
     MoDDynamism,
     MoEDynamism,
@@ -17,6 +16,8 @@ from repro.dynamics import (
 from repro.experiments.common import build_scenario, make_trainer
 from repro.model.config import GPTConfig
 from repro.model.cost import build_layer_specs
+
+from pruning_oracle import GlobalMagnitudePruner
 
 
 @pytest.fixture

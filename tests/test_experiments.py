@@ -70,6 +70,33 @@ class TestBuildScenario:
         assert scheme.schedule.start_iter == 300
         assert scheme.schedule.end_iter == 700
 
+    def test_builds_no_scheme(self, monkeypatch):
+        """``build_scenario`` computes the cadence itself: building a
+        scheme (24 x 2000 proxy draws for pruning) waits for the run."""
+        import repro.dynamics.base as base
+
+        built = []
+        init = base.DynamismScheme.__init__
+
+        def counting_init(scheme, specs):
+            built.append(type(scheme).__name__)
+            init(scheme, specs)
+
+        monkeypatch.setattr(base.DynamismScheme, "__init__", counting_init)
+        for name in SCENARIOS:
+            build_scenario(name, iterations=60)
+        assert built == []
+        build_scenario("pruning", iterations=60).scheme_factory()
+        assert built == ["PruningDynamism"]
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    @pytest.mark.parametrize(
+        "shape", [dict(iterations=60), dict(iterations=150), dict(paper_scale=True)]
+    )
+    def test_rebalance_every_is_the_schemes(self, name, shape):
+        setup = build_scenario(name, **shape)
+        assert setup.rebalance_every == setup.scheme_factory().rebalance_every
+
 
 class TestRunTraining:
     def test_modes(self):

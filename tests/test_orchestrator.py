@@ -2,6 +2,7 @@
 
 import gc
 import json
+import pickle
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from repro.orchestrator import (
     write_csv,
     write_json,
 )
+from repro.orchestrator.fsio import atomic_write_json
 from repro.orchestrator.runner import SweepTimeout, _deadline
 
 
@@ -82,6 +84,23 @@ class TestRunSpec:
         spec = tiny()
         other = spec.with_(seed=7)
         assert other.seed == 7 and spec.seed == 0
+
+    def test_with_hashes_afresh(self):
+        """The hash is cached per instance: ``with_`` builds a new one
+        whose hash is computed from its own fields."""
+        spec = tiny()
+        cached = spec.spec_hash
+        other = spec.with_(seed=7)
+        assert other.spec_hash == tiny(seed=7).spec_hash != cached
+        assert spec.with_().spec_hash == cached
+
+    def test_pickle_roundtrip_keeps_hash(self):
+        fresh = tiny(seed=3)
+        hashed = tiny(seed=3)
+        assert len(hashed.spec_hash) == 16  # fills the per-instance cache
+        for spec in (fresh, hashed):
+            clone = pickle.loads(pickle.dumps(spec))
+            assert clone == spec and clone.spec_hash == tiny(seed=3).spec_hash
 
     def test_label_names_variant(self):
         label = tiny(mode="dynmo-partition", static_scheme=True).label
@@ -422,6 +441,36 @@ class TestResultCache:
         # the forced run replaced the entry on disk
         assert stale.read_text() != marked
         assert cache.get(spec) is not None
+
+
+class TestAtomicWriteJson:
+    def test_writes_compact_sorted_json_line(self, tmp_path):
+        payload = {"b": [1, 2.5, None], "a": {"z": "é", "y": True}}
+        path = tmp_path / "entry.json"
+        atomic_write_json(path, payload)
+        want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
+
+    def test_unencodable_payload_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            atomic_write_json(tmp_path / "entry.json", {"x": object()})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_entries_verify(self, tmp_path):
+        from repro.cli import main
+
+        specs = [tiny(), tiny(seed=1)]
+        SweepRunner(cache=ResultCache(tmp_path)).run(specs)
+        for spec in specs:
+            raw = (tmp_path / f"{spec.spec_hash}.json").read_text()
+            envelope = json.loads(raw)
+            assert raw == json.dumps(
+                envelope, sort_keys=True, separators=(",", ":")
+            ) + "\n"
+        audit = ResultCache(tmp_path).verify()
+        assert audit.ok == 2 and audit.clean
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
 
 
 class TestExport:
