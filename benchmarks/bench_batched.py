@@ -65,7 +65,7 @@ def _scenario_states(n: int) -> list:
     while len(out) < n:
         scheme.step(k, states)
         if k % 3 == 0:
-            out.append([s.copy() for s in states])
+            out.append(states.copy())
         k += 1
     return out[:n]
 

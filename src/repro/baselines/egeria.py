@@ -9,8 +9,9 @@ stays flat while Egeria's grows with layer count).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.dynamics.freezing import FreezingDynamism
-from repro.model.cost import LayerState
 
 
 #: reference-model maintenance seconds per iteration per squared layer
@@ -31,10 +32,10 @@ class EgeriaBaseline:
         d = len(scheme.block_indices)
         self.ref_cost_per_iter_s = _REF_COST_COEFF_S * d * d
 
-    def initial_states(self) -> list[LayerState]:
+    def initial_states(self) -> np.ndarray:
         return self.scheme.initial_states()
 
-    def step(self, k: int, states: list[LayerState]) -> bool:
+    def step(self, k: int, states: np.ndarray) -> bool:
         return self.scheme.step(k, states)
 
     def per_iteration_overhead_s(self) -> float:

@@ -16,8 +16,10 @@ static baselines and DynMo.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.dynamics.moe import MoEDynamism
-from repro.model.cost import LayerState
+from repro.model.cost import MOE_MULTIPLIER
 
 
 class TutelMoEBaseline:
@@ -38,13 +40,12 @@ class TutelMoEBaseline:
         self.specs = scheme.specs
         self.rebalance_every = 10**9  # no pipeline rebalancing
 
-    def initial_states(self) -> list[LayerState]:
+    def initial_states(self) -> np.ndarray:
         return self.scheme.initial_states()
 
-    def step(self, k: int, states: list[LayerState]) -> bool:
+    def step(self, k: int, states: np.ndarray) -> bool:
         changed = self.scheme.step(k, states)
-        for i in self.scheme.moe_layers:
-            m = states[i].moe_multiplier
-            damped = 1.0 + (m - 1.0) * (1.0 - self.damping)
-            states[i].moe_multiplier = damped * (1.0 + self.dispatch_overhead)
+        m = states[self.scheme.moe_layers, MOE_MULTIPLIER]
+        damped = 1.0 + (m - 1.0) * (1.0 - self.damping)
+        states[self.scheme.moe_layers, MOE_MULTIPLIER] = damped * (1.0 + self.dispatch_overhead)
         return changed

@@ -35,7 +35,7 @@ from repro.core.balancers import (
 )
 from repro.core.profiler import PipelineProfiler
 from repro.core.repack import repack_plan
-from repro.model.cost import LayerState, ModelCost
+from repro.model.cost import ModelCost
 from repro.model.memory import StageMemoryModel
 from repro.pipeline.migration import diff_plans
 from repro.pipeline.plan import PipelinePlan
@@ -188,7 +188,7 @@ class DynMoController:
 
     # -- the DynMo step -----------------------------------------------------
     def rebalance(
-        self, k: int, plan: PipelinePlan, states: list[LayerState]
+        self, k: int, plan: PipelinePlan, states: np.ndarray
     ) -> DynMoDecision:
         """One full DynMo invocation at iteration k."""
         decision = DynMoDecision(plan=plan)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.model.cost import LayerState, ModelCost, state_matrix
+from repro.model.cost import SPARSITY, ModelCost
 from repro.pipeline.plan import PipelinePlan
 from repro.utils.rng import new_rng
 
@@ -56,17 +56,16 @@ class PipelineProfiler:
         self.in_flight = in_flight
         self.rng = new_rng(seed)
 
-    def profile(self, plan: PipelinePlan, states: list[LayerState]) -> ProfileReport:
+    def profile(self, plan: PipelinePlan, states: np.ndarray) -> ProfileReport:
         if len(states) != len(self.cost.specs):
             raise ValueError("state/spec length mismatch")
-        sm = state_matrix([states])
-        fwd, bwd, _ = self.cost.layer_times(sm)
+        fwd, bwd, _ = self.cost.layer_times(states[None])
         fwd, bwd = fwd[0], bwd[0]
         if self.noise > 0:
             fwd = fwd * np.exp(self.rng.normal(0.0, self.noise, size=fwd.size))
             bwd = bwd * np.exp(self.rng.normal(0.0, self.noise, size=bwd.size))
-        params = self.cost.param_counts * (1.0 - sm[0, :, 0])
-        nbytes = self.cost.layer_bytes(sm, self.in_flight)[:, 0]
+        params = self.cost.param_counts * (1.0 - states[:, SPARSITY])
+        nbytes = self.cost.layer_bytes(states[None], self.in_flight)[:, 0]
         payload = nbytes[:4].sum(axis=0)  # everything but activations
         mem = plan.stage_sums(nbytes.sum(axis=0)).astype(float)
         return ProfileReport(fwd, bwd, params, payload, mem)

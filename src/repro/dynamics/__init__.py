@@ -1,11 +1,12 @@
 """The six dynamic-model scenarios (paper section 2).
 
-Each scheme mutates a vector of :class:`repro.model.LayerState` once
-per training iteration and reports whether the model/control-flow
-changed (the trigger for DynMo's profiling + rebalancing).  Schemes are
-*stochastic but seeded*; their statistics are calibrated to the
-imbalance magnitudes the paper measures in Fig. 1 (MoE ~25%, pruning up
-to ~5x, freezing ~40%, sparse attention ~4x, early exit ~5x, MoD ~18%).
+Each scheme writes columns of a run's ``(L, 6)`` layer-state array
+(:data:`repro.model.cost.STATE_FIELDS`) once per training iteration
+and reports whether the model/control-flow changed (the trigger for
+DynMo's profiling + rebalancing).  Schemes are *stochastic but
+seeded*; their statistics are calibrated to the imbalance magnitudes
+the paper measures in Fig. 1 (MoE ~25%, pruning up to ~5x, freezing
+~40%, sparse attention ~4x, early exit ~5x, MoD ~18%).
 """
 
 from repro.dynamics.base import DynamismScheme, StaticScheme

@@ -1,4 +1,9 @@
-"""Dynamism scheme interface."""
+"""Dynamism scheme interface.
+
+A scheme owns no state vector: the caller holds the run's ``(L, 6)``
+float64 layer-state array (:func:`~repro.model.cost.fresh_states`) and
+the scheme writes its columns in place each iteration.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +11,11 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.model.cost import LayerSpec, LayerState
+from repro.model.cost import LayerSpec, fresh_states
 
 
 class DynamismScheme(ABC):
-    """Mutates per-layer states each iteration.
+    """Writes per-layer state columns each iteration.
 
     ``rebalance_every`` is the paper-recommended DynMo invocation
     frequency for this scheme (Fig. 4 right table): 1 for MoE / sparse
@@ -31,7 +36,7 @@ class DynamismScheme(ABC):
         #: state vector while the version is unchanged.
         self.version = 0
 
-    def advance(self, k: int, states: list[LayerState]) -> bool:
+    def advance(self, k: int, states: np.ndarray) -> bool:
         """:meth:`step` plus version accounting (what callers that
         memoise on the state vector should invoke)."""
         changed = self.step(k, states)
@@ -39,18 +44,18 @@ class DynamismScheme(ABC):
             self.version += 1
         return changed
 
-    def initial_states(self) -> list[LayerState]:
-        return [LayerState() for _ in self.specs]
+    def initial_states(self) -> np.ndarray:
+        return fresh_states(len(self.specs))
 
     @abstractmethod
-    def step(self, k: int, states: list[LayerState]) -> bool:
-        """Advance to iteration ``k``; mutate states in place.
+    def step(self, k: int, states: np.ndarray) -> bool:
+        """Advance to iteration ``k``; write state columns in place.
 
         Returns True when the model or its control flow changed (i.e.
         DynMo should consider this a dynamism event).
         """
 
-    def _check(self, states: list[LayerState]) -> None:
+    def _check(self, states: np.ndarray) -> None:
         if len(states) != len(self.specs):
             raise ValueError("state/spec length mismatch")
 
@@ -61,6 +66,6 @@ class StaticScheme(DynamismScheme):
     name = "static"
     rebalance_every = 10**9
 
-    def step(self, k: int, states: list[LayerState]) -> bool:
+    def step(self, k: int, states: np.ndarray) -> bool:
         self._check(states)
         return False

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dynamics.base import DynamismScheme
-from repro.model.cost import LayerSpec, LayerState
+from repro.model.cost import TOKEN_FRACTION, LayerSpec
 from repro.utils.rng import new_rng
 from repro.utils.validation import check_prob
 
@@ -67,13 +67,11 @@ class EarlyExitDynamism(DynamismScheme):
                 alive = max(self.min_fraction, alive * (1.0 - step_rate))
         return surv
 
-    def step(self, k: int, states: list[LayerState]) -> bool:
+    def step(self, k: int, states: np.ndarray) -> bool:
         self._check(states)
         # survival statistics shift slowly; refresh on rebalance cadence
         if self._last_applied >= 0 and k % self.rebalance_every != 0:
             return False
-        surv = self.survival_curve(k)
-        for j, i in enumerate(self.block_indices):
-            states[i].token_fraction = float(surv[j])
+        states[self.block_indices, TOKEN_FRACTION] = self.survival_curve(k)
         self._last_applied = k
         return True

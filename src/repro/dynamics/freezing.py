@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dynamics.base import DynamismScheme
-from repro.model.cost import LayerSpec, LayerState
+from repro.model.cost import DROPPABLE_BWD, FROZEN, LayerSpec
 from repro.utils.rng import new_rng
 
 #: how much later the last layer converges than the first (the
@@ -62,7 +62,7 @@ class FreezingDynamism(DynamismScheme):
         )
         self.frozen_flags = np.zeros(d, dtype=bool)
 
-    def step(self, k: int, states: list[LayerState]) -> bool:
+    def step(self, k: int, states: np.ndarray) -> bool:
         self._check(states)
         if k % self.freeze_every != 0:
             return False
@@ -78,10 +78,9 @@ class FreezingDynamism(DynamismScheme):
                 self.frozen_flags[j] = True
                 changed = True
         if changed:
-            prefix = True
-            for j, i in enumerate(self.block_indices):
-                states[i].frozen = bool(self.frozen_flags[j])
-                # backward is droppable while the frozen prefix holds
-                states[i].droppable_bwd = bool(self.frozen_flags[j] and prefix)
-                prefix = prefix and self.frozen_flags[j]
+            states[self.block_indices, FROZEN] = self.frozen_flags
+            # backward is droppable while the frozen prefix holds
+            states[self.block_indices, DROPPABLE_BWD] = np.logical_and.accumulate(
+                self.frozen_flags
+            )
         return changed

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dynamics.base import DynamismScheme
-from repro.model.cost import LayerSpec, LayerState
+from repro.model.cost import MOE_MULTIPLIER, TOKEN_FRACTION, LayerSpec
 from repro.utils.rng import new_rng
 from repro.utils.validation import check_prob
 
@@ -73,7 +73,7 @@ class MoDDynamism(DynamismScheme):
             i: float(self.rng.normal(0.0, moe_imbalance)) for i in self.block_indices
         }
 
-    def step(self, k: int, states: list[LayerState]) -> bool:
+    def step(self, k: int, states: np.ndarray) -> bool:
         self._check(states)
         routed_set = set(self.routed)
         for i in self.block_indices:
@@ -81,7 +81,7 @@ class MoDDynamism(DynamismScheme):
                 x = self._moe_x[i]
                 x = (x + self.rng.normal(0.0, _MOE_DRIFT)) * (1.0 - _MOE_TETHER)
                 self._moe_x[i] = x
-                states[i].moe_multiplier = 1.0 + abs(x)
+                states[i, MOE_MULTIPLIER] = 1.0 + abs(x)
             if i in routed_set:
                 # persistent per-layer predictor bias (drifting) plus
                 # per-iteration misprediction noise: false-positives
@@ -91,7 +91,7 @@ class MoDDynamism(DynamismScheme):
                 )
                 err = self._bias[i] + abs(self.rng.normal(0.0, _PREDICTOR_ERROR))
                 frac = float(np.clip(self.capacity * (1.0 + err), 0.01, 1.0))
-                states[i].token_fraction = frac
+                states[i, TOKEN_FRACTION] = frac
             else:
-                states[i].token_fraction = 1.0
+                states[i, TOKEN_FRACTION] = 1.0
         return True

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dynamics.base import DynamismScheme
-from repro.model.cost import LayerSpec, LayerState
+from repro.model.cost import MOE_MULTIPLIER, LayerSpec
 from repro.utils.rng import new_rng
 
 #: range of the per-layer aux-loss tether toward uniform popularity,
@@ -82,7 +82,7 @@ class MoEDynamism(DynamismScheme):
         p /= p.sum()
         return self.rng.multinomial(n, p).astype(float)
 
-    def step(self, k: int, states: list[LayerState]) -> bool:
+    def step(self, k: int, states: np.ndarray) -> bool:
         self._check(states)
         for i in self.moe_layers:
             counts = self._counts_for(i)
@@ -92,5 +92,5 @@ class MoEDynamism(DynamismScheme):
             mult = float(counts.max() / fair) if fair > 0 else 1.0
             if self.router == "sbase":
                 mult *= 1.02  # auction assignment latency penalty
-            states[i].moe_multiplier = mult
+            states[i, MOE_MULTIPLIER] = mult
         return True  # routing changes every iteration

@@ -5,7 +5,8 @@ Two pieces:
 - :class:`GradualPruningSchedule` — the Zhu–Gupta cubic schedule
   (Eq. 3): rapid pruning early, slowing as the network shrinks.
 - :class:`PruningDynamism` — drives the schedule during training and
-  maps the resulting *non-uniform per-layer retention* onto LayerStates.
+  maps the resulting *non-uniform per-layer retention* onto the
+  sparsity column of the layer states.
   Per-layer weight-magnitude scales differ (depth-dependent), so a
   global threshold prunes layers unevenly — exactly the imbalance
   source in the paper (Fig. 1 shows ~5x idleness at 90% sparsity).
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dynamics.base import DynamismScheme
-from repro.model.cost import LayerSpec, LayerState
+from repro.model.cost import SPARSITY, LayerSpec
 from repro.utils.rng import new_rng
 from repro.utils.validation import check_prob
 
@@ -116,7 +117,7 @@ class PruningDynamism(DynamismScheme):
         thresh = np.partition(self._mags.ravel(), n - k)[n - k]
         return (self._mags >= thresh).sum(axis=1) / _PROXY_PER_LAYER
 
-    def step(self, k: int, states: list[LayerState]) -> bool:
+    def step(self, k: int, states: np.ndarray) -> bool:
         self._check(states)
         if not self.schedule.is_pruning_step(k):
             return False
@@ -125,7 +126,5 @@ class PruningDynamism(DynamismScheme):
             return False
         self.current_sparsity = target
         retention = self._apply_global_prune(target)
-        sparsity = np.clip(1.0 - retention, 0.0, 1.0).tolist()
-        for i, sp in zip(self.block_indices, sparsity):
-            states[i].sparsity = sp
+        states[self.block_indices, SPARSITY] = np.clip(1.0 - retention, 0.0, 1.0)
         return True

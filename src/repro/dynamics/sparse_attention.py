@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dynamics.base import DynamismScheme
-from repro.model.cost import LayerSpec, LayerState
+from repro.model.cost import ATTN_DENSITY, LayerSpec
 from repro.utils.rng import new_rng
 
 #: concentration of the per-layer Beta(a, b) base densities (a + b)
@@ -48,14 +48,12 @@ class SparseAttentionDynamism(DynamismScheme):
         self.base_density = self.rng.beta(a, b, size=d)
         self.base_density = np.clip(self.base_density, 0.02, 1.0)
 
-    def step(self, k: int, states: list[LayerState]) -> bool:
+    def step(self, k: int, states: np.ndarray) -> bool:
         self._check(states)
         d = len(self.block_indices)
         # slow drift of the base pattern (the model's representations move)
         self.base_density *= np.exp(self.rng.normal(0.0, self.drift, size=d))
         self.base_density = np.clip(self.base_density, 0.02, 1.0)
         dens = self.base_density * np.exp(self.rng.normal(0.0, self.jitter, size=d))
-        dens = np.clip(dens, 0.02, 1.0)
-        for j, i in enumerate(self.block_indices):
-            states[i].attn_density = float(dens[j])
+        states[self.block_indices, ATTN_DENSITY] = np.clip(dens, 0.02, 1.0)
         return True

@@ -94,12 +94,11 @@ def run_figure4_repacking(
 
 
 def _check_fits(setup: ScenarioSetup, workers: int, capacity: float) -> None:
-    """Raise OutOfMemoryError when the dense model can't pack that low."""
+    """Raise OutOfMemoryError when the model, at the scheme's terminal
+    state, can't pack onto that few workers."""
     from repro.core.profiler import PipelineProfiler
-    from repro.model.cost import fresh_states
 
     plan = PipelinePlan.uniform(len(setup.specs), workers)
-    report = PipelineProfiler(setup.cost).profile(plan, fresh_states(len(setup.specs)))
     # the *final* (shrunken) model is what gets packed; approximate its
     # footprint with the scheme's terminal state
     scheme = setup.scheme_factory()

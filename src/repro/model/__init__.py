@@ -2,12 +2,14 @@
 
 The discrete-event pipeline simulator does not execute full-size GPT
 layers; it consumes :class:`LayerSpec` (static FLOP/byte/parameter
-accounting derived from the architecture) combined with
-:class:`LayerState` (the time-varying multipliers produced by a
-dynamism scheme) to obtain per-layer forward/backward times on a given
-GPU.  This mirrors how the paper's balancers consume *measured* layer
-times; here the measurement is the cost model's output, optionally
-perturbed with noise to emulate real profiling jitter.
+accounting derived from the architecture) combined with a layer-state
+array (one row per layer, one column per
+:data:`~repro.model.cost.STATE_FIELDS` entry: the time-varying
+multipliers produced by a dynamism scheme) to obtain per-layer
+forward/backward times on a given GPU.  This mirrors how the paper's
+balancers consume *measured* layer times; here the measurement is the
+cost model's output, optionally perturbed with noise to emulate real
+profiling jitter.
 """
 
 from repro.model.config import (
@@ -22,10 +24,8 @@ from repro.model.config import (
 )
 from repro.model.cost import (
     LayerSpec,
-    LayerState,
     ModelCost,
     build_layer_specs,
-    state_matrix,
 )
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "llama_moe_3p5b_like",
     "MODEL_ZOO",
     "LayerSpec",
-    "LayerState",
     "ModelCost",
     "build_layer_specs",
-    "state_matrix",
 ]

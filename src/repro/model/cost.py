@@ -1,14 +1,16 @@
 """Per-layer FLOP / byte / memory accounting and dynamism-aware timing.
 
 A model is a list of :class:`LayerSpec` (static architecture facts).
-At training step *k* each layer also carries a :class:`LayerState`
-(dynamism multipliers).  :class:`ModelCost` turns (spec, state, GPU)
-into forward/backward seconds and resident bytes — the exact inputs
-DynMo's profiler hands to the balancers in the paper.
+At training step *k* each layer also carries six dynamism multipliers:
+a run's layer state is one ``(L, 6)`` float64 array whose columns follow
+:data:`STATE_FIELDS` (bools stored as exactly 0.0/1.0), built by
+:func:`fresh_states` and written column by column by the dynamism
+schemes.  :class:`ModelCost` turns (spec, state, GPU) into
+forward/backward seconds and resident bytes — the exact inputs DynMo's
+profiler hands to the balancers in the paper.
 
-Time and bytes are array-valued and have one path each.
-:func:`state_matrix` packs N state vectors into an ``(N, L, 6)`` float64
-matrix (columns in :data:`STATE_FIELDS` order).
+Time and bytes are array-valued and have one path each, over an
+``(N, L, 6)`` stack of N state arrays (``states[None]`` for one).
 :meth:`ModelCost.layer_times` prices it per layer, and
 :meth:`ModelCost.stage_times` sums layers into per-stage tables for N
 (plan, states) lanes at once.  The pipeline engine (one lane), the
@@ -99,71 +101,26 @@ class LayerSpec:
             raise ValueError("ffn_flops cannot exceed matmul_flops")
 
 
-@dataclass
-class LayerState:
-    """Time-varying dynamism multipliers for one layer.
-
-    sparsity: fraction of pruned weights in [0, 1].
-    frozen: layer excluded from weight updates.
-    droppable_bwd: True when the whole backward can be skipped
-        (all earlier layers frozen too — Egeria semantics).
-    attn_density: fraction of attention entries computed (dyn. sparse attn).
-    token_fraction: fraction of tokens still alive at this layer
-        (early exit / MoD routing).
-    moe_multiplier: slowest-expert inflation factor for the FFN
-        (max_e tokens_e / (total/E)); 1.0 means perfectly balanced.
-    """
-
-    sparsity: float = 0.0
-    frozen: bool = False
-    droppable_bwd: bool = False
-    attn_density: float = 1.0
-    token_fraction: float = 1.0
-    moe_multiplier: float = 1.0
-
-    def copy(self) -> "LayerState":
-        return type(self)(**vars(self))  # 2x faster than dataclasses.replace
-
-
-#: LayerState fields in state-matrix column order
+#: layer-state columns, in state-array order
 STATE_FIELDS = (
-    "sparsity",
-    "frozen",
-    "droppable_bwd",
-    "attn_density",
-    "token_fraction",
-    "moe_multiplier",
+    "sparsity",  # fraction of pruned weights in [0, 1]
+    "frozen",  # layer excluded from weight updates
+    "droppable_bwd",  # whole backward skippable: all earlier layers frozen too (Egeria)
+    "attn_density",  # fraction of attention entries computed (dyn. sparse attn)
+    "token_fraction",  # fraction of tokens still alive here (early exit / MoD)
+    "moe_multiplier",  # slowest-expert FFN inflation, max_e tokens_e / (total/E)
 )
-#: per-column bounds of a valid state matrix (bool columns are 0/1)
+SPARSITY, FROZEN, DROPPABLE_BWD, ATTN_DENSITY, TOKEN_FRACTION, MOE_MULTIPLIER = range(6)
+#: a dense, unfrozen, fully-routed layer
+_FRESH_STATE = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+#: per-column bounds of a valid state array (bool columns are 0/1)
 _STATE_MIN = np.array([0.0, -np.inf, -np.inf, 0.0, 0.0, 0.0])
 _STATE_MAX = np.array([1.0, np.inf, np.inf, 1.0, 1.0, np.inf])
 
 
-def state_matrix(states_list: Sequence[Sequence[LayerState]]) -> np.ndarray:
-    """N state vectors of L layers as one ``(N, L, 6)`` float64 matrix.
-
-    Columns follow :data:`STATE_FIELDS`; bools become exactly 0.0/1.0.
-    The matrix is C-contiguous, so one vector's ``tobytes()`` is the
-    layout :func:`repro.training.trainer.states_fingerprint` hashes.
-    Columns are filled one comprehension each, which is faster than
-    building per-layer rows.
-    """
-    n = len(states_list)
-    L = len(states_list[0]) if n else 0
-    if n == 1:
-        flat = states_list[0]
-    else:
-        if any(len(states) != L for states in states_list):
-            raise ValueError("state vectors differ in length")
-        flat = [st for states in states_list for st in states]
-    out = np.empty((n * L, 6))
-    out[:, 0] = [st.sparsity for st in flat]
-    out[:, 1] = [st.frozen for st in flat]
-    out[:, 2] = [st.droppable_bwd for st in flat]
-    out[:, 3] = [st.attn_density for st in flat]
-    out[:, 4] = [st.token_fraction for st in flat]
-    out[:, 5] = [st.moe_multiplier for st in flat]
-    return out.reshape(n, L, 6)
+def fresh_states(n: int) -> np.ndarray:
+    """A dense, unfrozen, fully-routed ``(n, 6)`` state array."""
+    return np.tile(_FRESH_STATE, (n, 1))
 
 
 @lru_cache(maxsize=1024)
@@ -259,7 +216,7 @@ def build_layer_specs(
 
 
 class ModelCost:
-    """Turns (LayerSpec, LayerState, GPU peak FLOPs) into seconds/bytes."""
+    """Turns (LayerSpec, layer state, GPU peak FLOPs) into seconds/bytes."""
 
     def __init__(
         self,
@@ -337,7 +294,7 @@ class ModelCost:
         return np.where(flops <= 0, 0.0, t)
 
     def _check_states(self, states: np.ndarray) -> None:
-        """Shape and range checks on a :func:`state_matrix`; NaN fails."""
+        """Shape and range checks on an ``(N, L, 6)`` state stack; NaN fails."""
         if states.ndim != 3 or states.shape[1:] != (len(self.specs), 6):
             raise ValueError(
                 f"got states of shape {states.shape} for {len(self.specs)} layer specs"
@@ -353,7 +310,7 @@ class ModelCost:
     def layer_times(
         self, states: np.ndarray, split: bool = False
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-layer ``(fwd, bwd, wgt)`` seconds for a :func:`state_matrix`.
+        """Per-layer ``(fwd, bwd, wgt)`` seconds for an ``(N, L, 6)`` state stack.
 
         Each is an ``(N, L)`` float64 matrix.  ``fwd`` is the forward
         pass.  Without ``split``, ``bwd`` is the whole backward (dX, dW
@@ -364,12 +321,12 @@ class ModelCost:
         layers cost no backward at all.
         """
         self._check_states(states)
-        sp = states[..., 0]
-        fz = states[..., 1]  # 0.0/1.0 flags: np.where selects on nonzero
-        dr = states[..., 2]
-        ad = states[..., 3]
-        tf = states[..., 4]
-        mm = states[..., 5]
+        sp = states[..., SPARSITY]
+        fz = states[..., FROZEN]  # 0.0/1.0 flags: np.where selects on nonzero
+        dr = states[..., DROPPABLE_BWD]
+        ad = states[..., ATTN_DENSITY]
+        tf = states[..., TOKEN_FRACTION]
+        mm = states[..., MOE_MULTIPLIER]
         pk = self._pk
         if np.count_nonzero(sp):  # some layer is pruned (sparsity is checked >= 0)
             mt_dense = self._matmul_times(self._dense_flops, sp)
@@ -426,14 +383,14 @@ class ModelCost:
         if len(plans) == 1:
             idx, last = _stage_layout(boundaries[0], L)
             steps = table[:, :, idx]  # (3, n, width, S)
-            tf_last = states[:, last, 4]
+            tf_last = states[:, last, TOKEN_FRACTION]
         else:
             width = max(max(map(operator.sub, b[1:], b[:-1])) for b in plans)
             lane = np.arange(n)
             layouts = [_stage_layout(b, L, width) for b in boundaries]
             steps = table[:, lane[:, None, None], np.stack([i for i, _ in layouts])]
             last = np.stack([j for _, j in layouts])
-            tf_last = states[lane[:, None], last, 4]
+            tf_last = states[lane[:, None], last, TOKEN_FRACTION]
         acc = np.zeros((3, n, steps.shape[3]))
         for j in range(steps.shape[2]):
             acc += steps[:, :, j]
@@ -447,7 +404,7 @@ class ModelCost:
         in_flight: "int | np.ndarray" = 1,
         precision: str = "mixed",
     ) -> np.ndarray:
-        """Per-layer resident bytes for a :func:`state_matrix`.
+        """Per-layer resident bytes for an ``(N, L, 6)`` state stack.
 
         Returns an ``(5, N, L)`` int64 array whose rows follow
         :data:`BYTE_FIELDS`: working weights (CSR values + index when
@@ -464,9 +421,9 @@ class ModelCost:
         """
         self._check_states(states)
         wb, mb, gb, ob, act_scale = PRECISION_BYTES[precision]
-        sp = states[..., 0]
-        fz = states[..., 1]
-        tf = states[..., 4]
+        sp = states[..., SPARSITY]
+        fz = states[..., FROZEN]
+        tf = states[..., TOKEN_FRACTION]
         params = self.param_counts
         active = params * (1.0 - sp)
         weight = np.where(sp > 0, active * (wb + CSR_INDEX_BYTES), params * wb)
@@ -481,8 +438,3 @@ class ModelCost:
         out[3] = np.where(fz, 0.0, active * ob * OPTIMIZER_STATES)
         out[4] = self._act_bytes * tf * np.maximum(1, in_flight) * act_scale
         return out
-
-
-def fresh_states(n: int) -> list[LayerState]:
-    """A dense, unfrozen, fully-routed state vector for n layers."""
-    return [LayerState() for _ in range(n)]

@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.model.cost import state_matrix
+import numpy as np
+import numpy.typing as npt
 
 SCHEDULES = ("gpipe", "1f1b", "zb")
 
@@ -155,21 +156,21 @@ class StageMemoryModel:
         return caps
 
     # -- accounting ---------------------------------------------------------
-    def _layer_bytes(self, states: Sequence[Any], in_flight: Any) -> Any:
+    def _layer_bytes(self, states: npt.NDArray[np.float64], in_flight: Any) -> Any:
         """``(5, L)`` int64 per-layer bytes in the cost's precision."""
         cost = self.cost
         if len(states) != len(cost.specs):
             raise ValueError(f"got {len(states)} states for {len(cost.specs)} layer specs")
-        return cost.layer_bytes(state_matrix([states]), in_flight, cost.precision)[:, 0]
+        return cost.layer_bytes(states[None], in_flight, cost.precision)[:, 0]
 
-    def _stage_bytes(self, plan: Any, states: Sequence[Any]) -> Any:
+    def _stage_bytes(self, plan: Any, states: npt.NDArray[np.float64]) -> Any:
         """``(5, S)`` int64 per-stage bytes, each stage at its in-flight
         count."""
         S = plan.num_stages
         infl = [self.in_flight(s, S) for s in range(S) for _ in plan.stage_layers(s)]
         return plan.stage_sums(self._layer_bytes(states, infl))
 
-    def layer_bytes(self, states: Sequence[Any], in_flight: int) -> list[int]:
+    def layer_bytes(self, states: npt.NDArray[np.float64], in_flight: int) -> list[int]:
         """Per-layer resident bytes at a fixed in-flight count.
 
         This is the vector balancers consume: per-layer memory cannot
@@ -179,7 +180,7 @@ class StageMemoryModel:
         totals: list[int] = self._layer_bytes(states, in_flight).sum(axis=0).tolist()
         return totals
 
-    def plan_stage_bytes(self, plan: Any, states: Sequence[Any]) -> list[int]:
+    def plan_stage_bytes(self, plan: Any, states: npt.NDArray[np.float64]) -> list[int]:
         """Total resident bytes per stage of ``plan`` (no capacities)."""
         totals: list[int] = self._stage_bytes(plan, states).sum(axis=0).tolist()
         return totals
@@ -187,7 +188,7 @@ class StageMemoryModel:
     def stage_reports(
         self,
         plan: Any,
-        states: Sequence[Any],
+        states: npt.NDArray[np.float64],
         capacities: Sequence[float],
         ranks: Sequence[tuple[int, ...]] | None = None,
     ) -> list[StageMemoryReport]:

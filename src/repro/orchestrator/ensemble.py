@@ -41,9 +41,12 @@ from repro.orchestrator.spec import RunSpec
 class TraceDistribution:
     """Parameters of the seeded trace generator, minus the seed.
 
-    ``num_ranks=0`` (the default) sizes the draw pool to the base
-    spec's ``pp_stages * dp_ways`` at sampling time.  All other fields
-    mirror :meth:`ClusterEventTrace.generate`.
+    ``num_ranks=0`` (the default) sizes the draw pool to the ranks the
+    base spec actually runs on, ``pp_stages * dp_ways`` of its effective
+    shape (:func:`~repro.experiments.common.effective_shape`: MoE widens
+    to 16 stages, ``paper_scale`` picks the paper's grid), at sampling
+    time; events are drawn over the effective iteration count too.  All
+    other fields mirror :meth:`ClusterEventTrace.generate`.
     """
 
     num_ranks: int = 0
@@ -97,13 +100,20 @@ def sample_specs(
     the identical event-free spec (same content hash), so they cost one
     execution regardless of how many there are.
     """
+    # deferred: repro.experiments imports repro.orchestrator for the
+    # figure drivers, so importing it at module level would be circular
+    from repro.experiments.common import effective_shape
+
     if n <= 0:
         raise ValueError(f"ensemble size must be positive, got {n}")
     dist = distribution or TraceDistribution()
-    ranks = base.pp_stages * base.dp_ways
+    stages, dp_ways, iterations = effective_shape(
+        base.scenario, base.pp_stages, base.dp_ways, base.iterations, base.paper_scale
+    )
+    ranks = stages * dp_ways
     specs: list[RunSpec] = []
     for i in range(n):
-        trace = dist.sample(base.iterations, ranks, seed0 + i)
+        trace = dist.sample(iterations, ranks, seed0 + i)
         specs.append(base.with_(cluster_events=trace.to_json() if trace else ""))
     return specs
 

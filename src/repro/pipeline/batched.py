@@ -39,11 +39,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.model.cost import state_matrix
 from repro.pipeline.compiled import CompiledSchedule, compile_schedule, merge_lane
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from repro.model.cost import LayerState
     from repro.pipeline.engine import IterationResult, PipelineEngine
     from repro.pipeline.plan import PipelinePlan
 
@@ -286,7 +284,7 @@ def _fill_weight_grads_batched(
 
 
 def simulate_many(
-    requests: Sequence[tuple["PipelineEngine", "PipelinePlan", list["LayerState"]]],
+    requests: Sequence[tuple["PipelineEngine", "PipelinePlan", np.ndarray]],
 ) -> list["IterationResult"]:
     """Simulate many (engine, plan, states) scenarios, batching by key.
 
@@ -345,7 +343,7 @@ def simulate_many(
             for lanes in by_content.values():
                 reqs = [requests[chunk[lane]] for lane in lanes]
                 f, b, w, a = reqs[0][0].cost.stage_times(
-                    state_matrix([states for _, _, states in reqs]),
+                    np.stack([states for _, _, states in reqs]),
                     [plan.boundaries for _, plan, _ in reqs],
                     split,
                 )

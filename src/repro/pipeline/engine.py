@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.cluster.collectives import CommCostModel
 from repro.cluster.placement import Placement
-from repro.model.cost import LayerState, ModelCost, state_matrix
+from repro.model.cost import ModelCost
 from repro.pipeline.compiled import TimelineOp, compile_schedule, execute_compiled
 from repro.pipeline.plan import PipelinePlan
 from repro.pipeline.schedules import Schedule
@@ -112,7 +112,7 @@ class PipelineEngine:
 
     # -- per-stage aggregate times ------------------------------------------
     def stage_times(
-        self, plan: PipelinePlan, states: list[LayerState]
+        self, plan: PipelinePlan, states: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(fwd, bwd_or_B, W, boundary activation bytes) per stage.
 
@@ -120,7 +120,7 @@ class PipelineEngine:
         this engine's effective speeds.
         """
         fwd, bwd, wgt, act_bytes = self.cost.stage_times(
-            state_matrix([states]), [plan.boundaries], self.schedule.name == "zb"
+            states[None], [plan.boundaries], self.schedule.name == "zb"
         )
         fwd, bwd, wgt, act_bytes = fwd[0], bwd[0], wgt[0], act_bytes[0]
         speeds = self._effective_speeds(plan.num_stages)
@@ -246,7 +246,7 @@ class PipelineEngine:
 
     # -- simulation ---------------------------------------------------------
     def run_iteration(
-        self, plan: PipelinePlan, states: list[LayerState]
+        self, plan: PipelinePlan, states: np.ndarray
     ) -> IterationResult:
         """One topological pass over the process-wide compiled op tables."""
         self._check_placement(plan)
@@ -263,7 +263,7 @@ class PipelineEngine:
     def _finish(
         self,
         plan: PipelinePlan,
-        states: list[LayerState],
+        states: np.ndarray,
         worker_time: list[float],
         busy: list[float] | np.ndarray,
         timeline: list[TimelineOp] | None = None,
@@ -274,7 +274,7 @@ class PipelineEngine:
         if self.dp_ways > 1 and self.comm is not None:
             # per-stage gradient bytes exchanged across the DP group
             # (frozen/pruned parameters are excluded, as in the paper)
-            grads = self.cost.layer_bytes(state_matrix([states]))[2, 0]
+            grads = self.cost.layer_bytes(states[None])[2, 0]
             grad_bytes = plan.stage_sums(grads).astype(float)
             for s in range(plan.num_stages):
                 t = self.comm.allreduce_time(self._dp_group(s), grad_bytes[s])

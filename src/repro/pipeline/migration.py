@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.cluster.collectives import CommCostModel
 from repro.cluster.placement import Placement
-from repro.model.cost import LayerState, ModelCost, state_matrix
+from repro.model.cost import ModelCost
 from repro.pipeline.plan import PipelinePlan
 
 
@@ -104,7 +104,7 @@ def diff_plans(
     old: PipelinePlan,
     new: PipelinePlan,
     cost: ModelCost,
-    states: list[LayerState],
+    states: np.ndarray,
 ) -> MigrationPlan:
     """Transfers required to morph ``old`` into ``new``.
 
@@ -120,7 +120,7 @@ def diff_plans(
     moved = np.flatnonzero(src != dst)
     plan = MigrationPlan()
     if moved.size:
-        payload = cost.layer_bytes(state_matrix([states]))[:4, 0].sum(axis=0)
+        payload = cost.layer_bytes(states[None])[:4, 0].sum(axis=0)
         plan.transfers = [
             LayerTransfer(*t)
             for t in zip(

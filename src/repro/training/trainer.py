@@ -36,7 +36,7 @@ from repro.cluster.memory import PlacementOOMError
 from repro.cluster.placement import Placement, make_placement, validate_memory
 from repro.core.controller import MIGRATION_OVERLAP, DynMoController, DynMoDecision
 from repro.dynamics.base import DynamismScheme
-from repro.model.cost import LayerState, ModelCost, state_matrix
+from repro.model.cost import ModelCost
 from repro.model.memory import StageMemoryModel
 from repro.pipeline.engine import IterationResult, PipelineEngine
 from repro.pipeline.migration import diff_plans
@@ -68,11 +68,10 @@ class RunInterrupted(RuntimeError):
     """
 
 
-def states_fingerprint(states: list[LayerState]) -> bytes:
-    """Stable hash of the dynamism state vector (for memoisation): the
-    bytes of its :func:`~repro.model.cost.state_matrix`, the layout the
-    cost model prices."""
-    return hashlib.blake2b(state_matrix([states]).tobytes(), digest_size=16).digest()
+def states_fingerprint(states: np.ndarray) -> bytes:
+    """Stable hash of the ``(L, 6)`` layer-state array (for
+    memoisation): its bytes, the layout the cost model prices."""
+    return hashlib.blake2b(states.tobytes(), digest_size=16).digest()
 
 
 @dataclass
@@ -581,7 +580,7 @@ class Trainer:
     # -- pricing --------------------------------------------------------------
     def prewarm(
         self,
-        lanes: dict[tuple, tuple[PipelinePlan, list[LayerState], Placement | None]],
+        lanes: dict[tuple, tuple[PipelinePlan, np.ndarray, Placement | None]],
         priced: dict[tuple, IterationResult],
     ) -> int:
         """Price a window's cache misses in one batched call; return the
@@ -658,7 +657,7 @@ class Trainer:
                     continue
                 res = self._cache_lookup(key)
                 if res is None:
-                    lanes[key] = (self.plan, [s.copy() for s in self.states], self.placement)
+                    lanes[key] = (self.plan, self.states.copy(), self.placement)
                 else:
                     priced[key] = res
             self.prewarm(lanes, priced)

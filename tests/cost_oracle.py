@@ -9,13 +9,19 @@ time, in plain Python numbers — and the per-stage accumulation loop the
 engine used to run, so tests can require the array paths to equal them
 bit for bit.  Tests of cost *semantics* call the production array paths
 instead.
+
+The formulas read one layer's state as :class:`Row`, named scalars
+taken from one row of a run's ``(L, 6)`` state array; functions over
+a whole state vector take the array itself.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.model.cost import LayerSpec, LayerState, ModelCost
+from repro.model.cost import STATE_FIELDS, LayerSpec, ModelCost
 from repro.pipeline.engine import IterationResult, PipelineEngine
 from repro.pipeline.plan import PipelinePlan
 from repro.sparse.kernels import (
@@ -38,7 +44,26 @@ def best_kernel_time(dense_flops: float, sparsity: float, peak_flops: float = 98
     return min(candidates)
 
 
-def _validate(state: LayerState) -> None:
+class Row(NamedTuple):
+    """One layer's state as Python scalars (bool columns stay 0.0/1.0)."""
+
+    sparsity: float
+    frozen: float
+    droppable_bwd: float
+    attn_density: float
+    token_fraction: float
+    moe_multiplier: float
+
+
+assert Row._fields == STATE_FIELDS
+
+
+def rows(states: np.ndarray) -> list[Row]:
+    """Each row of an ``(L, 6)`` state array as a :class:`Row`."""
+    return [Row(*r) for r in states.tolist()]
+
+
+def _validate(state: Row) -> None:
     """The range checks ``ModelCost`` applies to every priced state."""
     for name in ("sparsity", "attn_density", "token_fraction"):
         value = getattr(state, name)
@@ -57,7 +82,7 @@ def matmul_time(cost: ModelCost, flops: float, sparsity: float) -> float:
     return best_kernel_time(flops, sparsity, cost.peak_flops * cost.efficiency / 0.62)
 
 
-def forward_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
+def forward_time(cost: ModelCost, spec: LayerSpec, state: Row) -> float:
     _validate(state)
     ffn = spec.ffn_flops * state.moe_multiplier
     dense_part = spec.matmul_flops - spec.ffn_flops
@@ -67,7 +92,7 @@ def forward_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
     return t * state.token_fraction
 
 
-def backward_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
+def backward_time(cost: ModelCost, spec: LayerSpec, state: Row) -> float:
     """dX + dW (unless frozen) + 2x attention quadratic."""
     _validate(state)
     if state.droppable_bwd:
@@ -84,7 +109,7 @@ def backward_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
     return total
 
 
-def backward_input_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
+def backward_input_time(cost: ModelCost, spec: LayerSpec, state: Row) -> float:
     """Only the activation-gradient half of backward (zero-bubble 'B' op)."""
     full = backward_time(cost, spec, state)
     if full == 0.0:
@@ -93,7 +118,7 @@ def backward_input_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> 
     return full - dw
 
 
-def weight_grad_time(cost: ModelCost, spec: LayerSpec, state: LayerState) -> float:
+def weight_grad_time(cost: ModelCost, spec: LayerSpec, state: Row) -> float:
     """The dW half of backward (zero-bubble 'W' op)."""
     if state.droppable_bwd or state.frozen:
         return 0.0
@@ -110,7 +135,7 @@ MASTER_BYTES = 4
 OPT_STATES = 2
 
 
-def param_bytes(cost: ModelCost, spec: LayerSpec, state: LayerState) -> int:
+def param_bytes(cost: ModelCost, spec: LayerSpec, state: Row) -> int:
     """Weights (+ master copy) with CSR overhead when pruned."""
     active = spec.param_count * (1.0 - state.sparsity)
     if state.sparsity > 0:
@@ -122,14 +147,14 @@ def param_bytes(cost: ModelCost, spec: LayerSpec, state: LayerState) -> int:
     return int(weight + master)
 
 
-def grad_bytes(cost: ModelCost, spec: LayerSpec, state: LayerState) -> int:
+def grad_bytes(cost: ModelCost, spec: LayerSpec, state: Row) -> int:
     if state.frozen:
         return 0
     active = spec.param_count * (1.0 - state.sparsity)
     return int(active * MASTER_BYTES)
 
 
-def optimizer_bytes(cost: ModelCost, spec: LayerSpec, state: LayerState) -> int:
+def optimizer_bytes(cost: ModelCost, spec: LayerSpec, state: Row) -> int:
     if state.frozen:
         return 0
     active = spec.param_count * (1.0 - state.sparsity)
@@ -137,7 +162,7 @@ def optimizer_bytes(cost: ModelCost, spec: LayerSpec, state: LayerState) -> int:
 
 
 def activation_bytes(
-    cost: ModelCost, spec: LayerSpec, state: LayerState, in_flight: int
+    cost: ModelCost, spec: LayerSpec, state: Row, in_flight: int
 ) -> int:
     if cost.activation_recompute:
         in_flight = 1  # only the boundary activation is retained
@@ -145,7 +170,7 @@ def activation_bytes(
 
 
 def layer_memory(
-    cost: ModelCost, spec: LayerSpec, state: LayerState, in_flight: int = 1
+    cost: ModelCost, spec: LayerSpec, state: Row, in_flight: int = 1
 ) -> int:
     """Mixed-precision resident bytes of one layer."""
     return (
@@ -157,7 +182,7 @@ def layer_memory(
 
 
 def layer_components(
-    cost: ModelCost, spec: LayerSpec, state: LayerState, in_flight: int, precision: str
+    cost: ModelCost, spec: LayerSpec, state: Row, in_flight: int, precision: str
 ) -> tuple[int, int, int, int, int]:
     """(weight, master, grad, optimizer, activation) bytes for one layer;
     "mixed" splits :func:`param_bytes` into weights and master copy."""
@@ -186,7 +211,7 @@ def layer_components(
     return weight, master, grad, opt, act
 
 
-def migration_bytes(cost: ModelCost, layer: int, state: LayerState) -> int:
+def migration_bytes(cost: ModelCost, layer: int, state: Row) -> int:
     """Bytes shipped when migrating one layer (weights+grad+opt state)."""
     spec = cost.specs[layer]
     return (
@@ -196,45 +221,48 @@ def migration_bytes(cost: ModelCost, layer: int, state: LayerState) -> int:
     )
 
 
-def dp_grad_bytes(cost: ModelCost, plan: PipelinePlan, states: list[LayerState]) -> np.ndarray:
+def dp_grad_bytes(cost: ModelCost, plan: PipelinePlan, states: np.ndarray) -> np.ndarray:
     """Per-stage gradient bytes exchanged across the DP group."""
+    layer_states = rows(states)
     out = np.zeros(plan.num_stages)
     for s in range(plan.num_stages):
         for li in plan.stage_layers(s):
-            out[s] += grad_bytes(cost, cost.specs[li], states[li])
+            out[s] += grad_bytes(cost, cost.specs[li], layer_states[li])
     return out
 
 
 # -- accumulation loops --------------------------------------------------------
-def total_forward_time(cost: ModelCost, states: list[LayerState]) -> float:
-    return sum(forward_time(cost, sp, st) for sp, st in zip(cost.specs, states))
+def total_forward_time(cost: ModelCost, states: np.ndarray) -> float:
+    return sum(forward_time(cost, sp, st) for sp, st in zip(cost.specs, rows(states)))
 
 
-def total_backward_time(cost: ModelCost, states: list[LayerState]) -> float:
-    return sum(backward_time(cost, sp, st) for sp, st in zip(cost.specs, states))
+def total_backward_time(cost: ModelCost, states: np.ndarray) -> float:
+    return sum(backward_time(cost, sp, st) for sp, st in zip(cost.specs, rows(states)))
 
 
 def layer_times(
-    cost: ModelCost, states: list[LayerState], split: bool
+    cost: ModelCost, states: np.ndarray, split: bool
 ) -> tuple[list[float], list[float], list[float]]:
     """Per-layer (fwd, bwd_or_B, W) lists; W is zeros unless ``split``."""
-    fwd = [forward_time(cost, sp, st) for sp, st in zip(cost.specs, states)]
+    layers = list(zip(cost.specs, rows(states)))
+    fwd = [forward_time(cost, sp, st) for sp, st in layers]
     if split:
-        bwd = [backward_input_time(cost, sp, st) for sp, st in zip(cost.specs, states)]
-        wgt = [weight_grad_time(cost, sp, st) for sp, st in zip(cost.specs, states)]
+        bwd = [backward_input_time(cost, sp, st) for sp, st in layers]
+        wgt = [weight_grad_time(cost, sp, st) for sp, st in layers]
     else:
-        bwd = [backward_time(cost, sp, st) for sp, st in zip(cost.specs, states)]
+        bwd = [backward_time(cost, sp, st) for sp, st in layers]
         wgt = [0.0] * len(states)
     return fwd, bwd, wgt
 
 
 def base_stage_times(
-    cost: ModelCost, plan: PipelinePlan, states: list[LayerState], split: bool
+    cost: ModelCost, plan: PipelinePlan, states: np.ndarray, split: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-stage times before any speed scaling (the per-layer loop)."""
     specs = cost.specs
     if len(states) != len(specs):
         raise ValueError("state/spec length mismatch")
+    layer_states = rows(states)
     S = plan.num_stages
     fwd = np.zeros(S)
     bwd = np.zeros(S)
@@ -242,7 +270,7 @@ def base_stage_times(
     act_bytes = np.zeros(S)
     for s in range(S):
         for li in plan.stage_layers(s):
-            sp, st = specs[li], states[li]
+            sp, st = specs[li], layer_states[li]
             fwd[s] += forward_time(cost, sp, st)
             if split:
                 bwd[s] += backward_input_time(cost, sp, st)
@@ -250,12 +278,12 @@ def base_stage_times(
             else:
                 bwd[s] += backward_time(cost, sp, st)
         last = plan.boundaries[s + 1] - 1
-        act_bytes[s] = specs[last].activation_bytes * states[last].token_fraction
+        act_bytes[s] = specs[last].activation_bytes * layer_states[last].token_fraction
     return fwd, bwd, wgt, act_bytes
 
 
 def stage_times(
-    engine: PipelineEngine, plan: PipelinePlan, states: list[LayerState]
+    engine: PipelineEngine, plan: PipelinePlan, states: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The loop's tables divided by the engine's effective speeds."""
     fwd, bwd, wgt, act_bytes = base_stage_times(
@@ -268,7 +296,7 @@ def stage_times(
 
 
 def run_iteration(
-    engine: PipelineEngine, plan: PipelinePlan, states: list[LayerState]
+    engine: PipelineEngine, plan: PipelinePlan, states: np.ndarray
 ) -> IterationResult:
     """The reference ready-loop fed by the oracle's stage tables."""
     return engine_oracle.run_iteration(

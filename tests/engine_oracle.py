@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.model.cost import LayerState
 from repro.pipeline.engine import IterationResult, PipelineEngine
 from repro.pipeline.plan import PipelinePlan
 from repro.pipeline.schedules import Op, OpKind
@@ -25,7 +24,7 @@ import cost_oracle
 def run_iteration(
     engine: PipelineEngine,
     plan: PipelinePlan,
-    states: list[LayerState],
+    states: np.ndarray,
     stage_times: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
     timeline: bool = False,
 ) -> IterationResult:

@@ -16,7 +16,17 @@ import pytest
 from repro.cluster.collectives import CommCostModel
 from repro.cluster.placement import PLACEMENT_STRATEGIES, make_placement
 from repro.cluster.topology import parse_cluster
-from repro.model.cost import ModelCost, fresh_states, state_matrix
+from repro.model.cost import (
+    ATTN_DENSITY,
+    DROPPABLE_BWD,
+    FROZEN,
+    MOE_MULTIPLIER,
+    SPARSITY,
+    STATE_FIELDS,
+    TOKEN_FRACTION,
+    ModelCost,
+    fresh_states,
+)
 from repro.pipeline import batched as batched_mod
 from repro.pipeline.batched import compile_levels, simulate_many
 from repro.pipeline.engine import PipelineEngine
@@ -31,13 +41,13 @@ SCHEDULES = ("gpipe", "1f1b", "zb")
 
 def random_states(rng, n=N_LAYERS, extreme=False):
     states = fresh_states(n)
-    for s in states:
-        s.sparsity = float(rng.uniform(0.0, 0.99)) if rng.random() < 0.4 else 0.0
-        s.frozen = bool(rng.random() < 0.25)
-        s.droppable_bwd = bool(rng.random() < 0.15)
-        s.attn_density = float(rng.uniform(0.0 if extreme else 0.1, 1.0))
-        s.token_fraction = float(rng.uniform(0.0 if extreme else 0.3, 1.0))
-        s.moe_multiplier = float(rng.uniform(1.0, 3.0))
+    for row in states:
+        row[SPARSITY] = rng.uniform(0.0, 0.99) if rng.random() < 0.4 else 0.0
+        row[FROZEN] = rng.random() < 0.25
+        row[DROPPABLE_BWD] = rng.random() < 0.15
+        row[ATTN_DENSITY] = rng.uniform(0.0 if extreme else 0.1, 1.0)
+        row[TOKEN_FRACTION] = rng.uniform(0.0 if extreme else 0.3, 1.0)
+        row[MOE_MULTIPLIER] = rng.uniform(1.0, 3.0)
     return states
 
 
@@ -226,7 +236,7 @@ def test_batched_stage_times_match_scalar(gpt24_cost, comm):
         )
         states_list = [random_states(rng, extreme=True) for _ in range(9)]
         fwd, bwd, wgt, act = gpt24_cost.stage_times(
-            state_matrix(states_list), [plan.boundaries] * 9, sched == "zb"
+            np.stack(states_list), [plan.boundaries] * 9, sched == "zb"
         )
         for lane, states in enumerate(states_list):
             f, b, w, a = cost_oracle.base_stage_times(gpt24_cost, plan, states, sched == "zb")
@@ -247,9 +257,9 @@ def test_batched_stage_times_match_scalar(gpt24_cost, comm):
 def test_layer_times_validate_states(gpt24_cost, field, value):
     """NaN fails like an out-of-range value."""
     bad = fresh_states(N_LAYERS)
-    setattr(bad[3], field, -value if field == "moe_multiplier" else value)
+    bad[3, STATE_FIELDS.index(field)] = -value if field == "moe_multiplier" else value
     with pytest.raises(ValueError, match=field):
-        gpt24_cost.layer_times(state_matrix([bad]), split=True)
+        gpt24_cost.layer_times(bad[None], split=True)
 
 
 def test_single_scenario_matches_scalar(gpt24_cost):

@@ -343,7 +343,7 @@ class TestEngineSlowdowns:
         states = fresh_states(len(gpt24_specs))
         eng = self._engine(gpt24_cost)
         eng.set_rank_slowdowns({1: 2.0})
-        scenarios = [(plan, [s.copy() for s in states]) for _ in range(4)]
+        scenarios = [(plan, states.copy()) for _ in range(4)]
         batched_mod.stats.reset()
         batched = batched_mod.simulate_many([(eng, p, s) for p, s in scenarios])
         assert batched_mod.stats.batched_lanes == len(scenarios)

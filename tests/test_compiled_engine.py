@@ -16,7 +16,14 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.collectives import CommCostModel
 from repro.cluster.placement import PLACEMENT_STRATEGIES, make_placement
 from repro.cluster.topology import parse_cluster
-from repro.model.cost import fresh_states
+from repro.model.cost import (
+    ATTN_DENSITY,
+    FROZEN,
+    MOE_MULTIPLIER,
+    SPARSITY,
+    TOKEN_FRACTION,
+    fresh_states,
+)
 from repro.pipeline.compiled import compile_schedule, execute_compiled, merge_lane
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.plan import PipelinePlan
@@ -42,12 +49,12 @@ def run_both(cost, comm, plan, states, **kw):
 
 
 def random_states(rng, states):
-    for s in states:
-        s.sparsity = float(rng.uniform(0.0, 0.9)) if rng.random() < 0.3 else 0.0
-        s.frozen = bool(rng.random() < 0.2)
-        s.attn_density = float(rng.uniform(0.1, 1.0))
-        s.token_fraction = float(rng.uniform(0.3, 1.0))
-        s.moe_multiplier = float(rng.uniform(1.0, 2.0))
+    for row in states:
+        row[SPARSITY] = rng.uniform(0.0, 0.9) if rng.random() < 0.3 else 0.0
+        row[FROZEN] = rng.random() < 0.2
+        row[ATTN_DENSITY] = rng.uniform(0.1, 1.0)
+        row[TOKEN_FRACTION] = rng.uniform(0.3, 1.0)
+        row[MOE_MULTIPLIER] = rng.uniform(1.0, 2.0)
     return states
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import DynMoConfig, DynMoController, PipelineProfiler
 from repro.core.controller import _PROFILE_OVERHEAD_FRAC
-from repro.model.cost import LayerState, fresh_states
+from repro.model.cost import DROPPABLE_BWD, FROZEN, SPARSITY, fresh_states
 from repro.pipeline import PipelinePlan
 
 
@@ -36,7 +36,7 @@ class TestProfiler:
 
     def test_pruned_params_reduced(self, gpt24_cost):
         states = fresh_states(26)
-        states[1].sparsity = 0.9
+        states[1, SPARSITY] = 0.9
         plan = PipelinePlan.uniform(26, 4)
         rep = PipelineProfiler(gpt24_cost).profile(plan, states)
         assert rep.layer_params[1] == pytest.approx(
@@ -80,8 +80,8 @@ class TestController:
         """Front-frozen model: controller must move layers backward."""
         states = fresh_states(26)
         for i in range(1, 13):
-            states[i].frozen = True
-            states[i].droppable_bwd = True
+            states[i, FROZEN] = True
+            states[i, DROPPABLE_BWD] = True
         plan = PipelinePlan.uniform(26, 4)
         ctl = self._controller(gpt24_cost, comm, balancer="partition")
         decision = ctl.rebalance(0, plan, states)
@@ -103,7 +103,7 @@ class TestController:
     def test_overhead_accounted(self, gpt24_cost, comm):
         states = fresh_states(26)
         for i in range(1, 13):
-            states[i].frozen = True
+            states[i, FROZEN] = True
         ctl = self._controller(gpt24_cost, comm)
         d = ctl.rebalance(0, PipelinePlan.uniform(26, 4), states)
         # the profiled iteration's share of the previous makespan, plus
@@ -121,8 +121,7 @@ class TestController:
     def test_repack_shrinks_plan(self, gpt24_cost, comm):
         """Heavily pruned model on generous memory: repack must fire."""
         states = fresh_states(26)
-        for s in states[1:-1]:
-            s.sparsity = 0.95
+        states[1:-1, SPARSITY] = 0.95
         plan = PipelinePlan.uniform(26, 8)
         rep = PipelineProfiler(gpt24_cost).profile(plan, states)
         capacity = float(rep.worker_memory.sum())  # everything fits on one

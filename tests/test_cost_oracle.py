@@ -15,13 +15,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.model.config import GPTConfig
-from repro.model.cost import (
-    PRECISIONS,
-    LayerState,
-    ModelCost,
-    build_layer_specs,
-    state_matrix,
-)
+from repro.model.cost import PRECISIONS, ModelCost, build_layer_specs
 from repro.pipeline.plan import PipelinePlan
 
 import cost_oracle
@@ -42,16 +36,17 @@ L = len(SPECS)
 COSTS = {recompute: ModelCost(SPECS, activation_recompute=recompute) for recompute in (False, True)}
 
 unit = st.floats(0.0, 1.0)
-layer_states = st.builds(
-    LayerState,
-    sparsity=st.one_of(st.just(0.0), st.just(1.0), unit),
-    frozen=st.booleans(),
-    droppable_bwd=st.booleans(),
-    attn_density=unit,
-    token_fraction=unit,
-    moe_multiplier=st.floats(0.0, 4.0),
+flag = st.booleans().map(float)
+# one layer's state row, in STATE_FIELDS order
+layer_states = st.tuples(
+    st.one_of(st.just(0.0), st.just(1.0), unit),  # sparsity
+    flag,  # frozen
+    flag,  # droppable_bwd
+    unit,  # attn_density
+    unit,  # token_fraction
+    st.floats(0.0, 4.0),  # moe_multiplier
 )
-state_vectors = st.lists(layer_states, min_size=L, max_size=L)
+state_vectors = st.lists(layer_states, min_size=L, max_size=L).map(np.array)
 
 
 @st.composite
@@ -65,7 +60,7 @@ def plans(draw, num_stages):
 @settings(max_examples=100, deadline=None)
 def test_layer_times_equal_oracle(states, split, recompute):
     cost = COSTS[recompute]
-    got = cost.layer_times(state_matrix([states]), split)
+    got = cost.layer_times(states[None], split)
     want = cost_oracle.layer_times(cost, states, split)
     for g, w in zip(got, want):
         assert g[0].tobytes() == np.array(w).tobytes()
@@ -83,7 +78,7 @@ def test_stage_tables_equal_oracle(data, split, recompute):
     lane_plans = [data.draw(plans(num_stages)) for _ in range(lanes)]
     lane_states = [data.draw(state_vectors) for _ in range(lanes)]
     got = cost.stage_times(
-        state_matrix(lane_states), [p.boundaries for p in lane_plans], split
+        np.stack(lane_states), [p.boundaries for p in lane_plans], split
     )
     for lane, (plan, states) in enumerate(zip(lane_plans, lane_states)):
         want = cost_oracle.base_stage_times(cost, plan, states, split)
@@ -104,16 +99,17 @@ def test_layer_bytes_equal_oracle(data, states, precision, recompute):
     in_flight = data.draw(
         st.lists(st.integers(1, num_micro), min_size=L, max_size=L)
     )
-    got = cost.layer_bytes(state_matrix([states]), np.array(in_flight), precision)
+    got = cost.layer_bytes(states[None], np.array(in_flight), precision)
     assert got.shape == (5, 1, L) and got.dtype == np.int64
-    for li, (spec, state, infl) in enumerate(zip(SPECS, states, in_flight)):
+    rows = cost_oracle.rows(states)
+    for li, (spec, state, infl) in enumerate(zip(SPECS, rows, in_flight)):
         want = cost_oracle.layer_components(cost, spec, state, infl, precision)
         assert tuple(got[:, 0, li].tolist()) == want
         if precision == "mixed":
             assert sum(want) == cost_oracle.layer_memory(cost, spec, state, infl)
             assert sum(want[:4]) == cost_oracle.migration_bytes(cost, li, state)
     # a scalar in-flight count prices like the same count on every layer
-    same = cost.layer_bytes(state_matrix([states]), in_flight[0], precision)
+    same = cost.layer_bytes(states[None], in_flight[0], precision)
     assert same.tolist() == cost.layer_bytes(
-        state_matrix([states]), np.full(L, in_flight[0]), precision
+        states[None], np.full(L, in_flight[0]), precision
     ).tolist()

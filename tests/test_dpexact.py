@@ -65,12 +65,12 @@ class TestDPExactBalancer:
 
     def test_controller_accepts_dp(self, gpt24_cost, comm):
         from repro.core import DynMoConfig, DynMoController
-        from repro.model.cost import fresh_states
+        from repro.model.cost import DROPPABLE_BWD, FROZEN, fresh_states
 
         states = fresh_states(26)
         for i in range(1, 10):
-            states[i].frozen = True
-            states[i].droppable_bwd = True
+            states[i, FROZEN] = True
+            states[i, DROPPABLE_BWD] = True
         ctl = DynMoController(gpt24_cost, comm, DynMoConfig(balancer="dp"))
         d = ctl.rebalance(0, PipelinePlan.uniform(26, 4), states)
         assert d.rebalanced

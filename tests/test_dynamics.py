@@ -1,5 +1,7 @@
 """Tests for the six dynamism schemes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,15 @@ from repro.dynamics import (
 )
 from repro.experiments.common import build_scenario, make_trainer
 from repro.model.config import GPTConfig
-from repro.model.cost import build_layer_specs
+from repro.model.cost import (
+    ATTN_DENSITY,
+    DROPPABLE_BWD,
+    FROZEN,
+    MOE_MULTIPLIER,
+    SPARSITY,
+    TOKEN_FRACTION,
+    build_layer_specs,
+)
 
 from pruning_oracle import GlobalMagnitudePruner
 
@@ -31,7 +41,7 @@ class TestStaticScheme:
         scheme = StaticScheme(gpt24_specs)
         states = scheme.initial_states()
         assert not scheme.step(0, states)
-        assert all(s.sparsity == 0 and s.token_fraction == 1.0 for s in states)
+        assert (states[:, SPARSITY] == 0).all() and (states[:, TOKEN_FRACTION] == 1.0).all()
 
 
 class TestMoEDynamism:
@@ -39,9 +49,9 @@ class TestMoEDynamism:
         scheme = MoEDynamism(moe_specs, seed=0)
         states = scheme.initial_states()
         assert scheme.step(0, states)
-        m0 = [s.moe_multiplier for s in states]
+        m0 = states[:, MOE_MULTIPLIER].tolist()
         scheme.step(1, states)
-        m1 = [s.moe_multiplier for s in states]
+        m1 = states[:, MOE_MULTIPLIER].tolist()
         assert m0 != m1
         assert scheme.rebalance_every == 1
 
@@ -51,14 +61,14 @@ class TestMoEDynamism:
         for k in range(20):
             scheme.step(k, states)
             for i in scheme.moe_layers:
-                assert states[i].moe_multiplier >= 1.0 - 1e-9
+                assert states[i, MOE_MULTIPLIER] >= 1.0 - 1e-9
 
     def test_sbase_nearly_balanced(self, moe_specs):
         scheme = MoEDynamism(moe_specs, router="sbase", seed=0)
         states = scheme.initial_states()
         scheme.step(0, states)
         for i in scheme.moe_layers:
-            assert states[i].moe_multiplier == pytest.approx(1.02, abs=0.01)
+            assert states[i, MOE_MULTIPLIER] == pytest.approx(1.02, abs=0.01)
 
     def test_aux_loss_more_imbalanced_than_sbase(self, moe_specs):
         aux = MoEDynamism(moe_specs, router="aux_loss", seed=0)
@@ -68,7 +78,7 @@ class TestMoEDynamism:
             aux.step(k, sa)
             sb.step(k, ss)
         slowest_expert = [
-            np.mean([states[i].moe_multiplier for i in aux.moe_layers])
+            np.mean(states[aux.moe_layers, MOE_MULTIPLIER])
             for states in (sa, ss)
         ]
         assert slowest_expert[0] > slowest_expert[1]
@@ -157,7 +167,7 @@ class TestPruningDynamism:
         scheme = self._scheme(gpt24_specs)
         states = scheme.initial_states()
         assert not scheme.step(5, states)
-        assert all(s.sparsity == 0 for s in states)
+        assert (states[:, SPARSITY] == 0).all()
 
     def test_sparsity_rises_through_region(self, gpt24_specs):
         scheme = self._scheme(gpt24_specs, seed=0)
@@ -166,7 +176,7 @@ class TestPruningDynamism:
         for k in range(60):
             scheme.step(k, states)
             if k in (10, 30, 50):
-                means.append(np.mean([s.sparsity for s in states[1:-1]]))
+                means.append(np.mean(states[1:-1, SPARSITY]))
         assert means[0] < means[1] < means[2]
         assert means[-1] > 0.8
 
@@ -175,16 +185,16 @@ class TestPruningDynamism:
         states = scheme.initial_states()
         for k in range(60):
             scheme.step(k, states)
-        sp = [s.sparsity for s in states[1:-1]]
-        assert max(sp) - min(sp) > 0.1  # global pruning is uneven
+        sp = states[1:-1, SPARSITY]
+        assert sp.max() - sp.min() > 0.1  # global pruning is uneven
 
     def test_embedding_head_untouched(self, gpt24_specs):
         scheme = self._scheme(gpt24_specs)
         states = scheme.initial_states()
         for k in range(60):
             scheme.step(k, states)
-        assert states[0].sparsity == 0.0
-        assert states[-1].sparsity == 0.0
+        assert states[0, SPARSITY] == 0.0
+        assert states[-1, SPARSITY] == 0.0
 
     @pytest.mark.parametrize("mode", ["megatron", "dynmo-partition"])
     def test_full_sparsity_run_completes(self, mode):
@@ -197,7 +207,7 @@ class TestPruningDynamism:
         scheme = PruningDynamism(setup.specs, schedule=sched, seed=0)
         trainer = make_trainer(setup, mode, scheme=scheme)
         assert trainer.run().iterations == 60
-        assert all(trainer.states[i].sparsity == 1.0 for i in scheme.block_indices)
+        assert (trainer.states[scheme.block_indices, SPARSITY] == 1.0).all()
 
 
 class TestFreezingDynamism:
@@ -206,7 +216,7 @@ class TestFreezingDynamism:
         states = scheme.initial_states()
         for k in range(0, 2000, 50):
             scheme.step(k, states)
-        flags = [states[i].frozen for i in scheme.block_indices]
+        flags = [bool(states[i, FROZEN]) for i in scheme.block_indices]
         # frozen prefix: no unfrozen layer before a frozen one
         first_unfrozen = flags.index(False) if False in flags else len(flags)
         assert all(flags[:first_unfrozen])
@@ -218,8 +228,8 @@ class TestFreezingDynamism:
         for k in range(0, 1000, 50):
             scheme.step(k, states)
         for i in scheme.block_indices:
-            if states[i].droppable_bwd:
-                assert states[i].frozen
+            if states[i, DROPPABLE_BWD]:
+                assert states[i, FROZEN]
 
     def test_budget_cap(self, gpt24_specs):
         scheme = FreezingDynamism(
@@ -247,22 +257,22 @@ class TestSparseAttention:
         for k in range(10):
             scheme.step(k, states)
             for i in scheme.block_indices:
-                assert 0.0 < states[i].attn_density <= 1.0
+                assert 0.0 < states[i, ATTN_DENSITY] <= 1.0
 
     def test_mean_density_near_target(self, gpt24_specs):
         scheme = SparseAttentionDynamism(gpt24_specs, mean_density=0.25, seed=0)
         states = scheme.initial_states()
         scheme.step(0, states)
-        dens = [states[i].attn_density for i in scheme.block_indices]
+        dens = states[scheme.block_indices, ATTN_DENSITY]
         assert 0.1 < np.mean(dens) < 0.45
 
     def test_changes_every_iteration(self, gpt24_specs):
         scheme = SparseAttentionDynamism(gpt24_specs, seed=0)
         states = scheme.initial_states()
         scheme.step(0, states)
-        d0 = [states[i].attn_density for i in scheme.block_indices]
+        d0 = states[scheme.block_indices, ATTN_DENSITY].tolist()
         scheme.step(1, states)
-        d1 = [states[i].attn_density for i in scheme.block_indices]
+        d1 = states[scheme.block_indices, ATTN_DENSITY].tolist()
         assert d0 != d1
 
     def test_invalid_density(self, gpt24_specs):
@@ -308,7 +318,7 @@ class TestMoD:
         states = scheme.initial_states()
         scheme.step(0, states)
         blocks = scheme.block_indices
-        routed = [states[i].token_fraction < 1.0 for i in blocks]
+        routed = [bool(states[i, TOKEN_FRACTION] < 1.0) for i in blocks]
         assert routed == [j % 2 == 1 for j in range(len(blocks))]
 
     def test_capacity_bound(self, gpt24_specs):
@@ -317,25 +327,80 @@ class TestMoD:
         for k in range(10):
             scheme.step(k, states)
             for i in scheme.routed:
-                assert 0.01 <= states[i].token_fraction <= 1.0
-                assert states[i].token_fraction >= 0.125 * 0.99
+                assert 0.01 <= states[i, TOKEN_FRACTION] <= 1.0
+                assert states[i, TOKEN_FRACTION] >= 0.125 * 0.99
 
     def test_moe_multipliers_on_all_blocks(self, gpt24_specs):
         scheme = MoDDynamism(gpt24_specs, moe_imbalance=0.3, seed=0)
         states = scheme.initial_states()
         scheme.step(0, states)
-        mults = [states[i].moe_multiplier for i in scheme.block_indices]
-        assert all(m >= 1.0 for m in mults)
-        assert max(mults) > 1.0
+        mults = states[scheme.block_indices, MOE_MULTIPLIER]
+        assert (mults >= 1.0).all()
+        assert mults.max() > 1.0
 
     def test_no_moe_when_disabled(self, gpt24_specs):
         scheme = MoDDynamism(gpt24_specs, moe_imbalance=0.0, seed=0)
         states = scheme.initial_states()
         scheme.step(0, states)
-        assert all(states[i].moe_multiplier == 1.0 for i in scheme.block_indices)
+        assert (states[scheme.block_indices, MOE_MULTIPLIER] == 1.0).all()
 
     def test_validation(self, gpt24_specs):
         with pytest.raises(ValueError):
             MoDDynamism(gpt24_specs, capacity=1.5)
         with pytest.raises(ValueError):
             MoDDynamism(gpt24_specs, every_other=0)
+
+
+#: blake2b over the 150 per-iteration ``states_fingerprint``s of each
+#: scheme's trajectory, and the trajectory's distinct fingerprint count
+#: (which keeps every pin from being vacuous).  Iteration-cache keys,
+#: goldens and perfbench digests all rest on these trajectories, so a
+#: change that moves one moves simulated numbers.
+TRAJECTORY_PINS = {
+    ("moe", 0): ("2a9b27d4aca7b051319d8d89560f943b", 150),
+    ("moe", 1): ("20bb07e95d969b00718479c2e1ff6d59", 150),
+    ("pruning", 0): ("9ece9a2abafaf5498d2b0871f3755194", 5),
+    ("pruning", 1): ("72e76b5dc181df950918b1bcc468a865", 5),
+    ("freezing", 0): ("de6f4bc6f0b0c3ba2ab1bddb019ddb71", 13),
+    ("freezing", 1): ("edc2e60eac9905038f75a10c42c9d9bc", 10),
+    ("sparse_attention", 0): ("5690f43b0beb98bea9f9a7fc78554052", 150),
+    ("sparse_attention", 1): ("57c12c050436205576106122dc87dbf1", 150),
+    ("early_exit", 0): ("d0db67f3c7f929e57fa2e2e26c5a2549", 150),
+    ("early_exit", 1): ("21de3b2293743f076a59d5af97c2f1e1", 150),
+    ("mod", 0): ("e41bd051855f03b278660c0b5e99c79e", 150),
+    ("mod", 1): ("b0a313e598b148d8f5604941406de9a3", 150),
+    ("tutel", 0): ("0816b6eb69b8e299151f931cd800f1be", 150),
+    ("tutel", 1): ("0491e33e7b13ea2ed78c86f7a0737b46", 150),
+}
+
+
+class TestStateTrajectoryPins:
+    """Every scheme's 150-iteration state trajectory, bit for bit.
+
+    Steps the callable the Trainer binds (``advance``, else ``step``)
+    on the scenario's scheme (Tutel wraps the MoE one) and pins the
+    fingerprint sequence, so a change to how schemes write their
+    states cannot move a value or reorder a random draw unnoticed.
+    """
+
+    @pytest.mark.parametrize("name,seed", sorted(TRAJECTORY_PINS))
+    def test_trajectory_pinned(self, name, seed):
+        from repro.baselines.tutel import TutelMoEBaseline
+        from repro.training.trainer import states_fingerprint
+
+        setup = build_scenario(
+            "moe" if name == "tutel" else name,
+            num_layers=24, pp_stages=8, dp_ways=1, iterations=150, seed=seed,
+        )
+        scheme = setup.scheme_factory()
+        if name == "tutel":
+            scheme = TutelMoEBaseline(scheme)
+        states = scheme.initial_states()
+        step = getattr(scheme, "advance", scheme.step)
+        fps = []
+        for k in range(150):
+            step(k, states)
+            fps.append(states_fingerprint(states))
+        assert len(set(fps)) >= 2  # the trajectory moves
+        digest = hashlib.blake2b(b"".join(fps), digest_size=16).hexdigest()
+        assert (digest, len(set(fps))) == TRAJECTORY_PINS[name, seed]

@@ -8,7 +8,7 @@ benchmark numbers quietly.
 
 import pytest
 
-from repro.model.cost import LayerSpec, LayerState, ModelCost
+from repro.model.cost import LayerSpec, ModelCost, fresh_states
 from repro.pipeline import PipelineEngine, PipelinePlan
 
 
@@ -37,7 +37,7 @@ class TestAnalyticMakespans:
         """1 stage, M micro: makespan = M * (F + B) = M * 3."""
         cost = make_unit_cost(2)
         eng = PipelineEngine(cost, None, schedule="1f1b", num_micro=4)
-        res = eng.run_iteration(PipelinePlan.uniform(2, 1), [LayerState()] * 2)
+        res = eng.run_iteration(PipelinePlan.uniform(2, 1), fresh_states(2))
         # stage fwd = 2 layers * 1 = 2; bwd = 2 * 2 = 4; 4 micro
         assert res.makespan == pytest.approx(4 * (2 + 4))
         assert res.bubble_ratio() == pytest.approx(0.0)
@@ -54,7 +54,7 @@ class TestAnalyticMakespans:
         """
         cost = make_unit_cost(2)
         eng = PipelineEngine(cost, None, schedule="gpipe", num_micro=2)
-        res = eng.run_iteration(PipelinePlan.uniform(2, 2), [LayerState()] * 2)
+        res = eng.run_iteration(PipelinePlan.uniform(2, 2), fresh_states(2))
         assert res.makespan == pytest.approx(9.0)
 
     def test_two_stage_1f1b(self):
@@ -69,7 +69,7 @@ class TestAnalyticMakespans:
         """
         cost = make_unit_cost(2)
         eng = PipelineEngine(cost, None, schedule="1f1b", num_micro=2)
-        res = eng.run_iteration(PipelinePlan.uniform(2, 2), [LayerState()] * 2)
+        res = eng.run_iteration(PipelinePlan.uniform(2, 2), fresh_states(2))
         assert res.makespan == pytest.approx(9.0)
 
     def test_two_stage_zb_fills_bubble(self):
@@ -82,7 +82,7 @@ class TestAnalyticMakespans:
         """
         cost = make_unit_cost(2)
         eng = PipelineEngine(cost, None, schedule="zb", num_micro=2)
-        res = eng.run_iteration(PipelinePlan.uniform(2, 2), [LayerState()] * 2)
+        res = eng.run_iteration(PipelinePlan.uniform(2, 2), fresh_states(2))
         assert res.makespan == pytest.approx(7.0)
 
     def test_deep_pipeline_steady_state(self):
@@ -95,15 +95,14 @@ class TestAnalyticMakespans:
         eng_small = PipelineEngine(cost, None, schedule="1f1b", num_micro=16)
         eng_big = PipelineEngine(cost, None, schedule="1f1b", num_micro=32)
         plan = PipelinePlan.uniform(4, 4)
-        t16 = eng_small.run_iteration(plan, [LayerState()] * 4).makespan
-        t32 = eng_big.run_iteration(plan, [LayerState()] * 4).makespan
+        t16 = eng_small.run_iteration(plan, fresh_states(4)).makespan
+        t32 = eng_big.run_iteration(plan, fresh_states(4)).makespan
         assert (t32 - t16) == pytest.approx(16 * 3.0)
 
     def test_bottleneck_stage_sets_rate(self):
         """One stage 2x heavier: steady-state rate = its per-micro cost."""
         cost = make_unit_cost(4)
-        states = [LayerState() for _ in range(4)]
-        states[2].moe_multiplier = 1.0  # no-op; heaviness via 2 layers
+        states = fresh_states(4)  # heaviness via 2 layers
         plan = PipelinePlan(tuple([0, 1, 3, 4]), 4)  # sizes [1, 2, 1]
         eng_a = PipelineEngine(cost, None, schedule="1f1b", num_micro=16)
         eng_b = PipelineEngine(cost, None, schedule="1f1b", num_micro=32)

@@ -14,6 +14,8 @@ Two invariants anchor this file:
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.cluster.events import ClusterEvent, ClusterEventTrace
@@ -259,6 +261,29 @@ class TestSampleSpecs:
         with pytest.raises(ValueError, match="positive"):
             sample_specs(self.base(), 0)
 
+    def test_moe_draws_span_the_widened_pipeline(self):
+        """MoE widens 8 requested stages to 16, so the draws name ranks
+        of all 16 stages and none beyond."""
+        base = self.base().with_(scenario="moe", pp_stages=8, iterations=40)
+        ranks = {
+            r
+            for spec in sample_specs(base, 64)
+            if spec.cluster_events
+            for event in ClusterEventTrace.from_json(spec.cluster_events).events
+            for r in event.ranks
+        }
+        assert ranks & set(range(8, 16))
+        assert max(ranks) < 16
+
+    def test_pruning_draws_pinned(self):
+        """Pruning runs the shape it asks for, so its 64 default draws
+        keep the spec hashes they had before sampling followed the
+        effective shape."""
+        base = self.base().with_(pp_stages=8, iterations=40)
+        joined = "".join(spec.spec_hash for spec in sample_specs(base, 64))
+        digest = hashlib.blake2b(joined.encode(), digest_size=16).hexdigest()
+        assert digest == "78fe67d549f6911c98e7024a5ca84d66"
+
 
 # ---------------------------------------------------------------------------
 # ensemble determinism across backends and caching
@@ -339,3 +364,17 @@ class TestRunEnsemble:
     def test_rejects_empty_bases(self):
         with pytest.raises(ValueError, match="at least one"):
             run_ensemble([], 4)
+
+    def test_moe_ensemble_runs_on_widened_ranks(self):
+        """Draws that fail or slow ranks past the requested 8 stages run
+        on MoE's 16-stage pipeline like any other."""
+        base = self.base().with_(scenario="moe", num_layers=16, pp_stages=8)
+        specs = sample_specs(base, 8, self.dist())
+        assert any(
+            ClusterEventTrace.from_json(s.cluster_events).max_rank() >= 8
+            for s in specs
+            if s.cluster_events
+        )
+        res = run_ensemble(base, 8, distribution=self.dist())
+        assert all(r.status == "ok" for r in res.records)
+        assert res.stats[0].ok == 8

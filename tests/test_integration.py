@@ -64,9 +64,9 @@ class TestActivationCheckpointing:
     def test_tradeoff(self, gpt24_specs):
         base = ModelCost(gpt24_specs)
         ckpt = ModelCost(gpt24_specs, activation_recompute=True)
-        from repro.model.cost import BYTE_FIELDS, fresh_states, state_matrix
+        from repro.model.cost import BYTE_FIELDS, fresh_states
 
-        states = state_matrix([fresh_states(len(gpt24_specs))])
+        states = fresh_states(len(gpt24_specs))[None]
         base_fwd, base_bwd, _ = (t[0, 1] for t in base.layer_times(states))
         ckpt_bwd = ckpt.layer_times(states)[1][0, 1]
         # slower backward...

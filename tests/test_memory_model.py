@@ -22,12 +22,14 @@ from repro.core.repack import first_fit_repack, repack_plan
 from repro.experiments.common import build_scenario, make_trainer, parse_memory_limit
 from repro.model.config import gpt_24
 from repro.model.cost import (
+    FROZEN,
     OPTIMIZER_STATES,
     PRECISIONS,
+    SPARSITY,
+    TOKEN_FRACTION,
     ModelCost,
     build_layer_specs,
     fresh_states,
-    state_matrix,
 )
 from repro.model.memory import SCHEDULES, StageMemoryModel
 from repro.orchestrator import ExecutionPolicy, ResultCache, RunSpec, execute_spec
@@ -51,9 +53,9 @@ def cost(specs):
 
 def _varied_states(n):
     states = fresh_states(n)
-    states[2].sparsity = 0.5
-    states[3].frozen = True
-    states[4].token_fraction = 0.7
+    states[2, SPARSITY] = 0.5
+    states[3, FROZEN] = True
+    states[4, TOKEN_FRACTION] = 0.7
     return states
 
 
@@ -66,15 +68,15 @@ class TestAccounting:
         for infl in (1, 3, 8):
             assert model.layer_bytes(states, infl) == [
                 cost_oracle.layer_memory(cost, sp, stt, infl)
-                for sp, stt in zip(specs, states)
+                for sp, stt in zip(specs, cost_oracle.rows(states))
             ]
 
     def test_full_precision_regime(self, specs):
         cost = ModelCost(specs, precision="full")
         states = _varied_states(len(specs))
-        got = cost.layer_bytes(state_matrix([states]), 1, "full")[:, 0]
-        mixed = cost.layer_bytes(state_matrix([states]), 1)[:, 0]
-        for li, (sp, stt) in enumerate(zip(specs, states)):
+        got = cost.layer_bytes(states[None], 1, "full")[:, 0]
+        mixed = cost.layer_bytes(states[None], 1)[:, 0]
+        for li, (sp, stt) in enumerate(zip(specs, cost_oracle.rows(states))):
             w, m, g, o, a = got[:, li].tolist()
             assert m == 0  # no fp32 master copy
             active = sp.param_count * (1.0 - stt.sparsity)
@@ -131,7 +133,7 @@ class TestAccounting:
         states = _varied_states(len(specs))
         first = model.layer_bytes(states, 4)
         assert model.layer_bytes(states, 4) == first
-        states[2].sparsity = 0.9  # same objects, new value
+        states[2, SPARSITY] = 0.9  # same array, new value
         assert model.layer_bytes(states, 4) != first
 
     def test_stage_bytes_sum_layers_at_stage_in_flight(self, specs, cost):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.model.cost import ModelCost, fresh_states, state_matrix
+from repro.model.cost import FROZEN, MOE_MULTIPLIER, SPARSITY, ModelCost, fresh_states
 from repro.pipeline import PipelineEngine, PipelinePlan
 from repro.pipeline.migration import diff_plans
 
@@ -40,7 +40,7 @@ class TestEngineBasics:
         eng = self._engine(gpt24_cost, num_micro=4)
         plan = PipelinePlan.uniform(26, 4)
         res = eng.run_iteration(plan, gpt24_states)
-        fwd, bwd, _ = gpt24_cost.layer_times(state_matrix([gpt24_states]))
+        fwd, bwd, _ = gpt24_cost.layer_times(gpt24_states[None])
         per_micro = fwd.sum() + bwd.sum()
         assert res.busy.sum() == pytest.approx(4 * per_micro, rel=1e-9)
 
@@ -90,8 +90,7 @@ class TestEngineBasics:
 
     def test_frozen_layers_no_dp_traffic(self, gpt24_cost, comm):
         states = fresh_states(26)
-        for s in states:
-            s.frozen = True
+        states[:, FROZEN] = True
         eng = self._engine(gpt24_cost, comm, dp_ways=4)
         res = eng.run_iteration(PipelinePlan.uniform(26, 4), states)
         assert res.comm_extra == 0.0
@@ -121,7 +120,7 @@ class TestEngineBasics:
             PipelinePlan.uniform(26, 4), states
         )
         for i in range(1, 7):  # first stage's layers get 3x FFN work
-            states[i].moe_multiplier = 3.0
+            states[i, MOE_MULTIPLIER] = 3.0
         skewed = self._engine(gpt24_cost, num_micro=16).run_iteration(
             PipelinePlan.uniform(26, 4), states
         )
@@ -185,8 +184,8 @@ class TestMigration:
         """A pruned layer ships fewer bytes when it migrates."""
         a = PipelinePlan((0, 13, 26), 26)
         b = PipelinePlan((0, 10, 26), 26)
-        sparse = [s.copy() for s in gpt24_states]
-        sparse[11].sparsity = 0.9
+        sparse = gpt24_states.copy()
+        sparse[11, SPARSITY] = 0.9
         dense = diff_plans(a, b, gpt24_cost, gpt24_states).transfers
         pruned = diff_plans(a, b, gpt24_cost, sparse).transfers
         assert [t.layer for t in dense] == [10, 11, 12]

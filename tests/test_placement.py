@@ -13,7 +13,7 @@ from repro.cluster.topology import GPU_MODELS, hetero_cluster
 from repro.core.controller import DynMoConfig, DynMoController
 from repro.core.profiler import PipelineProfiler
 from repro.core.repack import first_fit_repack
-from repro.model.cost import fresh_states
+from repro.model.cost import SPARSITY, fresh_states
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.migration import LayerTransfer, MigrationPlan
 from repro.pipeline.plan import PipelinePlan
@@ -236,8 +236,7 @@ class TestPostRepackAccounting:
 
     def test_controller_tracks_surviving_ranks(self, gpt24_cost, comm):
         states = fresh_states(26)
-        for s in states[1:-1]:
-            s.sparsity = 0.95
+        states[1:-1, SPARSITY] = 0.95
         plan = PipelinePlan.uniform(26, 8)
         rep = PipelineProfiler(gpt24_cost).profile(plan, states)
         ctl = DynMoController(
@@ -279,8 +278,7 @@ class TestPostRepackAccounting:
                 return BalanceResult(plan, loads, loads)
 
         states = fresh_states(26)
-        for s in states[1:-1]:
-            s.sparsity = 0.95
+        states[1:-1, SPARSITY] = 0.95
         plan = PipelinePlan.uniform(26, 8)
         rep = PipelineProfiler(gpt24_cost).profile(plan, states)
         ctl = DynMoController(
@@ -314,8 +312,7 @@ class TestPostRepackAccounting:
                 return BalanceResult(plan, loads, loads)
 
         states = fresh_states(26)
-        for s in states[1:-1]:
-            s.sparsity = 0.95
+        states[1:-1, SPARSITY] = 0.95
         plan = PipelinePlan.uniform(26, 8)
         rep = PipelineProfiler(gpt24_cost).profile(plan, states)
         ctl = DynMoController(

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.repack import first_fit_repack
-from repro.model.cost import LayerState, ModelCost, build_layer_specs, fresh_states
+from repro.model.cost import (
+    ATTN_DENSITY,
+    FROZEN,
+    MOE_MULTIPLIER,
+    SPARSITY,
+    TOKEN_FRACTION,
+    ModelCost,
+    build_layer_specs,
+    fresh_states,
+)
 from repro.model.config import GPTConfig
 from repro.pipeline import PipelineEngine, PipelinePlan
 
@@ -21,17 +30,13 @@ NLAYERS = len(COST.specs)
 
 @st.composite
 def random_states(draw):
-    states = []
-    for _ in range(NLAYERS):
-        states.append(
-            LayerState(
-                sparsity=draw(st.sampled_from([0.0, 0.5, 0.9])),
-                frozen=draw(st.booleans()),
-                attn_density=draw(st.floats(min_value=0.05, max_value=1.0)),
-                token_fraction=draw(st.floats(min_value=0.05, max_value=1.0)),
-                moe_multiplier=draw(st.floats(min_value=1.0, max_value=3.0)),
-            )
-        )
+    states = fresh_states(NLAYERS)
+    for row in states:
+        row[SPARSITY] = draw(st.sampled_from([0.0, 0.5, 0.9]))
+        row[FROZEN] = draw(st.booleans())
+        row[ATTN_DENSITY] = draw(st.floats(min_value=0.05, max_value=1.0))
+        row[TOKEN_FRACTION] = draw(st.floats(min_value=0.05, max_value=1.0))
+        row[MOE_MULTIPLIER] = draw(st.floats(min_value=1.0, max_value=3.0))
     return states
 
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from repro.model.config import GPTConfig
 from repro.model.cost import (
     PRECISIONS,
-    LayerState,
+    TOKEN_FRACTION,
     ModelCost,
     build_layer_specs,
-    state_matrix,
+    fresh_states,
 )
 from repro.pipeline.schedules import OpKind, Schedule
 from repro.training.trainer import states_fingerprint
@@ -70,14 +70,15 @@ class TestScheduleCompleteness:
             assert peak <= warmup + 1
 
 
-layer_states = st.builds(
-    LayerState,
-    sparsity=st.floats(0, 0.99),
-    frozen=st.booleans(),
-    attn_density=st.floats(0.01, 1.0),
-    token_fraction=st.floats(0.01, 1.0),
-    moe_multiplier=st.floats(1.0, 4.0),
-)
+# one layer's state row, in STATE_FIELDS order
+layer_states = st.tuples(
+    st.floats(0, 0.99),  # sparsity
+    st.booleans().map(float),  # frozen
+    st.just(0.0),  # droppable_bwd
+    st.floats(0.01, 1.0),  # attn_density
+    st.floats(0.01, 1.0),  # token_fraction
+    st.floats(1.0, 4.0),  # moe_multiplier
+).map(np.array)
 
 
 class TestCostModelProperties:
@@ -87,10 +88,15 @@ class TestCostModelProperties:
         )
     )
 
+    def every_layer(self, state):
+        """A one-lane state stack with every layer in ``state``."""
+        states = fresh_states(len(self.COST.specs))
+        states[:] = state
+        return states[None]
+
     def times(self, state, split=False):
         """Per-layer (fwd, bwd, wgt) with every layer in ``state``."""
-        states = state_matrix([[state] * len(self.COST.specs)])
-        return [t[0] for t in self.COST.layer_times(states, split)]
+        return [t[0] for t in self.COST.layer_times(self.every_layer(state), split)]
 
     @given(state=layer_states)
     @settings(max_examples=80, deadline=None)
@@ -110,23 +116,23 @@ class TestCostModelProperties:
     @given(state=layer_states, frac=st.floats(0.01, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_token_fraction_linear(self, state, frac):
-        state.token_fraction = 1.0
+        state[TOKEN_FRACTION] = 1.0
         full = self.times(state)[0][1]
-        state.token_fraction = frac
+        state[TOKEN_FRACTION] = frac
         scaled = self.times(state)[0][1]
         assert scaled == pytest.approx(full * frac, rel=1e-9)
 
     @given(state=layer_states)
     @settings(max_examples=60, deadline=None)
     def test_memory_nonnegative(self, state):
-        states = state_matrix([[state] * len(self.COST.specs)])
+        states = self.every_layer(state)
         for precision in PRECISIONS:
             assert (self.COST.layer_bytes(states, 4, precision) >= 0).all()
 
 
 class TestTraceProperties:
-    @given(states=st.lists(layer_states, min_size=1, max_size=8))
+    @given(states=st.lists(layer_states, min_size=1, max_size=8).map(np.stack))
     @settings(max_examples=60, deadline=None)
     def test_fingerprint_roundtrip_stability(self, states):
-        copies = [s.copy() for s in states]
+        copies = states.copy()
         assert states_fingerprint(copies) == states_fingerprint(states)

@@ -16,7 +16,7 @@ from repro.dynamics.pruning import (
     PruningDynamism,
 )
 from repro.model.config import gpt_24, gpt_32, gpt_40, gpt_48
-from repro.model.cost import build_layer_specs
+from repro.model.cost import SPARSITY, build_layer_specs
 
 import pruning_oracle
 from pruning_oracle import GlobalMagnitudePruner
@@ -177,7 +177,7 @@ class TestOnePartitionMatchesOracle:
                     kept = pruning_oracle.retention(proxies, scheme.current_sparsity, 4)
                     for j, i in enumerate(scheme.block_indices):
                         expected[i] = float(np.clip(1.0 - kept[j], 0.0, 1.0))
-                got = [s.sparsity for s in states]
+                got = states[:, SPARSITY].tolist()
                 assert got == expected, (seed, k)
                 assert all(type(x) is float for x in got)
             assert steps == 5

@@ -1,7 +1,5 @@
 """Tests for TrainingConfig and Trainer."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,15 @@ from repro.cluster.job_manager import ElasticJobManager
 from repro.core import DynMoConfig, DynMoController
 from repro.dynamics import FreezingDynamism, StaticScheme
 from repro.experiments.common import SCENARIOS, build_scenario, make_trainer
-from repro.model.cost import LayerState, fresh_states, state_matrix
+from repro.model.cost import (
+    ATTN_DENSITY,
+    DROPPABLE_BWD,
+    FROZEN,
+    MOE_MULTIPLIER,
+    SPARSITY,
+    TOKEN_FRACTION,
+    fresh_states,
+)
 from repro.pipeline import PipelinePlan
 from repro.training import Trainer, TrainingConfig
 from repro.training.trainer import states_fingerprint
@@ -42,12 +48,12 @@ class TestFingerprint:
     def test_sensitive_to_changes(self):
         a = fresh_states(4)
         b = fresh_states(4)
-        b[2].sparsity = 0.5
+        b[2, SPARSITY] = 0.5
         assert states_fingerprint(a) != states_fingerprint(b)
 
     def test_sensitive_to_flags(self):
         a, b = fresh_states(2), fresh_states(2)
-        b[0].frozen = True
+        b[0, FROZEN] = True
         assert states_fingerprint(a) != states_fingerprint(b)
 
 
@@ -168,7 +174,7 @@ class TestIterationCache:
         t = self._trainer(gpt24_cost, gpt24_specs)
         k1 = t._states_key()
         assert t._states_key() == k1  # memoised
-        t.states[2].sparsity = 0.5
+        t.states[2, SPARSITY] = 0.5
         t.scheme.version += 1  # what advance() does on a change
         k2 = t._states_key()
         assert k2 != k1
@@ -183,49 +189,19 @@ class TestIterationCache:
         assert scheme.version > v0
 
     def test_states_fingerprint_pinned_digest(self):
-        """The fingerprint hashes the cost model's state-matrix layout;
-        the digest of this fixed vector predates that and must not move
+        """The fingerprint hashes the bytes of the ``(L, 6)`` state
+        array, the layout the cost model prices; the digest of this
+        fixed vector predates that array and must not move
         (iteration-cache keys and traces compare digests)."""
         states = fresh_states(5)
-        states[1].attn_density = 0.25
-        states[2].sparsity = 0.75
-        states[2].frozen = True
-        states[3].droppable_bwd = True
-        states[3].frozen = True
-        states[4].token_fraction = 0.5
-        states[4].moe_multiplier = 1.5
+        states[1, ATTN_DENSITY] = 0.25
+        states[2, SPARSITY] = 0.75
+        states[2, FROZEN] = True
+        states[3, DROPPABLE_BWD] = True
+        states[3, FROZEN] = True
+        states[4, TOKEN_FRACTION] = 0.5
+        states[4, MOE_MULTIPLIER] = 1.5
         assert states_fingerprint(states).hex() == "91f7cccf5c232bdaea6e90f58206c16f"
-        assert states_fingerprint(states) == hashlib.blake2b(
-            state_matrix([states]).tobytes(), digest_size=16
-        ).digest()
-
-    def test_states_fingerprint_matches_row_loop(self):
-        """Regression: the struct-of-arrays column fills must produce
-        byte-identical digests to the original per-layer row loop."""
-
-        def loop_fingerprint(states):
-            out = np.empty((len(states), 6))
-            for i, s in enumerate(states):
-                row = out[i]
-                row[0] = s.sparsity
-                row[1] = 1.0 if s.frozen else 0.0
-                row[2] = 1.0 if s.droppable_bwd else 0.0
-                row[3] = s.attn_density
-                row[4] = s.token_fraction
-                row[5] = s.moe_multiplier
-            return hashlib.blake2b(out.tobytes(), digest_size=16).digest()
-
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            states = fresh_states(int(rng.integers(1, 40)))
-            for s in states:
-                s.sparsity = float(rng.uniform(0, 1))
-                s.frozen = bool(rng.random() < 0.5)
-                s.droppable_bwd = bool(rng.random() < 0.5)
-                s.attn_density = float(rng.uniform(0, 1))
-                s.token_fraction = float(rng.uniform(0, 1))
-                s.moe_multiplier = float(rng.uniform(0, 3))
-            assert states_fingerprint(states) == loop_fingerprint(states)
 
 
 class TestPrewarmAndLockstep:
@@ -244,7 +220,7 @@ class TestPrewarmAndLockstep:
         lanes = {}
         for stages in (2, 3, 4):
             t.plan = PipelinePlan.uniform(26, stages)
-            lanes[t._cache_key()] = (t.plan, [s.copy() for s in t.states], None)
+            lanes[t._cache_key()] = (t.plan, t.states.copy(), None)
         priced = {}
         assert t.prewarm(lanes, priced) == 3
         assert list(priced) == list(lanes) == list(t._cache)

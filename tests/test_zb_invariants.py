@@ -10,6 +10,7 @@ timeline checked here is the compiled executor's.
 import numpy as np
 import pytest
 
+from repro.model.cost import FROZEN, SPARSITY
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.plan import PipelinePlan
 
@@ -23,9 +24,9 @@ def random_plan(rng, num_stages: int) -> PipelinePlan:
 
 
 def random_states(rng, states):
-    for s in states:
-        s.sparsity = float(rng.uniform(0.0, 0.9)) if rng.random() < 0.3 else 0.0
-        s.frozen = bool(rng.random() < 0.2)
+    for row in states:
+        row[SPARSITY] = rng.uniform(0.0, 0.9) if rng.random() < 0.3 else 0.0
+        row[FROZEN] = rng.random() < 0.2
     return states
 
 
