@@ -1186,11 +1186,30 @@ def _check_maxmodel_clusters(parser: argparse.ArgumentParser, args) -> None:
         )
 
 
+#: list flags a command reads only the first value of
+_SINGLE_VALUED = {
+    "ensemble": ("layers",),
+    "fig1": ("layers",),
+    "fig4": ("layers",),
+    "overhead": ("layers",),
+    "gantt": ("layers", "scenario"),
+    "fig-maxmodel": ("scenario",),
+}
+
+
 def _check_shapes(parser: argparse.ArgumentParser, args) -> None:
-    """Exit 2, naming the flag, when a scenario has no model of a
-    ``--layers`` depth, or its effective pipeline (after MoE widening or
-    the paper-scale grids) does not fit its ``--layers`` or
-    ``--cluster`` (``--depths`` and ``--clusters`` for fig-maxmodel)."""
+    """Exit 2, naming the flag, when a command is given more values of
+    a flag than it runs, a scenario has no model of a ``--layers``
+    depth, or its effective pipeline (after MoE widening or the
+    paper-scale grids) does not fit its ``--layers`` or ``--cluster``
+    (``--depths`` and ``--clusters`` for fig-maxmodel)."""
+    for flag in _SINGLE_VALUED.get(args.command, ()):
+        values = getattr(args, flag)
+        if len(values) > 1:
+            parser.error(
+                f"--{flag} takes one value for {args.command}, got "
+                f"{' '.join(map(str, values))}"
+            )
     if args.command == "fig-maxmodel":
         try:
             check_maxmodel_depths(tuple(args.depths))

@@ -17,7 +17,10 @@ every accepted move (a layer of weight w moved in the right direction
 changes exactly one prefix excess toward zero), which yields the same
 Lyapunov-descent convergence argument as the paper's φ: rounds are
 capped by the Lemma-2 bound and iteration stops once the pairwise-gap
-potential φ ≤ γ or no boundary admits an improving move.
+potential φ ≤ γ or no boundary admits an improving move.  In floating
+point two splits can tie, each claiming to improve on the other; a
+boundary undoes such a tie move instead of flipping the layer back and
+forth.
 
 Unlike pairwise-gap rules, prefix-excess flow *cascades*: a hot tail
 stage drains through a chain of equally-loaded neighbours toward an
@@ -73,7 +76,8 @@ class DiffusionBalancer(LoadBalancer):
         """Move layers across internal boundary ``b`` down the excess
         gradient while each move strictly reduces |e(b)|."""
         cur = plan
-        moved = False
+        moves = 0
+        last = 0  # direction of the previous move
         while True:
             loads = cur.stage_loads(w)
             e = prefix_excess(loads)[b - 1]
@@ -93,9 +97,18 @@ class DiffusionBalancer(LoadBalancer):
             cand = cur.move_boundary(b, delta)
             if not LoadBalancer.plan_feasible(cand, memory, capacity):
                 break
+            if delta == -last:
+                # cand is the split before the last move, and each split
+                # claims to beat the other: their excesses tie within
+                # rounding.  Moving back would repeat forever, so undo
+                # the tie move and stop.
+                cur = cand
+                moves -= 1
+                break
             cur = cand
-            moved = True
-        return cur if moved else None
+            moves += 1
+            last = delta
+        return cur if moves else None
 
     def rebalance(
         self,

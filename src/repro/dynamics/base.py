@@ -2,7 +2,9 @@
 
 A scheme owns no state vector: the caller holds the run's ``(L, 6)``
 float64 layer-state array (:func:`~repro.model.cost.fresh_states`) and
-the scheme writes its columns in place each iteration.
+the scheme writes its columns in place each iteration.  A step reads
+only the scheme's own trajectory, never the plan, the placement or the
+cluster, so :class:`ReplayScheme` can record it once for many runs.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ class DynamismScheme(ABC):
         """Advance to iteration ``k``; write state columns in place.
 
         Returns True when the model or its control flow changed (i.e.
-        DynMo should consider this a dynamism event).
+        DynMo should consider this a dynamism event).  A step that
+        returns False writes nothing: the Trainer's fingerprint memo and
+        :class:`ReplayScheme` both rest on that.
         """
 
     def _check(self, states: np.ndarray) -> None:
@@ -69,3 +73,39 @@ class StaticScheme(DynamismScheme):
     def step(self, k: int, states: np.ndarray) -> bool:
         self._check(states)
         return False
+
+
+class ReplayScheme(DynamismScheme):
+    """Replays the layer-state trajectory of a scheme stepped once.
+
+    Runs that differ only in their cluster events step the same states,
+    so they share one recording: the constructor steps ``scheme``
+    through ``iterations`` iterations and keeps the states after each
+    step that reported a change.  :meth:`step` writes those states, and
+    :meth:`advance` bumps ``version``, exactly where the recorded step
+    reported a change.  Replaying never touches ``scheme`` again.
+    """
+
+    name = "replay"
+
+    def __init__(self, scheme: DynamismScheme, iterations: int) -> None:
+        super().__init__(scheme.specs)
+        self.rebalance_every = scheme.rebalance_every
+        self.iterations = iterations
+        states = scheme.initial_states()
+        #: iteration -> the states its step left, for each changing step
+        self._changes: dict[int, np.ndarray] = {}
+        for k in range(iterations):
+            if scheme.step(k, states):
+                self._changes[k] = states.copy()
+
+    def step(self, k: int, states: np.ndarray) -> bool:
+        if not 0 <= k < self.iterations:
+            raise ValueError(
+                f"iteration {k} lies outside the {self.iterations} recorded"
+            )
+        recorded = self._changes.get(k)
+        if recorded is None:
+            return False
+        states[:] = recorded
+        return True

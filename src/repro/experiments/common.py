@@ -9,6 +9,7 @@ minutes.  ``paper_scale=True`` switches to the full 24-way-pipeline /
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.baselines.egeria import EgeriaBaseline
@@ -36,6 +37,7 @@ from repro.model.config import (
 )
 from repro.model.cost import ModelCost, build_layer_specs
 from repro.model.memory import StageMemoryModel
+from repro.pipeline.engine import IterationResult
 from repro.pipeline.plan import PipelinePlan
 from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer
@@ -269,6 +271,23 @@ def parse_memory_limit(limit: "str | float | None") -> tuple[bool, float | None]
     return True, value
 
 
+def make_scheme(
+    setup: ScenarioSetup, mode: str
+) -> DynamismScheme | TutelMoEBaseline | EgeriaBaseline:
+    """The dynamism scheme a ``mode`` run of ``setup`` steps: Tutel and
+    Egeria wrap the scenario's scheme, the dense baseline runs the
+    scenario's static control, every other mode its scheme."""
+    if mode == "tutel":
+        return TutelMoEBaseline(setup.scheme_factory())
+    if mode == "egeria":
+        return EgeriaBaseline(setup.scheme_factory())
+    if mode == "dense-baseline":
+        if setup.baseline_scheme_factory is None:
+            raise ValueError(f"scenario {setup.name} has no dense baseline")
+        return setup.baseline_scheme_factory()
+    return setup.scheme_factory()
+
+
 def make_trainer(
     setup: ScenarioSetup,
     mode: str,
@@ -285,12 +304,14 @@ def make_trainer(
     placement: str | None = "packed",
     cluster_events: ClusterEventTrace | None = None,
     memory_limit: "str | float | None" = None,
+    cache: OrderedDict[tuple, IterationResult] | None = None,
 ) -> Trainer:
     """Build the Trainer for one configuration without running it.
 
     The sweep runner builds each run's Trainer with this and calls its
     ``run()``; tests and benchmarks also hand unrun Trainers to the
-    lockstep pricing reference, ``run_trainers_lockstep``.
+    lockstep pricing reference, ``run_trainers_lockstep``.  ``cache``
+    is the iteration cache the Trainer shares (see :class:`Trainer`).
 
     ``memory_limit`` (see :func:`parse_memory_limit`) turns on the
     per-stage memory model: placements are validated against placed-rank
@@ -314,16 +335,7 @@ def make_trainer(
         placement_strategy=placement,
     )
     if scheme is None:
-        if mode == "tutel":
-            scheme = TutelMoEBaseline(setup.scheme_factory())
-        elif mode == "egeria":
-            scheme = EgeriaBaseline(setup.scheme_factory())
-        elif mode == "dense-baseline":
-            if setup.baseline_scheme_factory is None:
-                raise ValueError(f"scenario {setup.name} has no dense baseline")
-            scheme = setup.baseline_scheme_factory()
-        else:
-            scheme = setup.scheme_factory()
+        scheme = make_scheme(setup, mode)
 
     if initial_plan is None:
         if mode == "deepspeed":
@@ -383,4 +395,5 @@ def make_trainer(
         job_manager=job_manager,
         cluster_events=cluster_events,
         memory_model=memory_model,
+        cache=cache,
     )

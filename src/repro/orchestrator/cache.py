@@ -18,7 +18,7 @@ field-for-field (hash collisions and schema drift both surface as a
 miss).  Only *deterministic* outcomes are cached — ``ok`` results and
 ``oom`` rejections (a pure function of the spec under the memory
 model) — so failures and timeouts are always retried.  Writes go
-through :func:`~repro.orchestrator.fsio.atomic_write_json` (a unique
+through :func:`~repro.orchestrator.fsio.atomic_write_text` (a unique
 temp file, fsync'd, landed via :func:`os.replace`); a writer that dies
 mid-write leaves at worst a ``*.tmp.*`` file that :meth:`verify` /
 :meth:`gc` account for and reap.
@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.orchestrator import faults
-from repro.orchestrator.fsio import atomic_write_json
+from repro.orchestrator.fsio import atomic_write_text
 from repro.orchestrator.results import RECORD_SCHEMA_VERSION, RunRecord
 from repro.orchestrator.spec import RunSpec
 
@@ -50,9 +50,13 @@ CORRUPT_SUFFIX = ".corrupt"
 CACHEABLE_STATUSES = frozenset({"ok", "oom"})
 
 
-def _checksum(record_payload: dict[str, Any]) -> str:
-    blob = json.dumps(record_payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _canonical(record_payload: dict[str, Any]) -> str:
+    """The canonical JSON text ``sha256`` covers."""
+    return json.dumps(record_payload, sort_keys=True, separators=(",", ":"))
+
+
+def _checksum(canonical: str) -> str:
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @dataclass
@@ -132,8 +136,8 @@ class ResultCache:
         if data.get("cache_schema") != CACHE_SCHEMA_VERSION:
             return self._STALE, None  # pre-checksum or future format
         payload = data.get("record")
-        if not isinstance(payload, dict) or _checksum(payload) != data.get(
-            "sha256"
+        if not isinstance(payload, dict) or (
+            _checksum(_canonical(payload)) != data.get("sha256")
         ):
             return self._CORRUPT, None
         if payload.get("schema") != RECORD_SCHEMA_VERSION:
@@ -164,13 +168,14 @@ class ResultCache:
         if record.status not in CACHEABLE_STATUSES:
             return
         path = self._path(record.spec_hash)
-        payload = record.to_dict()
-        envelope = {
-            "cache_schema": CACHE_SCHEMA_VERSION,
-            "sha256": _checksum(payload),
-            "record": payload,
-        }
-        atomic_write_json(path, envelope)
+        canonical = _canonical(record.to_dict())
+        # the envelope's sorted-key JSON, with the record encoded once:
+        # the checksummed text is spliced in, not encoded again
+        atomic_write_text(
+            path,
+            f'{{"cache_schema":{CACHE_SCHEMA_VERSION},"record":{canonical},'
+            f'"sha256":"{_checksum(canonical)}"}}\n',
+        )
         faults.on_cache_put(path)
 
     # -- audit and maintenance ----------------------------------------------

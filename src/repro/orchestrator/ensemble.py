@@ -14,13 +14,17 @@ distributions:
 - a survivability curve: the fraction of runs still at their full
   stage count at each recorded iteration.
 
-Execution defaults to the in-process ``batched`` backend: every draw
-is an independent Trainer run, which prices a window of iterations'
-cache misses per vectorized call — trace-driven runs are piecewise
-static, so each window batches segment by segment.  Percentiles use
-the deterministic nearest-rank definition, so summaries are
-bit-identical across inline/pool/batched backends and across cached
-re-runs.
+Execution defaults to the in-process ``batched`` backend.  A base
+spec's draws differ only in their traces, so the runner runs them as
+one group: one scenario, one scheme stepped once into a recorded
+trajectory, and one iteration cache.  Every draw is a fresh Trainer
+that replays the trajectory and prices a window of iterations' cache
+misses per vectorized call — trace-driven runs are piecewise static,
+so each window batches segment by segment, and a draw reuses earlier
+draws' prices up to its first event.  Each draw lands the record its
+solo run would.  Percentiles use the deterministic nearest-rank
+definition, so summaries are bit-identical across inline/pool/batched
+backends and across cached re-runs.
 """
 
 from __future__ import annotations
@@ -271,8 +275,11 @@ def run_ensemble(
     traces collapse into one event-free run), executed through a
     :class:`SweepRunner` — in this process by default — and
     fanned back out so duplicate draws weight the statistics exactly
-    once per draw.  ``journal`` makes the underlying sweep durable and
-    resumable, exactly as in :meth:`SweepRunner.run`.
+    once per draw.  A base spec's draws stay consecutive, so the runner
+    runs them as one group sharing a scenario, a recorded scheme
+    trajectory and an iteration cache; the first draw's ``duration_s``
+    carries that setup.  ``journal`` makes the underlying sweep durable
+    and resumable, exactly as in :meth:`SweepRunner.run`.
     """
     base_list = [bases] if isinstance(bases, RunSpec) else list(bases)
     if not base_list:

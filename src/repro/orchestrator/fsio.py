@@ -2,9 +2,10 @@
 
 Every result-cache entry and every cross-host artifact of a sharded
 sweep (plan, done markers, heartbeats, poison markers) goes through
-:func:`atomic_write_json` — written to a unique temp file, fsync'd,
-then ``os.replace``d into place — so a reader never observes a torn
-file, only the old state or the new one.
+:func:`atomic_write_text` (:func:`atomic_write_json` for a dict) —
+written to a unique temp file, fsync'd, then ``os.replace``d into
+place — so a reader never observes a torn file, only the old state or
+the new one.
 
 Networked filesystems hiccup: :func:`with_io_retry` re-runs an
 ``OSError``-raising operation per a
@@ -36,14 +37,20 @@ def atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
     """Write ``payload`` as JSON at ``path`` atomically (fsync'd)."""
     # json.dumps encodes in C; json.dump into a file always takes the
     # pure-Python encoder
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    atomic_write_text(
+        path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    )
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` at ``path`` atomically (fsync'd)."""
     tmp = path.with_name(
         f"{path.name}.tmp.{os.getpid()}."
         f"{threading.get_ident()}.{next(_TMP_COUNTER)}"
     )
     try:
         with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -19,6 +19,12 @@ Execution backends (:class:`ExecutionPolicy`):
   is reused across sweep calls, so repeat sweeps stop paying per-spec
   pickle round-trips and per-call worker start-up.
 
+On every backend, consecutive specs that differ only in
+``cluster_events`` (an ensemble's draws) run as one :class:`_SpecGroup`
+— in one runner call, or one pool chunk — sharing a scenario, a
+recorded scheme trajectory and an iteration cache; each still lands the
+record its solo run would.
+
 Fault tolerance (see ``docs/failure-semantics.md`` for the full
 contract):
 
@@ -67,6 +73,7 @@ import threading
 import time
 import traceback
 import warnings
+from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -245,22 +252,66 @@ def _deadline(seconds: float | None) -> Iterator[bool]:
         signal.signal(signal.SIGALRM, old)
 
 
-def _spec_scenario_and_trainer(spec: RunSpec) -> tuple[Any, Any]:
-    """Build the scenario and (unrun) Trainer a spec describes."""
+class _SpecGroup:
+    """What consecutive specs that differ only in ``cluster_events``
+    share within one runner call.
+
+    A scheme's step never reads the cluster, so the group's first
+    member builds the scenario once and records its scheme once
+    (:class:`~repro.dynamics.base.ReplayScheme`); every member replays
+    that trajectory in a fresh Trainer over the group's one iteration
+    cache.  Tutel and Egeria wrap a scheme without a version counter,
+    so each of their members builds its own.  The first member's
+    ``duration_s`` carries the group's setup.
+    """
+
+    def __init__(self) -> None:
+        self.drop()
+
+    def drop(self) -> None:
+        """Forget everything shared: the next member starts afresh."""
+        self.setup: Any = None
+        self.replay: Any = None
+        self.cache: OrderedDict[tuple[Any, ...], Any] = OrderedDict()
+
+    def setup_and_scheme(self, spec: RunSpec) -> tuple[Any, Any]:
+        """The shared scenario and the scheme ``spec``'s Trainer steps
+        (None: ``make_trainer`` builds one for this member)."""
+        from repro.dynamics.base import DynamismScheme, ReplayScheme
+        from repro.experiments.common import make_scheme
+
+        if self.setup is not None:
+            return self.setup, self.replay
+        setup, scheme = _spec_setup_and_scheme(spec)
+        scheme = scheme or make_scheme(setup, spec.mode)
+        if isinstance(scheme, DynamismScheme):
+            scheme = self.replay = ReplayScheme(scheme, setup.iterations)
+        self.setup = setup
+        return setup, scheme
+
+
+def _spec_groups(specs: Sequence[RunSpec]) -> Iterator[_SpecGroup | None]:
+    """Yield the group each spec runs in: one per run of consecutive
+    specs that differ only in ``cluster_events``, None for a spec
+    alone.  A group is built only when its first member is reached, and
+    nothing here holds it once the next spec starts another."""
+    keys = [dataclasses.replace(spec, cluster_events="") for spec in specs]
+    group: _SpecGroup | None = None
+    for j, key in enumerate(keys):
+        if not (j and key == keys[j - 1]):
+            alone = j + 1 == len(keys) or key != keys[j + 1]
+            group = None if alone else _SpecGroup()
+        yield group
+
+
+def _spec_setup_and_scheme(spec: RunSpec) -> tuple[Any, Any]:
+    """The scenario a spec runs, and its static control when it asks
+    for one (None: ``make_trainer`` builds the mode's scheme)."""
     # deferred: repro.experiments imports repro.orchestrator for the
     # figure drivers, so importing it at module level would be circular
-    from repro.cluster.events import ClusterEventTrace
-    from repro.cluster.job_manager import ElasticJobManager
     from repro.dynamics.base import StaticScheme
-    from repro.experiments.common import build_scenario, make_trainer
+    from repro.experiments.common import build_scenario
 
-    if spec.mode not in MODES:
-        raise ValueError(f"unknown mode {spec.mode!r}; choose from {MODES}")
-    events = (
-        ClusterEventTrace.from_json(spec.cluster_events)
-        if spec.cluster_events
-        else None
-    )
     setup = build_scenario(
         spec.scenario,
         num_layers=spec.num_layers,
@@ -273,7 +324,30 @@ def _spec_scenario_and_trainer(spec: RunSpec) -> tuple[Any, Any]:
         precision=spec.precision,
         recompute=spec.recompute,
     )
-    scheme = StaticScheme(setup.specs) if spec.static_scheme else None
+    return setup, StaticScheme(setup.specs) if spec.static_scheme else None
+
+
+def _spec_scenario_and_trainer(
+    spec: RunSpec, group: _SpecGroup | None = None
+) -> tuple[Any, Any]:
+    """Build the scenario and (unrun) Trainer a spec describes, sharing
+    ``group``'s scenario, recorded scheme and iteration cache."""
+    from repro.cluster.events import ClusterEventTrace
+    from repro.cluster.job_manager import ElasticJobManager
+    from repro.experiments.common import make_trainer
+
+    if spec.mode not in MODES:
+        raise ValueError(f"unknown mode {spec.mode!r}; choose from {MODES}")
+    events = (
+        ClusterEventTrace.from_json(spec.cluster_events)
+        if spec.cluster_events
+        else None
+    )
+    setup, scheme = (
+        _spec_setup_and_scheme(spec)
+        if group is None
+        else group.setup_and_scheme(spec)
+    )
     job_manager = (
         ElasticJobManager(total_gpus=spec.elastic_total_gpus)
         if spec.elastic_total_gpus is not None
@@ -293,6 +367,7 @@ def _spec_scenario_and_trainer(spec: RunSpec) -> tuple[Any, Any]:
         placement=spec.placement,
         cluster_events=events,
         memory_limit=spec.memory_limit or None,
+        cache=group.cache if group is not None else None,
     )
     return setup, trainer
 
@@ -301,13 +376,20 @@ def _run_spec(
     spec: RunSpec,
     deadline_s: float | None = None,
     stop: threading.Event | None = None,
+    group: _SpecGroup | None = None,
 ) -> dict[str, Any]:
-    setup, trainer = _spec_scenario_and_trainer(spec)
     try:
+        setup, trainer = _spec_scenario_and_trainer(spec, group)
         result = trainer.run(deadline_s=deadline_s, stop=stop)
-    except RunDeadlineExceeded as exc:
-        # same record shape as the SIGALRM path: status="timeout"
-        raise SweepTimeout(str(exc)) from None
+    except BaseException as exc:
+        if group is not None:
+            # a SIGALRM can land mid-recording or mid-advance: nothing a
+            # raising member touched is served to the next one
+            group.drop()
+        if isinstance(exc, RunDeadlineExceeded):
+            # same record shape as the SIGALRM path: status="timeout"
+            raise SweepTimeout(str(exc)) from None
+        raise
     metrics = result_metrics(result)
     # effective shape (build_scenario may widen the pipeline, e.g. MoE)
     metrics["effective_pp_stages"] = setup.pp_stages
@@ -379,12 +461,14 @@ def execute_spec(
     spec: RunSpec,
     timeout_s: float | None = None,
     stop: threading.Event | None = None,
+    group: _SpecGroup | None = None,
 ) -> RunRecord:
     """Run one spec, capturing any failure into the returned record.
 
     Once ``stop`` is set, the run ends at its next iteration by raising
     :class:`~repro.training.trainer.RunInterrupted`: an interrupted run
-    has no record.
+    has no record.  A spec in a ``group`` (:func:`_spec_groups`) shares
+    its scenario, scheme trajectory and iteration cache.
     """
     faults.on_spec_execute(spec.spec_hash)
     start = time.perf_counter()
@@ -398,6 +482,7 @@ def execute_spec(
                 spec,
                 deadline_s=timeout_s if timeout_s and not armed else None,
                 stop=stop,
+                group=group,
             )
         duration = time.perf_counter() - start
         if timeout_s and not armed and duration > timeout_s:
@@ -435,13 +520,17 @@ def _execute_chunk(
     """Worker body for pooled execution: one pickle round-trip per chunk.
 
     A fault plan installed in the orchestrator travels with the chunk
-    so injected worker kills fire here, in the worker.
+    so injected worker kills fire here, in the worker.  The chunk's
+    specs run in groups (:func:`_spec_groups`).
     """
     if fault_plan is not None:
         faults.install(fault_plan, owner_pid)
     try:
         faults.on_chunk_start()
-        return [execute_spec(spec, timeout_s) for spec in specs]
+        return [
+            execute_spec(spec, timeout_s, group=group)
+            for spec, group in zip(specs, _spec_groups(specs))
+        ]
     finally:
         if fault_plan is not None:
             faults.uninstall()
@@ -724,15 +813,17 @@ class SweepRunner:
     def _run_inline(self, indices: list[int], state: _RunState) -> None:
         """Run ``indices`` one after another in this process.
 
-        Once the stop event is set, the running spec ends at its next
-        iteration and lands nothing (a resume re-runs exactly it), and
+        The specs run in groups (:func:`_spec_groups`).  Once the stop
+        event is set, the running spec ends at its next iteration and
+        lands nothing (a resume re-runs exactly it), and
         :class:`SweepInterrupted` is raised.
         """
-        for i in indices:
+        groups = _spec_groups([state.specs[i] for i in indices])
+        for i, group in zip(indices, groups):
             self._maybe_interrupt(state)
             try:
                 record = execute_spec(
-                    state.specs[i], self.policy.timeout_s, state.stop
+                    state.specs[i], self.policy.timeout_s, state.stop, group
                 )
             except RunInterrupted:
                 self._interrupt(state)

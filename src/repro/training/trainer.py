@@ -175,6 +175,7 @@ class Trainer:
         placement: Placement | None = None,
         cluster_events: ClusterEventTrace | None = None,
         memory_model: StageMemoryModel | None = None,
+        cache: OrderedDict[tuple, IterationResult] | None = None,
     ) -> None:
         self.cfg = cfg
         self.cost = cost
@@ -225,8 +226,13 @@ class Trainer:
             job_manager.request(_JOB_NAME, cfg.total_gpus, iteration=0)
         # Bounded LRU of iteration results: long elastic runs that
         # alternate between a handful of plans never thrash (the old
-        # clear-everything-at-512 wiped the hot entries too).
-        self._cache: OrderedDict[tuple, IterationResult] = OrderedDict()
+        # clear-everything-at-512 wiped the hot entries too).  Runs may
+        # share one when their cost model, comm topology, schedule,
+        # micro-batch count and DP ways are equal: its keys name only
+        # the plan, placement, stragglers and states.
+        self._cache: OrderedDict[tuple, IterationResult] = (
+            OrderedDict() if cache is None else cache
+        )
         self._cache_capacity = WINDOW
         # states_fingerprint memo, invalidated by the scheme's version
         # counter: schemes that change every few hundred iterations

@@ -240,9 +240,9 @@ class TestDedupeAndProgress:
         calls = []
         real = runner_mod.execute_spec
 
-        def counting(spec, timeout_s=None, stop=None):
+        def counting(spec, *args, **kwargs):
             calls.append(spec.spec_hash)
-            return real(spec, timeout_s, stop)
+            return real(spec, *args, **kwargs)
 
         monkeypatch.setattr(runner_mod, "execute_spec", counting)
         spec = tiny()
@@ -352,9 +352,9 @@ class TestInterruptAndResume:
         calls = []
         real = runner_mod.execute_spec
 
-        def counting(spec, timeout_s=None, stop=None):
+        def counting(spec, *args, **kwargs):
             calls.append(spec.spec_hash)
-            return real(spec, timeout_s, stop)
+            return real(spec, *args, **kwargs)
 
         monkeypatch.setattr(runner_mod, "execute_spec", counting)
         with SweepJournal(path) as journal:

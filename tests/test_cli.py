@@ -55,6 +55,15 @@ class TestParser:
               "--clusters", "1x8"], "--clusters"),
             # fig-maxmodel probes only the 24/32/40/48-layer GPT configs
             (["fig-maxmodel", "--depths", "30"], "--depths"),
+            # commands that run one depth or one scenario refuse more
+            # values than they run
+            (["ensemble", "--layers", "24", "32"], "--layers"),
+            (["fig1", "--layers", "24", "32"], "--layers"),
+            (["fig4", "--layers", "24", "32"], "--layers"),
+            (["overhead", "--layers", "24", "32"], "--layers"),
+            (["gantt", "--layers", "24", "32"], "--layers"),
+            (["gantt", "--scenario", "pruning", "moe"], "--scenario"),
+            (["fig-maxmodel", "--scenario", "pruning", "freezing"], "--scenario"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )

@@ -404,3 +404,38 @@ class TestStateTrajectoryPins:
         assert len(set(fps)) >= 2  # the trajectory moves
         digest = hashlib.blake2b(b"".join(fps), digest_size=16).hexdigest()
         assert (digest, len(set(fps))) == TRAJECTORY_PINS[name, seed]
+
+
+class TestReplayScheme:
+    """A replay writes the recorded states, and bumps ``version``,
+    exactly where the recorded scheme's step reported a change."""
+
+    @pytest.mark.parametrize(
+        "name", sorted({name for name, _ in TRAJECTORY_PINS} - {"tutel"})
+    )
+    def test_replay_steps_the_schemes_trajectory(self, name):
+        from repro.dynamics.base import ReplayScheme
+
+        setup = build_scenario(
+            name, num_layers=24, pp_stages=8, dp_ways=1, iterations=150
+        )
+        replay = ReplayScheme(setup.scheme_factory(), 150)
+        scheme = setup.scheme_factory()
+        assert replay.rebalance_every == scheme.rebalance_every
+        live, replayed = scheme.initial_states(), replay.initial_states()
+        for k in range(150):
+            before = live.tobytes()
+            changed = scheme.advance(k, live)
+            assert replay.advance(k, replayed) == changed
+            assert replay.version == scheme.version
+            assert replayed.tobytes() == live.tobytes()
+            if not changed:
+                # a step that reports no change writes nothing
+                assert live.tobytes() == before
+
+    def test_iterations_outside_the_recording_raise(self, gpt24_specs):
+        from repro.dynamics.base import ReplayScheme
+
+        replay = ReplayScheme(StaticScheme(gpt24_specs), 10)
+        with pytest.raises(ValueError, match="outside the 10 recorded"):
+            replay.step(10, replay.initial_states())

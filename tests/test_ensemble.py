@@ -24,7 +24,9 @@ from repro.orchestrator import (
     ExecutionPolicy,
     ResultCache,
     RunSpec,
+    SweepRunner,
     TraceDistribution,
+    execute_spec,
     percentile_nearest,
     run_ensemble,
     sample_specs,
@@ -378,3 +380,210 @@ class TestRunEnsemble:
         res = run_ensemble(base, 8, distribution=self.dist())
         assert all(r.status == "ok" for r in res.records)
         assert res.stats[0].ok == 8
+
+
+# ---------------------------------------------------------------------------
+# grouped draws: one scenario, one recorded trajectory, one iteration cache
+
+
+def _strip(record):
+    """A record's dict without its wall-clock duration."""
+    d = record.to_dict()
+    d.pop("duration_s")
+    return d
+
+
+def _traces():
+    """Empty, failure at iteration 0, straggler-only, failure without
+    recovery, and failure with recovery."""
+    return [
+        "",
+        ClusterEventTrace((ClusterEvent(0, "failure", (1,)),)).to_json(),
+        ClusterEventTrace(
+            (ClusterEvent(3, "straggler", (2,), duration=6, slowdown=1.7),)
+        ).to_json(),
+        ClusterEventTrace((ClusterEvent(7, "failure", (2,)),)).to_json(),
+        ClusterEventTrace(
+            (
+                ClusterEvent(4, "failure", (3,)),
+                ClusterEvent(12, "recovery", (3,)),
+            )
+        ).to_json(),
+    ]
+
+
+def _group_specs(**fields):
+    base = RunSpec(
+        scenario=fields.pop("scenario", "pruning"), num_layers=24,
+        pp_stages=4, iterations=24, **fields,
+    )
+    return [base.with_(cluster_events=trace) for trace in _traces()]
+
+
+class _Counts:
+    """Counts scenario builds, scheme constructions, scheme steps and
+    recordings while installed."""
+
+    def __init__(self, monkeypatch, scheme_cls):
+        import repro.experiments.common as common
+        from repro.dynamics.base import ReplayScheme
+
+        self.builds = self.schemes = self.steps = self.recordings = 0
+        build, init, step = common.build_scenario, scheme_cls.__init__, scheme_cls.step
+        record = ReplayScheme.__init__
+
+        def counting_build(*args, **kwargs):
+            self.builds += 1
+            return build(*args, **kwargs)
+
+        def counting_init(obj, *args, **kwargs):
+            self.schemes += 1
+            init(obj, *args, **kwargs)
+
+        def counting_step(obj, k, states):
+            self.steps += 1
+            return step(obj, k, states)
+
+        def counting_record(obj, *args, **kwargs):
+            self.recordings += 1
+            record(obj, *args, **kwargs)
+
+        monkeypatch.setattr(common, "build_scenario", counting_build)
+        monkeypatch.setattr(scheme_cls, "__init__", counting_init)
+        monkeypatch.setattr(scheme_cls, "step", counting_step)
+        monkeypatch.setattr(ReplayScheme, "__init__", counting_record)
+
+
+class TestGroupedDraws:
+    """Consecutive specs that differ only in ``cluster_events`` share
+    one scenario, one recorded scheme trajectory and one iteration
+    cache; every record stays what its solo run produces."""
+
+    def draws(self):
+        base = RunSpec(scenario="pruning", pp_stages=8, iterations=40)
+        dist = TraceDistribution(failure_rate=0.1, recover_after=10)
+        specs = sample_specs(base, 32, dist)
+        assert len(set(specs)) == 32
+        return specs
+
+    @pytest.mark.parametrize("where", ["inline", "pool chunk"])
+    def test_a_group_builds_one_scenario_and_one_scheme(self, where, monkeypatch):
+        from repro.dynamics.pruning import PruningDynamism
+        from repro.orchestrator.runner import _execute_chunk
+
+        counts = _Counts(monkeypatch, PruningDynamism)
+        specs = self.draws()
+        if where == "inline":
+            records = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+        else:
+            records = _execute_chunk(specs, None)
+        assert [r.status for r in records] == ["ok"] * 32
+        assert counts.builds == 1
+        assert counts.schemes == 1 and counts.recordings == 1
+        # the scheme stepped once through the run, not once per draw
+        assert counts.steps == 40
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"scenario": "moe"},
+            {"scenario": "pruning", "mode": "dynmo-partition"},
+            {"scenario": "freezing", "mode": "dynmo-diffusion"},
+            {"scenario": "sparse_attention"},
+            {"scenario": "early_exit", "mode": "dynmo-partition"},
+            {"scenario": "mod", "mode": "dynmo-partition"},
+            {"scenario": "pruning", "mode": "dynmo-partition", "static_scheme": True},
+            {"scenario": "moe", "mode": "tutel"},
+            {"scenario": "freezing", "mode": "egeria"},
+            {"scenario": "sparse_attention", "mode": "dense-baseline"},
+        ],
+        ids=lambda f: "-".join(str(v) for v in f.values()),
+    )
+    def test_grouped_records_equal_solo_runs(self, fields):
+        specs = _group_specs(**fields)
+        grouped = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+        solo = [execute_spec(spec) for spec in specs]
+        assert [r.status for r in grouped] == ["ok"] * len(specs)
+        assert [_strip(r) for r in grouped] == [_strip(r) for r in solo]
+
+    def test_a_draw_reuses_earlier_draws_prices(self, monkeypatch):
+        """Iterations before a draw's first event were priced by the
+        event-free draw before it: the group prices them once."""
+        lanes = []
+        real = batched_mod.simulate_many
+
+        def counting(requests):
+            lanes.append(len(requests))
+            return real(requests)
+
+        monkeypatch.setattr(batched_mod, "simulate_many", counting)
+        calm, failing = _group_specs()[0], _group_specs()[3]  # fails at 7
+        priced = []
+        for specs in ([calm], [failing], [calm, failing]):
+            lanes.clear()
+            SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+            priced.append(sum(lanes))
+        alone_calm, alone_failing, grouped = priced
+        # iterations 0-6 share one state, placement and plan
+        assert grouped - alone_calm == alone_failing - 1
+
+    def test_a_spec_alone_records_no_trajectory(self, monkeypatch):
+        from repro.dynamics.pruning import PruningDynamism
+
+        counts = _Counts(monkeypatch, PruningDynamism)
+        a, b, c = _group_specs()[1:4]
+        # neighbours that differ in more than their events
+        specs = [a, b.with_(seed=1), c]
+        SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+        assert counts.recordings == 0
+        assert counts.builds == counts.schemes == 3
+
+    def test_runner_calls_share_nothing(self, monkeypatch):
+        from repro.dynamics.pruning import PruningDynamism
+
+        counts = _Counts(monkeypatch, PruningDynamism)
+        specs = _group_specs()
+        runner = SweepRunner(policy=ExecutionPolicy("inline"))
+        first = runner.run(specs)
+        again = runner.run(specs)
+        assert counts.builds == counts.recordings == 2
+        assert [_strip(r) for r in first] == [_strip(r) for r in again]
+
+    @pytest.mark.parametrize("fault", ["timeout recording", "timeout replaying", "error"])
+    def test_members_after_a_failed_one_match_their_solo_runs(self, fault, monkeypatch):
+        """A member that raises drops the group: the next member builds
+        and records afresh, so nothing half-built is served."""
+        from repro.dynamics.base import ReplayScheme
+        from repro.dynamics.pruning import PruningDynamism
+        from repro.orchestrator.runner import SweepTimeout
+
+        specs = _group_specs()
+        solo = [execute_spec(spec) for spec in specs]
+        counts = _Counts(monkeypatch, PruningDynamism)
+        if fault == "error":
+            # rank 99 does not exist: the second member's Trainer raises
+            specs[1] = specs[1].with_(
+                cluster_events=ClusterEventTrace(
+                    (ClusterEvent(5, "failure", (99,)),)
+                ).to_json()
+            )
+        else:
+            # an alarm that lands mid-step, in the first member's
+            # recording or in the second member's replay
+            cls = PruningDynamism if fault == "timeout recording" else ReplayScheme
+            step, starts = cls.step, []
+
+            def alarmed_step(obj, k, states):
+                starts.extend([k] if k == 0 else [])
+                if k == 5 and len(starts) == 1 + (cls is ReplayScheme):
+                    raise SweepTimeout("exceeded 1s budget")
+                return step(obj, k, states)
+
+            monkeypatch.setattr(cls, "step", alarmed_step)
+        grouped = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+        failed = 0 if fault == "timeout recording" else 1
+        want = "error" if fault == "error" else "timeout"
+        assert grouped[failed].status == want
+        after = slice(failed + 1, None)
+        assert [_strip(r) for r in grouped[after]] == [_strip(r) for r in solo[after]]
+        assert counts.builds == 2

@@ -9,8 +9,11 @@ invariants below.
 
 ``tests/goldens/ensemble.json`` (fault-ensemble percentiles) and
 ``tests/goldens/maxmodel.json`` (a small ``fig-maxmodel`` table with
-``ok`` and ``oom`` cells) are checked the same way on the inline and
-batched backends.
+``ok`` and ``oom`` cells) are checked the same way on the inline,
+batched and pool backends.  Their consecutive specs that differ only
+in cluster events run as groups sharing one scenario, scheme
+trajectory and iteration cache, and the pool's chunks split those
+groups across workers.
 """
 
 from __future__ import annotations
@@ -62,14 +65,14 @@ def test_goldens_match(backend, goldens, inline_records, tmp_path):
     assert not moved, f"{len(moved)} golden run(s) moved: {moved}"
 
 
-@pytest.mark.parametrize("backend", ["inline", "batched"])
+@pytest.mark.parametrize("backend", ["inline", "batched", "pool"])
 def test_ensemble_goldens_match(backend):
     golden = regen_goldens.load_goldens(regen_goldens.ENSEMBLE_PATH)
     assert golden["sim_version"] == SIM_VERSION
     assert regen_goldens.ensemble_entries(backend) == golden["groups"]
 
 
-@pytest.mark.parametrize("backend", ["inline", "batched"])
+@pytest.mark.parametrize("backend", ["inline", "batched", "pool"])
 def test_maxmodel_goldens_match(backend):
     golden = regen_goldens.load_goldens(regen_goldens.MAXMODEL_PATH)
     assert golden["sim_version"] == SIM_VERSION

@@ -391,6 +391,47 @@ class TestResultCache:
         assert all(r.cached for r in rerun)
         assert len(list(tmp_path.glob("*.json"))) == len(specs)
 
+    def test_put_encodes_the_sorted_envelope(self, tmp_path):
+        """An entry is the sorted-key JSON of its envelope, byte for
+        byte, though put encodes the record only once."""
+        import hashlib
+
+        cache = ResultCache(tmp_path)
+        record = SweepRunner(cache=cache).run([tiny()])[0]
+        payload = record.to_dict()
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        envelope = {
+            "cache_schema": 2,
+            "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "record": payload,
+        }
+        raw = (tmp_path / f"{record.spec_hash}.json").read_text()
+        assert raw == json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_entries_written_by_a_dict_encode_still_verify(self, tmp_path):
+        """An entry written by encoding the whole envelope dict (as put
+        did before it spliced the record text in) is served and passes
+        verify."""
+        import hashlib
+
+        record = SweepRunner().run([tiny()])[0]
+        payload = record.to_dict()
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        atomic_write_json(
+            tmp_path / f"{record.spec_hash}.json",
+            {
+                "cache_schema": 2,
+                "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+                "record": payload,
+            },
+        )
+        cache = ResultCache(tmp_path)
+        hit = cache.get(tiny())
+        assert hit is not None and hit.cached
+        assert hit.metrics == record.metrics
+        audit = cache.verify()
+        assert audit.ok == 1 and audit.clean
+
     def test_changed_spec_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         SweepRunner(cache=cache).run([tiny()])

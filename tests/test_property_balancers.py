@@ -153,8 +153,18 @@ class TestPartitionProperties:
         assert res.loads_after.sum() == pytest.approx(w.sum())
 
 
+#: splits whose prefix excesses tie within rounding: each layer move
+#: claimed to shrink |e(b)| both ways across its cut, and the balancer
+#: flipped the layer back and forth forever (here 0.15 across +-0.075;
+#: then 15 identical layers on 6 stages)
+TIED_EXCESS = (np.array([0.0, 64.0, 0.15, 64.0]), 2)
+IDENTICAL_LAYERS = (np.full(15, 5.9), 6)
+
+
 class TestDiffusionProperties:
     @given(ws=weights_and_stages())
+    @example(ws=TIED_EXCESS)
+    @example(ws=IDENTICAL_LAYERS)
     @settings(max_examples=40, deadline=None)
     def test_potential_monotone(self, ws):
         w, S = ws
@@ -163,6 +173,8 @@ class TestDiffusionProperties:
         assert all(b <= a + 1e-9 for a, b in zip(t, t[1:]))
 
     @given(ws=weights_and_stages())
+    @example(ws=TIED_EXCESS)
+    @example(ws=IDENTICAL_LAYERS)
     @settings(max_examples=40, deadline=None)
     def test_never_worse_and_valid(self, ws):
         w, S = ws
