@@ -16,13 +16,18 @@ that covers what the perfbench workloads do not:
 - pruning and freezing at ``dp_ways=2`` under megatron and
   dynmo-partition (the data-parallel gradient all-reduce);
 - the events cell on ``2x8+2x4:a100`` with ``memory_limit="auto"``
-  under both dynmo modes.
+  under both dynmo modes;
+- the paper's baseline modes on the scenarios each runs
+  (:data:`BASELINE_CELLS`: Tutel on moe, Egeria on freezing, the dense
+  baseline on sparse_attention and early_exit, DeepSpeed on pruning and
+  moe) over every schedule at 24 layers, 8 stages, 30 iterations.
 
 Two smaller goldens sit beside it: ``tests/goldens/ensemble.json``
-holds, for pruning x {megatron, dynmo-partition} x {zb, 1f1b} at 8
-stages and 40 iterations, each group's ``EnsembleStats`` digest over 8
-sampled fault traces next to its p50/p99 iteration time and final
-survivability; ``tests/goldens/maxmodel.json`` holds a small
+holds, for pruning x {megatron, dynmo-partition} x {zb, 1f1b}, moe
+under tutel and freezing under egeria at 8 stages and 40 iterations,
+each group's ``EnsembleStats`` digest over 8 sampled fault traces next
+to its p50/p99 iteration time and final survivability;
+``tests/goldens/maxmodel.json`` holds a small
 ``fig-maxmodel`` table under ``memory_limit="4e9"`` with both ``ok``
 and ``oom`` cells.
 
@@ -75,6 +80,16 @@ SCENARIOS = ("pruning", "freezing", "sparse_attention", "early_exit", "moe", "mo
 MODES = ("megatron", "dynmo-partition", "dynmo-diffusion")
 SCHEDULES = ("gpipe", "1f1b", "zb")
 PLACEMENTS = ("packed", "scattered", "dp-outer")
+#: (scenario, mode) for each baseline the paper compares against, on
+#: the scenarios it runs
+BASELINE_CELLS = (
+    ("moe", "tutel"),
+    ("freezing", "egeria"),
+    ("sparse_attention", "dense-baseline"),
+    ("early_exit", "dense-baseline"),
+    ("pruning", "deepspeed"),
+    ("moe", "deepspeed"),
+)
 
 #: record fields that vary with how a run executed, not what it simulated
 WALL_CLOCK_FIELDS = ("duration_s", "cached")
@@ -179,6 +194,18 @@ def golden_specs() -> list[RunSpec]:
         )
         for mode in ("dynmo-partition", "dynmo-diffusion")
     ]
+    specs += [
+        RunSpec(
+            scenario=scenario,
+            mode=mode,
+            num_layers=24,
+            pp_stages=8,
+            iterations=30,
+            schedule=schedule,
+        )
+        for scenario, mode in BASELINE_CELLS
+        for schedule in SCHEDULES
+    ]
     return list(dict.fromkeys(specs))  # blocks may share a cell
 
 
@@ -230,6 +257,9 @@ def ensemble_bases() -> list[RunSpec]:
         )
         for mode in ("megatron", "dynmo-partition")
         for schedule in ("zb", "1f1b")
+    ] + [
+        RunSpec(scenario=scenario, mode=mode, pp_stages=8, iterations=40)
+        for scenario, mode in (("moe", "tutel"), ("freezing", "egeria"))
     ]
 
 
