@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dynamics.base import DynamismScheme
 from repro.dynamics.freezing import FreezingDynamism
 
 
@@ -18,26 +19,20 @@ from repro.dynamics.freezing import FreezingDynamism
 _REF_COST_COEFF_S = 2.4e-7
 
 
-class EgeriaBaseline:
+class EgeriaBaseline(DynamismScheme):
     """FreezingDynamism + per-iteration reference-model overhead."""
 
     name = "egeria"
+    rebalance_every = 10**9  # never rebalances the pipeline
 
     def __init__(self, scheme: FreezingDynamism):
+        super().__init__(scheme.specs)
         self.scheme = scheme
-        self.specs = scheme.specs
-        self.rebalance_every = 10**9  # never rebalances the pipeline
-        # reference-model maintenance scales superlinearly with depth
-        # (forward pass + per-layer plasticity bookkeeping): ~d^2
-        d = len(scheme.block_indices)
-        self.ref_cost_per_iter_s = _REF_COST_COEFF_S * d * d
-
-    def initial_states(self) -> np.ndarray:
-        return self.scheme.initial_states()
+        # the CPU reference-model update, amortised per training
+        # iteration, scales superlinearly with depth (forward pass +
+        # per-layer plasticity bookkeeping): ~d^2
+        d = len(self.block_indices)
+        self.per_iteration_overhead_s = _REF_COST_COEFF_S * d * d
 
     def step(self, k: int, states: np.ndarray) -> bool:
         return self.scheme.step(k, states)
-
-    def per_iteration_overhead_s(self) -> float:
-        """CPU reference-model update amortised per training iteration."""
-        return self.ref_cost_per_iter_s

@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dynamics.base import DynamismScheme
 from repro.dynamics.moe import MoEDynamism
 from repro.model.cost import MOE_MULTIPLIER
 
 
-class TutelMoEBaseline:
+class TutelMoEBaseline(DynamismScheme):
     """Wraps an MoEDynamism, damping its per-layer multipliers."""
 
     name = "tutel"
+    rebalance_every = 10**9  # no pipeline rebalancing
 
     def __init__(self, scheme: MoEDynamism, damping: float = 0.15, dispatch_overhead: float = 0.03):
         if not isinstance(scheme, MoEDynamism):
@@ -34,18 +36,15 @@ class TutelMoEBaseline:
             )
         if not 0.0 <= damping <= 1.0:
             raise ValueError("damping must be in [0, 1]")
+        super().__init__(scheme.specs)
         self.scheme = scheme
         self.damping = damping
         self.dispatch_overhead = dispatch_overhead
-        self.specs = scheme.specs
-        self.rebalance_every = 10**9  # no pipeline rebalancing
-
-    def initial_states(self) -> np.ndarray:
-        return self.scheme.initial_states()
 
     def step(self, k: int, states: np.ndarray) -> bool:
-        changed = self.scheme.step(k, states)
+        if not self.scheme.step(k, states):
+            return False
         m = states[self.scheme.moe_layers, MOE_MULTIPLIER]
         damped = 1.0 + (m - 1.0) * (1.0 - self.damping)
         states[self.scheme.moe_layers, MOE_MULTIPLIER] = damped * (1.0 + self.dispatch_overhead)
-        return changed
+        return True

@@ -19,14 +19,19 @@ from repro.model.cost import LayerSpec, fresh_states
 class DynamismScheme(ABC):
     """Writes per-layer state columns each iteration.
 
-    ``rebalance_every`` is the paper-recommended DynMo invocation
-    frequency for this scheme (Fig. 4 right table): 1 for MoE / sparse
-    attention / MoD, hundreds-to-thousands for freezing / early exit /
-    pruning.
+    Every scheme a run steps is one: each scenario's own, the static
+    control, the Tutel and Egeria baselines (which wrap a scenario's
+    scheme) and :class:`ReplayScheme`.  ``rebalance_every`` is the
+    paper-recommended DynMo invocation frequency for this scheme
+    (Fig. 4 right table): 1 for MoE / sparse attention / MoD,
+    hundreds-to-thousands for freezing / early exit / pruning.
+    ``per_iteration_overhead_s`` is simulated time the scheme itself
+    adds to every iteration (Egeria's CPU reference model).
     """
 
     name: str = "base"
     rebalance_every: int = 1
+    per_iteration_overhead_s: float = 0.0
 
     def __init__(self, specs: list[LayerSpec]) -> None:
         if not specs:
@@ -91,6 +96,7 @@ class ReplayScheme(DynamismScheme):
     def __init__(self, scheme: DynamismScheme, iterations: int) -> None:
         super().__init__(scheme.specs)
         self.rebalance_every = scheme.rebalance_every
+        self.per_iteration_overhead_s = scheme.per_iteration_overhead_s
         self.iterations = iterations
         states = scheme.initial_states()
         #: iteration -> the states its step left, for each changing step

@@ -86,7 +86,6 @@ class ScenarioSetup:
     pp_stages: int
     dp_ways: int
     rebalance_every: int
-    baseline_scheme_factory: "callable | None" = None  # e.g. dense attention
 
 
 def effective_shape(
@@ -223,11 +222,6 @@ def build_scenario(
             return MoDDynamism(specs, seed=s)
         raise AssertionError(name)
 
-    baseline_factory = None
-    if name in ("sparse_attention", "early_exit"):
-        # the paper's baseline for these is the *dense / no-exit* model
-        baseline_factory = lambda s=seed: StaticScheme(specs)  # noqa: E731
-
     return ScenarioSetup(
         name=name,
         cfg=cfg,
@@ -240,7 +234,6 @@ def build_scenario(
         pp_stages=pp_stages,
         dp_ways=dp_ways,
         rebalance_every=every,
-        baseline_scheme_factory=baseline_factory,
     )
 
 
@@ -271,20 +264,20 @@ def parse_memory_limit(limit: "str | float | None") -> tuple[bool, float | None]
     return True, value
 
 
-def make_scheme(
-    setup: ScenarioSetup, mode: str
-) -> DynamismScheme | TutelMoEBaseline | EgeriaBaseline:
+def make_scheme(setup: ScenarioSetup, mode: str) -> DynamismScheme:
     """The dynamism scheme a ``mode`` run of ``setup`` steps: Tutel and
-    Egeria wrap the scenario's scheme, the dense baseline runs the
-    scenario's static control, every other mode its scheme."""
+    Egeria wrap the scenario's scheme, the dense baseline is the static
+    control (the paper's dense-attention / no-exit model, so only
+    sparse_attention and early_exit have one), every other mode steps
+    the scenario's scheme."""
     if mode == "tutel":
         return TutelMoEBaseline(setup.scheme_factory())
     if mode == "egeria":
         return EgeriaBaseline(setup.scheme_factory())
     if mode == "dense-baseline":
-        if setup.baseline_scheme_factory is None:
+        if setup.name not in ("sparse_attention", "early_exit"):
             raise ValueError(f"scenario {setup.name} has no dense baseline")
-        return setup.baseline_scheme_factory()
+        return StaticScheme(setup.specs)
     return setup.scheme_factory()
 
 

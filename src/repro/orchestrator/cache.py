@@ -1,17 +1,18 @@
 """Disk cache for sweep results, keyed by the spec content hash.
 
 Each successful run is stored as ``<root>/<spec_hash>.json`` holding a
-checksummed envelope::
+checksummed envelope, as compact sorted-key JSON::
 
-    {"cache_schema": 2, "sha256": "<hex>", "record": {...RunRecord...}}
+    {"cache_schema":2,"record":{...RunRecord...},"sha256":"<hex>"}
 
-``sha256`` covers the canonical JSON of the record payload, so a
-bit-flipped, truncated, or hand-edited entry is *detected*, not
-silently served: :meth:`ResultCache.get` renames such entries to
-``<name>.json.corrupt`` (an auditable quarantine, reaped by
-:meth:`gc`) and reports a miss.  Entries in older formats or schema
-versions are stale — a plain miss, reaped by :meth:`gc` but never
-mislabelled corrupt.
+``sha256`` covers the canonical JSON of the record payload, which is
+the stored record text itself: a read checks the digest over those
+bytes and parses only them.  A bit-flipped, truncated, or hand-edited
+entry is *detected*, not silently served: :meth:`ResultCache.get`
+renames such entries to ``<name>.json.corrupt`` (an auditable
+quarantine, reaped by :meth:`gc`) and reports a miss.  Entries in older
+formats, schema versions or byte layouts are stale — a plain miss,
+reaped by :meth:`gc` but never mislabelled corrupt.
 
 Lookups additionally verify the stored spec matches the query spec
 field-for-field (hash collisions and schema drift both surface as a
@@ -50,13 +51,21 @@ CORRUPT_SUFFIX = ".corrupt"
 CACHEABLE_STATUSES = frozenset({"ok", "oom"})
 
 
-def _canonical(record_payload: dict[str, Any]) -> str:
+#: an entry as :meth:`ResultCache.put` writes it, the compact sorted-key
+#: JSON of its envelope: ``_HEAD``, the record's canonical JSON,
+#: ``_SHA_KEY``, the sha256 hex digest of that JSON, ``_END``
+_HEAD = b'{"cache_schema":%d,"record":' % CACHE_SCHEMA_VERSION
+_SHA_KEY = b',"sha256":"'
+_END = b'"}\n'
+
+
+def _canonical(record_payload: dict[str, Any]) -> bytes:
     """The canonical JSON text ``sha256`` covers."""
-    return json.dumps(record_payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(record_payload, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _checksum(canonical: str) -> str:
-    return hashlib.sha256(canonical.encode()).hexdigest()
+def _checksum(canonical: bytes) -> bytes:
+    return hashlib.sha256(canonical).hexdigest().encode()
 
 
 @dataclass
@@ -122,23 +131,42 @@ class ResultCache:
     _OK, _CORRUPT, _STALE = "ok", "corrupt", "stale"
 
     def _classify(self, path: Path) -> tuple[str, RunRecord | None]:
-        """Decide an entry's fate without touching the filesystem."""
+        """Decide an entry's fate without touching the filesystem.
+
+        An entry is served only when its bytes are exactly what
+        :meth:`put` writes: the checksum is taken over the stored record
+        text, and only that text is parsed.  An entry in another layout
+        is never served: corrupt when it does not parse or a current
+        envelope's checksum fails, stale otherwise (an older format, or
+        an older writer's layout of an intact record).
+        """
         try:
             raw = path.read_bytes()
         except OSError:
             return self._STALE, None  # vanished under us: a plain miss
+        if not raw.startswith(_HEAD):
+            try:
+                data = json.loads(raw.decode("utf-8"))
+            except (UnicodeDecodeError, ValueError):
+                return self._CORRUPT, None
+            if not isinstance(data, dict):
+                return self._CORRUPT, None
+            if data.get("cache_schema") != CACHE_SCHEMA_VERSION:
+                return self._STALE, None  # pre-checksum or future format
+            payload = data.get("record")
+            if not isinstance(payload, dict) or (
+                _checksum(_canonical(payload)).decode() != data.get("sha256")
+            ):
+                return self._CORRUPT, None
+            return self._STALE, None
+        text, key, end = raw[len(_HEAD) :].rpartition(_SHA_KEY)
+        if not key or end != _checksum(text) + _END:
+            return self._CORRUPT, None
         try:
-            data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
+            payload = json.loads(text)
+        except ValueError:
             return self._CORRUPT, None
-        if not isinstance(data, dict):
-            return self._CORRUPT, None
-        if data.get("cache_schema") != CACHE_SCHEMA_VERSION:
-            return self._STALE, None  # pre-checksum or future format
-        payload = data.get("record")
-        if not isinstance(payload, dict) or (
-            _checksum(_canonical(payload)) != data.get("sha256")
-        ):
+        if not isinstance(payload, dict):
             return self._CORRUPT, None
         if payload.get("schema") != RECORD_SCHEMA_VERSION:
             return self._STALE, None
@@ -169,13 +197,10 @@ class ResultCache:
             return
         path = self._path(record.spec_hash)
         canonical = _canonical(record.to_dict())
-        # the envelope's sorted-key JSON, with the record encoded once:
-        # the checksummed text is spliced in, not encoded again
-        atomic_write_text(
-            path,
-            f'{{"cache_schema":{CACHE_SCHEMA_VERSION},"record":{canonical},'
-            f'"sha256":"{_checksum(canonical)}"}}\n',
-        )
+        # the record is encoded once: the checksummed text is spliced
+        # into the envelope, not encoded again
+        entry = _HEAD + canonical + _SHA_KEY + _checksum(canonical) + _END
+        atomic_write_text(path, entry.decode())
         faults.on_cache_put(path)
 
     # -- audit and maintenance ----------------------------------------------
@@ -191,9 +216,11 @@ class ResultCache:
             except OSError:
                 continue
 
-    def verify(self) -> CacheAudit:
-        """Audit every entry; quarantine (rename) any corrupt ones."""
+    def _audit(self, quarantine: bool) -> tuple[CacheAudit, list[Path]]:
+        """Classify every entry, renaming each corrupt one aside when
+        ``quarantine`` is set; return the audit and the stale entries."""
         audit = CacheAudit()
+        stale: list[Path] = []
         for path in sorted(self.root.glob("*.json")):
             try:
                 audit.bytes_total += path.stat().st_size
@@ -204,11 +231,17 @@ class ResultCache:
                 audit.ok += 1
             elif fate == self._CORRUPT:
                 audit.corrupt += 1
-                audit.renamed.append(str(self._quarantine(path)))
+                if quarantine:
+                    audit.renamed.append(str(self._quarantine(path)))
             else:
                 audit.stale += 1
+                stale.append(path)
         self._tally_side_files(audit)
-        return audit
+        return audit, stale
+
+    def verify(self) -> CacheAudit:
+        """Audit every entry; quarantine (rename) any corrupt ones."""
+        return self._audit(quarantine=True)[0]
 
     def gc(self, corrupt_age_s: float | None = None) -> CacheAudit:
         """Reap stale entries, quarantined files, and orphaned temps.
@@ -223,12 +256,10 @@ class ResultCache:
         the threshold are removed (``None`` reaps them all).  Without a
         periodic ``gc`` the quarantine otherwise accumulates forever.
         """
-        audit = self.verify()
-        for path in sorted(self.root.glob("*.json")):
-            fate, _ = self._classify(path)
-            if fate == self._STALE:
-                path.unlink(missing_ok=True)
-                audit.removed += 1
+        audit, stale = self._audit(quarantine=True)
+        for path in stale:
+            path.unlink(missing_ok=True)
+            audit.removed += 1
         # age is operational bookkeeping (file mtime vs. now), not a
         # simulated-result input  # repro: ignore[RPR102]
         now = time.time()
@@ -251,18 +282,4 @@ class ResultCache:
     def stats(self) -> CacheAudit:
         """Non-mutating audit: like :meth:`verify` but corrupt entries
         are counted in place, not renamed."""
-        audit = CacheAudit()
-        for path in sorted(self.root.glob("*.json")):
-            try:
-                audit.bytes_total += path.stat().st_size
-            except OSError:
-                continue
-            fate, _ = self._classify(path)
-            if fate == self._OK:
-                audit.ok += 1
-            elif fate == self._CORRUPT:
-                audit.corrupt += 1
-            else:
-                audit.stale += 1
-        self._tally_side_files(audit)
-        return audit
+        return self._audit(quarantine=False)[0]

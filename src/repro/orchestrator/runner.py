@@ -258,11 +258,11 @@ class _SpecGroup:
 
     A scheme's step never reads the cluster, so the group's first
     member builds the scenario once and records its scheme once
-    (:class:`~repro.dynamics.base.ReplayScheme`); every member replays
-    that trajectory in a fresh Trainer over the group's one iteration
-    cache.  Tutel and Egeria wrap a scheme without a version counter,
-    so each of their members builds its own.  The first member's
-    ``duration_s`` carries the group's setup.
+    (:class:`~repro.dynamics.base.ReplayScheme`), whatever the mode:
+    the Tutel and Egeria baselines are schemes like any other.  Every
+    member replays that trajectory in a fresh Trainer over the group's
+    one iteration cache.  The first member's ``duration_s`` carries the
+    group's setup.
     """
 
     def __init__(self) -> None:
@@ -275,19 +275,16 @@ class _SpecGroup:
         self.cache: OrderedDict[tuple[Any, ...], Any] = OrderedDict()
 
     def setup_and_scheme(self, spec: RunSpec) -> tuple[Any, Any]:
-        """The shared scenario and the scheme ``spec``'s Trainer steps
-        (None: ``make_trainer`` builds one for this member)."""
-        from repro.dynamics.base import DynamismScheme, ReplayScheme
+        """The shared scenario and the recording every member replays."""
+        from repro.dynamics.base import ReplayScheme
         from repro.experiments.common import make_scheme
 
-        if self.setup is not None:
-            return self.setup, self.replay
-        setup, scheme = _spec_setup_and_scheme(spec)
-        scheme = scheme or make_scheme(setup, spec.mode)
-        if isinstance(scheme, DynamismScheme):
-            scheme = self.replay = ReplayScheme(scheme, setup.iterations)
-        self.setup = setup
-        return setup, scheme
+        if self.setup is None:
+            setup, scheme = _spec_setup_and_scheme(spec)
+            scheme = scheme or make_scheme(setup, spec.mode)
+            self.replay = ReplayScheme(scheme, setup.iterations)
+            self.setup = setup
+        return self.setup, self.replay
 
 
 def _spec_groups(specs: Sequence[RunSpec]) -> Iterator[_SpecGroup | None]:

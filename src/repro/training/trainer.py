@@ -83,8 +83,6 @@ class _RunState:
     """
 
     iters: int
-    advance: "callable | None" = None
-    scheme_overhead: float = 0.0
     total_time: float = 0.0
     overhead: float = 0.0
     moved: int = 0
@@ -253,10 +251,9 @@ class Trainer:
         )
 
     def _states_key(self) -> bytes:
-        version = getattr(self.scheme, "version", None)
-        if version is None or version != self._fp_version or self._fp is None:
+        if self.scheme.version != self._fp_version:
             self._fp = states_fingerprint(self.states)
-            self._fp_version = version
+            self._fp_version = self.scheme.version
         return self._fp
 
     def _cache_key(self) -> tuple:
@@ -327,14 +324,6 @@ class Trainer:
         st = _RunState(
             iters=iterations if iterations is not None else self.cfg.iterations
         )
-        # baselines like Egeria carry their own per-iteration cost
-        # (CPU reference-model maintenance that grows with depth)
-        if hasattr(self.scheme, "per_iteration_overhead_s"):
-            st.scheme_overhead = float(self.scheme.per_iteration_overhead_s())
-        # duck-typed baselines (Egeria/Tutel wrappers) only provide
-        # step(); without a version counter the fingerprint memo just
-        # recomputes every iteration, as before
-        st.advance = getattr(self.scheme, "advance", self.scheme.step)
         self._validate_memory(st, "initial placement")
         return st
 
@@ -342,7 +331,7 @@ class Trainer:
         """Decide iteration k (events, dynamism, controller, memory) with
         no engine call; queue its terms for :meth:`_post_iteration`."""
         migrations = self._apply_cluster_events(st, k) if self.cluster_events else ()
-        st.advance(k, self.states)
+        self.scheme.advance(k, self.states)
 
         decision: DynMoDecision | None = None
         force = st.force_rebalance
@@ -539,7 +528,7 @@ class Trainer:
         for cost in migrations:
             st.overhead += cost
             st.total_time += cost
-        st.total_time += st.scheme_overhead
+        st.total_time += self.scheme.per_iteration_overhead_s
         if decision is not None:
             cost = decision.overhead_s(st.last_iter_time)
             st.overhead += cost

@@ -111,7 +111,7 @@ class TestEgeria:
         s24 = FreezingDynamism(build_layer_specs(gpt_24()), seed=0)
         s48 = FreezingDynamism(build_layer_specs(gpt_48()), seed=0)
         assert (
-            EgeriaBaseline(s48).per_iteration_overhead_s()
-            > EgeriaBaseline(s24).per_iteration_overhead_s()
+            EgeriaBaseline(s48).per_iteration_overhead_s
+            > EgeriaBaseline(s24).per_iteration_overhead_s
         )
 

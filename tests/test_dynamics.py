@@ -15,7 +15,7 @@ from repro.dynamics import (
     SparseAttentionDynamism,
     StaticScheme,
 )
-from repro.experiments.common import build_scenario, make_trainer
+from repro.experiments.common import build_scenario, make_scheme, make_trainer
 from repro.model.config import GPTConfig
 from repro.model.cost import (
     ATTN_DENSITY,
@@ -371,35 +371,42 @@ TRAJECTORY_PINS = {
     ("mod", 1): ("b0a313e598b148d8f5604941406de9a3", 150),
     ("tutel", 0): ("0816b6eb69b8e299151f931cd800f1be", 150),
     ("tutel", 1): ("0491e33e7b13ea2ed78c86f7a0737b46", 150),
+    ("egeria", 0): ("de6f4bc6f0b0c3ba2ab1bddb019ddb71", 13),
+    ("egeria", 1): ("edc2e60eac9905038f75a10c42c9d9bc", 10),
 }
+
+#: pin name -> (scenario, mode) of the baselines, which wrap the
+#: scenario's scheme
+_BASELINE_PINS = {"tutel": ("moe", "tutel"), "egeria": ("freezing", "egeria")}
+
+
+def _pinned_scheme(name: str, seed: int = 0):
+    """A fresh scheme of pin ``name``, built the way a run builds it."""
+    scenario, mode = _BASELINE_PINS.get(name, (name, "megatron"))
+    setup = build_scenario(
+        scenario, num_layers=24, pp_stages=8, dp_ways=1, iterations=150, seed=seed
+    )
+    return make_scheme(setup, mode)
 
 
 class TestStateTrajectoryPins:
     """Every scheme's 150-iteration state trajectory, bit for bit.
 
-    Steps the callable the Trainer binds (``advance``, else ``step``)
-    on the scenario's scheme (Tutel wraps the MoE one) and pins the
+    Steps ``advance``, as the Trainer does, on the scenario's scheme
+    (Tutel wraps the MoE one, Egeria the freezing one) and pins the
     fingerprint sequence, so a change to how schemes write their
     states cannot move a value or reorder a random draw unnoticed.
     """
 
     @pytest.mark.parametrize("name,seed", sorted(TRAJECTORY_PINS))
     def test_trajectory_pinned(self, name, seed):
-        from repro.baselines.tutel import TutelMoEBaseline
         from repro.training.trainer import states_fingerprint
 
-        setup = build_scenario(
-            "moe" if name == "tutel" else name,
-            num_layers=24, pp_stages=8, dp_ways=1, iterations=150, seed=seed,
-        )
-        scheme = setup.scheme_factory()
-        if name == "tutel":
-            scheme = TutelMoEBaseline(scheme)
+        scheme = _pinned_scheme(name, seed)
         states = scheme.initial_states()
-        step = getattr(scheme, "advance", scheme.step)
         fps = []
         for k in range(150):
-            step(k, states)
+            scheme.advance(k, states)
             fps.append(states_fingerprint(states))
         assert len(set(fps)) >= 2  # the trajectory moves
         digest = hashlib.blake2b(b"".join(fps), digest_size=16).hexdigest()
@@ -410,18 +417,14 @@ class TestReplayScheme:
     """A replay writes the recorded states, and bumps ``version``,
     exactly where the recorded scheme's step reported a change."""
 
-    @pytest.mark.parametrize(
-        "name", sorted({name for name, _ in TRAJECTORY_PINS} - {"tutel"})
-    )
+    @pytest.mark.parametrize("name", sorted({name for name, _ in TRAJECTORY_PINS}))
     def test_replay_steps_the_schemes_trajectory(self, name):
         from repro.dynamics.base import ReplayScheme
 
-        setup = build_scenario(
-            name, num_layers=24, pp_stages=8, dp_ways=1, iterations=150
-        )
-        replay = ReplayScheme(setup.scheme_factory(), 150)
-        scheme = setup.scheme_factory()
+        replay = ReplayScheme(_pinned_scheme(name), 150)
+        scheme = _pinned_scheme(name)
         assert replay.rebalance_every == scheme.rebalance_every
+        assert replay.per_iteration_overhead_s == scheme.per_iteration_overhead_s
         live, replayed = scheme.initial_states(), replay.initial_states()
         for k in range(150):
             before = live.tobytes()
@@ -432,6 +435,20 @@ class TestReplayScheme:
             if not changed:
                 # a step that reports no change writes nothing
                 assert live.tobytes() == before
+
+    @pytest.mark.parametrize("name", sorted(_BASELINE_PINS))
+    def test_a_baseline_whose_inner_step_reports_no_change_writes_nothing(
+        self, name, monkeypatch
+    ):
+        """MoE reports a change every step, so the replay test above
+        never sees Tutel's no-change path: a wrapper passes its inner
+        scheme's verdict on and writes nothing either."""
+        scheme = _pinned_scheme(name)
+        monkeypatch.setattr(scheme.scheme, "step", lambda k, states: False)
+        states = scheme.initial_states()
+        before = states.tobytes()
+        assert not scheme.advance(0, states)
+        assert states.tobytes() == before and scheme.version == 0
 
     def test_iterations_outside_the_recording_raise(self, gpt24_specs):
         from repro.dynamics.base import ReplayScheme

@@ -18,7 +18,9 @@ import hashlib
 
 import pytest
 
+from repro.baselines import EgeriaBaseline, TutelMoEBaseline
 from repro.cluster.events import ClusterEvent, ClusterEventTrace
+from repro.dynamics.pruning import PruningDynamism
 from repro.experiments.common import build_scenario, make_trainer
 from repro.orchestrator import (
     ExecutionPolicy,
@@ -459,20 +461,37 @@ class TestGroupedDraws:
     one scenario, one recorded scheme trajectory and one iteration
     cache; every record stays what its solo run produces."""
 
-    def draws(self):
-        base = RunSpec(scenario="pruning", pp_stages=8, iterations=40)
+    def draws(self, scenario="pruning", mode="megatron"):
+        base = RunSpec(scenario=scenario, mode=mode, pp_stages=8, iterations=40)
         dist = TraceDistribution(failure_rate=0.1, recover_after=10)
         specs = sample_specs(base, 32, dist)
         assert len(set(specs)) == 32
         return specs
 
-    @pytest.mark.parametrize("where", ["inline", "pool chunk"])
-    def test_a_group_builds_one_scenario_and_one_scheme(self, where, monkeypatch):
-        from repro.dynamics.pruning import PruningDynamism
+    @pytest.mark.parametrize(
+        "where,scenario,mode,scheme_cls",
+        [
+            ("inline", "pruning", "megatron", PruningDynamism),
+            ("pool chunk", "pruning", "megatron", PruningDynamism),
+            ("inline", "moe", "tutel", TutelMoEBaseline),
+            ("pool chunk", "moe", "tutel", TutelMoEBaseline),
+            ("inline", "freezing", "egeria", EgeriaBaseline),
+            ("pool chunk", "freezing", "egeria", EgeriaBaseline),
+        ],
+        ids=[
+            "inline", "pool chunk", "tutel-inline", "tutel-pool chunk",
+            "egeria-inline", "egeria-pool chunk",
+        ],
+    )
+    def test_a_group_builds_one_scenario_and_one_scheme(
+        self, where, scenario, mode, scheme_cls, monkeypatch
+    ):
+        """The Tutel and Egeria baselines wrap their scenario's scheme
+        and are recorded and replayed like any other scheme."""
         from repro.orchestrator.runner import _execute_chunk
 
-        counts = _Counts(monkeypatch, PruningDynamism)
-        specs = self.draws()
+        counts = _Counts(monkeypatch, scheme_cls)
+        specs = self.draws(scenario, mode)
         if where == "inline":
             records = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
         else:
@@ -528,8 +547,6 @@ class TestGroupedDraws:
         assert grouped - alone_calm == alone_failing - 1
 
     def test_a_spec_alone_records_no_trajectory(self, monkeypatch):
-        from repro.dynamics.pruning import PruningDynamism
-
         counts = _Counts(monkeypatch, PruningDynamism)
         a, b, c = _group_specs()[1:4]
         # neighbours that differ in more than their events
@@ -539,8 +556,6 @@ class TestGroupedDraws:
         assert counts.builds == counts.schemes == 3
 
     def test_runner_calls_share_nothing(self, monkeypatch):
-        from repro.dynamics.pruning import PruningDynamism
-
         counts = _Counts(monkeypatch, PruningDynamism)
         specs = _group_specs()
         runner = SweepRunner(policy=ExecutionPolicy("inline"))
@@ -554,7 +569,6 @@ class TestGroupedDraws:
         """A member that raises drops the group: the next member builds
         and records afresh, so nothing half-built is served."""
         from repro.dynamics.base import ReplayScheme
-        from repro.dynamics.pruning import PruningDynamism
         from repro.orchestrator.runner import SweepTimeout
 
         specs = _group_specs()

@@ -432,6 +432,51 @@ class TestResultCache:
         audit = cache.verify()
         assert audit.ok == 1 and audit.clean
 
+    def test_a_get_parses_only_the_stored_record_text(self, tmp_path, monkeypatch):
+        """A read checks the digest over the stored record bytes: it
+        never encodes the record again."""
+        import repro.orchestrator.cache as cache_mod
+
+        cache = ResultCache(tmp_path)
+        record = SweepRunner(cache=cache).run([tiny()])[0]
+
+        def no_encode(payload):
+            raise AssertionError("the record was encoded again")
+
+        monkeypatch.setattr(cache_mod, "_canonical", no_encode)
+        hit = cache.get(tiny())
+        assert hit is not None and hit.cached
+        assert hit.metrics == record.metrics
+
+    def test_only_the_bytes_put_writes_are_served(self, tmp_path):
+        """An intact record in another layout (an older release's
+        ``json.dump`` of the unsorted envelope) is a stale miss; the
+        same layout failing its checksum, or put's bytes plus one more,
+        is corrupt."""
+        import hashlib
+
+        cache = ResultCache(tmp_path)
+        record = SweepRunner(cache=cache).run([tiny()])[0]
+        path = tmp_path / f"{record.spec_hash}.json"
+        written = path.read_text()
+        path.write_text(written + " ")
+        assert cache.get(tiny()) is None and not path.exists()  # quarantined
+
+        payload = record.to_dict()
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        envelope = {
+            "cache_schema": 2,
+            "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "record": payload,
+        }
+        path.write_text(json.dumps(envelope))
+        assert cache.get(tiny()) is None and path.exists()
+        audit = cache.stats()
+        assert (audit.ok, audit.stale, audit.corrupt) == (0, 1, 0)
+        envelope["record"]["status"] = "oom"
+        path.write_text(json.dumps(envelope))
+        assert cache.stats().corrupt == 1
+
     def test_changed_spec_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         SweepRunner(cache=cache).run([tiny()])
@@ -474,9 +519,11 @@ class TestResultCache:
         spec = tiny()
         SweepRunner(cache=cache).run([spec])
         stale = tmp_path / f"{spec.spec_hash}.json"
-        # trailing whitespace: the entry still parses and verifies
-        marked = stale.read_text() + " "
-        stale.write_text(marked)
+        # a servable entry that no fresh run writes byte for byte
+        hit = cache.get(spec)
+        hit.duration_s += 1.0
+        cache.put(hit)
+        marked = stale.read_text()
         refreshed = SweepRunner(cache=cache, refresh=True).run([spec])[0]
         assert not refreshed.cached
         # the forced run replaced the entry on disk

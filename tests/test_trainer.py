@@ -547,7 +547,7 @@ class TestSchemeDeepcopy:
         ]
         schemes = [t.scheme for t in trainers]
         states = [t.states for t in trainers]
-        advances = [getattr(s, "advance", s.step) for s in schemes]
+        advances = [s.advance for s in schemes]
         for k in range(iters):
             # interleaved, so any state the copies share makes them
             # diverge
