@@ -1,10 +1,10 @@
 """Ensemble-replay benchmark: batched segment lanes vs N scalar runs.
 
 Times the lockstep pricing reference ``run_trainers_lockstep`` over N
-trace-driven trainers (``repro ensemble`` runs its draws one after
-another instead, each pricing its own windows over its group's shared
-scenario, recorded scheme trajectory and iteration cache) against the
-same N
+trace-driven trainers (``repro ensemble`` instead runs its draws
+through ``run_group``, which prices a whole window of every draw in
+one call over the group's shared scenario, recorded scheme trajectory
+and iteration cache) against the same N
 trainers stepped scalar one by one (a one-run lockstep call each, so
 every iteration's miss is a bin of one, priced by ``run_iteration``),
 and writes a ``BENCH_ensemble.json``

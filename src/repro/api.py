@@ -102,9 +102,10 @@ def sweep(
     """Run many specs through a :class:`SweepRunner`.
 
     ``policy`` picks the backend (default: ``"batched"``, the specs run
-    one after another in this process, each pricing a window of
-    iterations per vectorized call); ``cache`` (a :class:`ResultCache` or a directory
-    path) serves repeat specs from their content hash.  ``journal``
+    in this process, each pricing a window of iterations per vectorized
+    call, and consecutive specs that differ only in their cluster events
+    sharing one call per window); ``cache`` (a :class:`ResultCache` or a
+    directory path) serves repeat specs from their content hash.  ``journal``
     (a :class:`SweepJournal` or a path) makes the sweep durable and
     resumable: records append as they land, SIGINT/SIGTERM drain
     in-flight work and raise :class:`SweepInterrupted`, and a re-run

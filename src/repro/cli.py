@@ -63,9 +63,14 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 # cache or pool exists (argparse names the flag and exits 2) -------------
 
 
-def _number(kind: type, low: float, strict: bool) -> Callable[[str], Any]:
-    """A ``kind`` number above ``low`` (or equal to it unless ``strict``)."""
+def _number(
+    kind: type, low: float, strict: bool, high: float | None = None
+) -> Callable[[str], Any]:
+    """A ``kind`` number above ``low`` (or equal to it unless ``strict``)
+    and, given ``high``, at most ``high``; NaN is neither."""
     bound = f"{'>' if strict else '>='} {low:g}"
+    if high is not None:
+        bound = f"in [{low:g}, {high:g}]"
 
     def parse(text: str) -> Any:
         try:
@@ -74,7 +79,9 @@ def _number(kind: type, low: float, strict: bool) -> Callable[[str], Any]:
             raise argparse.ArgumentTypeError(
                 f"expected {kind.__name__} {bound}, got {text!r}"
             ) from None
-        if not (value > low if strict else value >= low):
+        if not (value > low if strict else value >= low) or (
+            high is not None and not value <= high
+        ):
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
 
@@ -85,6 +92,10 @@ _positive_int = _number(int, 0, strict=True)
 _non_negative_int = _number(int, 0, strict=False)
 _positive_float = _number(float, 0.0, strict=True)
 _non_negative_float = _number(float, 0.0, strict=False)
+#: a per-iteration event probability
+_rate = _number(float, 0.0, strict=False, high=1.0)
+#: an op-time factor on a straggling rank
+_slowdown = _number(float, 1.0, strict=False)
 
 
 def _cluster_spec(text: str) -> str:
@@ -116,9 +127,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_runner_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs", type=_non_negative_int, default=1,
-        help="execution backend: 0 or 1 = in-process, one run after "
-             "another, each pricing its cache misses a window of "
-             "iterations per vectorized call (no worker processes); "
+        help="execution backend: 0 or 1 = in-process, each run "
+             "pricing its cache misses a window of iterations per "
+             "vectorized call, and runs that differ only in their "
+             "cluster events (an ensemble's draws) sharing one call "
+             "per window (no worker processes); "
              "N>1 = process pool with N workers "
              "(default: 1 for figure commands, all cores for sweep)",
     )
@@ -146,6 +159,28 @@ def _add_runner_flags(p: argparse.ArgumentParser) -> None:
         help="base backoff before the first retry, doubling per attempt "
              "(deterministic, no jitter; default: 0.05)",
     )
+
+
+def _add_trace_flags(
+    p: argparse.ArgumentParser,
+    failure_rate: float,
+    straggler_rate: float,
+    recover_after: int,
+) -> None:
+    """The random trace generator's distribution (``ensemble``, ``events``)."""
+    p.add_argument("--failure-rate", type=_rate, default=failure_rate,
+                   help="per-iteration probability of one rank failing")
+    p.add_argument("--straggler-rate", type=_rate, default=straggler_rate,
+                   help="per-iteration probability of a straggler window opening")
+    p.add_argument("--preemption-rate", type=_rate, default=0.0,
+                   help="per-iteration probability of one rank being preempted")
+    p.add_argument("--recover-after", type=_non_negative_int, default=recover_after,
+                   metavar="ITERS",
+                   help="schedule a recovery this many iterations after "
+                        "each failure/preemption (0 = never recover)")
+    p.add_argument("--straggler-duration", type=_positive_int, default=20, metavar="ITERS")
+    p.add_argument("--straggler-slowdown", type=_slowdown, default=2.0,
+                   help="op-time factor on straggling ranks (>= 1.0)")
 
 
 def _add_topology_flags(p: argparse.ArgumentParser, multi: bool = False) -> None:
@@ -980,20 +1015,9 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--schedule", default="zb", choices=["gpipe", "1f1b", "zb"])
     pn.add_argument("--n", type=_positive_int, default=64, metavar="N",
                     help="sampled traces per (scenario x mode) group")
-    pn.add_argument("--trace-seed", type=int, default=0, metavar="SEED0",
+    pn.add_argument("--trace-seed", type=_non_negative_int, default=0, metavar="SEED0",
                     help="draw i uses trace seed SEED0+i")
-    pn.add_argument("--failure-rate", type=float, default=0.01,
-                    help="per-iteration probability of one rank failing")
-    pn.add_argument("--straggler-rate", type=float, default=0.02,
-                    help="per-iteration probability of a straggler window opening")
-    pn.add_argument("--preemption-rate", type=float, default=0.0,
-                    help="per-iteration probability of one rank being preempted")
-    pn.add_argument("--recover-after", type=int, default=40, metavar="ITERS",
-                    help="schedule a recovery this many iterations after "
-                         "each failure/preemption (0 = never recover)")
-    pn.add_argument("--straggler-duration", type=int, default=20, metavar="ITERS")
-    pn.add_argument("--straggler-slowdown", type=float, default=2.0,
-                    help="op-time factor on straggling ranks (>= 1.0)")
+    _add_trace_flags(pn, failure_rate=0.01, straggler_rate=0.02, recover_after=40)
     pn.add_argument("--json", default=None,
                     help="write the full distribution summary to this JSON file")
     pn.add_argument("--csv", default=None, help="write flat rows to this CSV file")
@@ -1013,22 +1037,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pe.add_argument("--out", default=None, metavar="TRACE.json",
                     help="write the trace to this file (else print only)")
-    pe.add_argument("--seed", type=int, default=0)
+    pe.add_argument("--seed", type=_non_negative_int, default=0)
     pe.add_argument("--iterations", type=_positive_int, default=150)
     pe.add_argument("--ranks", type=_positive_int, default=8,
                     help="cluster size the random trace draws ranks from")
-    pe.add_argument("--failure-rate", type=float, default=0.0,
-                    help="per-iteration probability of one rank failing")
-    pe.add_argument("--straggler-rate", type=float, default=0.0,
-                    help="per-iteration probability of a straggler window opening")
-    pe.add_argument("--preemption-rate", type=float, default=0.0,
-                    help="per-iteration probability of one rank being preempted")
-    pe.add_argument("--recover-after", type=int, default=0, metavar="ITERS",
-                    help="schedule a recovery this many iterations after "
-                         "each failure/preemption (0 = never recover)")
-    pe.add_argument("--straggler-duration", type=int, default=20, metavar="ITERS")
-    pe.add_argument("--straggler-slowdown", type=float, default=2.0,
-                    help="op-time factor on straggling ranks (>= 1.0)")
+    _add_trace_flags(pe, failure_rate=0.0, straggler_rate=0.0, recover_after=0)
     # hand-written single-scenario mode (exact iterations and ranks)
     pe.add_argument("--fail-at", type=int, default=None, metavar="ITER",
                     help="hand-written trace: fail --fail-ranks here "

@@ -18,13 +18,15 @@ Execution defaults to the in-process ``batched`` backend.  A base
 spec's draws differ only in their traces, so the runner runs them as
 one group: one scenario, one scheme stepped once into a recorded
 trajectory, and one iteration cache.  Every draw is a fresh Trainer
-that replays the trajectory and prices a window of iterations' cache
-misses per vectorized call — trace-driven runs are piecewise static,
-so each window batches segment by segment, and a draw reuses earlier
-draws' prices up to its first event.  Each draw lands the record its
-solo run would.  Percentiles use the deterministic nearest-rank
-definition, so summaries are bit-identical across inline/pool/batched
-backends and across cached re-runs.
+that replays the trajectory, and the draws run window by window
+together (:func:`~repro.training.trainer.run_group`): each decides the
+window in turn, one vectorized call prices the union of their cache
+misses, and each folds.  Trace-driven runs are piecewise static, so a
+window batches segment by segment, and a draw reuses earlier draws'
+prices up to its first event.  Each draw lands the record its solo run
+would.  Percentiles use the deterministic nearest-rank definition, so
+summaries are bit-identical across inline/pool/batched backends and
+across cached re-runs.
 """
 
 from __future__ import annotations
@@ -277,9 +279,10 @@ def run_ensemble(
     fanned back out so duplicate draws weight the statistics exactly
     once per draw.  A base spec's draws stay consecutive, so the runner
     runs them as one group sharing a scenario, a recorded scheme
-    trajectory and an iteration cache; the first draw's ``duration_s``
-    carries that setup.  ``journal`` makes the underlying sweep durable
-    and resumable, exactly as in :meth:`SweepRunner.run`.
+    trajectory and an iteration cache, and pricing each window of all
+    its draws in one call; the first draw's ``duration_s`` carries that
+    setup.  ``journal`` makes the underlying sweep durable and
+    resumable, exactly as in :meth:`SweepRunner.run`.
     """
     base_list = [bases] if isinstance(bases, RunSpec) else list(bases)
     if not base_list:

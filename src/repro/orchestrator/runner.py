@@ -9,8 +9,8 @@ pickle it to workers.  All exceptions are captured into the record
 Execution backends (:class:`ExecutionPolicy`):
 
 - ``backend="inline"`` — serial, in the calling process (no pickling,
-  no worker import cost); each run prices its cache misses one window
-  of iterations per vectorized
+  no worker import cost); each group (below) prices its runs' cache
+  misses one window of iterations per vectorized
   :func:`~repro.pipeline.batched.simulate_many` call.
 - ``backend="batched"`` — the same loop as ``inline``; the name stays
   for ``--jobs 0`` and the callers that pick it.
@@ -22,8 +22,10 @@ Execution backends (:class:`ExecutionPolicy`):
 On every backend, consecutive specs that differ only in
 ``cluster_events`` (an ensemble's draws) run as one :class:`_SpecGroup`
 — in one runner call, or one pool chunk — sharing a scenario, a
-recorded scheme trajectory and an iteration cache; each still lands the
-record its solo run would.
+recorded scheme trajectory and an iteration cache, and going through
+:func:`~repro.training.trainer.run_group` together: every window, each
+member decides, one call prices the union of their misses, and each
+member folds.  Each still lands the record its solo run would.
 
 Fault tolerance (see ``docs/failure-semantics.md`` for the full
 contract):
@@ -44,16 +46,17 @@ contract):
 - **Journaling** — with a :class:`~repro.orchestrator.journal.SweepJournal`
   attached, every landed record is durably appended as it lands, and
   ``SIGINT``/``SIGTERM`` are trapped: in-flight futures are drained,
-  an in-process run stops at its next iteration and lands nothing, the
-  journal is flushed, and the sweep exits by raising
+  an in-process group stops at its next iteration and lands none of
+  its members, the journal is flushed, and the sweep exits by raising
   :class:`SweepInterrupted` (the CLI maps it to exit code 130).  A
   journal opened with ``resume=True`` serves already-finished specs
   without re-running them.
 
 Per-run timeouts use an ``ITIMER_REAL`` alarm (``SIGALRM``) inside the
-executing process where available; when the alarm cannot be armed (no
-SIGALRM, or off the main thread) the trainer checks a monotonic-clock
-deadline every iteration, so an over-budget run is still stopped
+executing process for a spec alone, where available.  When the alarm
+cannot be armed (no SIGALRM, or off the main thread), and for every
+member of a group of two or more, the trainer checks the run's own
+clock every iteration, so an over-budget run is still stopped
 mid-flight and recorded as ``status="timeout"``.
 
 The experiments package imports this module (the figure drivers build
@@ -87,7 +90,12 @@ from repro.orchestrator.journal import SweepJournal
 from repro.orchestrator.results import RunRecord, result_metrics
 from repro.orchestrator.retry import RetryPolicy
 from repro.orchestrator.spec import MODES, RunSpec
-from repro.training.trainer import RunDeadlineExceeded, RunInterrupted
+from repro.training.trainer import (
+    GroupMember,
+    RunDeadlineExceeded,
+    RunInterrupted,
+    run_group,
+)
 
 #: execution backends an :class:`ExecutionPolicy` can name
 BACKENDS = ("batched", "inline", "pool")
@@ -261,15 +269,14 @@ class _SpecGroup:
     (:class:`~repro.dynamics.base.ReplayScheme`), whatever the mode:
     the Tutel and Egeria baselines are schemes like any other.  Every
     member replays that trajectory in a fresh Trainer over the group's
-    one iteration cache.  The first member's ``duration_s`` carries the
-    group's setup.
+    one iteration cache, and the members run through
+    :func:`~repro.training.trainer.run_group` together, so each window
+    of all of them is priced in one call.  The member whose build ran
+    the setup carries it in its ``duration_s``; a setup that raises is
+    that member's outcome, and the next member builds afresh.
     """
 
     def __init__(self) -> None:
-        self.drop()
-
-    def drop(self) -> None:
-        """Forget everything shared: the next member starts afresh."""
         self.setup: Any = None
         self.replay: Any = None
         self.cache: OrderedDict[tuple[Any, ...], Any] = OrderedDict()
@@ -283,22 +290,26 @@ class _SpecGroup:
             setup, scheme = _spec_setup_and_scheme(spec)
             scheme = scheme or make_scheme(setup, spec.mode)
             self.replay = ReplayScheme(scheme, setup.iterations)
+            # set last: a setup that raises leaves the group unbuilt
             self.setup = setup
         return self.setup, self.replay
 
 
-def _spec_groups(specs: Sequence[RunSpec]) -> Iterator[_SpecGroup | None]:
-    """Yield the group each spec runs in: one per run of consecutive
-    specs that differ only in ``cluster_events``, None for a spec
-    alone.  A group is built only when its first member is reached, and
-    nothing here holds it once the next spec starts another."""
-    keys = [dataclasses.replace(spec, cluster_events="") for spec in specs]
-    group: _SpecGroup | None = None
-    for j, key in enumerate(keys):
-        if not (j and key == keys[j - 1]):
-            alone = j + 1 == len(keys) or key != keys[j + 1]
-            group = None if alone else _SpecGroup()
-        yield group
+def _spec_groups(specs: Sequence[RunSpec]) -> Iterator[list[int]]:
+    """Yield the positions of each run of consecutive specs that differ
+    only in ``cluster_events``, in order; a spec alone is a run of
+    one."""
+    run: list[int] = []
+    last: RunSpec | None = None
+    for j, spec in enumerate(specs):
+        key = dataclasses.replace(spec, cluster_events="")
+        if run and key != last:
+            yield run
+            run = []
+        run.append(j)
+        last = key
+    if run:
+        yield run
 
 
 def _spec_setup_and_scheme(spec: RunSpec) -> tuple[Any, Any]:
@@ -369,32 +380,6 @@ def _spec_scenario_and_trainer(
     return setup, trainer
 
 
-def _run_spec(
-    spec: RunSpec,
-    deadline_s: float | None = None,
-    stop: threading.Event | None = None,
-    group: _SpecGroup | None = None,
-) -> dict[str, Any]:
-    try:
-        setup, trainer = _spec_scenario_and_trainer(spec, group)
-        result = trainer.run(deadline_s=deadline_s, stop=stop)
-    except BaseException as exc:
-        if group is not None:
-            # a SIGALRM can land mid-recording or mid-advance: nothing a
-            # raising member touched is served to the next one
-            group.drop()
-        if isinstance(exc, RunDeadlineExceeded):
-            # same record shape as the SIGALRM path: status="timeout"
-            raise SweepTimeout(str(exc)) from None
-        raise
-    metrics = result_metrics(result)
-    # effective shape (build_scenario may widen the pipeline, e.g. MoE)
-    metrics["effective_pp_stages"] = setup.pp_stages
-    metrics["effective_dp_ways"] = setup.dp_ways
-    metrics["rebalance_every"] = setup.rebalance_every
-    return metrics
-
-
 def _error_record(spec: RunSpec, exc: BaseException, duration: float = 0.0) -> RunRecord:
     trace = "".join(
         traceback.format_exception(type(exc), exc, exc.__traceback__, limit=8)
@@ -454,58 +439,120 @@ def _crashed_record(spec: RunSpec, fate: str, duration: float = 0.0) -> RunRecor
     )
 
 
+def _outcome_record(
+    spec: RunSpec,
+    outcome: Any,
+    duration: float,
+    setup: Any = None,
+    budget_s: float | None = None,
+) -> RunRecord:
+    """The record a run lands: its exception's, or an ``ok`` record of
+    its :class:`~repro.training.trainer.TrainingResult`."""
+    if isinstance(outcome, (SweepTimeout, RunDeadlineExceeded)):
+        return _timeout_record(spec, str(outcome), duration)
+    if isinstance(outcome, PlacementOOMError):
+        return _oom_record(spec, outcome, duration)
+    if isinstance(outcome, BaseException):
+        return _error_record(spec, outcome, duration)
+    if budget_s and duration > budget_s:
+        # backstop for budgets blown inside a single iteration, a build
+        # or a pricing call, where no deadline check ran
+        return _timeout_record(
+            spec,
+            f"exceeded {budget_s:g}s budget "
+            f"(detected post-hoc: ran {duration:.1f}s)",
+            duration,
+        )
+    try:
+        metrics = result_metrics(outcome)
+    except Exception as exc:
+        return _error_record(spec, exc, duration)
+    # effective shape (build_scenario may widen the pipeline, e.g. MoE)
+    metrics["effective_pp_stages"] = setup.pp_stages
+    metrics["effective_dp_ways"] = setup.dp_ways
+    metrics["rebalance_every"] = setup.rebalance_every
+    return RunRecord(
+        spec=spec,
+        spec_hash=spec.spec_hash,
+        status="ok",
+        duration_s=duration,
+        metrics=metrics,
+    )
+
+
+def _execute_group(
+    specs: Sequence[RunSpec],
+    budget_s: float | None,
+    stop: threading.Event | None = None,
+) -> list[RunRecord]:
+    """Build each spec's Trainer in order, run them all through
+    :func:`~repro.training.trainer.run_group`, and return one record
+    per spec.
+
+    Two or more specs share a :class:`_SpecGroup`.  A member whose
+    build raises lands that failure and leaves; the others run on.
+    ``budget_s`` bounds each member's clock (its build, its own steps
+    and its lanes' share of each pricing call), which is also its
+    ``duration_s``.  Once ``stop`` is set, the group ends at its next
+    iteration by raising
+    :class:`~repro.training.trainer.RunInterrupted`: no member has a
+    record.
+    """
+    group = _SpecGroup() if len(specs) > 1 else None
+    records: dict[int, RunRecord] = {}
+    built: list[tuple[int, Any, GroupMember]] = []
+    for j, spec in enumerate(specs):
+        faults.on_spec_execute(spec.spec_hash)
+        start = time.perf_counter()
+        try:
+            setup, trainer = _spec_scenario_and_trainer(spec, group)
+        except Exception as exc:
+            records[j] = _outcome_record(spec, exc, time.perf_counter() - start)
+            continue
+        built.append((j, setup, GroupMember(trainer, time.perf_counter() - start)))
+    run_group([member for _, _, member in built], budget_s=budget_s, stop=stop)
+    for j, setup, member in built:
+        records[j] = _outcome_record(
+            specs[j], member.outcome, member.clock, setup, budget_s
+        )
+    return [records[j] for j in range(len(specs))]
+
+
 def execute_spec(
     spec: RunSpec,
     timeout_s: float | None = None,
     stop: threading.Event | None = None,
-    group: _SpecGroup | None = None,
 ) -> RunRecord:
-    """Run one spec, capturing any failure into the returned record.
+    """Run one spec alone, capturing any failure into the returned record.
 
     Once ``stop`` is set, the run ends at its next iteration by raising
     :class:`~repro.training.trainer.RunInterrupted`: an interrupted run
-    has no record.  A spec in a ``group`` (:func:`_spec_groups`) shares
-    its scenario, scheme trajectory and iteration cache.
+    has no record.
     """
-    faults.on_spec_execute(spec.spec_hash)
     start = time.perf_counter()
     try:
         with _deadline(timeout_s) as armed:
             # when the alarm cannot arm (off the main thread, or no
             # SIGALRM — e.g. shard-worker mode) the trainer enforces
-            # the budget itself with monotonic-clock checks between
-            # iterations, so over-budget runs still stop mid-flight
-            metrics = _run_spec(
-                spec,
-                deadline_s=timeout_s if timeout_s and not armed else None,
-                stop=stop,
-                group=group,
-            )
-        duration = time.perf_counter() - start
-        if timeout_s and not armed and duration > timeout_s:
-            # backstop for budgets blown inside a single iteration or
-            # during scenario setup, where no deadline check ran
-            return _timeout_record(
-                spec,
-                f"exceeded {timeout_s:g}s budget "
-                f"(detected post-hoc: ran {duration:.1f}s)",
-                duration,
-            )
-        return RunRecord(
-            spec=spec,
-            spec_hash=spec.spec_hash,
-            status="ok",
-            duration_s=duration,
-            metrics=metrics,
-        )
+            # the budget itself with clock checks between iterations,
+            # so over-budget runs still stop mid-flight
+            [record] = _execute_group([spec], None if armed else timeout_s, stop)
     except SweepTimeout as exc:
         return _timeout_record(spec, str(exc), time.perf_counter() - start)
-    except PlacementOOMError as exc:
-        return _oom_record(spec, exc, time.perf_counter() - start)
-    except RunInterrupted:
-        raise
-    except Exception as exc:
-        return _error_record(spec, exc, time.perf_counter() - start)
+    return record
+
+
+def _execute_specs(
+    specs: Sequence[RunSpec],
+    timeout_s: float | None,
+    stop: threading.Event | None = None,
+) -> list[RunRecord]:
+    """Run one group of :func:`_spec_groups`: a spec alone under its
+    exact alarm (:func:`execute_spec`), two or more together, each
+    member's budget checked on its own clock."""
+    if len(specs) == 1:
+        return [execute_spec(specs[0], timeout_s, stop)]
+    return _execute_group(specs, timeout_s, stop)
 
 
 def _execute_chunk(
@@ -518,15 +565,16 @@ def _execute_chunk(
 
     A fault plan installed in the orchestrator travels with the chunk
     so injected worker kills fire here, in the worker.  The chunk's
-    specs run in groups (:func:`_spec_groups`).
+    specs run one group at a time (:func:`_spec_groups`).
     """
     if fault_plan is not None:
         faults.install(fault_plan, owner_pid)
     try:
         faults.on_chunk_start()
         return [
-            execute_spec(spec, timeout_s, group=group)
-            for spec, group in zip(specs, _spec_groups(specs))
+            record
+            for run in _spec_groups(specs)
+            for record in _execute_specs([specs[j] for j in run], timeout_s)
         ]
     finally:
         if fault_plan is not None:
@@ -592,16 +640,17 @@ class SweepRunner:
     execution backend.
 
     The backend is named by an :class:`ExecutionPolicy`: ``"inline"``
-    and ``"batched"`` run the specs one after another in this process,
-    ``"pool"`` fans chunks of specs out over a warm process pool.
+    and ``"batched"`` run the specs in this process, one group
+    (:func:`_spec_groups`) at a time, ``"pool"`` fans chunks of specs
+    out over a warm process pool.
     Results come back in spec order regardless of completion order.
 
     With a :class:`~repro.orchestrator.journal.SweepJournal` attached,
     every landed record is durably appended, SIGINT/SIGTERM drain
-    in-flight work (an in-process run stops at its next iteration and
-    lands nothing) and raise :class:`SweepInterrupted`, and specs the
-    journal already resolved (``ok`` or quarantined ``crashed``) are
-    served without re-running.
+    in-flight work (an in-process group stops at its next iteration and
+    lands none of its members) and raise :class:`SweepInterrupted`, and
+    specs the journal already resolved (``ok`` or quarantined
+    ``crashed``) are served without re-running.
 
     The legacy ``jobs`` integer (``0``/``1``/``N``/``None``) maps to a
     policy through :meth:`ExecutionPolicy.from_jobs`.
@@ -808,23 +857,26 @@ class SweepRunner:
         return [r for r in records if r is not None]
 
     def _run_inline(self, indices: list[int], state: _RunState) -> None:
-        """Run ``indices`` one after another in this process.
+        """Run ``indices`` in this process, one group
+        (:func:`_spec_groups`) at a time, landing one record per member.
 
-        The specs run in groups (:func:`_spec_groups`).  Once the stop
-        event is set, the running spec ends at its next iteration and
-        lands nothing (a resume re-runs exactly it), and
-        :class:`SweepInterrupted` is raised.
+        Once the stop event is set, the running group ends at its next
+        iteration and lands none of its members (a resume re-runs
+        exactly them), and :class:`SweepInterrupted` is raised.
         """
-        groups = _spec_groups([state.specs[i] for i in indices])
-        for i, group in zip(indices, groups):
+        for run in _spec_groups([state.specs[i] for i in indices]):
             self._maybe_interrupt(state)
+            members = [indices[j] for j in run]
             try:
-                record = execute_spec(
-                    state.specs[i], self.policy.timeout_s, state.stop, group
+                records = _execute_specs(
+                    [state.specs[i] for i in members],
+                    self.policy.timeout_s,
+                    state.stop,
                 )
             except RunInterrupted:
                 self._interrupt(state)
-            state.land(i, record)
+            for i, record in zip(members, records):
+                state.land(i, record)
 
     # -- pooled execution with retry / bisection -----------------------------
     def _restart_pool(self, state: _RunState) -> None:

@@ -1,13 +1,15 @@
-"""Per-iteration pricing reference for :meth:`Trainer.run`'s windows.
+"""Per-iteration pricing reference for :func:`run_group`'s windows.
 
 No command, ``repro.api`` call or sweep backend calls
 :func:`run_trainers_lockstep`: every in-process run goes through
-:meth:`Trainer.run`, which decides a window of iterations, prices its
-cache misses in one batched call and folds them.  This loop instead
-advances many Trainers one iteration at a time and hands that
-iteration's cache misses across all of them to one
-:func:`simulate_many` call (:mod:`repro.pipeline.batched`), right after
-deciding it.  Tests and benchmarks compare windowed pricing against it
+:func:`~repro.training.trainer.run_group` (:meth:`Trainer.run` is its
+one-Trainer case), which decides a window of iterations for each of
+its Trainers, prices the union of their cache misses in one batched
+call and folds them.  This loop instead advances many Trainers one
+iteration at a time and hands that iteration's cache misses across all
+of them to one :func:`simulate_many` call
+(:mod:`repro.pipeline.batched`), right after deciding it.  Tests and
+benchmarks compare windowed pricing against it
 (``tests/test_trainer.py``, ``tests/test_ensemble.py``,
 ``tests/test_cluster_events.py``, ``benchmarks/bench_events.py``,
 ``benchmarks/bench_ensemble.py``).
@@ -18,7 +20,7 @@ this module's ``simulate_many`` by name; the module moves to ``tests/``
 with the benchmark change that re-points that tracer.
 
 Each Trainer executes the same begin / decide (``_pre_iteration``) /
-fold (``_post_iteration``) / finish hooks as :meth:`Trainer.run`,
+fold (``_post_iteration``) / finish hooks as :func:`run_group`,
 against its own scheme, controller, cache and accounting, so every
 ``TrainingResult`` is bit-identical to a solo run.  Runs whose stage
 count changes mid-flight (cluster events, re-packs, elastic shrinks)

@@ -11,12 +11,14 @@ Per iteration:
 
 No decision in steps 1-2 reads a simulated iteration (the controller's
 profiling overhead, a share of the previous makespan, is added later),
-so :meth:`Trainer.run` *decides* a window of iterations with no engine
-call, *prices* its distinct uncached states in one batched call, then
-*folds* the terms and makespans in iteration order: bit-identical to
-pricing each iteration as it is decided.  Results are memoised on
-(plan, placement, straggler state, state fingerprint), so schemes that
-change every few hundred iterations re-simulate only when they change.
+so :func:`run_group` *decides* a window of iterations for each of its
+Trainers with no engine call, *prices* the distinct uncached states of
+all of them in one batched call, then *folds* each run's terms and
+makespans in iteration order: bit-identical to pricing each iteration
+as it is decided.  :meth:`Trainer.run` is its one-Trainer case.
+Results are memoised on (plan, placement, straggler state, state
+fingerprint), so schemes that change every few hundred iterations
+re-simulate only when they change.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -45,26 +48,26 @@ from repro.training.config import TrainingConfig
 
 #: the job name a run books its GPUs under in an ElasticJobManager
 _JOB_NAME = "train"
-#: iterations Trainer.run decides before one pricing call (the iteration
-#: cache's size too)
+#: iterations run_group decides per run before one pricing call (the
+#: iteration cache's size too)
 WINDOW = 512
 
 
 class RunDeadlineExceeded(RuntimeError):
     """A training run blew its wall-clock budget (monotonic check).
 
-    Raised by :meth:`Trainer.run` between iterations when
-    ``deadline_s`` is set; the sweep runner maps it to a
-    ``status="timeout"`` record exactly like the ``SIGALRM`` path.
+    Raised by :func:`run_group` between iterations when a budget is
+    set; the sweep runner maps it to a ``status="timeout"`` record
+    exactly like the ``SIGALRM`` path.
     """
 
 
 class RunInterrupted(RuntimeError):
     """A training run stopped because its ``stop`` event was set.
 
-    Raised by :meth:`Trainer.run` at the same points as
+    Raised by :func:`run_group` at the same points as
     :class:`RunDeadlineExceeded`; the sweep runner lands no record for
-    the run, so a journal resume re-runs it.
+    any run of the call, so a journal resume re-runs them.
     """
 
 
@@ -78,7 +81,7 @@ def states_fingerprint(states: np.ndarray) -> bytes:
 class _RunState:
     """Mutable accounting for one in-flight training run.
 
-    Shared between :meth:`Trainer.run` and the lockstep driver so both
+    Shared between :func:`run_group` and the lockstep driver so both
     execute the identical per-iteration bookkeeping.
     """
 
@@ -317,8 +320,9 @@ class Trainer:
 
     # -- stepwise run protocol ----------------------------------------------
     # begin / decide (_pre_iteration) / fold (_post_iteration) / finish
-    # hooks, shared by run() (a window decided per pricing call) and the
-    # lockstep pricing reference (one iteration of many Trainers per call).
+    # hooks, shared by run_group (a window of every run decided per
+    # pricing call) and the lockstep pricing reference (one iteration of
+    # many Trainers per call).
 
     def _begin_run(self, iterations: int | None) -> _RunState:
         st = _RunState(
@@ -582,12 +586,14 @@ class Trainer:
         number of lanes.
 
         ``lanes`` maps each uncached key to the plan, states copy and
-        placement it was decided under.  Results go to the cache and to
-        ``priced``, the map the fold reads (an eviction cannot lose
-        one).  A key's (placement grid, slowdown key) is its segment:
-        the live one runs on this Trainer's engine, each other on one
-        engine snapshot with the same inputs.  An exception from the
-        batched call is the run's outcome; nothing is re-run scalar.
+        placement it was decided under, by this Trainer or by another
+        that shares its iteration cache (:func:`run_group`).  Results go
+        to the cache and to ``priced``, the map the fold reads (an
+        eviction cannot lose one).  A key's (placement grid, slowdown
+        key) is its segment: this Trainer's live one runs on its engine,
+        each other on one engine snapshot with the same inputs.  An
+        exception from the batched call is the outcome of every run
+        that needed a lane; nothing is re-run scalar.
         """
         if not lanes:
             return 0
@@ -615,8 +621,9 @@ class Trainer:
         deadline_s: float | None = None,
         stop: threading.Event | None = None,
     ) -> TrainingResult:
-        """Run the training loop: decide :data:`WINDOW` iterations, price
-        them with :meth:`prewarm`, fold them, repeat.
+        """Run the training loop: :func:`run_group` with this Trainer
+        alone, which decides :data:`WINDOW` iterations, prices them with
+        :meth:`prewarm`, folds them, and repeats.
 
         ``deadline_s`` bounds the run's *wall-clock* time with a
         monotonic-clock check between iterations (while deciding and
@@ -627,36 +634,229 @@ class Trainer:
         same check raises :class:`RunInterrupted`.  Simulated time is
         unaffected.
         """
-        start = time.monotonic() if deadline_s is not None else 0.0
-        st = self._begin_run(iterations)
+        member = GroupMember(self)
+        run_group([member], iterations, deadline_s, stop)
+        if isinstance(member.outcome, Exception):
+            raise member.outcome
+        return member.outcome
 
-        def check_limits(k: int) -> None:
-            if stop is not None and stop.is_set():
-                raise RunInterrupted(f"stopped at iteration {k}/{st.iters}")
-            if deadline_s is not None and time.monotonic() - start > deadline_s:
-                raise RunDeadlineExceeded(
-                    f"exceeded {deadline_s:g}s budget (monotonic "
-                    f"deadline check at iteration {k}/{st.iters})"
-                )
 
-        for lo in range(0, st.iters, WINDOW):
-            keys: list[tuple] = []
-            lanes: dict[tuple, tuple] = {}
-            priced: dict[tuple, IterationResult] = {}
-            for k in range(lo, min(lo + WINDOW, st.iters)):
-                check_limits(k)
-                self._pre_iteration(st, k)
-                key = self._cache_key()
-                keys.append(key)
-                if key in priced or key in lanes:
-                    continue
-                res = self._cache_lookup(key)
-                if res is None:
-                    lanes[key] = (self.plan, self.states.copy(), self.placement)
-                else:
-                    priced[key] = res
-            self.prewarm(lanes, priced)
-            for k, key in enumerate(keys, lo):
-                check_limits(k)
-                self._post_iteration(st, k, priced[key])
-        return self._finish_run(st)
+@dataclass(eq=False)
+class GroupMember:
+    """One Trainer in a :func:`run_group` call.
+
+    ``clock`` is the wall time charged to the run, which the caller may
+    start at its build time: :func:`run_group` adds the run's own begin,
+    decide, fold and finish time and its lanes' share of each pricing
+    call.  ``outcome`` is the run's :class:`TrainingResult`, or the
+    exception that ended it.
+    """
+
+    trainer: Trainer
+    clock: float = 0.0
+    outcome: TrainingResult | Exception | None = None
+    st: _RunState | None = field(default=None, init=False, repr=False)
+    #: the cache key of each decided iteration not yet folded
+    keys: list[tuple] = field(default_factory=list, init=False, repr=False)
+    #: lanes this run added to the pending pricing call
+    owned: int = field(default=0, init=False, repr=False)
+    #: whether this run reads a lane of the pending pricing call
+    needs: bool = field(default=False, init=False, repr=False)
+
+
+class _Clock:
+    """Charges wall time to the member that runs, and stops a member
+    whose budget is spent or whose group is asked to stop.
+
+    The monotonic clock is read only when the running member changes
+    and at budget checks, so a run alone reads it at its start, at each
+    check and at its end.
+    """
+
+    def __init__(self, budget_s: float | None, stop: threading.Event | None) -> None:
+        self.budget_s, self.stop = budget_s, stop
+        self.running: GroupMember | None = None
+        self.since = 0.0
+
+    def switch(self, m: GroupMember | None) -> None:
+        """Charge the running member up to now; ``m`` runs from now
+        (None: no member does)."""
+        if m is self.running:
+            return
+        now = time.monotonic()
+        if self.running is not None:
+            self.running.clock += now - self.since
+        self.running, self.since = m, now
+
+    def share(self, owners: list[GroupMember], lanes: int) -> None:
+        """Split the time since the last switch, when no member ran,
+        among ``owners`` by the lanes each added."""
+        now = time.monotonic()
+        for m in owners:
+            m.clock += (now - self.since) * m.owned / lanes
+        self.since = now
+
+    def check(self, m: GroupMember, k: int) -> None:
+        """Stop the running member ``m`` before iteration k once the
+        stop event is set or its budget is spent (its clock stops
+        there)."""
+        if self.stop is not None and self.stop.is_set():
+            raise RunInterrupted(f"stopped at iteration {k}/{m.st.iters}")
+        if self.budget_s is None:
+            return
+        now = time.monotonic()
+        if m.clock + now - self.since > self.budget_s:
+            m.clock += now - self.since
+            self.running, self.since = None, now
+            raise RunDeadlineExceeded(
+                f"exceeded {self.budget_s:g}s budget (monotonic "
+                f"deadline check at iteration {k}/{m.st.iters})"
+            )
+
+
+def run_group(
+    members: Sequence[GroupMember],
+    iterations: int | None = None,
+    budget_s: float | None = None,
+    stop: threading.Event | None = None,
+) -> None:
+    """Run every member's Trainer to its outcome, window by window.
+
+    Each window of :data:`WINDOW` iterations takes three steps:
+
+    1. each live member decides the window (``_pre_iteration``), in
+       member order, against the shared iteration cache;
+    2. the union of their misses, deduplicated by cache key, is priced
+       in one :meth:`Trainer.prewarm` call on the first live member;
+    3. each member folds the window, in member order.
+
+    When the union reaches :data:`WINDOW` lanes after a member decides,
+    it is priced at once and the members decided so far fold, so no
+    call holds more than two windows' lanes.  The Trainers must share
+    one iteration cache, which promises that they price alike: one cost
+    model, comm model, schedule, micro-batch count and DP ways.  Each
+    outcome is the one the run alone would reach.
+
+    A member whose own begin, decide, fold or finish raises keeps that
+    exception as its outcome and leaves; an exception from a pricing
+    call is the outcome of every member that needed a lane of it.
+    ``budget_s`` bounds each member's ``clock``, checked between
+    iterations (:class:`RunDeadlineExceeded`).  Once ``stop`` is set,
+    the same check raises :class:`RunInterrupted` out of the call, and
+    no member has an outcome.
+    """
+    if any(m.trainer._cache is not members[0].trainer._cache for m in members):
+        raise ValueError("run_group's Trainers must share one iteration cache")
+    clock = _Clock(budget_s, stop)
+    live: list[GroupMember] = []
+    for m in members:
+        clock.switch(m)
+        try:
+            m.st = m.trainer._begin_run(iterations)
+            live.append(m)
+        except Exception as exc:
+            m.outcome = exc
+    end = max((m.st.iters for m in live), default=0)
+    for lo in range(0, end, WINDOW):
+        lanes: dict[tuple, tuple] = {}
+        priced: dict[tuple, IterationResult] = {}
+        decided: list[GroupMember] = []
+        for m in live:
+            if lo < m.st.iters:
+                _decide(m, lo, lanes, priced, clock)
+                decided.append(m)
+            if len(lanes) >= WINDOW:
+                _price_and_fold(live, decided, lanes, priced, lo, clock)
+                lanes, priced, decided = {}, {}, []
+        _price_and_fold(live, decided, lanes, priced, lo, clock)
+        live = [m for m in live if m.outcome is None]
+    for m in live:
+        clock.switch(m)
+        try:
+            m.outcome = m.trainer._finish_run(m.st)
+        except Exception as exc:
+            m.outcome = exc
+        m.st = None
+    clock.switch(None)
+
+
+def _decide(
+    m: GroupMember,
+    lo: int,
+    lanes: dict[tuple, tuple],
+    priced: dict[tuple, IterationResult],
+    clock: _Clock,
+) -> None:
+    """Decide m's window from iteration ``lo``: queue each iteration's
+    key, serve cache hits into ``priced`` and add misses to ``lanes``."""
+    trainer, st, keys = m.trainer, m.st, m.keys
+    owned, needs = 0, False
+    clock.switch(m)
+    try:
+        for k in range(lo, min(lo + WINDOW, st.iters)):
+            clock.check(m, k)
+            trainer._pre_iteration(st, k)
+            key = trainer._cache_key()
+            keys.append(key)
+            if key in priced:
+                continue
+            if key in lanes:
+                needs = True
+                continue
+            res = trainer._cache_lookup(key)
+            if res is None:
+                lanes[key] = (trainer.plan, trainer.states.copy(), trainer.placement)
+                owned += 1
+                needs = True
+            else:
+                priced[key] = res
+        m.owned, m.needs = owned, needs
+    except RunInterrupted:
+        raise
+    except Exception as exc:
+        m.outcome = exc
+
+
+def _price_and_fold(
+    live: list[GroupMember],
+    decided: list[GroupMember],
+    lanes: dict[tuple, tuple],
+    priced: dict[tuple, IterationResult],
+    lo: int,
+    clock: _Clock,
+) -> None:
+    """Price ``lanes`` in one call, charging each member its lanes'
+    share, then fold every member of ``decided`` still running."""
+    if any(m.needs and m.outcome is None for m in decided):
+        owners = [m for m in decided if m.owned]
+        clock.switch(owners[0] if len(owners) == 1 else None)
+        pricer = next(m for m in live if m.outcome is None)
+        try:
+            pricer.trainer.prewarm(lanes, priced)
+        except Exception as exc:
+            for m in decided:
+                if m.needs and m.outcome is None:
+                    m.outcome = exc
+        if len(owners) > 1:
+            clock.share(owners, len(lanes))
+    for m in decided:
+        if m.outcome is None:
+            _fold(m, lo, priced, clock)
+        m.keys.clear()
+        m.owned, m.needs = 0, False
+
+
+def _fold(
+    m: GroupMember, lo: int, priced: dict[tuple, IterationResult], clock: _Clock
+) -> None:
+    """Fold m's decided window from iteration ``lo``."""
+    trainer, st = m.trainer, m.st
+    clock.switch(m)
+    try:
+        for k, key in enumerate(m.keys, lo):
+            clock.check(m, k)
+            trainer._post_iteration(st, k, priced[key])
+    except RunInterrupted:
+        raise
+    except Exception as exc:
+        m.outcome = exc

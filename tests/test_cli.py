@@ -64,6 +64,24 @@ class TestParser:
             (["gantt", "--layers", "24", "32"], "--layers"),
             (["gantt", "--scenario", "pruning", "moe"], "--scenario"),
             (["fig-maxmodel", "--scenario", "pruning", "freezing"], "--scenario"),
+            # the trace distribution: seeds >= 0, rates in [0, 1],
+            # slowdown >= 1, duration >= 1, recover-after >= 0 (the
+            # generator would clamp a short duration and read a negative
+            # recover-after as never)
+            (["ensemble", "--trace-seed", "-1"], "--trace-seed"),
+            (["ensemble", "--failure-rate", "2"], "--failure-rate"),
+            (["ensemble", "--failure-rate", "nan"], "--failure-rate"),
+            (["ensemble", "--straggler-rate", "1.5"], "--straggler-rate"),
+            (["ensemble", "--preemption-rate", "-0.1"], "--preemption-rate"),
+            (["ensemble", "--straggler-slowdown", "0.5"], "--straggler-slowdown"),
+            (["ensemble", "--straggler-duration", "-5"], "--straggler-duration"),
+            (["ensemble", "--recover-after", "-1"], "--recover-after"),
+            (["events", "--seed", "-1"], "--seed"),
+            (["events", "--failure-rate", "2"], "--failure-rate"),
+            (["events", "--straggler-rate", "nan"], "--straggler-rate"),
+            (["events", "--straggler-slowdown", "0.5"], "--straggler-slowdown"),
+            (["events", "--straggler-duration", "0"], "--straggler-duration"),
+            (["events", "--recover-after", "-1"], "--recover-after"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )

@@ -566,8 +566,10 @@ class TestGroupedDraws:
 
     @pytest.mark.parametrize("fault", ["timeout recording", "timeout replaying", "error"])
     def test_members_after_a_failed_one_match_their_solo_runs(self, fault, monkeypatch):
-        """A member that raises drops the group: the next member builds
-        and records afresh, so nothing half-built is served."""
+        """A member that raises leaves the group and the others run on.
+        A raising setup leaves the group unbuilt, so the next member
+        builds and records afresh and nothing half-built is served; a
+        member's own build or step failing rebuilds nothing."""
         from repro.dynamics.base import ReplayScheme
         from repro.orchestrator.runner import SweepTimeout
 
@@ -598,6 +600,130 @@ class TestGroupedDraws:
         failed = 0 if fault == "timeout recording" else 1
         want = "error" if fault == "error" else "timeout"
         assert grouped[failed].status == want
-        after = slice(failed + 1, None)
-        assert [_strip(r) for r in grouped[after]] == [_strip(r) for r in solo[after]]
-        assert counts.builds == 2
+        others = [j for j in range(len(specs)) if j != failed]
+        assert [_strip(grouped[j]) for j in others] == [_strip(solo[j]) for j in others]
+        assert counts.builds == (2 if fault == "timeout recording" else 1)
+
+    # -- one window loop: decide in turn, price the union once, fold ------
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Record the lane count of every ``simulate_many`` call."""
+        calls = []
+        real = batched_mod.simulate_many
+
+        def counting(requests):
+            calls.append(len(requests))
+            return real(requests)
+
+        monkeypatch.setattr(batched_mod, "simulate_many", counting)
+        return calls
+
+    @pytest.mark.parametrize("where", ["inline", "pool chunk"])
+    def test_a_group_prices_its_window_in_one_call(self, where, monkeypatch):
+        """Every draw decides the 40-iteration window, then one call
+        prices every key any of them missed, each once."""
+        from repro.orchestrator.runner import _execute_chunk
+        from repro.training.trainer import Trainer
+
+        specs = self.draws()
+        keys = set()
+        real_key = Trainer._cache_key
+
+        def recording_key(trainer):
+            key = real_key(trainer)
+            keys.add(key)
+            return key
+
+        with monkeypatch.context() as m:
+            m.setattr(Trainer, "_cache_key", recording_key)
+            for spec in specs:
+                execute_spec(spec)
+        calls = self._count_calls(monkeypatch)
+        if where == "inline":
+            records = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+        else:
+            records = _execute_chunk(specs, None)
+        assert [r.status for r in records] == ["ok"] * 32
+        assert calls == [len(keys)]
+
+    def test_grouped_records_equal_solo_runs_across_window_edges(self, monkeypatch):
+        """With 16-iteration windows a 40-iteration group spans three,
+        and its union of misses reaches WINDOW lanes before the last
+        draw decides: priced at once, the draws decided so far fold."""
+        import repro.training.trainer as trainer_mod
+
+        monkeypatch.setattr(trainer_mod, "WINDOW", 16)
+        specs = self.draws()
+        solo = [execute_spec(spec) for spec in specs]
+        calls = self._count_calls(monkeypatch)
+        grouped = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+        assert [_strip(r) for r in grouped] == [_strip(r) for r in solo]
+        assert max(calls) >= 16 and len(calls) > 3
+
+    @pytest.mark.parametrize("where", ["inline", "pool chunk"])
+    def test_a_member_failing_mid_window_leaves_the_others_solo(self, where):
+        """A trace that fails every stage of a 4-stage run at iteration
+        9 raises while that draw decides: it lands an error record, and
+        every other draw still lands its solo record."""
+        from repro.orchestrator.runner import _execute_chunk
+
+        specs = _group_specs()
+        specs[2] = specs[2].with_(
+            cluster_events=ClusterEventTrace(
+                (ClusterEvent(9, "failure", (0, 1, 2, 3)),)
+            ).to_json()
+        )
+        solo = [execute_spec(spec) for spec in specs]
+        if where == "inline":
+            grouped = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+        else:
+            grouped = _execute_chunk(specs, None)
+        assert grouped[2].status == "error"
+        assert grouped[2].error_type == "RuntimeError"
+        assert "killed every pipeline stage" in grouped[2].error
+        others = [0, 1, 3, 4]
+        assert [_strip(grouped[j]) for j in others] == [_strip(solo[j]) for j in others]
+
+    def test_a_stop_during_a_group_lands_none_of_its_members(
+        self, tmp_path, monkeypatch
+    ):
+        """SIGINT while the third draw folds: the spec before the group
+        lands, no draw of the group does, and a resume runs exactly the
+        group to the records an uninterrupted sweep lands."""
+        import os
+        import signal
+
+        from repro.orchestrator import SweepInterrupted, SweepJournal
+        from repro.training.trainer import Trainer
+
+        alone = _group_specs()[0].with_(seed=1)
+        specs = [alone, *_group_specs()]
+        baseline = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+
+        real, starts = Trainer._post_iteration, []
+
+        def interrupting(trainer, st, k, res):
+            starts.extend([k] if k == 0 else [])
+            if k == 5 and len(starts) == 4:  # the alone spec folds first
+                os.kill(os.getpid(), signal.SIGINT)
+            real(trainer, st, k, res)
+
+        path = tmp_path / "j.jsonl"
+        with monkeypatch.context() as m:
+            m.setattr(Trainer, "_post_iteration", interrupting)
+            with SweepJournal(path) as journal:
+                with pytest.raises(SweepInterrupted) as info:
+                    SweepRunner(
+                        policy=ExecutionPolicy("inline"), journal=journal
+                    ).run(specs)
+        assert [r.spec for r in info.value.records] == [alone]
+        with SweepJournal(path) as journal:
+            assert set(journal.prior) == {alone.spec_hash}
+            resumed = SweepRunner(
+                policy=ExecutionPolicy("inline"), journal=journal
+            ).run(specs)
+        for a, b in zip(baseline, resumed):
+            da, db = _strip(a), _strip(b)
+            da.pop("cached"), db.pop("cached")  # the alone spec is served
+            assert da == db
