@@ -1,14 +1,14 @@
 """Assert two sweep JSON exports are byte-identical modulo wall time.
 
-The batched executor (``repro sweep --jobs 0``) must produce exactly
-the records the pooled/serial paths produce — same specs, statuses and
-metrics — differing only in the wall-clock fields (``duration_s``,
-``cached``) that depend on how the sweep was executed.  CI runs the
-same grid through both backends and gates on this script.
+The in-process loop (``repro sweep --jobs 0`` or ``--jobs 1``) must
+produce exactly the records the pooled and sharded paths produce — same
+specs, statuses and metrics — differing only in the wall-clock fields
+(``duration_s``, ``cached``) that depend on how the sweep was executed.
+CI runs the same grid through both backends and gates on this script.
 
 Usage::
 
-    python scripts/compare_sweep_json.py sweep-pooled.json sweep-batched.json
+    python scripts/compare_sweep_json.py sweep-pooled.json sweep-inline.json
 """
 
 from __future__ import annotations

@@ -173,21 +173,18 @@ def cli_invocations(tmp: Path) -> list[tuple[list[str], int]]:
         (["sweep", "--jobs", "1", "--scenario", "pruning", "--mode",
           "dynmo-partition", "--layers", "32", "--stages", "2", "--cluster", "1x2",
           "--memory-limit", "4e9", "--iterations", "6", "--no-cache"], 0),
-        # an events + re-pack cell, on inline and batched
+        # an events + re-pack cell
         (["events", "--fail-at", "3", "--recover-at", "8", "--fail-ranks", "2",
           "--straggle-ranks", "4", "--straggle-at", "9", "--straggler-duration",
           "2", "--straggler-slowdown", "1.5", "--out", trace], 0),
         (["events", "--iterations", "30", "--failure-rate", "0.1",
           "--straggler-rate", "0.1", "--preemption-rate", "0.05",
           "--recover-after", "5"], 0),
-        *[
-            (["sweep", "--jobs", jobs, "--scenario", "pruning", "freezing",
-              "--mode", "dynmo-diffusion", "dynmo-partition", "--iterations", "14",
-              "--cluster", "2x8+2x4:a100", "--placement", "packed", "scattered",
-              "dp-outer", "--repack", "--repack-target", "4", "--repack-force",
-              "--events", trace, "--memory-limit", "auto", "--no-cache"], 0)
-            for jobs in ("1", "0")
-        ],
+        (["sweep", "--jobs", "1", "--scenario", "pruning", "freezing",
+          "--mode", "dynmo-diffusion", "dynmo-partition", "--iterations", "14",
+          "--cluster", "2x8+2x4:a100", "--placement", "packed", "scattered",
+          "dp-outer", "--repack", "--repack-target", "4", "--repack-force",
+          "--events", trace, "--memory-limit", "auto", "--no-cache"], 0),
         (["sweep", "--jobs", "2", "--scenario", "pruning", "--mode", "megatron",
           "--seeds", "0", "1", *_SMALL, "--timeout", "60", "--retries", "2",
           "--retry-backoff", "0", "--no-cache"], 0),

@@ -7,13 +7,12 @@ the deep module paths keep working, but new code should start here:
 >>> spec = repro.RunSpec(scenario="pruning", mode="dynmo-partition")
 >>> record = repro.simulate(spec)
 >>> records = repro.sweep([spec, spec.with_(mode="megatron")],
-...                       repro.ExecutionPolicy(backend="batched"))
+...                       repro.ExecutionPolicy())
 >>> dist = repro.ensemble(spec, n=64)  # Monte-Carlo fault ensemble
 
-Execution is controlled by an explicit :class:`ExecutionPolicy`
-(``backend="batched" | "inline" | "pool"``);
-:meth:`ExecutionPolicy.from_jobs` maps the legacy ``jobs`` integer
-(the CLI's ``--jobs``) onto one.
+Execution is controlled by an explicit :class:`ExecutionPolicy`:
+``backend="inline"`` (the default) runs in this process,
+``backend="pool"`` on a warm process pool.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ def sweep(
 ) -> list[RunRecord]:
     """Run many specs through a :class:`SweepRunner`.
 
-    ``policy`` picks the backend (default: ``"batched"``, the specs run
+    ``policy`` picks the backend (default: ``"inline"``, the specs run
     in this process, each pricing a window of iterations per vectorized
     call, and consecutive specs that differ only in their cluster events
     sharing one call per window); ``cache`` (a :class:`ResultCache` or a
@@ -119,7 +118,7 @@ def sweep(
         jrn = SweepJournal(journal)  # opened here, so closed here
         owns_journal = True
     runner = SweepRunner(
-        policy=policy or ExecutionPolicy("batched"),
+        policy=policy,
         cache=_as_cache(cache),
         progress=progress,
         refresh=refresh,

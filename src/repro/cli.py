@@ -127,13 +127,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_runner_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs", type=_non_negative_int, default=1,
-        help="execution backend: 0 or 1 = in-process, each run "
-             "pricing its cache misses a window of iterations per "
+        help="0 or 1 = run in this process (the inline backend), each "
+             "run pricing its cache misses a window of iterations per "
              "vectorized call, and runs that differ only in their "
              "cluster events (an ensemble's draws) sharing one call "
-             "per window (no worker processes); "
-             "N>1 = process pool with N workers "
-             "(default: 1 for figure commands, all cores for sweep)",
+             "per window; N>1 = process pool with N workers "
+             "(default: 1, all cores for sweep)",
     )
     p.add_argument(
         "--cache-dir", default=None,
@@ -244,7 +243,7 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
         help="enable DynMo re-packing (dynmo-* modes); rows record the "
              "surviving GPU ranks",
     )
-    p.add_argument("--repack-target", type=int, default=1, metavar="N",
+    p.add_argument("--repack-target", type=_positive_int, default=1, metavar="N",
                    help="minimum worker count re-packing may shrink to")
     p.add_argument("--repack-force", action="store_true",
                    help="force packing to --repack-target regardless of load")
@@ -262,7 +261,12 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _policy_from_args(args) -> ExecutionPolicy:
-    policy = ExecutionPolicy.from_jobs(args.jobs, args.timeout)
+    """``--jobs`` as a policy: 0 or 1 runs in this process, N > 1 on a
+    pool of N workers, unset (sweep's default) on a pool of all cores."""
+    if args.jobs is None or args.jobs > 1:
+        policy = ExecutionPolicy("pool", workers=args.jobs, timeout_s=args.timeout)
+    else:
+        policy = ExecutionPolicy(timeout_s=args.timeout)
     retries = getattr(args, "retries", None)
     backoff = getattr(args, "retry_backoff", None)
     if retries is not None or backoff is not None:
@@ -509,12 +513,14 @@ def cmd_sweep(args) -> int:
         if journal is not None:
             journal.close()
     wall = time.perf_counter() - t0
-    return _print_sweep_table(args, records, wall, str(runner.jobs))
+    jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
+    return _print_sweep_table(args, records, wall, str(jobs))
 
 
 def _sweep_sharded(args, specs) -> int:
     """``repro sweep --shard-dir``: publish-if-absent, work, merge."""
     from repro.distrib import (
+        PlanError,
         PlanMismatch,
         ShardDirLayout,
         ShardPlan,
@@ -522,10 +528,19 @@ def _sweep_sharded(args, specs) -> int:
         merge_shard_dir,
     )
 
-    retry = _policy_from_args(args).retry
+    policy = _policy_from_args(args)
+    retry = policy.retry
     try:
         if ShardDirLayout(args.shard_dir).plan_path.exists():
             plan = ShardPlan.load(args.shard_dir, retry)
+            # join only a plan over this grid; its shard count may differ
+            if [s.spec_hash for s in plan.specs] != [s.spec_hash for s in specs]:
+                raise PlanMismatch(
+                    f"{args.shard_dir} holds plan {plan.plan_id} over "
+                    f"another grid ({len(plan)} specs, this sweep "
+                    f"{len(specs)}); refusing to join it, use a fresh "
+                    "shard directory"
+                )
             verb = "joining"
         else:
             plan = ShardPlan.build(specs, args.shards)
@@ -535,13 +550,13 @@ def _sweep_sharded(args, specs) -> int:
             f"{verb} plan {plan.plan_id} in {args.shard_dir} "
             f"({len(plan)} specs / {len(plan.shards)} shards)"
         )
-    except PlanMismatch as exc:
+    except PlanError as exc:
         raise SystemExit(str(exc)) from None
     local = ResultCache(args.cache_dir) if args.cache_dir else None
     worker = ShardWorker(
         args.shard_dir,
         worker=args.worker_id,
-        policy=_policy_from_args(args),
+        policy=policy,
         local_cache=local,
         ttl_s=args.lease_ttl,
     )
@@ -976,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--worker-id", default=None, metavar="ID",
                     help="worker identity in the shard dir "
                          "(default: <hostname>-<pid>)")
-    ps.add_argument("--lease-ttl", type=float, default=30.0, metavar="SECONDS",
+    ps.add_argument("--lease-ttl", type=_positive_float, default=30.0, metavar="SECONDS",
                     help="heartbeats older than this mark a worker dead "
                          "and its leases stealable")
     ps.add_argument("--json", default=None, help="write full records to this JSON file")
@@ -1028,7 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-execute every run, refreshing any cached entries",
     )
     _add_memory_flags(pn)
-    pn.set_defaults(fn=cmd_ensemble, jobs=0, cache_dir=DEFAULT_CACHE_DIR)
+    pn.set_defaults(fn=cmd_ensemble, cache_dir=DEFAULT_CACHE_DIR)
 
     pe = sub.add_parser(
         "events",
@@ -1043,14 +1058,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cluster size the random trace draws ranks from")
     _add_trace_flags(pe, failure_rate=0.0, straggler_rate=0.0, recover_after=0)
     # hand-written single-scenario mode (exact iterations and ranks)
-    pe.add_argument("--fail-at", type=int, default=None, metavar="ITER",
+    pe.add_argument("--fail-at", type=_non_negative_int, default=None, metavar="ITER",
                     help="hand-written trace: fail --fail-ranks here "
                          "(bypasses the random generator; omit "
                          "--recover-at for a permanent loss)")
-    pe.add_argument("--recover-at", type=int, default=None, metavar="ITER")
-    pe.add_argument("--fail-ranks", type=int, nargs="+", default=[0])
-    pe.add_argument("--straggle-ranks", type=int, nargs="+", default=[])
-    pe.add_argument("--straggle-at", type=int, default=None, metavar="ITER")
+    pe.add_argument("--recover-at", type=_non_negative_int, default=None, metavar="ITER")
+    pe.add_argument("--fail-ranks", type=_non_negative_int, nargs="+", default=[0])
+    pe.add_argument("--straggle-ranks", type=_non_negative_int, nargs="+", default=[])
+    pe.add_argument("--straggle-at", type=_non_negative_int, default=None, metavar="ITER")
     pe.set_defaults(fn=cmd_events)
 
     pc = sub.add_parser(
@@ -1064,7 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"cache directory to audit (default: {DEFAULT_CACHE_DIR})",
     )
     pc.add_argument(
-        "--corrupt-age", type=float, default=None, metavar="SECONDS",
+        "--corrupt-age", type=_non_negative_float, default=None, metavar="SECONDS",
         help="gc only: reap quarantined *.corrupt files older than this "
              "(default: reap them all; recent ones are usually still "
              "wanted for post-mortem)",
@@ -1088,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shard-dir", required=True, metavar="DIR")
     sp.add_argument("--shards", type=_positive_int, default=8, metavar="N",
                     help="number of contiguous shards to split the grid into")
-    sp.set_defaults(fn=cmd_shard, action="plan", jobs=1, cache_dir=None)
+    sp.set_defaults(fn=cmd_shard, action="plan", cache_dir=None)
 
     sw = shard_sub.add_parser(
         "work",
@@ -1100,18 +1115,18 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--worker-id", default=None, metavar="ID",
                     help="worker identity in the shard dir "
                          "(default: <hostname>-<pid>)")
-    sw.add_argument("--lease-ttl", type=float, default=30.0, metavar="SECONDS",
+    sw.add_argument("--lease-ttl", type=_positive_float, default=30.0, metavar="SECONDS",
                     help="heartbeats older than this mark a worker dead "
                          "and its leases stealable")
-    sw.add_argument("--heartbeat", type=float, default=None, metavar="SECONDS",
+    sw.add_argument("--heartbeat", type=_positive_float, default=None, metavar="SECONDS",
                     help="heartbeat renewal cadence (default: ttl/3)")
     sw.add_argument("--wait", action="store_true",
                     help="poll until every shard is done (steal from dead "
                          "workers) instead of exiting when nothing is "
                          "claimable")
-    sw.add_argument("--max-shards", type=int, default=None, metavar="N",
+    sw.add_argument("--max-shards", type=_positive_int, default=None, metavar="N",
                     help="stop after completing this many shards")
-    sw.set_defaults(fn=cmd_shard, action="work", jobs=1, cache_dir=None)
+    sw.set_defaults(fn=cmd_shard, action="work", cache_dir=None)
 
     sm = shard_sub.add_parser(
         "merge",

@@ -232,6 +232,16 @@ class ClusterEventTrace:
         ):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        if recover_after < 0:
+            raise ValueError(f"recover_after must be >= 0, got {recover_after}")
+        if straggler_duration < 1:
+            raise ValueError(
+                f"straggler_duration must be >= 1, got {straggler_duration}"
+            )
+        if not straggler_slowdown >= 1.0:
+            raise ValueError(
+                f"straggler_slowdown must be >= 1, got {straggler_slowdown}"
+            )
         rng = np.random.default_rng(seed)
         events: list[ClusterEvent] = []
         departed: set[int] = set()
@@ -269,7 +279,7 @@ class ClusterEventTrace:
                         k,
                         "straggler",
                         (rank,),
-                        duration=max(1, min(straggler_duration, iterations - k)),
+                        duration=min(straggler_duration, iterations - k),
                         slowdown=straggler_slowdown,
                     )
                 )

@@ -151,9 +151,12 @@ class ShardWorker:
         heartbeat_s: float | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
+        # a zero cadence would renew the lease in a busy loop
+        if heartbeat_s is not None and not heartbeat_s > 0:
+            raise ValueError(f"heartbeat_s must be positive, got {heartbeat_s}")
         self.layout = ShardDirLayout(shard_dir).ensure()
         self.worker = worker or default_worker_id()
-        self.policy = policy or ExecutionPolicy("inline")
+        self.policy = policy or ExecutionPolicy()
         self.ttl_s = ttl_s
         # three beats per TTL: one lost write never looks like death
         self.heartbeat_s = (

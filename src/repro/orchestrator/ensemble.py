@@ -14,7 +14,7 @@ distributions:
 - a survivability curve: the fraction of runs still at their full
   stage count at each recorded iteration.
 
-Execution defaults to the in-process ``batched`` backend.  A base
+Execution defaults to the in-process ``inline`` backend.  A base
 spec's draws differ only in their traces, so the runner runs them as
 one group: one scenario, one scheme stepped once into a recorded
 trajectory, and one iteration cache.  Every draw is a fresh Trainer
@@ -25,7 +25,7 @@ misses, and each folds.  Trace-driven runs are piecewise static, so a
 window batches segment by segment, and a draw reuses earlier draws'
 prices up to its first event.  Each draw lands the record its solo run
 would.  Percentiles use the deterministic nearest-rank definition, so
-summaries are bit-identical across inline/pool/batched backends and
+summaries are bit-identical across the inline and pool backends and
 across cached re-runs.
 """
 
@@ -297,7 +297,7 @@ def run_ensemble(
 
     specs = list(unique.values())
     runner = SweepRunner(
-        policy=policy or ExecutionPolicy("batched"),
+        policy=policy,
         cache=cache,
         progress=progress,
         refresh=refresh,

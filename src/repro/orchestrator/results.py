@@ -104,6 +104,6 @@ def result_metrics(res: Any) -> dict[str, Any]:
         "bubble_history": [[int(k), float(b)] for k, b in res.bubble_history],
         "makespan_history": [[int(k), float(m)] for k, m in res.makespan_history],
         "stage_count_history": [[int(k), int(s)] for k, s in res.stage_count_history],
-        "peak_stage_bytes": float(getattr(res, "peak_stage_bytes", 0.0)),
-        "oom_events": int(getattr(res, "oom_events", 0)),
+        "peak_stage_bytes": float(res.peak_stage_bytes),
+        "oom_events": int(res.oom_events),
     }

@@ -8,12 +8,10 @@ pickle it to workers.  All exceptions are captured into the record
 
 Execution backends (:class:`ExecutionPolicy`):
 
-- ``backend="inline"`` — serial, in the calling process (no pickling,
-  no worker import cost); each group (below) prices its runs' cache
-  misses one window of iterations per vectorized
+- ``backend="inline"`` (the default) — serial, in the calling process
+  (no pickling, no worker import cost); each group (below) prices its
+  runs' cache misses one window of iterations per vectorized
   :func:`~repro.pipeline.batched.simulate_many` call.
-- ``backend="batched"`` — the same loop as ``inline``; the name stays
-  for ``--jobs 0`` and the callers that pick it.
 - ``backend="pool"`` — a process pool, submitted in chunks (one future
   per chunk of specs, not per spec) over a module-wide warm pool that
   is reused across sweep calls, so repeat sweeps stop paying per-spec
@@ -98,18 +96,14 @@ from repro.training.trainer import (
 )
 
 #: execution backends an :class:`ExecutionPolicy` can name
-BACKENDS = ("batched", "inline", "pool")
+BACKENDS = ("inline", "pool")
 
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How a sweep's pending specs execute — explicit, not magic ints.
-
-    Replaces the ``jobs`` integer protocol (``0`` → batched, ``1`` →
-    inline, ``N>1`` → pool of N, ``None`` → pool of cpu_count):
+    """How a sweep's pending specs execute.
 
     - ``backend="inline"`` — serial, in the calling process;
-    - ``backend="batched"`` — the same in-process loop as ``inline``;
     - ``backend="pool"`` — chunked submission over a warm process pool
       of ``workers`` (``None`` → all cores).
 
@@ -157,28 +151,6 @@ class ExecutionPolicy:
                     f"chunk_size only applies to backend='pool', "
                     f"not {self.backend!r}"
                 )
-
-    @classmethod
-    def from_jobs(
-        cls, jobs: int | None, timeout_s: float | None = None
-    ) -> "ExecutionPolicy":
-        """Translate the legacy ``jobs`` integer protocol."""
-        if jobs is None:
-            return cls("pool", None, timeout_s)
-        if jobs == 0:
-            return cls("batched", timeout_s=timeout_s)
-        if jobs == 1:
-            return cls("inline", timeout_s=timeout_s)
-        return cls("pool", int(jobs), timeout_s)
-
-    @property
-    def jobs(self) -> int:
-        """The legacy integer this policy corresponds to (for display)."""
-        if self.backend == "batched":
-            return 0
-        if self.backend == "inline":
-            return 1
-        return self.workers if self.workers is not None else (os.cpu_count() or 1)
 
 
 class SweepTimeout(Exception):
@@ -640,9 +612,9 @@ class SweepRunner:
     execution backend.
 
     The backend is named by an :class:`ExecutionPolicy`: ``"inline"``
-    and ``"batched"`` run the specs in this process, one group
-    (:func:`_spec_groups`) at a time, ``"pool"`` fans chunks of specs
-    out over a warm process pool.
+    runs the specs in this process, one group (:func:`_spec_groups`) at
+    a time, ``"pool"`` fans chunks of specs out over a warm process
+    pool.
     Results come back in spec order regardless of completion order.
 
     With a :class:`~repro.orchestrator.journal.SweepJournal` attached,
@@ -651,9 +623,6 @@ class SweepRunner:
     lands none of its members) and raise :class:`SweepInterrupted`, and
     specs the journal already resolved (``ok`` or quarantined
     ``crashed``) are served without re-running.
-
-    The legacy ``jobs`` integer (``0``/``1``/``N``/``None``) maps to a
-    policy through :meth:`ExecutionPolicy.from_jobs`.
     """
 
     def __init__(
@@ -676,9 +645,9 @@ class SweepRunner:
         self._progress_broken = False
 
     @property
-    def jobs(self) -> int:
-        """Legacy integer view of the policy (for display and logs)."""
-        return self.policy.jobs
+    def _workers(self) -> int:
+        """The pool's worker count: the policy's, or every core."""
+        return self.policy.workers or os.cpu_count() or 1
 
     def close(self) -> None:
         """Detach from the warm worker pool (idempotent).
@@ -881,7 +850,7 @@ class SweepRunner:
     # -- pooled execution with retry / bisection -----------------------------
     def _restart_pool(self, state: _RunState) -> None:
         """Replace a broken pool, degrading to inline past the budget."""
-        _discard_shared_pool(self.jobs)
+        _discard_shared_pool(self._workers)
         self._pool = None
         state.restarts += 1
         if state.restarts > self.policy.max_pool_restarts:
@@ -895,12 +864,12 @@ class SweepRunner:
                     stacklevel=3,
                 )
         else:
-            self._pool = _shared_pool(self.jobs)
+            self._pool = _shared_pool(self._workers)
 
     def _probe(self, indices: list[int], state: _RunState) -> list[RunRecord]:
         """Run ``indices`` as one chunk on the pool, synchronously."""
         if self._pool is None:
-            self._pool = _shared_pool(self.jobs)
+            self._pool = _shared_pool(self._workers)
         future = self._pool.submit(
             _execute_chunk,
             [state.specs[i] for i in indices],
@@ -912,9 +881,9 @@ class SweepRunner:
 
     def _run_pool(self, pending: list[int], state: _RunState) -> None:
         if self._pool is None:
-            self._pool = _shared_pool(self.jobs)
+            self._pool = _shared_pool(self._workers)
         chunk_size = self.policy.chunk_size or max(
-            1, math.ceil(len(pending) / (self.jobs * 4))
+            1, math.ceil(len(pending) / (self._workers * 4))
         )
         chunks = [
             pending[at : at + chunk_size]

@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro.dynamics.pruning import PruningDynamism
-from repro.orchestrator.runner import ExecutionPolicy, SweepRunner
+from repro.orchestrator.runner import BACKENDS, ExecutionPolicy, SweepRunner
 
 
 def tiny(**kwargs) -> repro.RunSpec:
@@ -33,14 +33,19 @@ class TestFacade:
         record = repro.simulate(tiny())
         assert record.ok and record.metrics["tokens_per_s"] > 0
 
-    def test_sweep_defaults_to_batched(self):
+    def test_sweep_and_ensemble_default_to_inline(self, monkeypatch):
+        policies = []
+        run = SweepRunner.run
+
+        def recording(runner, specs):
+            policies.append(runner.policy)
+            return run(runner, specs)
+
+        monkeypatch.setattr(SweepRunner, "run", recording)
         records = repro.sweep([tiny(), tiny(seed=1)])
         assert [r.ok for r in records] == [True, True]
-        inline = repro.sweep(
-            [tiny(), tiny(seed=1)], repro.ExecutionPolicy("inline")
-        )
-        for a, b in zip(records, inline):
-            assert a.metrics == b.metrics
+        assert repro.ensemble(tiny(), 2).stats[0].draws == 2
+        assert policies == [ExecutionPolicy(), ExecutionPolicy()]
 
     def test_sweep_accepts_cache_path(self, tmp_path):
         first = repro.sweep([tiny()], cache=tmp_path / "cache")
@@ -75,6 +80,22 @@ class TestFacade:
             tiny(), 4, distribution=dist, cache=tmp_path / "cache"
         ).full_cache_hit
 
+    def test_ensemble_refuses_an_invalid_distribution_before_any_run(
+        self, monkeypatch
+    ):
+        def no_run(runner, specs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(SweepRunner, "run", no_run)
+        for bad in (
+            {"straggler_duration": -5},
+            {"recover_after": -1},
+            {"straggler_slowdown": 0.5, "straggler_rate": 0.0},
+        ):
+            dist = repro.TraceDistribution(**bad)
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                repro.ensemble(tiny(), 4, distribution=dist)
+
     def test_deep_import_paths_still_work(self):
         # the documented legacy paths must stay importable unchanged
         from repro.orchestrator import RunSpec, SweepRunner  # noqa: F401
@@ -101,7 +122,7 @@ class TestFacade:
         monkeypatch.setattr(PruningDynamism, "_apply_global_prune", counting_prune)
         assert repro.simulate(tiny()).ok
         records = repro.sweep(
-            [tiny(), tiny(mode="dynmo-partition")], repro.ExecutionPolicy("batched")
+            [tiny(), tiny(mode="dynmo-partition")], repro.ExecutionPolicy()
         )
         assert all(r.ok for r in records)
         assert prunes  # the pruning schedule really ran Algorithm 1
@@ -113,26 +134,16 @@ class TestExecutionPolicy:
         p = ExecutionPolicy()
         assert p.backend == "inline" and p.workers is None and p.timeout_s is None
 
-    def test_from_jobs_mapping(self):
-        assert ExecutionPolicy.from_jobs(0).backend == "batched"
-        assert ExecutionPolicy.from_jobs(1).backend == "inline"
-        pool = ExecutionPolicy.from_jobs(4)
-        assert pool.backend == "pool" and pool.workers == 4
-        auto = ExecutionPolicy.from_jobs(None)
-        assert auto.backend == "pool" and auto.workers is None
-
-    def test_from_jobs_carries_timeout(self):
-        assert ExecutionPolicy.from_jobs(0, 9.5).timeout_s == 9.5
-
-    def test_jobs_view_roundtrip(self):
-        assert ExecutionPolicy("batched").jobs == 0
-        assert ExecutionPolicy("inline").jobs == 1
-        assert ExecutionPolicy("pool", workers=3).jobs == 3
-        assert ExecutionPolicy("pool").jobs >= 1  # cpu_count
-
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
             ExecutionPolicy("gpu")
+
+    def test_rejects_the_batched_alias(self):
+        """One in-process backend: ``batched`` was another name for
+        ``inline`` and is gone."""
+        assert BACKENDS == ("inline", "pool")
+        with pytest.raises(ValueError, match="'batched'"):
+            ExecutionPolicy("batched")
 
     def test_rejects_workers_outside_pool(self):
         with pytest.raises(ValueError, match="workers"):
@@ -151,7 +162,3 @@ class TestRunnerPolicy:
             warnings.simplefilter("error")
             runner = SweepRunner()
         assert runner.policy.backend == "inline"
-
-    def test_runner_jobs_property_reflects_policy(self):
-        runner = SweepRunner(policy=ExecutionPolicy("pool", workers=5))
-        assert runner.jobs == 5

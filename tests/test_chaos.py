@@ -387,26 +387,12 @@ class TestInterruptAndResume:
                 da.pop(f), db.pop(f)
             assert da == db
 
-    def test_batched_interrupt_stops_at_iteration_boundary(
-        self, tmp_path, monkeypatch
-    ):
-        self._interrupt_stops_at_iteration_boundary(
-            "batched", tmp_path, monkeypatch
-        )
-
     def test_inline_interrupt_stops_at_iteration_boundary(
         self, tmp_path, monkeypatch
     ):
-        self._interrupt_stops_at_iteration_boundary(
-            "inline", tmp_path, monkeypatch
-        )
-
-    def _interrupt_stops_at_iteration_boundary(
-        self, backend, tmp_path, monkeypatch
-    ):
-        """A SIGINT mid-run stops either in-process backend at the
-        run's next iteration: the unfinished run lands nothing, and a
-        resume re-runs exactly it to the rows an uninterrupted sweep
+        """A SIGINT mid-run stops an in-process sweep at the run's next
+        iteration: the unfinished run lands nothing, and a resume
+        re-runs exactly it to the rows an uninterrupted sweep
         produces."""
         import os
         import signal
@@ -429,13 +415,13 @@ class TestInterruptAndResume:
             with SweepJournal(path) as journal:
                 with pytest.raises(SweepInterrupted) as info:
                     SweepRunner(
-                        policy=ExecutionPolicy(backend), journal=journal
+                        policy=ExecutionPolicy("inline"), journal=journal
                     ).run(specs)
         assert info.value.records == []
         with SweepJournal(path) as journal:
             assert not journal.prior
             resumed = SweepRunner(
-                policy=ExecutionPolicy(backend), journal=journal
+                policy=ExecutionPolicy("inline"), journal=journal
             ).run(specs)
 
         for a, b in zip(baseline, resumed):

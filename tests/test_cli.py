@@ -82,13 +82,36 @@ class TestParser:
             (["events", "--straggler-slowdown", "0.5"], "--straggler-slowdown"),
             (["events", "--straggler-duration", "0"], "--straggler-duration"),
             (["events", "--recover-after", "-1"], "--recover-after"),
+            # hand-written traces: event iterations and ranks are >= 0
+            (["events", "--fail-at", "-1"], "--fail-at"),
+            (["events", "--fail-at", "3", "--recover-at", "-1"], "--recover-at"),
+            (["events", "--fail-at", "3", "--fail-ranks", "-2"], "--fail-ranks"),
+            (["events", "--straggle-at", "-1", "--straggle-ranks", "1"],
+             "--straggle-at"),
+            (["events", "--straggle-at", "2", "--straggle-ranks", "-1"],
+             "--straggle-ranks"),
+            # shard leases and workers: positive durations and counts,
+            # refused before the shard directory exists
+            (["sweep", "--shard-dir", "shards", "--lease-ttl", "-1"], "--lease-ttl"),
+            (["shard", "work", "--shard-dir", "shards", "--lease-ttl", "0"],
+             "--lease-ttl"),
+            (["shard", "work", "--shard-dir", "shards", "--heartbeat", "0"],
+             "--heartbeat"),
+            (["shard", "work", "--shard-dir", "shards", "--max-shards", "0"],
+             "--max-shards"),
+            (["sweep", "--repack-target", "0"], "--repack-target"),
+            (["shard", "plan", "--shard-dir", "shards", "--repack-target", "0"],
+             "--repack-target"),
+            (["cache", "gc", "--corrupt-age", "-5"], "--corrupt-age"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
-    def test_invalid_values_exit_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
+    def test_invalid_values_exit_2_naming_the_flag(
+        self, argv, flag, tmp_path, capsys, monkeypatch
+    ):
         """Bad values fail while parsing: exit 2, the flag named on
-        stderr, and no run, cache entry or pool."""
-        cache_dir = tmp_path / "cache"
+        stderr, and no run, cache entry, shard directory or pool."""
+        monkeypatch.chdir(tmp_path)  # relative paths land in tmp_path
         runner_flags = {
             "sweep": ["--scenario", "pruning", "--mode", "megatron", "--jobs", "1"],
             "ensemble": ["--scenario", "pruning", "--mode", "megatron", "--jobs", "1"],
@@ -96,12 +119,12 @@ class TestParser:
             "fig-maxmodel": ["--iterations", "5"],
         }.get(argv[0], [])
         if argv[0] in ("sweep", "ensemble", "fig4", "fig-maxmodel"):
-            runner_flags += ["--cache-dir", str(cache_dir)]
+            runner_flags += ["--cache-dir", str(tmp_path / "cache")]
         with pytest.raises(SystemExit) as exc:
             main([argv[0], *runner_flags, *argv[1:]])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
-        assert not cache_dir.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_shape_publishes_no_shard_plan(self, tmp_path, capsys):
         shard_dir = tmp_path / "shards"
@@ -121,6 +144,37 @@ class TestParser:
         assert args.memory_limit == "4e9"
         assert args.jobs == 0 and args.timeout == 1.5
         assert build_parser().parse_args(["sweep"]).memory_limit == ""
+
+    def test_jobs_maps_to_a_policy(self):
+        """Only the CLI speaks the jobs integer: 0 and 1 build the same
+        inline policy, N > 1 a pool of N, sweep's unset default a pool
+        of all cores; every other command defaults to inline."""
+        from repro.cli import _policy_from_args
+        from repro.orchestrator import ExecutionPolicy
+
+        def policy(*argv):
+            return _policy_from_args(build_parser().parse_args(list(argv)))
+
+        inline = ExecutionPolicy("inline")
+        assert policy("sweep", "--jobs", "0") == policy("sweep", "--jobs", "1") == inline
+        assert policy("sweep", "--jobs", "4") == ExecutionPolicy("pool", workers=4)
+        assert policy("sweep") == ExecutionPolicy("pool")
+        assert policy("ensemble") == policy("ensemble", "--jobs", "0") == inline
+        assert policy("fig1") == policy("shard", "work", "--shard-dir", "d") == inline
+
+    def test_timeout_reaches_the_jobs_policy(self):
+        """``--timeout`` rides along whichever backend ``--jobs`` picks."""
+        from repro.cli import _policy_from_args
+        from repro.orchestrator import ExecutionPolicy
+
+        def policy(*argv):
+            return _policy_from_args(build_parser().parse_args(list(argv)))
+
+        timed = policy("sweep", "--jobs", "0", "--timeout", "9.5")
+        assert timed == ExecutionPolicy("inline", timeout_s=9.5)
+        pooled = policy("sweep", "--jobs", "4", "--timeout", "2")
+        assert pooled == ExecutionPolicy("pool", workers=4, timeout_s=2.0)
+        assert policy("sweep", "--timeout", "3").timeout_s == 3.0
 
 
 class TestCommands:
@@ -207,8 +261,9 @@ class TestSweepCommand:
         assert "0 from cache" in capsys.readouterr().out
 
     def test_sweep_jobs0_batched_matches_serial(self, tmp_path, capsys):
-        """--jobs 0 runs the batched executor; exported rows must be
-        identical to the serial path modulo wall-time fields."""
+        """--jobs 0 is the CLI's alias of --jobs 1: exported rows are
+        identical modulo wall-time fields, and the summary still says
+        jobs=0."""
         import json
 
         serial_json = tmp_path / "serial.json"

@@ -540,10 +540,10 @@ class TestTrainerEvents:
         )
         with pytest.raises(RuntimeError, match="every pipeline stage"):
             _event_trainer(5, trace).run()
-        # both in-process backend names record the same failure — also
-        # when a memory-limited run overflows at an earlier shrink
-        # (8 -> 6 stages), which deciding a window hits first
-        from repro.orchestrator import ExecutionPolicy, RunSpec, SweepRunner
+        # a sweep records the failure — also when a memory-limited run
+        # overflows at an earlier shrink (8 -> 6 stages), which deciding
+        # a window hits first
+        from repro.orchestrator import RunSpec, SweepRunner
 
         shrink_then_kill = ClusterEventTrace(
             (
@@ -565,13 +565,9 @@ class TestTrainerEvents:
                 cluster_events=events.to_json(),
                 memory_limit=limit,
             )
-            inline, batched = (
-                SweepRunner(policy=ExecutionPolicy(backend)).run([spec])[0]
-                for backend in ("inline", "batched")
-            )
-            assert inline.status == batched.status == status
-            assert inline.error_type == batched.error_type == error_type
-            assert inline.error.splitlines()[0] == batched.error.splitlines()[0]
+            [record] = SweepRunner().run([spec])
+            assert record.status == status
+            assert record.error_type == error_type
 
     def test_out_of_range_rank_rejected_at_construction(self):
         trace = ClusterEventTrace((ClusterEvent(2, "failure", (100,)),))
@@ -679,28 +675,6 @@ class TestEventSweep:
         applied = record.metrics["cluster_events_applied"]
         assert [a[1] for a in applied] == ["failure", "straggler", "recovery"]
         assert record.metrics["final_num_stages"] == 8
-
-    def test_batched_executor_matches_serial_on_event_specs(self, tmp_path):
-        """The batched backend prices event specs' windows segment by
-        segment (piecewise-static segments re-bin by current compiled
-        key) and produces the same metrics as serial execution, for
-        controller-driven modes (dynmo-*) too."""
-        from repro.orchestrator import ExecutionPolicy, RunSpec, SweepRunner
-
-        specs = [
-            RunSpec(
-                scenario="pruning",
-                mode=mode,
-                iterations=30,
-                cluster_events=self._trace_json(),
-            )
-            for mode in ("megatron", "dynmo-partition")
-        ]
-        serial = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
-        batched = SweepRunner(policy=ExecutionPolicy("batched")).run(specs)
-        for a, b in zip(serial, batched):
-            assert a.ok and b.ok
-            assert a.metrics == b.metrics
 
     def test_bad_trace_becomes_error_record(self):
         from repro.orchestrator import RunSpec

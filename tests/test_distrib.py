@@ -333,6 +333,43 @@ class TestSingleWorker:
         worker._load_poison()
         assert quarantined(poison) == "killed a worker on host A"
 
+    def test_worker_rejects_a_non_positive_heartbeat(self, tmp_path):
+        """A zero cadence would renew the lease in a busy loop."""
+        sd = tmp_path / "shard"
+        for beat in (0.0, -1.0):
+            with pytest.raises(ValueError, match="heartbeat_s"):
+                ShardWorker(sd, worker="w1", heartbeat_s=beat)
+        assert not sd.exists()
+
+
+class TestSweepShardDir:
+    """``repro sweep --shard-dir``: publish if absent, else join."""
+
+    def _sweep(self, tmp_path, *flags):
+        from repro.cli import main
+
+        return main([
+            "sweep", "--shard-dir", str(tmp_path / "sd"), "--iterations", "4",
+            "--stages", "4", "--jobs", "1", "--no-cache",
+            "--cache-dir", str(tmp_path / "cache"), *flags,
+        ])
+
+    def test_joins_only_a_plan_over_its_own_grid(self, tmp_path, capsys):
+        """The same grid joins whatever shard count it asks for; another
+        grid exits nonzero naming the directory, before any worker,
+        lease, journal or cache entry of its own exists."""
+        grid_flags = ["--scenario", "pruning", "--mode", "megatron", "dynmo-partition"]
+        assert self._sweep(tmp_path, *grid_flags, "--shards", "2") == 0
+        capsys.readouterr()
+        assert self._sweep(tmp_path, *grid_flags, "--shards", "1") == 0
+        assert "joining plan" in capsys.readouterr().out
+        files = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as exc:
+            self._sweep(tmp_path, "--scenario", "freezing", "--mode", "megatron")
+        assert str(tmp_path / "sd") in str(exc.value.code)
+        assert sorted(tmp_path.rglob("*")) == files
+        assert "freezing" not in capsys.readouterr().out
+
 
 # -- torn journals and backfill ----------------------------------------------
 

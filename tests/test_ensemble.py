@@ -265,6 +265,20 @@ class TestSampleSpecs:
         with pytest.raises(ValueError, match="positive"):
             sample_specs(self.base(), 0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"straggler_duration": -5},
+            {"recover_after": -1},
+            # refused even though no straggler is ever drawn
+            {"straggler_slowdown": 0.5, "straggler_rate": 0.0},
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_invalid_distribution_raises_naming_the_parameter(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TraceDistribution(**bad).sample(50, 8, 0)
+
     def test_moe_draws_span_the_widened_pipeline(self):
         """MoE widens 8 requested stages to 16, so the draws name ranks
         of all 16 stages and none beyond."""
@@ -322,18 +336,13 @@ class TestRunEnsemble:
         assert all(0.0 <= p <= 1.0 for _, p in s.survivability)
 
     def test_identical_across_backends(self):
-        policies = [
-            ExecutionPolicy("inline"),
-            ExecutionPolicy("pool", workers=2),
-            ExecutionPolicy("batched"),
-        ]
-        dicts = [
+        inline, pooled = (
             run_ensemble(
                 self.base(), 5, p, distribution=self.dist(), seed0=2
             ).to_dict()
-            for p in policies
-        ]
-        assert dicts[0] == dicts[1] == dicts[2]
+            for p in (ExecutionPolicy("inline"), ExecutionPolicy("pool", workers=2))
+        )
+        assert inline == pooled
 
     def test_cached_rerun_is_full_hit_and_identical(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -1,16 +1,16 @@
 """Frozen simulated outputs: the golden grid must not move.
 
 ``tests/goldens/sweep.json`` holds one digest per run of the grid that
-``scripts/regen_goldens.py`` defines.  Every backend — inline, batched,
-a process pool and a sharded sweep — must reproduce every digest; a
+``scripts/regen_goldens.py`` defines.  Every backend — inline, a
+process pool and a sharded sweep — must reproduce every digest; a
 change that means to move simulated numbers bumps ``SIM_VERSION`` and
 regenerates the file.  Every inline record also passes the run-level
 invariants below.
 
 ``tests/goldens/ensemble.json`` (fault-ensemble percentiles) and
 ``tests/goldens/maxmodel.json`` (a small ``fig-maxmodel`` table with
-``ok`` and ``oom`` cells) are checked the same way on the inline,
-batched and pool backends.  Their consecutive specs that differ only
+``ok`` and ``oom`` cells) are checked the same way on the inline and
+pool backends.  Their consecutive specs that differ only
 in cluster events run as groups sharing one scenario, scheme
 trajectory and iteration cache, and the pool's chunks split those
 groups across workers.
@@ -48,7 +48,7 @@ def test_goldens_hold_ok_and_oom_cells(goldens):
     assert {e["status"] for e in goldens["runs"].values()} == {"ok", "oom"}
 
 
-@pytest.mark.parametrize("backend", ["inline", "batched", "pool", "sharded"])
+@pytest.mark.parametrize("backend", ["inline", "pool", "sharded"])
 def test_goldens_match(backend, goldens, inline_records, tmp_path):
     if backend == "inline":
         records = inline_records
@@ -65,14 +65,14 @@ def test_goldens_match(backend, goldens, inline_records, tmp_path):
     assert not moved, f"{len(moved)} golden run(s) moved: {moved}"
 
 
-@pytest.mark.parametrize("backend", ["inline", "batched", "pool"])
+@pytest.mark.parametrize("backend", ["inline", "pool"])
 def test_ensemble_goldens_match(backend):
     golden = regen_goldens.load_goldens(regen_goldens.ENSEMBLE_PATH)
     assert golden["sim_version"] == SIM_VERSION
     assert regen_goldens.ensemble_entries(backend) == golden["groups"]
 
 
-@pytest.mark.parametrize("backend", ["inline", "batched", "pool"])
+@pytest.mark.parametrize("backend", ["inline", "pool"])
 def test_maxmodel_goldens_match(backend):
     golden = regen_goldens.load_goldens(regen_goldens.MAXMODEL_PATH)
     assert golden["sim_version"] == SIM_VERSION

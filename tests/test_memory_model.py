@@ -32,8 +32,7 @@ from repro.model.cost import (
     fresh_states,
 )
 from repro.model.memory import SCHEDULES, StageMemoryModel
-from repro.orchestrator import ExecutionPolicy, ResultCache, RunSpec, execute_spec
-from repro.orchestrator.runner import SweepRunner
+from repro.orchestrator import ResultCache, RunSpec, execute_spec
 from repro.pipeline import PipelinePlan
 
 import cost_oracle
@@ -460,13 +459,6 @@ class TestOrchestratedOOM:
         cache.put(rec)
         assert cache.get(rec.spec) is None
 
-    def test_batched_mixed_ok_and_oom(self):
-        specs = [_spec(), _spec(memory_limit="1e6")]
-        with SweepRunner(policy=ExecutionPolicy("batched")) as runner:
-            records = runner.run(specs)
-        assert [r.status for r in records] == ["ok", "oom"]
-        assert records[1].metrics["stage_reports"]
-
     def test_memory_knobs_hash_and_label(self):
         base = _spec()
         assert base.precision == "mixed" and base.memory_limit == ""
@@ -507,23 +499,6 @@ class TestOrchestratedOOM:
 
 
 class TestDifferentialGoldens:
-    @pytest.mark.parametrize("knobs", [
-        {},
-        {"recompute": True},
-        {"precision": "full"},
-        {"schedule": "1f1b", "cluster": "2x8+2x4:a100", "pp_stages": 8},
-        {"memory_limit": "auto", "placement": "scattered"},
-    ])
-    def test_serial_and_batched_agree(self, knobs):
-        """The knobs must be priced identically by the scalar and the
-        batched engine — including recompute's backward inflation."""
-        spec = _spec(**knobs)
-        serial = execute_spec(spec)
-        with SweepRunner(policy=ExecutionPolicy("batched")) as runner:
-            (batched,) = runner.run([spec])
-        assert serial.status == batched.status == "ok"
-        assert serial.metrics == batched.metrics
-
     def test_memory_knobs_do_not_change_timing(self):
         """precision/enforcement affect byte accounting only: a run
         that fits produces the exact timing of the unenforced run."""

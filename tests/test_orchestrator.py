@@ -171,6 +171,16 @@ class TestSweepRunner:
         specs = [tiny(), tiny(mode="dense-baseline"), tiny(seed=1)]
         records = SweepRunner().run(specs)
         assert [r.status for r in records] == ["ok", "error", "ok"]
+        assert records[1].error_type == "ValueError"
+
+    def test_inline_timeout_records_status(self):
+        """A sub-second budget holds in process: the alarm is armed to
+        the budget, not rounded up to a second."""
+        specs = [tiny(iterations=5000), tiny(iterations=5000, seed=1)]
+        policy = ExecutionPolicy("inline", timeout_s=1e-9)
+        records = SweepRunner(policy=policy).run(specs)
+        assert [r.status for r in records] == ["timeout", "timeout"]
+        assert all(r.error_type == "SweepTimeout" for r in records)
 
     def test_parallel_matches_serial_exactly(self):
         specs = [
@@ -218,135 +228,6 @@ class TestSweepRunner:
         runner = SweepRunner(policy=ExecutionPolicy("pool", workers=2))
         runner.close()
         runner.close()
-
-
-class TestBatchedExecutor:
-    """jobs=0: the in-process loop under the ``batched`` name."""
-
-    def _grid(self):
-        return [
-            tiny(scenario=sc, mode=m, seed=s)
-            for sc in ("pruning", "freezing")
-            for m in ("megatron", "dynmo-partition")
-            for s in (0, 1)
-        ]
-
-    def test_batched_matches_serial_exactly(self):
-        specs = self._grid()
-        serial = SweepRunner().run(specs)
-        batched = SweepRunner(policy=ExecutionPolicy("batched")).run(specs)
-        assert all(r.ok for r in serial + batched)
-        for a, b in zip(serial, batched):
-            assert a.metrics == b.metrics
-
-    def test_batched_isolates_failures(self):
-        specs = [tiny(), tiny(mode="dense-baseline"), tiny(seed=1)]
-        records = SweepRunner(policy=ExecutionPolicy("batched")).run(specs)
-        assert [r.status for r in records] == ["ok", "error", "ok"]
-        assert records[1].error_type == "ValueError"
-
-    def test_batched_matches_serial_on_repack_elastic_events(self):
-        """Re-packing, elastic and event+repack runs change stage count
-        mid-flight; the batched backend matches serial on all three."""
-        from repro.cluster.events import ClusterEvent, ClusterEventTrace
-
-        repack = tiny(
-            scenario="pruning",
-            mode="dynmo-diffusion",
-            pp_stages=8,
-            iterations=40,
-            cluster="2x8+2x4",
-            repack=True,
-            repack_target=4,
-            repack_force=True,
-        )
-        # the forced repack at iteration 0 keeps ranks 4-7; the trace
-        # then shrinks that pipeline to 3 stages and regrows it to 4
-        trace = ClusterEventTrace(
-            (
-                ClusterEvent(5, "failure", (5,)),
-                ClusterEvent(25, "recovery", (5,)),
-            )
-        )
-        specs = [
-            repack,
-            repack.with_(elastic_total_gpus=8, placement="scattered"),
-            repack.with_(cluster="", cluster_events=trace.to_json()),
-        ]
-        serial = SweepRunner().run(specs)
-        batched = SweepRunner(policy=ExecutionPolicy("batched")).run(specs)
-        for a, b in zip(serial, batched):
-            assert a.ok and b.ok, (a.error, b.error)
-            assert a.metrics == b.metrics
-        assert batched[0].metrics["final_num_stages"] == 4
-        assert batched[1].metrics["average_gpus"] < 8.0
-        stages = dict(batched[2].metrics["stage_count_history"])
-        assert (stages[4], stages[5], stages[25]) == (4, 3, 4)
-
-    def test_batched_timeout_records_status(self):
-        self._timeout_records_status("batched")
-
-    def test_inline_timeout_records_status(self):
-        self._timeout_records_status("inline")
-
-    def _timeout_records_status(self, backend):
-        """A sub-second budget holds on both in-process backend names:
-        the alarm is armed to the budget, not rounded up to a second."""
-        specs = [tiny(iterations=5000), tiny(iterations=5000, seed=1)]
-        policy = ExecutionPolicy(backend, timeout_s=1e-9)
-        records = SweepRunner(policy=policy).run(specs)
-        assert [r.status for r in records] == ["timeout", "timeout"]
-        assert all(r.error_type == "SweepTimeout" for r in records)
-
-    def test_batched_runs_the_inline_loop(self, monkeypatch):
-        """The batched name runs each spec through Trainer.run's
-        windows: no lockstep call, and as many simulate_many calls as
-        inline on a dynmo-partition grid."""
-        import repro.pipeline.batched as batched_mod
-        import repro.training.lockstep as lockstep_mod
-
-        lockstep_calls = []
-        monkeypatch.setattr(
-            lockstep_mod,
-            "run_trainers_lockstep",
-            lambda *args, **kwargs: lockstep_calls.append(args),
-        )
-        pricing_calls = []
-        real = batched_mod.simulate_many
-
-        def counting(requests):
-            pricing_calls.append(len(requests))
-            return real(requests)
-
-        monkeypatch.setattr(batched_mod, "simulate_many", counting)
-        specs = [s for s in self._grid() if s.mode == "dynmo-partition"]
-        calls = {}
-        for backend in ("inline", "batched"):
-            pricing_calls.clear()
-            records = SweepRunner(policy=ExecutionPolicy(backend)).run(specs)
-            assert all(r.ok for r in records)
-            calls[backend] = list(pricing_calls)
-        assert lockstep_calls == []
-        assert calls["batched"] == calls["inline"]
-        assert len(calls["inline"]) >= len(specs)
-
-    def test_batched_serves_and_fills_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        specs = self._grid()[:4]
-        first = SweepRunner(policy=ExecutionPolicy("batched"), cache=cache).run(specs)
-        assert not any(r.cached for r in first)
-        assert len(list(tmp_path.glob("*.json"))) == len(specs)
-        rerun = SweepRunner(policy=ExecutionPolicy("batched"), cache=cache).run(specs)
-        assert all(r.cached for r in rerun)
-
-    def test_batched_progress_sees_every_run(self):
-        seen = []
-        runner = SweepRunner(
-            policy=ExecutionPolicy("batched"),
-            progress=lambda done, total, rec: seen.append((done, total)),
-        )
-        runner.run(self._grid()[:3])
-        assert sorted(seen) == [(1, 3), (2, 3), (3, 3)]
 
 
 class TestDeadlineTimeout:
@@ -640,6 +521,40 @@ class TestHeterogeneousElasticSweep:
         # forced repack 8 -> 4 must actually release workers
         assert records[0].metrics["final_num_stages"] == 4
         assert records[0].metrics["released_ranks_history"]
+
+    def test_repack_elastic_and_event_runs_change_stage_count(self):
+        """Re-packing, elastic and event+repack runs change their stage
+        count mid-flight."""
+        from repro.cluster.events import ClusterEvent, ClusterEventTrace
+
+        repack = tiny(
+            scenario="pruning",
+            mode="dynmo-diffusion",
+            pp_stages=8,
+            iterations=40,
+            cluster="2x8+2x4",
+            repack=True,
+            repack_target=4,
+            repack_force=True,
+        )
+        # the forced repack at iteration 0 keeps ranks 4-7; the trace
+        # then shrinks that pipeline to 3 stages and regrows it to 4
+        trace = ClusterEventTrace(
+            (
+                ClusterEvent(5, "failure", (5,)),
+                ClusterEvent(25, "recovery", (5,)),
+            )
+        )
+        records = SweepRunner().run([
+            repack,
+            repack.with_(elastic_total_gpus=8, placement="scattered"),
+            repack.with_(cluster="", cluster_events=trace.to_json()),
+        ])
+        assert all(r.ok for r in records), [r.error for r in records]
+        assert records[0].metrics["final_num_stages"] == 4
+        assert records[1].metrics["average_gpus"] < 8.0
+        stages = dict(records[2].metrics["stage_count_history"])
+        assert (stages[4], stages[5], stages[25]) == (4, 3, 4)
 
     def test_cluster_too_small_is_isolated_error(self):
         record = execute_spec(tiny(pp_stages=8, cluster="1x4"))

@@ -534,8 +534,8 @@ BUILTIN_SCHEMES = [
 
 class TestSchemeDeepcopy:
     """Copies of one run's scheme, each built from the scenario the way
-    a sweep builds it, replay the same states when interleaved.  The
-    batched backend steps many runs' schemes in one process, so a
+    a sweep builds it, replay the same states when interleaved.  An
+    in-process sweep steps many runs' schemes in one process, so a
     scheme must share no state (an RNG, a buffer) with another one."""
 
     @pytest.mark.parametrize("scenario,mode", BUILTIN_SCHEMES)
