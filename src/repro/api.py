@@ -102,9 +102,13 @@ def sweep(
 
     ``policy`` picks the backend (default: ``"inline"``, the specs run
     in this process, each pricing a window of iterations per vectorized
-    call, and consecutive specs that differ only in their cluster events
-    sharing one call per window); ``cache`` (a :class:`ResultCache` or a
-    directory path) serves repeat specs from their content hash.  ``journal``
+    call, and specs that step one dynamism trajectory — an ensemble's
+    draws, the Megatron, DeepSpeed and DynMo runs of one scenario,
+    shape and seed — sharing one scenario, one recording and one call
+    per window; the rule is in ``docs/failure-semantics.md``,
+    "Trajectory groups"); records come back in the order of ``specs``.
+    ``cache`` (a :class:`ResultCache` or a directory path) serves
+    repeat specs from their content hash.  ``journal``
     (a :class:`SweepJournal` or a path) makes the sweep durable and
     resumable: records append as they land, SIGINT/SIGTERM drain
     in-flight work and raise :class:`SweepInterrupted`, and a re-run

@@ -129,9 +129,12 @@ def _add_runner_flags(p: argparse.ArgumentParser) -> None:
         "--jobs", type=_non_negative_int, default=1,
         help="0 or 1 = run in this process (the inline backend), each "
              "run pricing its cache misses a window of iterations per "
-             "vectorized call, and runs that differ only in their "
-             "cluster events (an ensemble's draws) sharing one call "
-             "per window; N>1 = process pool with N workers "
+             "vectorized call, and runs that step one dynamism "
+             "trajectory (an ensemble's draws; the Megatron, DeepSpeed "
+             "and DynMo runs of one scenario, shape and seed) sharing "
+             "one scenario, one recording and one call per window, see "
+             "docs/failure-semantics.md; N>1 = process pool with N "
+             "workers, each chunk's groups shared alike "
              "(default: 1, all cores for sweep)",
     )
     p.add_argument(
@@ -142,6 +145,12 @@ def _add_runner_flags(p: argparse.ArgumentParser) -> None:
                    help="per-run wall-clock budget, fractions of a second "
                         "included (sweep records over-budget runs as "
                         "failed rows; figure commands abort on them)")
+    _add_plan_flags(p)
+
+
+def _add_plan_flags(p: argparse.ArgumentParser) -> None:
+    """The runner flags ``shard plan`` takes too: a spec field and the
+    retry policy of the plan's publication."""
     p.add_argument(
         "--balance-cost", default="modeled", choices=["modeled", "measured"],
         help="charge the balancer's analytic (reproducible) or real "
@@ -267,15 +276,23 @@ def _policy_from_args(args) -> ExecutionPolicy:
         policy = ExecutionPolicy("pool", workers=args.jobs, timeout_s=args.timeout)
     else:
         policy = ExecutionPolicy(timeout_s=args.timeout)
-    retries = getattr(args, "retries", None)
-    backoff = getattr(args, "retry_backoff", None)
-    if retries is not None or backoff is not None:
-        retry = RetryPolicy(
-            max_attempts=retries if retries is not None else 3,
-            backoff_s=backoff if backoff is not None else 0.05,
-        )
+    retry = _retry_from_args(args)
+    if retry is not None:
         policy = dataclasses.replace(policy, retry=retry)
     return policy
+
+
+def _retry_from_args(args) -> RetryPolicy | None:
+    """``--retries`` and ``--retry-backoff`` as a retry policy, or None
+    (the default policy) when neither is given."""
+    retries = getattr(args, "retries", None)
+    backoff = getattr(args, "retry_backoff", None)
+    if retries is None and backoff is None:
+        return None
+    return RetryPolicy(
+        max_attempts=retries if retries is not None else 3,
+        backoff_s=backoff if backoff is not None else 0.05,
+    )
 
 
 def _runner_from_args(args, progress=None, journal=None) -> SweepRunner:
@@ -778,7 +795,7 @@ def cmd_shard(args) -> int:
         shard_dir_status,
     )
 
-    retry = _policy_from_args(args).retry if hasattr(args, "jobs") else None
+    retry = _retry_from_args(args)
     if args.action == "plan":
         specs = _specs_from_args(args)
         plan = ShardPlan.build(specs, args.shards)
@@ -795,6 +812,12 @@ def cmd_shard(args) -> int:
         return 0
 
     if args.action == "work":
+        try:
+            # read before anything is created: a mistyped --shard-dir
+            # must leave no directory tree behind
+            ShardPlan.load(args.shard_dir, retry)
+        except PlanError as exc:
+            raise SystemExit(str(exc)) from None
         local = ResultCache(args.cache_dir) if args.cache_dir else None
         worker = ShardWorker(
             args.shard_dir,
@@ -1098,12 +1121,12 @@ def build_parser() -> argparse.ArgumentParser:
         "plan", help="split a sweep grid into shards and publish the plan"
     )
     _add_common(sp)
-    _add_runner_flags(sp)
+    _add_plan_flags(sp)
     _add_grid_flags(sp)
     sp.add_argument("--shard-dir", required=True, metavar="DIR")
     sp.add_argument("--shards", type=_positive_int, default=8, metavar="N",
                     help="number of contiguous shards to split the grid into")
-    sp.set_defaults(fn=cmd_shard, action="plan", cache_dir=None)
+    sp.set_defaults(fn=cmd_shard, action="plan")
 
     sw = shard_sub.add_parser(
         "work",

@@ -151,9 +151,12 @@ class ShardWorker:
         heartbeat_s: float | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
-        # a zero cadence would renew the lease in a busy loop
+        # checked before the shard directory is created: a zero cadence
+        # would renew the lease in a busy loop
         if heartbeat_s is not None and not heartbeat_s > 0:
             raise ValueError(f"heartbeat_s must be positive, got {heartbeat_s}")
+        if not ttl_s > 0:
+            raise ValueError(f"ttl_s must be positive, got {ttl_s}")
         self.layout = ShardDirLayout(shard_dir).ensure()
         self.worker = worker or default_worker_id()
         self.policy = policy or ExecutionPolicy()

@@ -83,8 +83,9 @@ class StaticScheme(DynamismScheme):
 class ReplayScheme(DynamismScheme):
     """Replays the layer-state trajectory of a scheme stepped once.
 
-    Runs that differ only in their cluster events step the same states,
-    so they share one recording: the constructor steps ``scheme``
+    The runs of one of the sweep runner's trajectory groups
+    (``docs/failure-semantics.md``) step the same states, so they share
+    one recording: the constructor steps ``scheme``
     through ``iterations`` iterations and keeps the states after each
     step that reported a change.  :meth:`step` writes those states, and
     :meth:`advance` bumps ``version``, exactly where the recorded step

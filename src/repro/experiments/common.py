@@ -264,12 +264,25 @@ def parse_memory_limit(limit: "str | float | None") -> tuple[bool, float | None]
     return True, value
 
 
+#: the modes whose runs step the scenario's own scheme, so runs of one
+#: scenario, shape and seed in any of them share one trajectory (the
+#: sweep runner groups them)
+SCENARIO_SCHEME_MODES = (
+    "megatron",
+    "deepspeed",
+    "dynmo-partition",
+    "dynmo-diffusion",
+)
+
+
 def make_scheme(setup: ScenarioSetup, mode: str) -> DynamismScheme:
-    """The dynamism scheme a ``mode`` run of ``setup`` steps: Tutel and
-    Egeria wrap the scenario's scheme, the dense baseline is the static
-    control (the paper's dense-attention / no-exit model, so only
-    sparse_attention and early_exit have one), every other mode steps
-    the scenario's scheme."""
+    """The dynamism scheme a ``mode`` run of ``setup`` steps: the
+    :data:`SCENARIO_SCHEME_MODES` step the scenario's scheme, Tutel and
+    Egeria wrap it, and the dense baseline is the static control (the
+    paper's dense-attention / no-exit model, so only sparse_attention
+    and early_exit have one)."""
+    if mode in SCENARIO_SCHEME_MODES:
+        return setup.scheme_factory()
     if mode == "tutel":
         return TutelMoEBaseline(setup.scheme_factory())
     if mode == "egeria":
@@ -278,7 +291,7 @@ def make_scheme(setup: ScenarioSetup, mode: str) -> DynamismScheme:
         if setup.name not in ("sparse_attention", "early_exit"):
             raise ValueError(f"scenario {setup.name} has no dense baseline")
         return StaticScheme(setup.specs)
-    return setup.scheme_factory()
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def make_trainer(

@@ -15,8 +15,11 @@ distributions:
   stage count at each recorded iteration.
 
 Execution defaults to the in-process ``inline`` backend.  A base
-spec's draws differ only in their traces, so the runner runs them as
-one group: one scenario, one scheme stepped once into a recorded
+spec's draws differ only in their traces, so they step one trajectory
+and the runner runs them as one group (with the draws of other bases
+that differ from it only in a mode that steps the scenario's own
+scheme; the rule is in ``docs/failure-semantics.md``, "Trajectory
+groups"): one scenario, one scheme stepped once into a recorded
 trajectory, and one iteration cache.  Every draw is a fresh Trainer
 that replays the trajectory, and the draws run window by window
 together (:func:`~repro.training.trainer.run_group`): each decides the
@@ -277,8 +280,8 @@ def run_ensemble(
     traces collapse into one event-free run), executed through a
     :class:`SweepRunner` — in this process by default — and
     fanned back out so duplicate draws weight the statistics exactly
-    once per draw.  A base spec's draws stay consecutive, so the runner
-    runs them as one group sharing a scenario, a recorded scheme
+    once per draw.  A base spec's draws step one trajectory, so the
+    runner runs them as one group sharing a scenario, a recorded scheme
     trajectory and an iteration cache, and pricing each window of all
     its draws in one call; the first draw's ``duration_s`` carries that
     setup.  ``journal`` makes the underlying sweep durable and

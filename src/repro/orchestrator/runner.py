@@ -17,13 +17,20 @@ Execution backends (:class:`ExecutionPolicy`):
   is reused across sweep calls, so repeat sweeps stop paying per-spec
   pickle round-trips and per-call worker start-up.
 
-On every backend, consecutive specs that differ only in
-``cluster_events`` (an ensemble's draws) run as one :class:`_SpecGroup`
-— in one runner call, or one pool chunk — sharing a scenario, a
-recorded scheme trajectory and an iteration cache, and going through
-:func:`~repro.training.trainer.run_group` together: every window, each
-member decides, one call prices the union of their misses, and each
-member folds.  Each still lands the record its solo run would.
+On every backend, specs that step one dynamism trajectory
+(:func:`_trajectory_key`; the rule, and what a group changes for
+timeouts and interrupts, is in ``docs/failure-semantics.md``,
+"Trajectory groups") run as one :class:`_SpecGroup`: an ensemble's
+draws, and the Megatron, DeepSpeed and DynMo runs of one scenario,
+shape and seed.  :meth:`SweepRunner.run` moves each group's members
+next to each other, where its first spec stands, so one runner call or
+one pool chunk runs them together, sharing a scenario, a recorded
+scheme trajectory and an iteration cache, through
+:func:`~repro.training.trainer.run_group`: every window, each member
+decides, one call prices the union of their misses, and each member
+folds.  Each still lands the record its solo run would.  Records come
+back in the caller's order; progress and journal lines follow the
+order of execution.
 
 Fault tolerance (see ``docs/failure-semantics.md`` for the full
 contract):
@@ -233,15 +240,15 @@ def _deadline(seconds: float | None) -> Iterator[bool]:
 
 
 class _SpecGroup:
-    """What consecutive specs that differ only in ``cluster_events``
-    share within one runner call.
+    """What consecutive specs that step one trajectory (equal
+    :func:`_trajectory_key`) share within one runner call.
 
-    A scheme's step never reads the cluster, so the group's first
-    member builds the scenario once and records its scheme once
-    (:class:`~repro.dynamics.base.ReplayScheme`), whatever the mode:
-    the Tutel and Egeria baselines are schemes like any other.  Every
-    member replays that trajectory in a fresh Trainer over the group's
-    one iteration cache, and the members run through
+    A scheme's step never reads the cluster, the plan or the placement,
+    so the group's first member builds the scenario once and records
+    its scheme once (:class:`~repro.dynamics.base.ReplayScheme`),
+    whatever the mode: the Tutel and Egeria baselines are schemes like
+    any other.  Every member replays that trajectory in a fresh Trainer
+    over the group's one iteration cache, and the members run through
     :func:`~repro.training.trainer.run_group` together, so each window
     of all of them is priced in one call.  The member whose build ran
     the setup carries it in its ``duration_s``; a setup that raises is
@@ -267,14 +274,51 @@ class _SpecGroup:
         return self.setup, self.replay
 
 
+#: the fields a run's trajectory never reads, each at its default: they
+#: feed only the run's own Trainer, controller, placement, memory model
+#: or job manager, and the iteration cache keys on the plan and the
+#: placement grid
+_MEMBER_FIELDS = {
+    name: RunSpec.__dataclass_fields__[name].default
+    for name in (
+        "weight_by", "balance_cost", "repack", "repack_target",
+        "repack_force", "placement", "cluster_events",
+        "elastic_total_gpus", "memory_limit", "tag",
+    )
+}
+
+
+def _trajectory_key(spec: RunSpec) -> RunSpec:
+    """``spec`` with every field its trajectory never reads set to one
+    fixed value: the :data:`_MEMBER_FIELDS`, and the mode when it steps
+    the scenario's own scheme.  Specs with equal keys step one
+    trajectory (:class:`_SpecGroup`); every other field, and any field
+    added later, keeps specs apart."""
+    from repro.experiments.common import SCENARIO_SCHEME_MODES
+
+    mode = spec.mode
+    if mode in SCENARIO_SCHEME_MODES:
+        mode = SCENARIO_SCHEME_MODES[0]
+    return dataclasses.replace(spec, mode=mode, **_MEMBER_FIELDS)
+
+
+def _trajectory_order(specs: Sequence[RunSpec], positions: list[int]) -> list[int]:
+    """``positions`` arranged group by group (:func:`_trajectory_key`),
+    each group where its first spec stands."""
+    groups: dict[RunSpec, list[int]] = {}
+    for i in positions:
+        groups.setdefault(_trajectory_key(specs[i]), []).append(i)
+    return [i for group in groups.values() for i in group]
+
+
 def _spec_groups(specs: Sequence[RunSpec]) -> Iterator[list[int]]:
-    """Yield the positions of each run of consecutive specs that differ
-    only in ``cluster_events``, in order; a spec alone is a run of
-    one."""
+    """Yield the positions of each run of consecutive specs that step
+    one trajectory (:func:`_trajectory_key`), in order; a spec alone is
+    a run of one."""
     run: list[int] = []
     last: RunSpec | None = None
     for j, spec in enumerate(specs):
-        key = dataclasses.replace(spec, cluster_events="")
+        key = _trajectory_key(spec)
         if run and key != last:
             yield run
             run = []
@@ -614,8 +658,9 @@ class SweepRunner:
     The backend is named by an :class:`ExecutionPolicy`: ``"inline"``
     runs the specs in this process, one group (:func:`_spec_groups`) at
     a time, ``"pool"`` fans chunks of specs out over a warm process
-    pool.
-    Results come back in spec order regardless of completion order.
+    pool.  Either way the pending specs run group by group
+    (:func:`_trajectory_order`); results come back in spec order
+    regardless of execution or completion order.
 
     With a :class:`~repro.orchestrator.journal.SweepJournal` attached,
     every landed record is durably appended, SIGINT/SIGTERM drain
@@ -816,6 +861,10 @@ class SweepRunner:
 
         if not pending:
             return [r for r in records if r is not None]
+
+        # each group's members run next to each other, so every backend
+        # sees them as one run of consecutive specs (_spec_groups)
+        pending = _trajectory_order(specs, pending)
 
         state = _RunState(specs=specs, records=records, land=land, stop=stop)
         with self._trap_signals(stop):

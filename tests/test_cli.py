@@ -102,6 +102,13 @@ class TestParser:
             (["sweep", "--repack-target", "0"], "--repack-target"),
             (["shard", "plan", "--shard-dir", "shards", "--repack-target", "0"],
              "--repack-target"),
+            # a plan holds specs: the workers take their own execution
+            # flags, so shard plan refuses them
+            (["shard", "plan", "--shard-dir", "shards", "--jobs", "8"], "--jobs"),
+            (["shard", "plan", "--shard-dir", "shards", "--timeout", "0.001"],
+             "--timeout"),
+            (["shard", "plan", "--shard-dir", "shards", "--cache-dir", "nowhere"],
+             "--cache-dir"),
             (["cache", "gc", "--corrupt-age", "-5"], "--corrupt-age"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
@@ -134,6 +141,31 @@ class TestParser:
         assert exc.value.code == 2
         assert "--layers" in capsys.readouterr().err
         assert not shard_dir.exists()
+
+    def test_shard_plan_retries_reach_the_publish(self, tmp_path, monkeypatch):
+        from repro.distrib import ShardPlan
+
+        seen = []
+        publish = ShardPlan.publish
+
+        def spying(plan, shard_dir, retry=None):
+            seen.append(retry)
+            return publish(plan, shard_dir, retry)
+
+        monkeypatch.setattr(ShardPlan, "publish", spying)
+        assert main(["shard", "plan", "--shard-dir", str(tmp_path / "shards"),
+                     "--scenario", "pruning", "--mode", "megatron",
+                     "--iterations", "5", "--retries", "2",
+                     "--retry-backoff", "0.5"]) == 0
+        assert [(r.max_attempts, r.backoff_s) for r in seen] == [(2, 0.5)]
+
+    def test_shard_work_without_a_plan_creates_nothing(self, tmp_path):
+        shard_dir = tmp_path / "shards"
+        with pytest.raises(SystemExit) as exc:
+            main(["shard", "work", "--shard-dir", str(shard_dir), "--wait",
+                  "--cache-dir", str(tmp_path / "local")])
+        assert "no readable shard plan" in str(exc.value.code)
+        assert list(tmp_path.iterdir()) == []
 
     def test_valid_values_still_parse(self):
         args = build_parser().parse_args(

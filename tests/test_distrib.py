@@ -341,6 +341,15 @@ class TestSingleWorker:
                 ShardWorker(sd, worker="w1", heartbeat_s=beat)
         assert not sd.exists()
 
+    def test_worker_rejects_a_non_positive_ttl_before_creating_anything(
+        self, tmp_path
+    ):
+        sd = tmp_path / "shard"
+        for ttl in (0.0, -1.0):
+            with pytest.raises(ValueError, match="ttl_s must be positive"):
+                ShardWorker(sd, worker="w1", ttl_s=ttl)
+        assert not sd.exists()
+
 
 class TestSweepShardDir:
     """``repro sweep --shard-dir``: publish if absent, else join."""

@@ -21,7 +21,12 @@ import pytest
 from repro.baselines import EgeriaBaseline, TutelMoEBaseline
 from repro.cluster.events import ClusterEvent, ClusterEventTrace
 from repro.dynamics.pruning import PruningDynamism
-from repro.experiments.common import build_scenario, make_trainer
+from repro.experiments.common import (
+    SCENARIO_SCHEME_MODES,
+    SCENARIOS,
+    build_scenario,
+    make_trainer,
+)
 from repro.orchestrator import (
     ExecutionPolicy,
     ResultCache,
@@ -556,13 +561,16 @@ class TestGroupedDraws:
         assert grouped - alone_calm == alone_failing - 1
 
     def test_a_spec_alone_records_no_trajectory(self, monkeypatch):
+        """A seed-1 spec between two draws of one group does not split
+        it: the draws share one recording, and the spec alone steps its
+        own scheme and records nothing."""
         counts = _Counts(monkeypatch, PruningDynamism)
         a, b, c = _group_specs()[1:4]
-        # neighbours that differ in more than their events
         specs = [a, b.with_(seed=1), c]
-        SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
-        assert counts.recordings == 0
-        assert counts.builds == counts.schemes == 3
+        records = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+        assert [r.spec for r in records] == specs
+        assert counts.recordings == 1
+        assert counts.builds == counts.schemes == 2
 
     def test_runner_calls_share_nothing(self, monkeypatch):
         counts = _Counts(monkeypatch, PruningDynamism)
@@ -735,4 +743,171 @@ class TestGroupedDraws:
         for a, b in zip(baseline, resumed):
             da, db = _strip(a), _strip(b)
             da.pop("cached"), db.pop("cached")  # the alone spec is served
+            assert da == db
+
+
+# ---------------------------------------------------------------------------
+# trajectory groups: the contender modes of one scenario, shape and seed
+
+
+def _other_values(mode):
+    """A second value for every field a group's members may differ in.
+    A measured balance cost charges real wall time, so only the modes
+    that run no balancer take it."""
+    return {
+        "weight_by": "param",
+        "balance_cost": "modeled" if mode.startswith("dynmo") else "measured",
+        "repack": True,
+        "repack_target": 2,
+        "repack_force": True,
+        "placement": "scattered",
+        "cluster_events": _traces()[2],  # a straggler window
+        "elastic_total_gpus": 64,
+        "memory_limit": "auto",
+        "tag": "other",
+    }
+
+
+class TestTrajectoryGroups:
+    """Specs that step one trajectory — the contender modes of one
+    scenario, shape and seed, whatever their placement, balancer,
+    memory, elasticity and event fields — share one scenario, one
+    recording and one iteration cache, wherever they stand in the
+    sweep; every record stays what its solo run produces."""
+
+    def grid(self):
+        """pruning and moe x the four modes x two seeds, in the order
+        ``repro sweep`` builds it (scenario, then mode, then seed)."""
+        return [
+            RunSpec(scenario=scenario, mode=mode, seed=seed, pp_stages=4,
+                    iterations=24)
+            for scenario in ("pruning", "moe")
+            for mode in SCENARIO_SCHEME_MODES
+            for seed in (0, 1)
+        ]
+
+    @pytest.mark.parametrize("where", ["inline", "pool chunk"])
+    def test_a_sweep_grid_builds_one_scenario_and_recording_per_seed(
+        self, where, monkeypatch
+    ):
+        from repro.orchestrator.runner import _execute_chunk, _trajectory_order
+
+        counts = _Counts(monkeypatch, PruningDynamism)
+        specs = self.grid()
+        if where == "inline":
+            records = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+        else:
+            # one chunk holding the grid in the order the runner hands
+            # a pool its pending specs
+            order = _trajectory_order(specs, list(range(len(specs))))
+            chunk = _execute_chunk([specs[i] for i in order], None)
+            records = [chunk[order.index(i)] for i in range(len(specs))]
+        assert [r.status for r in records] == ["ok"] * 16
+        assert counts.builds == counts.recordings == 4
+        # each pruning seed's scheme is built once and stepped once
+        assert counts.schemes == 2 and counts.steps == 2 * 24
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_grouped_records_equal_solo_runs(self, scenario, monkeypatch):
+        """The four modes at every field's default, then at a second
+        value of every field the key lets differ: one group of eight."""
+        base = RunSpec(scenario=scenario, pp_stages=4, dp_ways=2, iterations=24)
+        specs = [base.with_(mode=mode) for mode in SCENARIO_SCHEME_MODES] + [
+            base.with_(mode=mode, **_other_values(mode)) for mode in SCENARIO_SCHEME_MODES
+        ]
+        solo = [execute_spec(spec) for spec in specs]
+        counts = _Counts(monkeypatch, PruningDynamism)
+        grouped = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+        assert counts.builds == counts.recordings == 1
+        assert [r.status for r in grouped] == ["ok"] * len(specs)
+        assert [_strip(r) for r in grouped] == [_strip(r) for r in solo]
+
+    @pytest.mark.parametrize(
+        "scenario,apart",
+        [
+            ("pruning", {"seed": 1}),
+            ("pruning", {"schedule": "1f1b"}),
+            ("pruning", {"num_layers": 32}),
+            ("pruning", {"static_scheme": True}),
+            ("moe", {"mode": "tutel"}),
+            ("sparse_attention", {"mode": "dense-baseline"}),
+        ],
+        ids=["seed", "schedule", "num_layers", "static_scheme", "tutel",
+             "dense-baseline"],
+    )
+    def test_a_kept_field_splits_a_group(self, scenario, apart, monkeypatch):
+        """Megatron and DynMo share a recording across a spec that
+        differs in a field the key keeps, which runs alone."""
+        megatron = RunSpec(scenario=scenario, pp_stages=4, iterations=24)
+        specs = [
+            megatron,
+            megatron.with_(**apart),
+            megatron.with_(mode="dynmo-partition"),
+        ]
+        solo = [execute_spec(spec) for spec in specs]
+        counts = _Counts(monkeypatch, PruningDynamism)
+        grouped = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+        assert counts.builds == 2 and counts.recordings == 1
+        assert [r.status for r in grouped] == ["ok"] * 3
+        assert [_strip(r) for r in grouped] == [_strip(r) for r in solo]
+
+    def test_records_keep_the_input_order(self):
+        """Records come back in the caller's order; progress follows
+        the order of execution, group by group."""
+        specs = self.grid()
+        progress = []
+        records = SweepRunner(
+            policy=ExecutionPolicy("inline"),
+            progress=lambda done, total, record: progress.append(record.spec),
+        ).run(specs)
+        assert [r.spec for r in records] == specs
+        assert progress == [
+            spec.with_(mode=mode)
+            for spec in specs
+            if spec.mode == "megatron"
+            for mode in SCENARIO_SCHEME_MODES
+        ]
+
+    def test_a_stop_during_a_mixed_mode_group_lands_none_of_its_members(
+        self, tmp_path, monkeypatch
+    ):
+        """SIGINT while the seed-1 group's third member folds: the
+        seed-0 group lands, no member of the seed-1 group does, and a
+        resume runs exactly that group to the records an uninterrupted
+        sweep lands."""
+        import os
+        import signal
+
+        from repro.orchestrator import SweepInterrupted, SweepJournal
+        from repro.training.trainer import Trainer
+
+        specs = self.grid()[:8]  # pruning x four modes x two seeds
+        baseline = SweepRunner(policy=ExecutionPolicy("inline")).run(specs)
+
+        real, starts = Trainer._post_iteration, []
+
+        def interrupting(trainer, st, k, res):
+            starts.extend([k] if k == 0 else [])
+            if k == 5 and len(starts) == 7:  # the seed-0 group folds first
+                os.kill(os.getpid(), signal.SIGINT)
+            real(trainer, st, k, res)
+
+        path = tmp_path / "j.jsonl"
+        with monkeypatch.context() as m:
+            m.setattr(Trainer, "_post_iteration", interrupting)
+            with SweepJournal(path) as journal:
+                with pytest.raises(SweepInterrupted) as info:
+                    SweepRunner(
+                        policy=ExecutionPolicy("inline"), journal=journal
+                    ).run(specs)
+        seed0 = [spec for spec in specs if spec.seed == 0]
+        assert [r.spec for r in info.value.records] == seed0
+        with SweepJournal(path) as journal:
+            assert set(journal.prior) == {spec.spec_hash for spec in seed0}
+            resumed = SweepRunner(
+                policy=ExecutionPolicy("inline"), journal=journal
+            ).run(specs)
+        for a, b in zip(baseline, resumed):
+            da, db = _strip(a), _strip(b)
+            da.pop("cached"), db.pop("cached")  # the seed-0 group is served
             assert da == db

@@ -10,10 +10,10 @@ invariants below.
 ``tests/goldens/ensemble.json`` (fault-ensemble percentiles) and
 ``tests/goldens/maxmodel.json`` (a small ``fig-maxmodel`` table with
 ``ok`` and ``oom`` cells) are checked the same way on the inline and
-pool backends.  Their consecutive specs that differ only
-in cluster events run as groups sharing one scenario, scheme
-trajectory and iteration cache, and the pool's chunks split those
-groups across workers.
+pool backends.  In every grid, the specs that step one trajectory run
+as groups sharing one scenario, scheme trajectory and iteration cache
+(``docs/failure-semantics.md``, "Trajectory groups"), and the pool's
+chunks and the shards split those groups across workers.
 """
 
 from __future__ import annotations
