@@ -29,7 +29,9 @@ each group's ``EnsembleStats`` digest over 8 sampled fault traces next
 to its p50/p99 iteration time and final survivability;
 ``tests/goldens/maxmodel.json`` holds a small
 ``fig-maxmodel`` table under ``memory_limit="4e9"`` with both ``ok``
-and ``oom`` cells.
+and ``oom`` cells; ``tests/goldens/gantt.json`` holds the stdout of
+the ``repro gantt`` invocations in :data:`GANTT_ARGVS`, the only
+command that prints one iteration's timeline.
 
 Each run is stored as its status and the perfbench digest (SHA-256 of
 the canonical record without ``duration_s`` and ``cached``), next to a
@@ -44,12 +46,15 @@ Usage::
 :func:`run_records` replays the grid on any ``ExecutionPolicy``
 backend, and :func:`run_records_sharded` through
 :func:`repro.api.shard_sweep`; :func:`ensemble_entries` and
-:func:`maxmodel_table` do the same for the two smaller goldens.
+:func:`maxmodel_table` do the same for the two smaller goldens, and
+:func:`gantt_outputs` runs the gantt invocations.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from collections import Counter
@@ -57,6 +62,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.api import shard_sweep
+from repro.cli import main as cli_main
 from repro.cluster.events import ClusterEvent, ClusterEventTrace
 from repro.experiments.maxmodel import run_fig_maxmodel
 from repro.model.cost import PRECISIONS
@@ -73,6 +79,7 @@ GOLDENS_DIR = Path(__file__).resolve().parents[1] / "tests" / "goldens"
 GOLDENS_PATH = GOLDENS_DIR / "sweep.json"
 ENSEMBLE_PATH = GOLDENS_DIR / "ensemble.json"
 MAXMODEL_PATH = GOLDENS_DIR / "maxmodel.json"
+GANTT_PATH = GOLDENS_DIR / "gantt.json"
 #: sampled fault traces per ensemble group
 ENSEMBLE_DRAWS = 8
 
@@ -89,6 +96,17 @@ BASELINE_CELLS = (
     ("early_exit", "dense-baseline"),
     ("pruning", "deepspeed"),
     ("moe", "deepspeed"),
+)
+
+#: ``repro gantt`` argument lists: the four schedules of CI's smoke
+#: step, then a small early-exit chart
+GANTT_ARGVS = (
+    ("gantt", "--schedule", "gpipe"),
+    ("gantt", "--schedule", "1f1b"),
+    ("gantt", "--schedule", "zb"),
+    ("gantt", "--schedule", "zb", "--balanced"),
+    ("gantt", "--scenario", "early_exit", "--stages", "4", "--micro", "4",
+     "--width", "40"),
 )
 
 #: record fields that vary with how a run executed, not what it simulated
@@ -292,6 +310,19 @@ def maxmodel_table(backend: str) -> list[dict[str, Any]]:
         )
 
 
+def gantt_outputs() -> dict[str, str]:
+    """``command line -> stdout`` of each :data:`GANTT_ARGVS` run."""
+    outputs = {}
+    for argv in GANTT_ARGVS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(list(argv))
+        if code != 0:
+            raise RuntimeError(f"repro {' '.join(argv)} exited {code}")
+        outputs[" ".join(argv)] = out.getvalue()
+    return outputs
+
+
 def load_goldens(path: Path = GOLDENS_PATH) -> dict[str, Any]:
     with path.open(encoding="utf-8") as fh:
         return json.load(fh)
@@ -315,6 +346,9 @@ def main() -> int:
     _write(MAXMODEL_PATH, "rows", table)
     cells = Counter(cell["status"] for row in table for cell in row["cells"])
     print(f"wrote {MAXMODEL_PATH} ({len(table)} clusters: {dict(cells)})")
+    charts = gantt_outputs()
+    _write(GANTT_PATH, "outputs", charts)
+    print(f"wrote {GANTT_PATH} ({len(charts)} charts)")
     return 0
 
 

@@ -14,6 +14,9 @@ pool backends.  In every grid, the specs that step one trajectory run
 as groups sharing one scenario, scheme trajectory and iteration cache
 (``docs/failure-semantics.md``, "Trajectory groups"), and the pool's
 chunks and the shards split those groups across workers.
+
+``tests/goldens/gantt.json`` holds the stdout of a few ``repro gantt``
+runs: the one command that prints a single iteration's timeline.
 """
 
 from __future__ import annotations
@@ -79,6 +82,13 @@ def test_maxmodel_goldens_match(backend):
     statuses = {cell["status"] for row in golden["rows"] for cell in row["cells"]}
     assert statuses == {"ok", "oom"}
     assert regen_goldens.maxmodel_table(backend) == golden["rows"]
+
+
+def test_gantt_goldens_match():
+    golden = regen_goldens.load_goldens(regen_goldens.GANTT_PATH)
+    assert golden["sim_version"] == SIM_VERSION
+    assert set(golden["outputs"]) == {" ".join(a) for a in regen_goldens.GANTT_ARGVS}
+    assert regen_goldens.gantt_outputs() == golden["outputs"]
 
 
 def test_golden_records_hold_run_invariants(inline_records):
