@@ -6,7 +6,7 @@ through ``run_group``, which prices a whole window of every draw in
 one call over the group's shared scenario, recorded scheme trajectory
 and iteration cache) against the same N
 trainers stepped scalar one by one (a one-run lockstep call each, so
-every iteration's miss is a bin of one, priced by ``run_iteration``),
+every iteration's miss is a bin of one, priced by the scalar executor),
 and writes a ``BENCH_ensemble.json``
 artifact tracked commit-over-commit (the CI bench-smoke job runs this
 script and ``scripts/check_bench_regression.py`` gates on the

@@ -9,8 +9,8 @@ recovery trace through a full Trainer twice — once through
 ``Trainer.run`` (the shipped path) and once re-simulating every
 iteration on the scalar engine — and records the speedup.  The floor
 is a one-run ``run_trainers_lockstep`` call with every cache lookup
-missing: each iteration's miss is a bin of one, priced by
-``run_iteration``.  The ratio is machine-neutral (both paths run in the
+missing: each iteration's miss is a bin of one, priced by the
+scalar executor.  The ratio is machine-neutral (both paths run in the
 same process) and collapses if event handling ever starts thrashing
 the cache, e.g. by leaking a non-canonical slowdown key.
 

@@ -130,8 +130,6 @@ ALLOWLIST: dict[str, str] = {
     "src/repro/orchestrator/runner.py:SweepRunner._bisect": _POOL,
     "src/repro/pipeline/batched.py:BatchStats.reset":
         "test seam: tests count batched lanes from zero",
-    "src/repro/pipeline/batched.py:BatchStats.total_lanes":
-        "test seam: tests count batched lanes from zero",
 }
 
 _SMALL = ["--layers", "24", "--stages", "4", "--iterations", "8"]

@@ -23,7 +23,7 @@ from typing import Sequence
 from repro.cluster.memory import PlacementOOMError
 from repro.distrib.merge import MergeResult, merge_shard_dir, shard_dir_status
 from repro.model.memory import StageMemoryModel, StageMemoryReport
-from repro.distrib.plan import ShardPlan
+from repro.distrib.plan import ShardPlan, join_or_publish
 from repro.distrib.worker import ShardWorker, WorkReport
 from repro.orchestrator.cache import ResultCache
 from repro.orchestrator.ensemble import (
@@ -149,15 +149,19 @@ def shard_sweep(
 ) -> MergeResult:
     """Join (or start) a distributed sweep over a shared directory.
 
-    Publishes a :class:`ShardPlan` for ``specs`` into ``shard_dir`` if
-    none exists (``num_shards`` defaults to one shard per worker-sized
-    chunk of 16 specs), runs one :class:`ShardWorker` against it until
-    every shard is done (``wait=True``) or until nothing is claimable,
-    then merges.  Any number of hosts may call this concurrently with
-    the same ``specs`` and ``shard_dir``; they share the work through
-    lease claims and the shared result cache.  The returned
-    :class:`MergeResult`'s ``records`` match a single-host
-    :func:`sweep` over ``specs`` modulo wall-time fields.
+    Joins the :class:`ShardPlan` in ``shard_dir`` when it covers the
+    same specs, whatever its shard count, as ``repro sweep
+    --shard-dir`` does; raises
+    :class:`~repro.distrib.plan.PlanMismatch` when it covers
+    another grid; else publishes a plan of ``num_shards`` shards
+    (default: one per worker-sized chunk of 16 specs).  Then runs one
+    :class:`ShardWorker` against it until every shard is done
+    (``wait=True``) or until nothing is claimable, and merges.  Any
+    number of hosts may call this concurrently with the same ``specs``
+    and ``shard_dir``; they share the work through lease claims and the
+    shared result cache.  The returned :class:`MergeResult`'s
+    ``records`` match a single-host :func:`sweep` over ``specs`` modulo
+    wall-time fields.
     """
     from repro.distrib.lease import DEFAULT_TTL_S
 
@@ -166,7 +170,9 @@ def shard_sweep(
         if num_shards is not None
         else max(1, (len(specs) + 15) // 16)
     )
-    ShardPlan.build(list(specs), shards).publish(shard_dir)
+    join_or_publish(
+        shard_dir, list(specs), shards, policy.retry if policy is not None else None
+    )
     shard_worker = ShardWorker(
         shard_dir,
         worker=worker,

@@ -536,39 +536,19 @@ def cmd_sweep(args) -> int:
 
 def _sweep_sharded(args, specs) -> int:
     """``repro sweep --shard-dir``: publish-if-absent, work, merge."""
-    from repro.distrib import (
-        PlanError,
-        PlanMismatch,
-        ShardDirLayout,
-        ShardPlan,
-        ShardWorker,
-        merge_shard_dir,
-    )
+    from repro.distrib import PlanError, ShardWorker, merge_shard_dir
+    from repro.distrib.plan import join_or_publish
 
     policy = _policy_from_args(args)
     retry = policy.retry
     try:
-        if ShardDirLayout(args.shard_dir).plan_path.exists():
-            plan = ShardPlan.load(args.shard_dir, retry)
-            # join only a plan over this grid; its shard count may differ
-            if [s.spec_hash for s in plan.specs] != [s.spec_hash for s in specs]:
-                raise PlanMismatch(
-                    f"{args.shard_dir} holds plan {plan.plan_id} over "
-                    f"another grid ({len(plan)} specs, this sweep "
-                    f"{len(specs)}); refusing to join it, use a fresh "
-                    "shard directory"
-                )
-            verb = "joining"
-        else:
-            plan = ShardPlan.build(specs, args.shards)
-            plan.publish(args.shard_dir, retry)
-            verb = "published"
-        print(
-            f"{verb} plan {plan.plan_id} in {args.shard_dir} "
-            f"({len(plan)} specs / {len(plan.shards)} shards)"
-        )
+        plan, published = join_or_publish(args.shard_dir, specs, args.shards, retry)
     except PlanError as exc:
         raise SystemExit(str(exc)) from None
+    print(
+        f"{'published' if published else 'joining'} plan {plan.plan_id} in "
+        f"{args.shard_dir} ({len(plan)} specs / {len(plan.shards)} shards)"
+    )
     local = ResultCache(args.cache_dir) if args.cache_dir else None
     worker = ShardWorker(
         args.shard_dir,

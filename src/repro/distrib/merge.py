@@ -34,11 +34,7 @@ from repro.distrib.layout import ShardDirLayout
 from repro.distrib.lease import TOMBSTONE_INFIX, LeaseManager
 from repro.distrib.plan import ShardPlan
 from repro.orchestrator.cache import ResultCache
-from repro.orchestrator.journal import (
-    JournalSchemaError,
-    check_journal_header,
-    iter_journal_entries,
-)
+from repro.orchestrator.journal import JournalSchemaError, read_journal
 from repro.orchestrator.results import RunRecord
 from repro.orchestrator.retry import RetryPolicy
 
@@ -119,36 +115,21 @@ def _read_journal(
 ) -> list[tuple[str, RunRecord]]:
     """Last-wins records from one journal as ``(worker, record)`` pairs.
 
-    A journal whose header pins a different spec schema — or that has
-    records before any header — contributes nothing and is reported in
+    A journal that :func:`~repro.orchestrator.journal.read_journal`
+    refuses (a header pinning a different spec schema, or records
+    before any header) contributes nothing and is reported in
     ``skipped_journals``; damaged lines are skipped silently (that is
     the torn-tail contract).
     """
-    last: dict[str, tuple[str, RunRecord]] = {}
-    saw_header = False
     try:
-        for entry in iter_journal_entries(path):
-            kind = entry.get("kind")
-            if kind == "header":
-                check_journal_header(entry, path)
-                saw_header = True
-                continue
-            if kind != "record":
-                continue
-            if not saw_header:
-                raise JournalSchemaError(
-                    f"journal {path} has records before any header"
-                )
-            try:
-                record = RunRecord.from_dict(entry)
-            except (KeyError, TypeError, ValueError):
-                continue
-            worker = str(entry.get("worker") or path.stem)
-            last[record.spec_hash] = (worker, record)
+        last, _ = read_journal(path)
     except (JournalSchemaError, OSError):
         result.skipped_journals.append(str(path))
         return []
-    return list(last.values())
+    return [
+        (str(entry.get("worker") or path.stem), record)
+        for record, entry in last.values()
+    ]
 
 
 def _pick_winner(

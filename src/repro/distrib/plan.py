@@ -16,7 +16,9 @@ addressed —
 Publishing is atomic and idempotent: re-publishing an identical plan
 is a no-op, publishing a *different* plan into an occupied directory
 raises :class:`PlanMismatch` (wipe the directory or pick another —
-plans are immutable once published).
+plans are immutable once published).  A sweep joins through
+:func:`join_or_publish`, which joins a plan over its own grid whatever
+that plan's shard count.
 """
 
 from __future__ import annotations
@@ -215,3 +217,35 @@ class ShardPlan:
                 "one with `repro shard plan` first"
             )
         return cls.from_dict(payload)
+
+
+def join_or_publish(
+    shard_dir: str | os.PathLike[str],
+    specs: Sequence[RunSpec],
+    num_shards: int,
+    retry: RetryPolicy | None = None,
+) -> tuple[ShardPlan, bool]:
+    """The plan a sweep over ``specs`` works in ``shard_dir``, and
+    whether this call published it.
+
+    A plan over the same specs (equal spec hashes, in order) is joined
+    whatever its shard count, also when another host publishes it
+    between this call's check and its own publish.  A plan over another
+    grid raises :class:`PlanMismatch` naming the directory.  With no
+    plan there, one of ``num_shards`` shards is built and published.
+    """
+    if not ShardDirLayout(shard_dir).plan_path.exists():
+        plan = ShardPlan.build(specs, num_shards)
+        try:
+            plan.publish(shard_dir, retry)
+            return plan, True
+        except PlanMismatch:
+            pass  # another host published first: join it if it is ours
+    plan = ShardPlan.load(shard_dir, retry)
+    if [s.spec_hash for s in plan.specs] != [s.spec_hash for s in specs]:
+        raise PlanMismatch(
+            f"{shard_dir} holds plan {plan.plan_id} over another grid "
+            f"({len(plan)} specs, this sweep {len(specs)}); refusing to "
+            "join it, use a fresh shard directory"
+        )
+    return plan, False

@@ -35,7 +35,6 @@ from repro.orchestrator.faults import FaultPlan
 from repro.orchestrator.journal import (
     JournalSchemaError,
     SweepJournal,
-    iter_journal_entries,
 )
 from repro.orchestrator.results import RunRecord, SweepError, result_metrics
 from repro.orchestrator.retry import RetryPolicy
@@ -74,7 +73,6 @@ __all__ = [
     "SweepTimeout",
     "clear_quarantine",
     "execute_spec",
-    "iter_journal_entries",
     "quarantine_spec",
     "quarantined",
     "quarantined_hashes",

@@ -36,7 +36,7 @@ import json
 import os
 from pathlib import Path
 from types import TracebackType
-from typing import Any, Iterator, TextIO
+from typing import Any, TextIO
 
 from repro.orchestrator import faults
 from repro.orchestrator.results import RECORD_SCHEMA_VERSION, RunRecord
@@ -55,15 +55,25 @@ class JournalSchemaError(ValueError):
     """
 
 
-def iter_journal_entries(
+def read_journal(
     path: str | os.PathLike[str],
-) -> Iterator[dict[str, Any]]:
-    """Yield parsed JSON entries from a journal file, skipping damage.
+) -> tuple[dict[str, tuple[RunRecord, dict[str, Any]]], int]:
+    """The last record per spec hash of one journal, and the number of
+    lines skipped.
 
-    Torn-tail tolerant by construction: an incomplete or otherwise
-    unparseable line (including a line torn mid-write by a dying
-    worker) is skipped, never fatal.  Callers filter on ``kind``.
+    The one journal reader: a resume and a shard merge both call it.
+    Each record comes with the line it was read from, whose extra keys
+    (a distributed sweep's ``worker``) ride beside the record schema.
+    Raises :class:`JournalSchemaError` when a header pins another spec
+    schema or a record precedes every header: the schema such rows were
+    written under is wrong or unknowable, and refusing beats guessing.
+    A damaged line (one torn mid-write by a dying worker is never
+    fatal), a record of another record schema and a record
+    :meth:`RunRecord.from_dict` refuses are skipped and counted.
     """
+    last: dict[str, tuple[RunRecord, dict[str, Any]]] = {}
+    skipped = 0
+    saw_header = False
     with Path(path).open("r", encoding="utf-8", errors="replace") as fh:
         for line in fh:
             line = line.strip()
@@ -72,9 +82,32 @@ def iter_journal_entries(
             try:
                 entry = json.loads(line)
             except ValueError:
+                entry = None
+            if not isinstance(entry, dict):
+                skipped += 1  # a line torn mid-write, or other damage
                 continue
-            if isinstance(entry, dict):
-                yield entry
+            kind = entry.get("kind")
+            if kind == "header":
+                check_journal_header(entry, Path(path))
+                saw_header = True
+                continue
+            if kind != "record":
+                continue
+            if not saw_header:
+                raise JournalSchemaError(
+                    f"journal {path} has records before any header line, "
+                    "so its spec schema is unknown; start a fresh journal"
+                )
+            if entry.get("schema") != RECORD_SCHEMA_VERSION:
+                skipped += 1
+                continue
+            try:
+                record = RunRecord.from_dict(entry)
+            except (KeyError, TypeError, ValueError):
+                skipped += 1
+                continue
+            last[record.spec_hash] = (record, entry)
+    return last, skipped
 
 
 def check_journal_header(header: dict[str, Any], path: Path) -> None:
@@ -116,45 +149,9 @@ class SweepJournal:
             self._load()
 
     def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8", errors="replace") as fh:
-            saw_header = False
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    self.skipped_lines += 1
-                    continue
-                if not isinstance(entry, dict):
-                    continue
-                if entry.get("kind") == "header":
-                    # a mismatched spec schema poisons every row after
-                    # it: refuse the resume outright, loudly
-                    check_journal_header(entry, self.path)
-                    saw_header = True
-                    continue
-                if entry.get("kind") != "record":
-                    continue
-                if not saw_header:
-                    # records with no (parseable) header: the schema
-                    # they were written under is unknowable — refusing
-                    # beats guessing
-                    raise JournalSchemaError(
-                        f"journal {self.path} has records before any "
-                        "header line, so its spec schema is unknown; "
-                        "start a fresh journal"
-                    )
-                if entry.get("schema") != RECORD_SCHEMA_VERSION:
-                    self.skipped_lines += 1
-                    continue
-                try:
-                    record = RunRecord.from_dict(entry)
-                except (KeyError, TypeError, ValueError):
-                    self.skipped_lines += 1
-                    continue
-                self.prior[record.spec_hash] = record
+        # a mismatched or missing header raises: a resume refuses it
+        last, self.skipped_lines = read_journal(self.path)
+        self.prior = {h: record for h, (record, _) in last.items()}
 
     def _open(self) -> TextIO:
         if self._fh is None:

@@ -3,18 +3,19 @@
 - :mod:`plan` — assignment of contiguous layer ranges to pipeline
   stages (what the balancers optimise and re-packing shrinks);
 - :mod:`schedules` — GPipe, 1F1B and zero-bubble (B/W split) orderings;
-- :mod:`engine` — dependency-exact discrete-event simulation of one
-  training iteration, yielding makespan, per-worker busy/idle time and
+- :mod:`engine` — what one run's iterations are priced under (cost
+  and comm models, schedule, placement, stragglers) and the
+  :class:`IterationResult`: makespan, per-worker busy/idle time and
   the bubble ratio (the paper's Fig. 1 metric);
-- :mod:`compiled` — process-wide cached flat op tables, the
-  topological executor behind ``PipelineEngine.run_iteration``
-  (timelines included) and ``merge_lane``, the one zero-bubble
-  W-filler both executors call;
-- :mod:`batched` — vectorized multi-run replay of the compiled op
-  tables: :func:`~repro.pipeline.batched.simulate_many`, the one
-  batched entry point, runs N scenarios as one level-by-level NumPy
-  cascade per compiled key, each scenario bit-identical to the scalar
-  paths;
+- :mod:`compiled` — process-wide cached flat op tables, the scalar
+  executor (the faster one for a single lane, and the only one that
+  records timelines) and ``merge_lane``, the one zero-bubble W-filler
+  both executors call;
+- :mod:`batched` — :func:`~repro.pipeline.batched.simulate_many`, the
+  one pricing path (``PipelineEngine.run_iteration`` is its one-lane
+  case): it builds every lane's tables and runs the scalar executor or
+  a level-by-level NumPy cascade over many lanes, each lane
+  bit-identical either way;
 - :mod:`migration` — layer-movement plans between two pipeline plans
   plus their communication cost (DynMo's "move layers while gradients
   are computed" step).

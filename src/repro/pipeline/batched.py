@@ -1,16 +1,14 @@
-"""Batched simulation backend: vectorized multi-run replay of op tables.
+"""The one pricing path: :func:`simulate_many` and the vectorized executor.
 
-:mod:`repro.pipeline.compiled` made *one* run fast by compiling the
-dependency structure of ``(schedule, S, M)`` into flat op tables and
-replaying them as a scalar event cascade.  Sweeps, however, replay the
-*same* tables N times — once per (placement x cluster x dynamism-state
-x seed) scenario — and each replay pays 2·S·M Python-level loop steps.
-Its own docstring is right that NumPy loses to CPython on a *scalar*
-cascade; the scenario axis is exactly what amortises it.
-
-This module stacks the N per-run duration/transfer tables into
-``(N, slots)`` float64 matrices and replays the topological op order
-**once**, with every step vectorized across the N-scenario axis:
+Every simulated iteration is priced by :func:`simulate_many`, the only
+code that builds stage and edge tables and picks an executor;
+``PipelineEngine.run_iteration`` is its one-lane case.  A chunk of one
+lane, and every lane of a timeline-recording engine, runs the scalar
+cascade of :mod:`repro.pipeline.compiled` (the faster one for a single
+lane, and the only one that records timelines).  Any other chunk runs
+:func:`execute_compiled_batched`, which stacks the N lanes' tables
+into ``(N, slots)`` float64 matrices and replays the topological op
+order **once**, with every step vectorized across the lane axis:
 
 - ops are grouped into *levels* (antichains of the dependency DAG with
   at most one op per stage), compiled once per ``(schedule, S, M)``
@@ -27,8 +25,8 @@ This module stacks the N per-run duration/transfer tables into
 Bit-identity: per scenario column, the same IEEE-754 operations run in
 the same order as the scalar compiled executor (elementwise float64
 ``maximum``/``+`` are the same operations CPython performs on floats),
-so every scenario's ``IterationResult`` is bit-identical to the scalar
-path's.
+so a scenario's ``IterationResult`` does not depend on which executor
+ran it.
 """
 
 from __future__ import annotations
@@ -39,7 +37,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.pipeline.compiled import CompiledSchedule, compile_schedule, merge_lane
+from repro.pipeline.compiled import (
+    CompiledSchedule,
+    compile_schedule,
+    execute_compiled,
+    merge_lane,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.pipeline.engine import IterationResult, PipelineEngine
@@ -56,26 +59,18 @@ MAX_CELLS = 2**17
 class BatchStats:
     """Process-wide lane accounting for :func:`simulate_many`.
 
-    Tests and CI smoke steps read these counters to assert that
-    segmentable scenarios actually took the vectorized path instead of
-    silently degrading to the scalar engine.  ``reset()`` before the
-    code under test, then inspect.
+    Tests read these counters to assert which executor ran the lanes
+    of the call under test.  ``reset()`` before it, then inspect.
     """
 
     calls: int = 0
-    batched_lanes: int = 0  # scenarios executed in a vectorized bin
-    scalar_singleton: int = 0  # bins of one (scalar, but batchable)
-    scalar_unbatchable: int = 0  # timeline-recording engines
+    batched_lanes: int = 0  # lanes the vectorized executor ran
+    scalar_lanes: int = 0  # lanes the scalar executor ran
 
     def reset(self) -> None:
         self.calls = 0
         self.batched_lanes = 0
-        self.scalar_singleton = 0
-        self.scalar_unbatchable = 0
-
-    @property
-    def total_lanes(self) -> int:
-        return self.batched_lanes + self.scalar_singleton + self.scalar_unbatchable
+        self.scalar_lanes = 0
 
 
 #: module-level counters, cumulative until :meth:`BatchStats.reset`
@@ -288,36 +283,27 @@ def simulate_many(
 ) -> list["IterationResult"]:
     """Simulate many (engine, plan, states) scenarios, batching by key.
 
-    Scenarios are binned by compiled key ``(schedule, S, M)``; each bin
-    replays the op tables once with the scenario axis vectorized.
-    Engines with active rank slowdowns (straggler windows) batch like
-    any other: the map is fixed for the duration of this call, and the
-    per-engine duration/transfer tables price it exactly as the scalar
-    path does.  Timeline-recording engines and bins of one take the
-    scalar engine instead, which is bit-identical anyway.  Results come
-    back in request order.
+    Scenarios are binned by ``(schedule, S, M, record_timeline)`` and
+    each bin is cut into chunks of at most :data:`MAX_CELLS` lanes x
+    ops.  Every lane's tables are built alike; a chunk of one lane and
+    every lane of a timeline bin then run the scalar executor, and any
+    other chunk replays the op tables once with the scenario axis
+    vectorized.  Engines with active rank slowdowns (straggler windows)
+    batch like any other: the map is fixed for the duration of this
+    call.  Results come back in request order.
     """
     stats.calls += 1
     results: list["IterationResult" | None] = [None] * len(requests)
-    groups: dict[tuple[str, int, int], list[int]] = {}
-    for i, (eng, plan, states) in enumerate(requests):
-        if not eng.can_batch:
-            stats.scalar_unbatchable += 1
-            results[i] = eng.run_iteration(plan, states)
-            continue
-        key = (eng.schedule.name, plan.num_stages, eng.num_micro)
+    groups: dict[tuple[str, int, int, bool], list[int]] = {}
+    for i, (eng, plan, _) in enumerate(requests):
+        eng._check_placement(plan)
+        key = (eng.schedule.name, plan.num_stages, eng.num_micro, eng.record_timeline)
         groups.setdefault(key, []).append(i)
 
-    for (name, S, M), idxs in groups.items():
-        if len(idxs) == 1:
-            stats.scalar_singleton += 1
-            eng, plan, states = requests[idxs[0]]
-            results[idxs[0]] = eng.run_iteration(plan, states)
-            continue
-        lv = compile_levels(name, S, M)
-        stats.batched_lanes += len(idxs)
-        split = lv.cs.zb  # the compiled key fixes the schedule, so zb is per bin
-        per = max(1, MAX_CELLS // lv.num_ops)
+    for (name, S, M, timeline), idxs in groups.items():
+        cs = compile_schedule(name, S, M)
+        split = cs.zb  # the compiled key fixes the schedule, so zb is per bin
+        per = max(1, MAX_CELLS // cs.num_ops)
         for chunk_at in range(0, len(idxs), per):
             chunk = idxs[chunk_at : chunk_at + per]
             n = len(chunk)
@@ -330,20 +316,20 @@ def simulate_many(
             # content, the plan and the states: one layer-times call
             # prices every lane of one content, across engines and
             # plans.  Each lane then divides by its own engine's speeds
-            # (x / 1.0 == x for unscaled lanes), as the scalar
-            # stage_times does.
+            # (x / 1.0 == x for unscaled lanes).
             by_content: dict[bytes, list[int]] = {}
             for lane, i in enumerate(chunk):
                 eng, plan, _ = requests[i]
-                eng._check_placement(plan)
                 by_content.setdefault(eng.cost.content_key, []).append(lane)
                 lane_speeds = eng._effective_speeds(S)
                 if lane_speeds is not None:
                     speeds[lane] = lane_speeds
             for lanes in by_content.values():
                 reqs = [requests[chunk[lane]] for lane in lanes]
+                stack = [states for _, _, states in reqs]
                 f, b, w, a = reqs[0][0].cost.stage_times(
-                    np.stack([states for _, _, states in reqs]),
+                    # one lane's view skips np.stack's fixed cost
+                    np.stack(stack) if len(stack) > 1 else stack[0][None],
                     [plan.boundaries for _, plan, _ in reqs],
                     split,
                 )
@@ -374,8 +360,24 @@ def simulate_many(
                     )
                     edge_memo[ek] = edges
                 fwd_xfer[lane], bwd_xfer[lane] = edges
+            if timeline or n == 1:
+                stats.scalar_lanes += n
+                for lane, i in enumerate(chunk):
+                    eng, plan, states = requests[i]
+                    lane_time, lane_busy, ops = execute_compiled(
+                        cs,
+                        fwd[lane],
+                        bwd[lane],
+                        wgt[lane],
+                        fwd_xfer[lane].tolist(),
+                        bwd_xfer[lane].tolist(),
+                        timeline,
+                    )
+                    results[i] = eng._finish(plan, states, lane_time, lane_busy, ops)
+                continue
+            stats.batched_lanes += n
             worker_time, busy = execute_compiled_batched(
-                lv, fwd, bwd, wgt, fwd_xfer, bwd_xfer
+                compile_levels(name, S, M), fwd, bwd, wgt, fwd_xfer, bwd_xfer
             )
             for lane, i in enumerate(chunk):
                 eng, plan, states = requests[i]

@@ -1,4 +1,4 @@
-"""Compiled pipeline-engine core: the one executor of a schedule.
+"""Compiled pipeline-engine core: op tables and the scalar executor.
 
 A schedule's dependency *structure* depends only on
 ``(schedule, num_stages, num_micro)``.  This module compiles that key
@@ -15,7 +15,10 @@ into flat integer op tables, cached process-wide:
 
 Ops are stored in a topological execution order (each stage's ops stay
 in schedule order), so one pass over flat tuples replays the event
-cascade with no dict lookups, tuple keys or enum hashing.  The order is
+cascade with no dict lookups, tuple keys or enum hashing.
+:func:`execute_compiled` is that pass for one lane, and
+:func:`repro.pipeline.batched.simulate_many`, which builds its tables,
+is its only caller in the package.  The order is
 the wavefront of a ready-loop that schedules every op as soon as its
 dependency finished; the test suite keeps that loop as the oracle and
 holds this executor to it bit for bit (the same IEEE-754 operations

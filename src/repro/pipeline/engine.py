@@ -18,9 +18,11 @@ Dependency rules (activation/grad passing between adjacent stages):
   fills idle gaps with eligible W work (greedy gap-filling, the ZB-H1
   idea) instead of serialising it.
 
-The event cascade itself runs in :mod:`repro.pipeline.compiled`
-(one run) or :mod:`repro.pipeline.batched` (many runs at once); this
-module prices a run's stages and edges and adds the data-parallel tail.
+An engine holds what a run is priced under and prices its edges and
+data-parallel tail; it builds no table and runs no cascade.
+:func:`repro.pipeline.batched.simulate_many`, the one pricing path,
+builds every lane's tables, picks the executor and finishes each lane
+here; :meth:`PipelineEngine.run_iteration` is its one-lane case.
 
 Data-parallel gradient all-reduce (when ``dp_ways > 1``) is appended
 after the last W/B of each worker, overlapped-free (pessimistic, like
@@ -36,7 +38,8 @@ import numpy as np
 from repro.cluster.collectives import CommCostModel
 from repro.cluster.placement import Placement
 from repro.model.cost import ModelCost
-from repro.pipeline.compiled import TimelineOp, compile_schedule, execute_compiled
+from repro.pipeline import batched
+from repro.pipeline.compiled import TimelineOp
 from repro.pipeline.plan import PipelinePlan
 from repro.pipeline.schedules import Schedule
 
@@ -109,24 +112,6 @@ class PipelineEngine:
         self._speeds_cache: tuple[tuple, np.ndarray | None] | None = None
         if rank_slowdowns:
             self.set_rank_slowdowns(rank_slowdowns)
-
-    # -- per-stage aggregate times ------------------------------------------
-    def stage_times(
-        self, plan: PipelinePlan, states: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(fwd, bwd_or_B, W, boundary activation bytes) per stage.
-
-        The one-lane case of :meth:`ModelCost.stage_times`, divided by
-        this engine's effective speeds.
-        """
-        fwd, bwd, wgt, act_bytes = self.cost.stage_times(
-            states[None], [plan.boundaries], self.schedule.name == "zb"
-        )
-        fwd, bwd, wgt, act_bytes = fwd[0], bwd[0], wgt[0], act_bytes[0]
-        speeds = self._effective_speeds(plan.num_stages)
-        if speeds is not None:
-            fwd, bwd, wgt = fwd / speeds, bwd / speeds, wgt / speeds
-        return fwd, bwd, wgt, act_bytes
 
     def set_rank_slowdowns(self, slowdowns: dict[int, float] | None) -> None:
         """Install straggler slowdown factors keyed by global rank.
@@ -235,30 +220,15 @@ class PipelineEngine:
                 f"engine expects {self.dp_ways}"
             )
 
-    @property
-    def can_batch(self) -> bool:
-        """Whether this engine's runs may take the vectorized batched
-        path: any engine that records no timeline.  Active rank
-        slowdowns do *not* disqualify an engine — the map is fixed for
-        the duration of one call, so per-lane tables price it exactly
-        like the scalar path."""
-        return not self.record_timeline
-
     # -- simulation ---------------------------------------------------------
     def run_iteration(
         self, plan: PipelinePlan, states: np.ndarray
     ) -> IterationResult:
-        """One topological pass over the process-wide compiled op tables."""
-        self._check_placement(plan)
-        fwd, bwd, wgt, act_bytes = self.stage_times(plan, states)
-        S = plan.num_stages
-        cs = compile_schedule(self.schedule.name, S, self.num_micro)
-        fwd_xfer = [self._edge_time(s, s + 1, act_bytes[s]) for s in range(S - 1)]
-        bwd_xfer = [self._edge_time(s + 1, s, act_bytes[s]) for s in range(S - 1)]
-        worker_time, busy, timeline = execute_compiled(
-            cs, fwd, bwd, wgt, fwd_xfer, bwd_xfer, self.record_timeline
-        )
-        return self._finish(plan, states, worker_time, busy, timeline)
+        """One iteration: the one-lane case of
+        :func:`~repro.pipeline.batched.simulate_many`."""
+        # looked up on the module at call time, so a wrapper installed
+        # on the module attribute (profilers, tests) sees this call
+        return batched.simulate_many([(self, plan, states)])[0]
 
     def _finish(
         self,

@@ -21,6 +21,23 @@ from repro.pipeline.schedules import Op, OpKind
 import cost_oracle
 
 
+def engine_stage_times(
+    engine: PipelineEngine, plan: PipelinePlan, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(fwd, bwd_or_B, W, boundary activation bytes)`` per stage: the
+    one-lane case of ``ModelCost.stage_times``, divided by the engine's
+    effective speeds.  Its array arithmetic keeps the oracle as cheap
+    as the tables it replaces, since the engine benchmarks time it."""
+    fwd, bwd, wgt, act_bytes = engine.cost.stage_times(
+        states[None], [plan.boundaries], engine.schedule.name == "zb"
+    )
+    fwd, bwd, wgt, act_bytes = fwd[0], bwd[0], wgt[0], act_bytes[0]
+    speeds = engine._effective_speeds(plan.num_stages)
+    if speeds is not None:
+        fwd, bwd, wgt = fwd / speeds, bwd / speeds, wgt / speeds
+    return fwd, bwd, wgt, act_bytes
+
+
 def run_iteration(
     engine: PipelineEngine,
     plan: PipelinePlan,
@@ -31,12 +48,12 @@ def run_iteration(
     """One iteration of ``engine`` on ``plan``/``states``.
 
     ``stage_times`` replaces the engine's ``(fwd, bwd, wgt, act_bytes)``
-    tables; ``timeline`` records every op as
-    ``(stage, kind, micro, start, end)``.
+    tables (by default :func:`engine_stage_times`); ``timeline`` records
+    every op as ``(stage, kind, micro, start, end)``.
     """
     engine._check_placement(plan)
     fwd, bwd, wgt, act_bytes = (
-        stage_times if stage_times is not None else engine.stage_times(plan, states)
+        stage_times if stage_times is not None else engine_stage_times(engine, plan, states)
     )
     S, M = plan.num_stages, engine.num_micro
     ops: list[list[Op]] = [engine.schedule.stage_ops(s, S, M) for s in range(S)]

@@ -53,8 +53,11 @@ def random_states(rng, n=N_LAYERS, extreme=False):
 
 def assert_all_identical(engine, scenarios):
     """Batched results must equal scalar compiled, reference, and the
-    reference loop priced by the scalar cost oracle, exactly."""
+    reference loop priced by the scalar cost oracle, exactly.  Returns
+    the batched call's ``(batched_lanes, scalar_lanes)`` counts."""
+    batched_mod.stats.reset()
     batched = simulate_many([(engine, plan, states) for plan, states in scenarios])
+    lanes = (batched_mod.stats.batched_lanes, batched_mod.stats.scalar_lanes)
     for (plan, states), fast in zip(scenarios, batched):
         scalar = engine.run_iteration(plan, states)
         ref = engine_oracle.run_iteration(engine, plan, states)
@@ -64,6 +67,7 @@ def assert_all_identical(engine, scenarios):
         assert np.array_equal(fast.busy, ref.busy)
         assert np.array_equal(fast.busy, oracle.busy)
         assert fast.comm_extra == scalar.comm_extra == ref.comm_extra == oracle.comm_extra
+    return lanes
 
 
 # -- level compilation ------------------------------------------------------
@@ -216,18 +220,72 @@ def test_chunks_stay_within_the_cell_budget(gpt24_cost, monkeypatch):
 
 def test_heterogeneous_bin_splits_and_falls_back(gpt24_cost):
     """Mixed stage counts in one call: each (S, M) bin runs batched,
-    and a bin of one falls back to the scalar engine — results stay
+    and a bin of one runs the scalar executor — results stay
     bit-identical and come back in request order."""
     rng = np.random.default_rng(5)
     plans = [PipelinePlan.uniform(N_LAYERS, s) for s in (4, 4, 6, 4, 6, 3)]
     engine = PipelineEngine(gpt24_cost, None, schedule="zb", num_micro=8)
     scenarios = [(p, random_states(rng)) for p in plans]
-    assert_all_identical(engine, scenarios)
+    assert assert_all_identical(engine, scenarios) == (5, 1)
 
 
-def test_batched_stage_times_match_scalar(gpt24_cost, comm):
-    """Many-lane stage-time tables, and the engine's one-lane tables,
-    equal the scalar cost oracle's per-layer loop bitwise."""
+def test_dispatch_rule(gpt24_cost, comm, monkeypatch):
+    """One call over three groups of lanes: a zb bin of four lanes
+    whose last MAX_CELLS chunk holds one lane, a lone lane at another
+    stage count, and two lanes of a timeline engine.  Only the
+    three-lane chunk reaches the vectorized executor; the other four
+    lanes run the scalar one.  Every result equals the reference loop
+    bit for bit, timelines included, in request order."""
+    rng = np.random.default_rng(13)
+    plan4 = PipelinePlan.uniform(N_LAYERS, 4)
+    plan6 = PipelinePlan.uniform(N_LAYERS, 6)
+    engine = PipelineEngine(gpt24_cost, comm, schedule="zb", num_micro=6)
+    timeline_engine = PipelineEngine(
+        gpt24_cost, comm, schedule="zb", num_micro=6, record_timeline=True
+    )
+    monkeypatch.setattr(
+        batched_mod, "MAX_CELLS", 3 * compile_levels("zb", 4, 6).num_ops
+    )
+    chunks = []
+    real = batched_mod.execute_compiled_batched
+
+    def recording(lv, fwd, *tables):
+        chunks.append((lv.cs.num_stages, fwd.shape[0]))
+        return real(lv, fwd, *tables)
+
+    monkeypatch.setattr(batched_mod, "execute_compiled_batched", recording)
+    order = [engine, timeline_engine, engine, None, engine, timeline_engine, engine]
+    requests = [
+        (eng or engine, plan6 if eng is None else plan4, random_states(rng))
+        for eng in order
+    ]
+    batched_mod.stats.reset()
+    results = simulate_many(requests)
+    assert chunks == [(4, 3)]
+    assert (batched_mod.stats.batched_lanes, batched_mod.stats.scalar_lanes) == (3, 4)
+    for (eng, plan, states), res in zip(requests, results):
+        ref = engine_oracle.run_iteration(
+            eng, plan, states, timeline=eng.record_timeline
+        )
+        assert res.makespan == ref.makespan
+        assert np.array_equal(res.busy, ref.busy)
+        assert res.comm_extra == ref.comm_extra
+        assert res.timeline == ref.timeline
+        assert bool(res.timeline) == eng.record_timeline
+
+
+def test_batched_stage_times_match_scalar(gpt24_cost, comm, monkeypatch):
+    """Many-lane stage-time tables, and the tables ``simulate_many``
+    hands the scalar executor for a one-lane call, equal the scalar
+    cost oracle's per-layer loop bitwise."""
+    tables = []
+    real = batched_mod.execute_compiled
+
+    def recording(cs, *args):
+        tables.append(args[:5])  # fwd, bwd, wgt, fwd_xfer, bwd_xfer
+        return real(cs, *args)
+
+    monkeypatch.setattr(batched_mod, "execute_compiled", recording)
     rng = np.random.default_rng(7)
     plan = PipelinePlan.uniform(N_LAYERS, 5)
     for sched in ("1f1b", "zb"):
@@ -244,10 +302,19 @@ def test_batched_stage_times_match_scalar(gpt24_cost, comm):
             assert bwd[lane].tobytes() == b.tobytes()
             assert wgt[lane].tobytes() == w.tobytes()
             assert act[lane].tobytes() == a.tobytes()
-            for got, want in zip(
-                engine.stage_times(plan, states), cost_oracle.stage_times(engine, plan, states)
-            ):
-                assert got.tobytes() == want.tobytes()
+            f, b, w, a = cost_oracle.stage_times(engine, plan, states)
+            tables.clear()
+            simulate_many([(engine, plan, states)])
+            (got,) = tables
+            want = (
+                f,
+                b,
+                w,
+                [engine._edge_time(s, s + 1, a[s]) for s in range(4)],
+                [engine._edge_time(s + 1, s, a[s]) for s in range(4)],
+            )
+            for g, x in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(x, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("value", [float("nan"), 1.5], ids=["nan", "out_of_range"])
@@ -263,20 +330,20 @@ def test_layer_times_validate_states(gpt24_cost, field, value):
 
 
 def test_single_scenario_matches_scalar(gpt24_cost):
-    """A batch of one returns exactly the scalar engine's result."""
+    """A batch of one returns exactly the reference loop's result."""
     plan = PipelinePlan.uniform(N_LAYERS, 4)
     engine = PipelineEngine(gpt24_cost, None, schedule="zb", num_micro=8)
     states = fresh_states(N_LAYERS)
     (res,) = simulate_many([(engine, plan, states)])
-    scalar = engine.run_iteration(plan, states)
-    assert res.makespan == scalar.makespan
-    assert np.array_equal(res.busy, scalar.busy)
+    ref = engine_oracle.run_iteration(engine, plan, states)
+    assert res.makespan == ref.makespan
+    assert np.array_equal(res.busy, ref.busy)
 
 
 def test_simulate_modes(gpt24_cost):
-    """One simulate_many call mixes batched lanes with an engine that
-    cannot batch: the timeline engine takes the scalar path, is counted
-    as unbatchable, and agrees bit for bit with the batched lanes and
+    """One simulate_many call mixes batched lanes with a timeline
+    engine: the timeline lanes take the scalar executor, are counted
+    as scalar lanes, and agree bit for bit with the batched lanes and
     the reference loop."""
     rng = np.random.default_rng(11)
     plan = PipelinePlan.uniform(N_LAYERS, 4)
@@ -284,8 +351,6 @@ def test_simulate_modes(gpt24_cost):
     timeline_engine = PipelineEngine(
         gpt24_cost, None, schedule="zb", num_micro=6, record_timeline=True
     )
-    assert engine.can_batch
-    assert not timeline_engine.can_batch
     states = [random_states(rng) for _ in range(4)]
     requests = [
         (eng, plan, sts) for eng in (engine, timeline_engine) for sts in states
@@ -293,7 +358,7 @@ def test_simulate_modes(gpt24_cost):
     batched_mod.stats.reset()
     results = simulate_many(requests)
     assert batched_mod.stats.batched_lanes == len(states)
-    assert batched_mod.stats.scalar_unbatchable == len(states)
+    assert batched_mod.stats.scalar_lanes == len(states)
     lanes, timeline = results[: len(states)], results[len(states) :]
     for sts, a, t in zip(states, lanes, timeline):
         r = engine_oracle.run_iteration(engine, plan, sts, timeline=True)
@@ -332,10 +397,7 @@ def test_slowed_engines_batch_identically(gpt24_cost, gpt24_specs, comm, monkeyp
             rank_slowdowns={0: 1.7, 2: 3.0},
         )
         scenarios = [(plan, random_states(rng)) for _ in range(5)]
-        batched_mod.stats.reset()
-        assert_all_identical(engine, scenarios)
-        assert batched_mod.stats.batched_lanes >= len(scenarios)
-        assert batched_mod.stats.scalar_unbatchable == 0
+        assert assert_all_identical(engine, scenarios) == (len(scenarios), 0)
 
         twins = [
             PipelineEngine(ModelCost(gpt24_specs), comm, schedule=sched, num_micro=6),

@@ -29,6 +29,7 @@ from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.plan import PipelinePlan
 from repro.pipeline.schedules import Op, OpKind, Schedule
 
+import cost_oracle
 import engine_oracle
 
 N_LAYERS = 26
@@ -244,7 +245,7 @@ def test_zb_gap_fill_never_precedes_backward(trial, gpt24_cost, gpt24_states):
     plan = PipelinePlan((0, *map(int, cuts), N_LAYERS), N_LAYERS)
     states = random_states(rng, gpt24_states)
     eng = PipelineEngine(gpt24_cost, None, schedule="zb", num_micro=M)
-    fwd, bwd, wgt, act = eng.stage_times(plan, states)
+    fwd, bwd, wgt, act = cost_oracle.stage_times(eng, plan, states)
     segments = w_segments(compile_schedule("zb", S, M), fwd, bwd, wgt)
     # recover B finish times from a reference timeline run
     b_finish = {
@@ -269,7 +270,7 @@ def test_zb_gap_fill_conserves_work(gpt24_cost, gpt24_states):
     S, M = 4, 8
     plan = PipelinePlan.uniform(N_LAYERS, S)
     eng = PipelineEngine(gpt24_cost, None, schedule="zb", num_micro=M)
-    fwd, bwd, wgt, _ = eng.stage_times(plan, gpt24_states)
+    fwd, bwd, wgt, _ = cost_oracle.stage_times(eng, plan, gpt24_states)
     segments = w_segments(compile_schedule("zb", S, M), fwd, bwd, wgt)
     per_stage = np.zeros(S)
     for s, _, start, end in segments:

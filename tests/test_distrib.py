@@ -40,7 +40,6 @@ from repro.orchestrator import (
     SweepRunner,
     clear_quarantine,
     execute_spec,
-    iter_journal_entries,
     quarantine_spec,
     quarantined,
 )
@@ -111,6 +110,26 @@ class TestShardPlan:
         assert ShardPlan.load(sd).plan_id == plan.plan_id
         with pytest.raises(PlanMismatch):
             ShardPlan.build(grid(5), 2).publish(sd)
+
+    def test_join_or_publish_joins_a_plan_published_first(
+        self, tmp_path, monkeypatch
+    ):
+        """Another host publishes a plan over the same grid with another
+        shard count between this call's check and its publish: the call
+        joins that plan instead of raising."""
+        from repro.distrib.plan import join_or_publish
+
+        sd = tmp_path / "shard"
+        theirs = ShardPlan.build(grid(4), 2)
+        build = ShardPlan.build
+
+        def racing_build(specs, num_shards):
+            theirs.publish(sd)
+            return build(specs, num_shards)
+
+        monkeypatch.setattr(ShardPlan, "build", racing_build)
+        plan, published = join_or_publish(sd, grid(4), 3)
+        assert (plan.plan_id, published) == (theirs.plan_id, False)
 
     def test_load_missing_plan_is_a_clear_error(self, tmp_path):
         with pytest.raises(PlanError, match="repro shard plan"):
@@ -479,12 +498,30 @@ class TestJournalSchemaRefusal:
                 "--cache-dir", str(tmp_path / "cache"),
             ])
 
+    def test_both_readers_skip_another_record_schema(self, tmp_path):
+        """A record line of another record schema is skipped, and
+        counted, by a resume and by a shard merge alike."""
+        from repro.distrib.merge import MergeResult, _read_journal
+
+        path = tmp_path / "j.jsonl"
+        with SweepJournal(path) as journal:
+            journal.append(execute_spec(tiny()))
+        header, line = path.read_text().splitlines()
+        record = json.loads(line)
+        record["schema"] = RECORD_SCHEMA_VERSION + 1
+        path.write_text("\n".join([header, json.dumps(record)]) + "\n")
+        resumed = SweepJournal(path)
+        assert resumed.prior == {} and resumed.skipped_lines == 1
+        merged = MergeResult()
+        assert _read_journal(path, merged) == []
+        assert merged.skipped_journals == []
+
     def test_fresh_journal_header_carries_spec_schema(self, tmp_path):
         path = tmp_path / "new.jsonl"
         journal = SweepJournal(path)
         journal.append(execute_spec(tiny()))
         journal.close()
-        [header, *_] = list(iter_journal_entries(path))
+        header = json.loads(path.read_text().splitlines()[0])
         assert header["kind"] == "header"
         assert header["spec_schema"] == SPEC_SCHEMA_VERSION
 
@@ -600,7 +637,11 @@ def _journal_executions(shard_dir) -> dict:
     """spec_hash -> number of *non-cached* journaled executions."""
     executions: dict = {}
     for path in sorted(ShardDirLayout(shard_dir).journals_dir.glob("*.jsonl")):
-        for entry in iter_journal_entries(path):
+        for line in path.read_text().splitlines():
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                continue  # a torn line
             if entry.get("kind") != "record":
                 continue
             if entry.get("cached"):
@@ -709,6 +750,28 @@ class TestApiFacade:
         assert [comparable_payload(r) for r in merged.records] == [
             comparable_payload(r) for r in single
         ]
+
+    def test_shard_sweep_joins_a_plan_over_its_grid(self, tmp_path):
+        """A later call over the same grid joins the published plan
+        whatever shard count it asks for, as ``repro sweep
+        --shard-dir`` does; another grid raises PlanMismatch naming the
+        directory."""
+        import re
+
+        import repro
+
+        specs = grid(4)
+        sd = tmp_path / "shard"
+        first = repro.shard_sweep(specs, sd, num_shards=2, worker="api-w1")
+        assert first.complete and not first.conflicts
+        for shards in (3, None):
+            again = repro.shard_sweep(specs, sd, num_shards=shards, worker="api-w2")
+            assert [comparable_payload(r) for r in again.records] == [
+                comparable_payload(r) for r in first.records
+            ]
+        assert len(ShardPlan.load(sd).shards) == 2
+        with pytest.raises(PlanMismatch, match=re.escape(str(sd))):
+            repro.shard_sweep(grid(3), sd)
 
     def test_top_level_exports(self):
         import repro
