@@ -26,8 +26,10 @@ def engine_stage_times(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(fwd, bwd_or_B, W, boundary activation bytes)`` per stage: the
     one-lane case of ``ModelCost.stage_times``, divided by the engine's
-    effective speeds.  Its array arithmetic keeps the oracle as cheap
-    as the tables it replaces, since the engine benchmarks time it."""
+    effective speeds.  Array arithmetic, not the per-layer loop of
+    ``cost_oracle.stage_times``: the engine benchmarks time this oracle
+    as their denominator, and a slower table would inflate their
+    speedups."""
     fwd, bwd, wgt, act_bytes = engine.cost.stage_times(
         states[None], [plan.boundaries], engine.schedule.name == "zb"
     )

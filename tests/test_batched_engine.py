@@ -254,11 +254,9 @@ def test_dispatch_rule(gpt24_cost, comm, monkeypatch):
         return real(lv, fwd, *tables)
 
     monkeypatch.setattr(batched_mod, "execute_compiled_batched", recording)
-    order = [engine, timeline_engine, engine, None, engine, timeline_engine, engine]
-    requests = [
-        (eng or engine, plan6 if eng is None else plan4, random_states(rng))
-        for eng in order
-    ]
+    zb4, timeline4, lone6 = (engine, plan4), (timeline_engine, plan4), (engine, plan6)
+    shapes = [zb4, timeline4, zb4, lone6, zb4, timeline4, zb4]
+    requests = [(eng, plan, random_states(rng)) for eng, plan in shapes]
     batched_mod.stats.reset()
     results = simulate_many(requests)
     assert chunks == [(4, 3)]
