@@ -20,7 +20,13 @@ that covers what the perfbench workloads do not:
 - the paper's baseline modes on the scenarios each runs
   (:data:`BASELINE_CELLS`: Tutel on moe, Egeria on freezing, the dense
   baseline on sparse_attention and early_exit, DeepSpeed on pruning and
-  moe) over every schedule at 24 layers, 8 stages, 30 iterations.
+  moe) over every schedule at 24 layers, 8 stages, 30 iterations;
+- pruning and freezing under both dynmo modes at ``dp_ways=2`` on
+  ``2x8+2x4:a100``, in all three placements, with the events trace,
+  an elastic job of 16 GPUs and re-packing toward 2 stages, both
+  compute-gated and forced (a shrinking data-parallel placement that
+  the controller re-packs and the cluster events fail, regrow and
+  slow).
 
 Two smaller goldens sit beside it: ``tests/goldens/ensemble.json``
 holds, for pruning x {megatron, dynmo-partition} x {zb, 1f1b}, moe
@@ -223,6 +229,26 @@ def golden_specs() -> list[RunSpec]:
         )
         for scenario, mode in BASELINE_CELLS
         for schedule in SCHEDULES
+    ]
+    specs += [
+        RunSpec(
+            scenario=scenario,
+            mode=mode,
+            pp_stages=8,
+            dp_ways=2,
+            iterations=50,
+            placement=placement,
+            cluster="2x8+2x4:a100",
+            cluster_events=events,
+            repack=True,
+            repack_target=2,
+            repack_force=force,
+            elastic_total_gpus=16,
+        )
+        for scenario in ("pruning", "freezing")
+        for mode in ("dynmo-partition", "dynmo-diffusion")
+        for placement in PLACEMENTS
+        for force in (False, True)
     ]
     return list(dict.fromkeys(specs))  # blocks may share a cell
 
