@@ -170,9 +170,8 @@ def shard_sweep(
         if num_shards is not None
         else max(1, (len(specs) + 15) // 16)
     )
-    join_or_publish(
-        shard_dir, list(specs), shards, policy.retry if policy is not None else None
-    )
+    retry = policy.retry if policy is not None else None
+    join_or_publish(shard_dir, list(specs), shards, retry)
     shard_worker = ShardWorker(
         shard_dir,
         worker=worker,
@@ -181,7 +180,7 @@ def shard_sweep(
         ttl_s=ttl_s if ttl_s is not None else DEFAULT_TTL_S,
     )
     shard_worker.work(wait=wait)
-    return merge_shard_dir(shard_dir)
+    return merge_shard_dir(shard_dir, retry)
 
 
 def ensemble(

@@ -291,28 +291,14 @@ class ClusterEventTrace:
         fail_at: int,
         recover_at: int,
         ranks: tuple[int, ...],
-        straggle: tuple[int, ...] = (),
-        straggle_at: int | None = None,
-        straggle_for: int = 10,
-        slowdown: float = 1.5,
     ) -> "ClusterEventTrace":
-        """The canonical hand-written scenario: one failure window (and
-        optionally one straggler window) on explicit ranks."""
+        """The canonical hand-written scenario: one failure window on
+        explicit ranks."""
         if recover_at <= fail_at:
             raise ValueError("recover_at must come after fail_at")
-        events = [
-            ClusterEvent(fail_at, "failure", tuple(ranks)),
-            ClusterEvent(recover_at, "recovery", tuple(ranks)),
-        ]
-        if straggle:
-            at = straggle_at if straggle_at is not None else recover_at + 1
-            events.append(
-                ClusterEvent(
-                    at,
-                    "straggler",
-                    tuple(straggle),
-                    duration=straggle_for,
-                    slowdown=slowdown,
-                )
+        return cls(
+            (
+                ClusterEvent(fail_at, "failure", tuple(ranks)),
+                ClusterEvent(recover_at, "recovery", tuple(ranks)),
             )
-        return cls(tuple(events))
+        )

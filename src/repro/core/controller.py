@@ -16,6 +16,11 @@ Overhead accounting mirrors the Fig. 4 table's three components:
   default for orchestrated runs so results are reproducible);
 - *migration* — the simulated communication time of moving layers,
   partially overlapped with back-propagation.
+
+The controller holds no state of the run it steers beyond the repack
+gate's reference load: the caller owns the plan and the stage→rank
+placement and passes both to each :meth:`DynMoController.rebalance`,
+which returns the post-decision map in :attr:`DynMoDecision.placement`.
 """
 
 from __future__ import annotations
@@ -137,15 +142,11 @@ class DynMoController:
         config: DynMoConfig | None = None,
         profiler: PipelineProfiler | None = None,
         balancer_override: LoadBalancer | None = None,
-        placement: Placement | None = None,
         memory_model: StageMemoryModel | None = None,
     ) -> None:
         self.cost = cost
         self.comm = comm
         self.config = config or DynMoConfig()
-        # current stage→rank map; shrinks in place when a re-pack
-        # releases workers so later migrations price the real links
-        self.placement = placement
         # when set, capacities become per-stage (each placed rank's own
         # device memory) and plans that would OOM a destination are
         # rejected; when None the legacy scalar capacity path runs
@@ -188,9 +189,19 @@ class DynMoController:
 
     # -- the DynMo step -----------------------------------------------------
     def rebalance(
-        self, k: int, plan: PipelinePlan, states: np.ndarray
+        self,
+        k: int,
+        plan: PipelinePlan,
+        states: np.ndarray,
+        placement: Placement | None = None,
     ) -> DynMoDecision:
-        """One full DynMo invocation at iteration k."""
+        """One full DynMo invocation at iteration k.
+
+        ``placement`` is the caller's stage→rank map for ``plan`` (None:
+        rank == stage); capacities, the re-pack and the migration are
+        priced on it, and a re-pack's surviving map comes back in
+        ``decision.placement``.
+        """
         decision = DynMoDecision(plan=plan)
 
         # 1. profile (instrumented iteration; DynMoDecision.overhead_s
@@ -214,7 +225,7 @@ class DynMoController:
         else:
             mem_layers = report.layer_bytes.astype(float)
             worker_memory = report.worker_memory
-        capacity = self._stage_capacities(self.placement, plan.num_stages)
+        capacity = self._stage_capacities(placement, plan.num_stages)
 
         # 2. optional re-pack first (fewer workers), then balance within.
         # The compute gate ensures packing only happens once the model
@@ -223,8 +234,7 @@ class DynMoController:
         if self._initial_per_stage_load is None:
             self._initial_per_stage_load = total_load / plan.num_stages
         work_plan = plan
-        old_placement = self.placement
-        new_placement = self.placement
+        new_placement = placement
         if self.config.repack and capacity is not None:
             if self.config.repack_force_target:
                 target = self.config.repack_target_workers
@@ -242,11 +252,11 @@ class DynMoController:
             )
             if result.num_active < plan.num_stages:
                 decision.repacked = True
-                if self.placement is not None:
+                if placement is not None:
                     decision.released_ranks = list(
-                        self.placement.released_ranks(result.surviving)
+                        placement.released_ranks(result.surviving)
                     )
-                    new_placement = self.placement.after_repack(result.surviving)
+                    new_placement = placement.after_repack(result.surviving)
                 work_plan = new_plan
 
         # 3. balance (wall-clock measured, or analytically modeled for
@@ -269,11 +279,6 @@ class DynMoController:
                 work_plan.num_stages,
                 rounds=getattr(result, "rounds", 0),
             )
-
-        # commit re-pack state only now: a balancer exception above must
-        # leave the controller consistent with the caller's plan
-        if decision.repacked:
-            self.placement = new_placement
 
         new_plan = result.plan
         if (
@@ -306,7 +311,7 @@ class DynMoController:
             decision.migration_s = migration.cost_seconds(
                 self.comm,
                 overlap=MIGRATION_OVERLAP,
-                src_placement=old_placement,
+                src_placement=placement,
                 dst_placement=new_placement,
             )
             decision.layers_moved = migration.num_layers_moved

@@ -83,6 +83,7 @@ import traceback
 import warnings
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import FrameType
@@ -964,18 +965,14 @@ class SweepRunner:
             except Exception as exc:
                 if self.policy.retry.should_retry(exc):
                     suspects.append(chunk)
-                else:
-                    for i in chunk:
-                        state.land(
-                            i,
-                            RunRecord(
-                                spec=state.specs[i],
-                                spec_hash=state.specs[i].spec_hash,
-                                status="error",
-                                error=f"{type(exc).__name__}: {exc}",
-                                error_type=type(exc).__name__,
-                            ),
-                        )
+                    continue
+                if isinstance(exc, BrokenProcessPool):
+                    # not retried, but the dead worker broke the shared
+                    # pool: a later run must start a fresh one
+                    _discard_shared_pool(self._workers)
+                    self._pool = None
+                for i in chunk:
+                    state.land(i, _error_record(state.specs[i], exc))
                 continue
             for i, record in zip(chunk, chunk_records):
                 state.land(i, record)

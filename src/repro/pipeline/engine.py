@@ -19,7 +19,10 @@ Dependency rules (activation/grad passing between adjacent stages):
   idea) instead of serialising it.
 
 An engine holds what a run is priced under and prices its edges and
-data-parallel tail; it builds no table and runs no cascade.
+data-parallel tail; it builds no table and runs no cascade.  Its
+inputs, the placement and the straggler slowdowns included, are fixed
+at construction: a run whose placement or stragglers change builds a
+new engine (the Trainer owns both) rather than changing this one.
 :func:`repro.pipeline.batched.simulate_many`, the one pricing path,
 builds every lane's tables, picks the executor and finishes each lane
 here; :meth:`PipelineEngine.run_iteration` is its one-lane case.
@@ -104,31 +107,20 @@ class PipelineEngine:
         # mapping (rank == stage, DP groups 0..D-1) of a fresh packed
         # placement on a single-node cluster.
         self.placement = placement
-        # transient per-rank slowdown factors (straggler windows from a
-        # cluster-event trace); empty means no rank is degraded
+        # per-rank straggler slowdown factors (a cluster-event trace's
+        # open windows): a factor of f makes every op on that rank,
+        # compute and its P2P hand-offs, take f x as long.  Factors of
+        # exactly 1.0 are dropped, so an all-healthy map prices like none.
         self.rank_slowdowns: dict[int, float] = {}
-        # (key, speeds) memo for _effective_speeds; content-keyed, so
-        # placement swaps and slowdown updates need no invalidation
-        self._speeds_cache: tuple[tuple, np.ndarray | None] | None = None
-        if rank_slowdowns:
-            self.set_rank_slowdowns(rank_slowdowns)
-
-    def set_rank_slowdowns(self, slowdowns: dict[int, float] | None) -> None:
-        """Install straggler slowdown factors keyed by global rank.
-
-        A factor of ``f`` makes every op on that rank — compute and its
-        P2P hand-offs — take ``f``× as long; factors of exactly 1.0 are
-        dropped so an all-healthy map prices identically to no map.
-        """
-        clean: dict[int, float] = {}
-        for rank, factor in (slowdowns or {}).items():
+        for rank, factor in (rank_slowdowns or {}).items():
             if factor <= 0:
                 raise ValueError(
                     f"slowdown factor for rank {rank} must be > 0, got {factor}"
                 )
             if factor != 1.0:
-                clean[int(rank)] = float(factor)
-        self.rank_slowdowns = clean
+                self.rank_slowdowns[int(rank)] = float(factor)
+        # _effective_speeds per stage count
+        self._speeds: dict[int, np.ndarray | None] = {}
 
     def _stage_slowdown(self, stage: int) -> float:
         """Worst straggler factor across the ranks holding one stage
@@ -145,25 +137,14 @@ class PipelineEngine:
         """Speeds of the placed devices, degraded by any active
         straggler windows (None when every stage runs at full speed).
 
-        Memoised on the content that feeds it (stage count, placement
-        grid, slowdown map) — per-iteration callers like the batched
-        executor would otherwise pay the placement speed scan on every
-        lane.  Callers never mutate the returned array (all scaling is
-        out-of-place), so sharing it is safe.
+        Memoised per stage count, as the placement and slowdowns never
+        change: per-iteration callers like the batched executor would
+        otherwise pay the placement speed scan on every lane.  Callers
+        never mutate the returned array (all scaling is out-of-place),
+        so sharing it is safe.
         """
-        key = (
-            num_stages,
-            self.placement.grid if self.placement is not None else None,
-            tuple(sorted(self.rank_slowdowns.items())),
-        )
-        cached = self._speeds_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        speeds = self._effective_speeds_uncached(num_stages)
-        self._speeds_cache = (key, speeds)
-        return speeds
-
-    def _effective_speeds_uncached(self, num_stages: int) -> np.ndarray | None:
+        if num_stages in self._speeds:
+            return self._speeds[num_stages]
         speeds: np.ndarray | None = None
         if self.placement is not None:
             placed = self.placement.worker_speeds()
@@ -174,6 +155,7 @@ class PipelineEngine:
         if self.rank_slowdowns:
             slow = np.array([self._stage_slowdown(s) for s in range(num_stages)])
             speeds = (speeds if speeds is not None else np.ones(num_stages)) / slow
+        self._speeds[num_stages] = speeds
         return speeds
 
     def _edge_time(self, src_stage: int, dst_stage: int, nbytes: float) -> float:

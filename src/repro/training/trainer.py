@@ -19,6 +19,11 @@ as it is decided.  :meth:`Trainer.run` is its one-Trainer case.
 Results are memoised on (plan, placement, straggler state, state
 fingerprint), so schemes that change every few hundred iterations
 re-simulate only when they change.
+
+A Trainer is the one owner of its run's plan, stage→rank placement and
+straggler slowdowns: it hands the controller the plan and placement on
+each call and builds a new engine whenever the placement or slowdowns
+change, so no engine changes after a pricing call has seen it.
 """
 
 from __future__ import annotations
@@ -173,7 +178,6 @@ class Trainer:
         controller: DynMoController | None = None,
         initial_plan: PipelinePlan | None = None,
         job_manager: ElasticJobManager | None = None,
-        placement: Placement | None = None,
         cluster_events: ClusterEventTrace | None = None,
         memory_model: StageMemoryModel | None = None,
         cache: OrderedDict[tuple, IterationResult] | None = None,
@@ -190,7 +194,8 @@ class Trainer:
         self._last_mem_key: tuple | None = None
         n_layers = len(cost.specs)
         self.plan = initial_plan or PipelinePlan.uniform(n_layers, cfg.pp_stages)
-        if placement is None and comm is not None and cfg.placement_strategy:
+        placement = None
+        if comm is not None and cfg.placement_strategy:
             placement = make_placement(
                 comm.topology,
                 self.plan.num_stages,
@@ -198,14 +203,9 @@ class Trainer:
                 cfg.placement_strategy,
             )
         self.placement = placement
-        if controller is not None and controller.placement is None:
-            controller.placement = placement
-        if (
-            controller is not None
-            and controller.memory_model is None
-            and memory_model is not None
-        ):
-            controller.memory_model = memory_model
+        # the open straggler windows' sorted (rank, factor) pairs, factors
+        # of 1.0 dropped: the engine's slowdowns and a cache key's part
+        self._slowdown_key: tuple = ()
         self.engine = self._new_engine(placement)
         self.states = scheme.initial_states()
         self.job_manager = job_manager
@@ -221,8 +221,6 @@ class Trainer:
                     f"cluster event trace names rank {cluster_events.max_rank()}, "
                     f"but only ranks [0, {limit}) exist here"
                 )
-        # canonical straggler state folded into the iteration-cache key
-        self._slowdown_key: tuple = ()
         if job_manager is not None:
             job_manager.request(_JOB_NAME, cfg.total_gpus, iteration=0)
         # Bounded LRU of iteration results: long elastic runs that
@@ -344,7 +342,9 @@ class Trainer:
             force
             or self.controller.should_invoke(k, self.scheme.rebalance_every)
         ):
-            decision = self.controller.rebalance(k, self.plan, self.states)
+            decision = self.controller.rebalance(
+                k, self.plan, self.states, self.placement
+            )
             if decision.repacked:
                 if self.job_manager is not None:
                     released = self.plan.num_stages - decision.plan.num_stages
@@ -354,7 +354,7 @@ class Trainer:
                         )
                 if decision.placement is not None:
                     self.placement = decision.placement
-                    self.engine.placement = decision.placement
+                    self.engine = self._new_engine(self.placement, self._slowdown_key)
                     st.released_history.append((k, list(decision.released_ranks)))
             self.plan = decision.plan
             st.moved += decision.layers_moved
@@ -369,7 +369,8 @@ class Trainer:
     # A trace-driven run reacts to a changing cluster mid-flight:
     # failures/preemptions shrink the placement onto the surviving rank
     # groups (repack), recoveries re-admit released groups (regrow), and
-    # straggler windows install per-rank slowdown factors on the engine.
+    # straggler windows change the per-rank slowdown factors the engine
+    # is built with.
     # Every transition prices its layer migration like a controller
     # repack would, so elasticity overhead stays honest.
 
@@ -417,8 +418,8 @@ class Trainer:
             for _, ranks, factor in st.stragglers:
                 for r in ranks:
                     slow[r] = max(slow.get(r, 1.0), factor)
-            self.engine.set_rank_slowdowns(slow)
-            self._slowdown_key = tuple(sorted(self.engine.rank_slowdowns.items()))
+            self._slowdown_key = tuple(sorted(p for p in slow.items() if p[1] != 1.0))
+            self.engine = self._new_engine(self.placement, self._slowdown_key)
         return migrations
 
     def _require_event_placement(self, kind: str) -> Placement:
@@ -514,9 +515,7 @@ class Trainer:
         )
         self.plan = new_plan
         self.placement = new_placement
-        self.engine.placement = new_placement
-        if self.controller is not None:
-            self.controller.placement = new_placement
+        self.engine = self._new_engine(new_placement, self._slowdown_key)
         st.moved += migration.num_layers_moved
         if released:
             st.released_history.append((k, released))

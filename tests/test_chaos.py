@@ -296,6 +296,26 @@ class TestPoisonBisection:
         assert records[7].error_type == "WorkerCrashed"
         assert poison in quarantined_hashes()
 
+    def test_unretried_chunk_failure_lands_full_error_records(self):
+        """A chunk failure the policy does not retry lands the error
+        record every other pool path lands: the exception, then its
+        traceback.  The broken pool is discarded, so the next pool run
+        starts a fresh one."""
+        specs = [tiny(seed=s) for s in range(4)]
+        plan = FaultPlan(kill_specs=(specs[1].spec_hash,), no_sleep=True)
+        policy = ExecutionPolicy("pool", workers=2, retry=RetryPolicy(retry_on=()))
+        with faults.injected(plan):
+            records = SweepRunner(policy=policy).run(specs)
+        errors = [r for r in records if r.status != "ok"]
+        assert records[1] in errors
+        for r in errors:
+            assert r.status == "error" and r.error_type == "BrokenProcessPool"
+            head, trace = r.error.split("\n", 1)
+            assert head.startswith("BrokenProcessPool: ")
+            assert trace.startswith("Traceback (most recent call last):")
+        again = SweepRunner(policy=ExecutionPolicy("pool", workers=2)).run(specs)
+        assert [r.status for r in again] == ["ok"] * 4
+
     def test_repeat_sweep_skips_quarantined_spec(self):
         specs = [tiny(seed=s) for s in range(4)]
         quarantine_spec(specs[2].spec_hash, "killed a worker earlier")

@@ -266,8 +266,7 @@ class TestEngineSlowdowns:
         plan = PipelinePlan.uniform(len(gpt24_specs), 4)
         states = fresh_states(len(gpt24_specs))
         base = self._engine(gpt24_cost).run_iteration(plan, states)
-        slowed = self._engine(gpt24_cost)
-        slowed.set_rank_slowdowns({0: 1.0, 2: 1.0})
+        slowed = self._engine(gpt24_cost, rank_slowdowns={0: 1.0, 2: 1.0})
         assert slowed.rank_slowdowns == {}  # 1.0 factors are dropped
         res = slowed.run_iteration(plan, states)
         assert res.makespan == base.makespan
@@ -277,8 +276,7 @@ class TestEngineSlowdowns:
         plan = PipelinePlan.uniform(len(gpt24_specs), 4)
         states = fresh_states(len(gpt24_specs))
         base = self._engine(gpt24_cost).run_iteration(plan, states)
-        eng = self._engine(gpt24_cost)
-        eng.set_rank_slowdowns({1: 2.0})
+        eng = self._engine(gpt24_cost, rank_slowdowns={1: 2.0})
         res = eng.run_iteration(plan, states)
         assert res.makespan > base.makespan
 
@@ -295,8 +293,8 @@ class TestEngineSlowdowns:
             num_micro=8,
             dp_ways=2,
             placement=placement,
+            rank_slowdowns={0: 1.7, 5: 3.0},
         )
-        eng.set_rank_slowdowns({0: 1.7, 5: 3.0})
         fast = eng.run_iteration(plan, states)
         ref = engine_oracle.run_iteration(eng, plan, states)
         assert fast.makespan == ref.makespan
@@ -327,9 +325,8 @@ class TestEngineSlowdowns:
         assert one.makespan == both.makespan  # max over the group wins
 
     def test_invalid_factor_rejected(self, gpt24_cost):
-        eng = self._engine(gpt24_cost)
         with pytest.raises(ValueError, match="must be > 0"):
-            eng.set_rank_slowdowns({0: 0.0})
+            self._engine(gpt24_cost, rank_slowdowns={0: 0.0})
 
     def test_batched_prices_slowed_engines_identically(
         self, gpt24_cost, gpt24_specs
@@ -341,8 +338,7 @@ class TestEngineSlowdowns:
 
         plan = PipelinePlan.uniform(len(gpt24_specs), 4)
         states = fresh_states(len(gpt24_specs))
-        eng = self._engine(gpt24_cost)
-        eng.set_rank_slowdowns({1: 2.0})
+        eng = self._engine(gpt24_cost, rank_slowdowns={1: 2.0})
         scenarios = [(plan, states.copy()) for _ in range(4)]
         batched_mod.stats.reset()
         batched = batched_mod.simulate_many([(eng, p, s) for p, s in scenarios])
@@ -623,6 +619,53 @@ class TestTrainerEvents:
         assert not isinstance(outcomes[0], BaseException)
         assert outcomes[0].total_time_s == solo.total_time_s
         assert outcomes[0].makespan_history == solo.makespan_history
+
+    def test_engines_are_never_mutated(self, monkeypatch):
+        """The Trainer replaces its engine when its placement or
+        stragglers change: every engine a pricing call saw still holds
+        the placement and slowdown map it was priced under."""
+        import repro.pipeline.batched as batched_mod
+        import repro.training.trainer as trainer_mod
+
+        seen = []
+        real = batched_mod.simulate_many
+
+        def spy(requests):
+            for engine, _, _ in requests:
+                seen.append((engine, engine.placement, dict(engine.rank_slowdowns)))
+            return real(requests)
+
+        monkeypatch.setattr(batched_mod, "simulate_many", spy)
+        monkeypatch.setattr(trainer_mod, "WINDOW", 8)
+        trace = ClusterEventTrace(
+            (
+                ClusterEvent(10, "failure", (2,)),
+                ClusterEvent(22, "recovery", (2,)),
+                ClusterEvent(25, "straggler", (4,), duration=6, slowdown=1.5),
+            )
+        )
+        setup = build_scenario(
+            "pruning",
+            num_layers=24,
+            pp_stages=8,
+            dp_ways=1,
+            iterations=40,
+            cluster="2x8+2x4:a100",
+        )
+        make_trainer(
+            setup,
+            "dynmo-partition",
+            iterations=40,
+            balance_cost="modeled",
+            cluster_events=trace,
+        ).run()
+        assert {len(slow) for _, _, slow in seen} == {0, 1}
+        changed = [
+            engine
+            for engine, placement, slow in seen
+            if engine.placement is not placement or engine.rank_slowdowns != slow
+        ]
+        assert not changed, f"{len(changed)} of {len(seen)} priced engines changed"
 
     def test_job_manager_tracks_failure_and_recovery(self):
         from repro.cluster.job_manager import ElasticJobManager

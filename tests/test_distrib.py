@@ -773,6 +773,27 @@ class TestApiFacade:
         with pytest.raises(PlanMismatch, match=re.escape(str(sd))):
             repro.shard_sweep(grid(3), sd)
 
+    def test_shard_sweep_reads_the_plan_under_the_callers_retry(
+        self, tmp_path, monkeypatch
+    ):
+        """Every read of the plan during shard_sweep (a join's, the
+        worker's and the merge's) retries under the caller's policy."""
+        import repro
+
+        wanted = repro.RetryPolicy(max_attempts=5, backoff_s=0.0)
+        seen = []
+        load = ShardPlan.load.__func__
+
+        def spy(cls, shard_dir, retry=None):
+            seen.append(retry)
+            return load(cls, shard_dir, retry)
+
+        monkeypatch.setattr(ShardPlan, "load", classmethod(spy))
+        policy = repro.ExecutionPolicy("inline", retry=wanted)
+        for worker in ("api-w1", "api-w2"):  # publish, then join
+            repro.shard_sweep(grid(2), tmp_path / "shard", policy, worker=worker)
+        assert len(seen) >= 5 and all(r is wanted for r in seen), seen
+
     def test_top_level_exports(self):
         import repro
 

@@ -247,21 +247,20 @@ class TestPostRepackAccounting:
                 repack_target_workers=2,
                 memory_capacity_bytes=float(rep.worker_memory.sum()),
             ),
-            placement=make_placement(comm.topology, 8),
         )
-        ctl.rebalance(0, plan, fresh_states(26))
-        d = ctl.rebalance(1, plan, states)
+        placement = make_placement(comm.topology, 8)
+        ctl.rebalance(0, plan, fresh_states(26), placement)
+        d = ctl.rebalance(1, plan, states, placement)
         assert d.repacked
         assert d.placement is not None
         survivors = d.placement.stage_ranks()
         assert len(survivors) == d.plan.num_stages
         assert sorted(survivors) == sorted(set(range(8)) - set(d.released_ranks))
-        assert ctl.placement is d.placement
 
     def test_balancer_crash_does_not_commit_repack_state(self, gpt24_cost, comm):
-        """A balancer exception after a re-pack must leave the
-        controller's placement consistent with the caller's plan, so a
-        retry with the same plan works."""
+        """A balancer exception after a re-pack leaves the caller's
+        placement untouched (the controller holds none), so a retry
+        with the same plan and placement re-packs."""
 
         from repro.core.balancers.base import BalanceResult, LoadBalancer
 
@@ -290,15 +289,16 @@ class TestPostRepackAccounting:
                 memory_capacity_bytes=float(rep.worker_memory.sum()),
             ),
             balancer_override=FlakyBalancer(),
-            placement=make_placement(comm.topology, 8),
         )
-        ctl.rebalance(0, plan, fresh_states(26))
+        placement = make_placement(comm.topology, 8)
+        grid = placement.grid
+        ctl.rebalance(0, plan, fresh_states(26), placement)
         with pytest.raises(RuntimeError, match="boom"):
-            ctl.rebalance(1, plan, states)
-        assert ctl.placement.num_stages == 8  # nothing committed
-        d = ctl.rebalance(2, plan, states)  # retry works
+            ctl.rebalance(1, plan, states, placement)
+        assert placement.num_stages == 8 and placement.grid == grid
+        d = ctl.rebalance(2, plan, states, placement)  # retry works
         assert d.repacked
-        assert ctl.placement.num_stages == d.plan.num_stages < 8
+        assert d.placement.num_stages == d.plan.num_stages < 8
 
     def test_repack_only_decision_is_not_rebalanced(self, gpt24_cost, comm):
         """Re-pack alone must not masquerade as a balancer move."""

@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.job_manager import ElasticJobManager
 from repro.core import DynMoConfig, DynMoController
 from repro.dynamics import FreezingDynamism, StaticScheme
-from repro.experiments.common import SCENARIOS, build_scenario, make_trainer
+from repro.experiments.common import SCENARIOS, build_scenario, make_scheme, make_trainer
 from repro.model.cost import (
     ATTN_DENSITY,
     DROPPABLE_BWD,
@@ -112,6 +112,36 @@ class TestTrainer:
     def test_stage_count_history(self, gpt24_cost, gpt24_specs):
         res = self._trainer(gpt24_cost, gpt24_specs).run()
         assert all(s == 4 for _, s in res.stage_count_history)
+
+
+class TestRunOwnsItsPlacement:
+    def test_shared_controller_prices_the_runs_own_placement(self):
+        """A controller handed to a second Trainer holds no placement of
+        the first run: the second run prices its migrations on its own
+        ranks, as it would with a controller of its own.  (Re-packing is
+        off: the gate's reference load belongs to the controller.)"""
+        setup = build_scenario(
+            "pruning",
+            num_layers=24,
+            pp_stages=8,
+            dp_ways=1,
+            iterations=60,
+            cluster="2x8+2x4:a100",
+        )
+        mode = "dynmo-partition"
+        packed = make_trainer(setup, mode, balance_cost="modeled", placement="packed")
+        packed.run()
+        own = make_trainer(setup, mode, balance_cost="modeled", placement="scattered")
+        shared = Trainer(
+            own.cfg,
+            own.cost,
+            make_scheme(setup, mode),
+            comm=own.comm,
+            controller=packed.controller,
+            initial_plan=own.plan,
+        )
+        assert shared.placement == own.placement != packed.placement
+        assert shared.run() == own.run()
 
 
 class TestIterationCache:
